@@ -158,7 +158,7 @@ def _packing_from_json(payload: dict) -> MixedPacking:
 def _cmd_solve(args) -> int:
     g, roots = _load_graph(args.file)
     bounds = _bounds_from(args)
-    result = solve(g, roots, bounds, jobs=args.jobs)
+    result = solve(g, roots, bounds)
     if isinstance(result, MixedPacking):
         _emit(_packing_json_full(g, result, roots, args.seed))
         return 0
@@ -278,6 +278,11 @@ def _cmd_certify(args) -> int:
     return 2
 
 
+def _dot_quote(name: str) -> str:
+    """A DOT double-quoted string; ids may contain ``"`` and ``\\``."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _cmd_export_dot(args) -> int:
     g, roots = _load_graph(args.file)
     tree_of_edge: dict[str, int] = {}
@@ -296,22 +301,24 @@ def _cmd_export_dot(args) -> int:
     root_set = set(roots)
     for v in g.vertices:
         shape = "doublecircle" if v in root_set else "circle"
-        lines.append(f'  "{v}" [shape={shape}];')
+        lines.append(f"  {_dot_quote(v)} [shape={shape}];")
     for e in g.edges:
-        attrs = ["dir=none", f'label="{e.id}"']
+        attrs = ["dir=none", f"label={_dot_quote(e.id)}"]
         u, v = e.u, e.v
         if e.id in tree_of_edge:
             i = tree_of_edge[e.id]
             color = _DOT_COLORS[i % len(_DOT_COLORS)]
-            attrs = [f'label="{e.id}"', f"color={color}", "penwidth=2"]
+            attrs = [f"label={_dot_quote(e.id)}", f"color={color}", "penwidth=2"]
             u, v = edge_dir[e.id]
-        lines.append(f'  "{u}" -> "{v}" [{", ".join(attrs)}];')
+        lines.append(f"  {_dot_quote(u)} -> {_dot_quote(v)} [{', '.join(attrs)}];")
     for a in g.arcs:
-        attrs = [f'label="{a.id}"']
+        attrs = [f"label={_dot_quote(a.id)}"]
         if a.id in tree_of_arc:
             i = tree_of_arc[a.id]
             attrs += [f"color={_DOT_COLORS[i % len(_DOT_COLORS)]}", "penwidth=2"]
-        lines.append(f'  "{a.tail}" -> "{a.head}" [{", ".join(attrs)}];')
+        lines.append(
+            f"  {_dot_quote(a.tail)} -> {_dot_quote(a.head)} [{', '.join(attrs)}];"
+        )
     lines.append("}")
     print("\n".join(lines))
     return 0
@@ -335,7 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance; JSON packing or certificate")
     p.add_argument("file")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored; atoms are solved in turn",
+    )
     p.add_argument("--seed", type=int, default=None)
     add_bounds(p)
     p.set_defaults(func=_cmd_solve)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InvariantError
 from .graph_core import (
@@ -75,23 +75,30 @@ class AtomDecomposition:
                 out[v] = j
         return out
 
-    def membership_vector(self, v: str) -> frozenset[int]:
-        j = self.atom_of.get(v)
-        return self.atom_roots[j] if j is not None else frozenset()
+
+def compute_atoms(g: MixedGraph, roots: Sequence[str]) -> AtomDecomposition:
+    """Atoms of ``g`` with respect to the given (possibly repeated) roots."""
+    return _decompose(g, roots, mixed_reachable_set)
 
 
-def membership_atoms(
-    vertex_order: Sequence[str], reach: Sequence[frozenset[str]]
-) -> tuple[tuple[frozenset[str], ...], tuple[frozenset[int], ...]]:
-    """Group vertices by their nonempty reaching-root sets.
+def _decompose(
+    graph: MixedGraph | DirectedView,
+    roots: Sequence[str],
+    reachable: Callable[..., frozenset[str]],
+) -> AtomDecomposition:
+    """Atoms of a mixed graph or a directed view, given its reachability.
 
-    Atom order follows the first appearance of each membership vector in
-    ``vertex_order``.
+    Vertices are grouped by their nonempty reaching-root sets; atom order
+    follows the first appearance of each root set in the vertex order.
     """
+    for r in roots:
+        if r not in graph.vertex_set:
+            raise ValueError(f"unknown root {r!r}")
+    reach = tuple(reachable(graph, r) for r in roots)
     members: list[list[str]] = []
     keys: list[frozenset[int]] = []
     where: dict[frozenset[int], int] = {}
-    for v in vertex_order:
+    for v in graph.vertices:
         key = frozenset(i for i, u in enumerate(reach) if v in u)
         if not key:
             continue
@@ -102,24 +109,16 @@ def membership_atoms(
             members.append([])
             keys.append(key)
         members[j].append(v)
-    return tuple(frozenset(m) for m in members), tuple(keys)
-
-
-def compute_atoms(g: MixedGraph, roots: Sequence[str]) -> AtomDecomposition:
-    """Atoms of ``g`` with respect to the given (possibly repeated) roots."""
-    for r in roots:
-        if r not in g.vertex_set:
-            raise ValueError(f"unknown root {r!r}")
-    reach = tuple(mixed_reachable_set(g, r) for r in roots)
-    atoms, atom_roots = membership_atoms(g.vertices, reach)
-    dec = AtomDecomposition(reach=reach, atoms=atoms, atom_roots=atom_roots)
+    dec = AtomDecomposition(
+        reach=reach, atoms=tuple(frozenset(m) for m in members), atom_roots=tuple(keys)
+    )
     # reachability only grows along an arc, so root sets must be nested
-    for a in g.arcs:
+    for a in graph.arcs:
         ju = dec.atom_of.get(a.tail)
-        jv = dec.atom_of.get(a.head)
         if ju is None:
             continue
-        if jv is None or not atom_roots[ju] <= atom_roots[jv]:
+        jv = dec.atom_of.get(a.head)
+        if jv is None or not keys[ju] <= keys[jv]:
             raise InvariantError(
                 f"arc {a.id!r} violates root-set monotonicity between atoms"
             )
@@ -265,6 +264,30 @@ def p_j_value(
 ) -> int:
     """Atom-level demand: the bi-set demand of the lifted set."""
     return p_value(dec, roots, lift_biset(aux, x))
+
+
+def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
+    """Worst terminal completion of one inner set, over bit-indexed trees.
+
+    ``nq`` trees lack a foothold in the set and ``hits[k]`` is the mask of
+    those trees that terminal ``k`` would disqualify.  For each tree subset
+    ``d`` the terminals whose hits lie inside ``d`` are included; the value
+    is the trees left untouched minus the terminal arcs still entering.
+    Returns the best value and the first ``d`` attaining it.  Every
+    terminal subset is dominated by one of these, so the maximum is exact.
+    """
+    best = best_d = None
+    for d in range(1 << nq):
+        union = 0
+        chosen = 0
+        for hq in hits:
+            if hq & ~d == 0:
+                union |= hq
+                chosen += 1
+        val = nq - union.bit_count() - (len(hits) - chosen)
+        if best is None or val > best:
+            best, best_d = val, d
+    return best, best_d
 
 
 # ---------------------------------------------------------------------------

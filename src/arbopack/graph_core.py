@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError
 
@@ -318,15 +318,52 @@ def mixed_reachable_set(g: MixedGraph, s: str) -> frozenset[str]:
     for e in g.edges:
         succ[e.u].append(e.v)
         succ[e.v].append(e.u)
+    return _reachable(succ, s)
+
+
+def _reachable(succ: Mapping[str, Sequence[str]], s: str) -> frozenset[str]:
+    """Breadth-first closure of ``s``; ``succ`` must have a key per vertex."""
     seen = {s}
     queue = deque([s])
     while queue:
-        u = queue.popleft()
-        for w in succ[u]:
+        for w in succ[queue.popleft()]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
+
+
+def _check_arborescence(
+    hops: Sequence[tuple[str, str]], root: str, span: frozenset[str], i: int
+) -> CheckResult:
+    """Verdict on tree ``i``, given as ``(tail, head)`` hops.
+
+    The hops must form an arborescence rooted at ``root`` that spans
+    exactly ``span``.
+    """
+    # first-appearance order, so the vertex a reason names does not
+    # depend on string hashing
+    verts = dict.fromkeys([root, *(v for hop in hops for v in hop)]).keys()
+    indeg: dict[str, int] = {}
+    for _t, h in hops:
+        indeg[h] = indeg.get(h, 0) + 1
+    if indeg.get(root, 0) != 0:
+        return CheckResult(False, f"tree {i + 1}: root {root} has an incoming arc")
+    for v in verts:
+        if v != root and indeg.get(v, 0) != 1:
+            return CheckResult(
+                False, f"tree {i + 1}: vertex {v} has in-degree {indeg.get(v, 0)}"
+            )
+    succ: dict[str, list[str]] = {v: [] for v in verts}
+    for t, h in hops:
+        succ[t].append(h)
+    if _reachable(succ, root) != verts:
+        return CheckResult(
+            False, f"tree {i + 1} is not an arborescence rooted at {root}"
+        )
+    if verts != span:
+        return CheckResult(False, f"tree {i + 1} does not span U_{i + 1}")
+    return OK_RESULT
 
 
 def in_degree(d: DirectedView, x: Iterable[str]) -> int:

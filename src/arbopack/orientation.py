@@ -2,11 +2,11 @@
 
 The requirement is the function ``p_j - rho_static`` over the atom's
 consistent-set family.  The solver starts from a deterministic
-orientation, repeatedly reverses a directed path of oriented edges while
-that strictly shrinks the total deficiency, and falls back to exhausting
-all orientations when stuck.  Infeasibility is certified by a
-subpartition of the auxiliary vertex set whose summed demands exceed what
-edges plus fixed arcs can deliver.
+orientation and repeatedly reverses a directed path of oriented edges
+while that strictly shrinks the total deficiency.  When stuck, it
+certifies infeasibility by a subpartition of the auxiliary vertex set
+whose summed demands exceed what edges plus fixed arcs can deliver, and
+exhausts all orientations only if no such subpartition exists.
 
 Violation checks run over a reduced family: for every inner set only the
 terminal completions that maximise the deficit can be binding, and there
@@ -21,7 +21,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import AtomContext, AtomDecomposition, AuxiliaryGraph
+from .decomposition import (
+    AtomContext,
+    AtomDecomposition,
+    AuxiliaryGraph,
+    _worst_completion,
+)
 from .errors import CapacityError, InvariantError
 from .graph_core import Orientation
 
@@ -100,31 +105,19 @@ def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
         rho_int = sum(1 for t, h in ctx.internal_arcs if h & y and not t & y)
         rt = [t for t in ctx.terminals if t.head_bit & y]
         q = [i for i in trees if not ctx.root_bits[i] & y]
-        qmask_of = {i: 1 << pos for pos, i in enumerate(q)}
         hits = []
         for t in rt:
             hq = 0
-            for i in q:
+            for pos, i in enumerate(q):
                 if t.hit >> i & 1:
-                    hq |= qmask_of[i]
+                    hq |= 1 << pos
             hits.append(hq)
-        best = None
-        best_x = y
-        for d in range(1 << len(q)):
-            chosen_bits = 0
-            union_hit = 0
-            chosen = 0
-            for t, hq in zip(rt, hits):
-                if hq & ~d == 0:
-                    chosen_bits |= t.bit
-                    union_hit |= hq
-                    chosen += 1
-            untouched = len(q) - union_hit.bit_count()
-            val = untouched - rho_int - (len(rt) - chosen)
-            if best is None or val > best:
-                best = val
-                best_x = y | chosen_bits
-        table[y] = (best if best is not None else 0, best_x)
+        best, d = _worst_completion(len(q), hits)
+        xmask = y
+        for t, hq in zip(rt, hits):
+            if hq & ~d == 0:
+                xmask |= t.bit
+        table[y] = (best - rho_int, xmask)
     return table
 
 
@@ -194,29 +187,50 @@ def orient_covering(req: CoverRequirement):
             direction[eid] = (e.u, e.v)
         return Orientation(direction)
 
+    # Quick refutation: a set demanding more than its whole edge boundary
+    # cannot be covered by any orientation, so the descent is skipped.
+    boundary_ok = all(
+        sum(1 for _eid, bu, bv in ctx.edge_bits if bool(bu & y) != bool(bv & y)) >= need
+        for y, need in cands
+    )
+    if boundary_ok and _descend(ctx, cands, dirs):
+        return oriented()
+
+    # A positive-deficit subpartition rules out every orientation (weak
+    # duality), so the exhaustive sweep only runs when there is none.
+    cert = _extract_certificate(req, table)
+    if cert is not None:
+        return cert
+    m = len(ctx.edge_bits)
+    if m > req.bounds.max_enum_edges:
+        raise CapacityError(
+            f"|E_j| = {m} exceeds max_enum_edges = {req.bounds.max_enum_edges}"
+        )
+    for combo in range(1 << m):
+        for pos in range(m):
+            dirs[pos] = combo >> pos & 1
+        ends = _edge_ends(ctx, dirs)
+        if all(_cross_into(ends, y) >= need for y, need in cands):
+            return oriented()
+    raise InvariantError(
+        "no covering orientation exists, yet no subpartition has positive deficit"
+    )
+
+
+def _descend(ctx, cands: Sequence[tuple[int, int]], dirs: list[int]) -> bool:
+    """Reverse edge paths in ``dirs`` while the total deficiency drops.
+
+    Returns whether the deficiency reached zero.  Reversing a directed path
+    that starts inside Y and ends outside turns it into one more path
+    entering Y, so deficient sets scan their members as path starts.  Any
+    reversal is kept only on a strict drop of the total deficiency, so the
+    loop terminates.
+    """
+
     def phi() -> int:
         ends = _edge_ends(ctx, dirs)
         return sum(max(0, need - _cross_into(ends, y)) for y, need in cands)
 
-    # quick refutation: a set demanding more than its whole edge boundary
-    # cannot be covered by any orientation, so go straight to a certificate
-    for y, need in cands:
-        boundary = sum(
-            1 for _eid, bu, bv in ctx.edge_bits if bool(bu & y) != bool(bv & y)
-        )
-        if boundary < need:
-            cert = _extract_certificate(req, table)
-            if cert is None:
-                raise InvariantError(
-                    "edge boundary refutes coverage but no positive-deficit "
-                    "subpartition exists"
-                )
-            return cert
-
-    # Reversing a directed path that starts inside Y and ends outside turns
-    # it into one more path entering Y, so deficient sets scan their members
-    # as path starts.  Any reversal is kept only on a strict drop of the
-    # total deficiency, so the loop terminates.
     total = phi()
     while total > 0:
         improved = False
@@ -249,29 +263,8 @@ def orient_covering(req: CoverRequirement):
                     for p in path:
                         dirs[p] ^= 1
         if not improved:
-            break
-    if total == 0:
-        return oriented()
-
-    # exhaustive fallback: the descent got stuck
-    m = len(ctx.edge_bits)
-    if m > req.bounds.max_enum_edges:
-        raise CapacityError(
-            f"|E_j| = {m} exceeds max_enum_edges = {req.bounds.max_enum_edges}"
-        )
-    for combo in range(1 << m):
-        for pos in range(m):
-            dirs[pos] = combo >> pos & 1
-        ends = _edge_ends(ctx, dirs)
-        if all(_cross_into(ends, y) >= need for y, need in cands):
-            return oriented()
-
-    cert = _extract_certificate(req, table)
-    if cert is None:
-        raise InvariantError(
-            "no covering orientation exists, yet no subpartition has positive deficit"
-        )
-    return cert
+            return False
+    return True
 
 
 def _extract_certificate(

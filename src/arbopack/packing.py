@@ -14,14 +14,20 @@ the work.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import membership_atoms
+from .decomposition import _decompose, _worst_completion
 from .errors import CapacityError, InvariantError
-from .graph_core import CheckResult, DirectedView, OK_RESULT, ViewArc
+from .graph_core import (
+    CheckResult,
+    DirectedView,
+    OK_RESULT,
+    ViewArc,
+    _check_arborescence,
+    _reachable,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -50,15 +56,7 @@ def reachable_in_view(d: DirectedView, s: str) -> frozenset[str]:
     succ: dict[str, list[str]] = {v: [] for v in d.vertices}
     for a in d.arcs:
         succ[a.tail].append(a.head)
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for w in succ[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
+    return _reachable(succ, s)
 
 
 def verify_cut_condition(
@@ -111,22 +109,8 @@ def pack_reachability(
     root lies inside) or the crossing arcs coming from vertices tree i
     already spans.
     """
-    for r in roots:
-        if r not in d.vertex_set:
-            raise ValueError(f"unknown root {r!r}")
-    reach = tuple(reachable_in_view(d, r) for r in roots)
-    atoms, atom_roots = membership_atoms(d.vertices, reach)
-    atom_of: dict[str, int] = {}
-    for j, members in enumerate(atoms):
-        for v in members:
-            atom_of[v] = j
-    for a in d.arcs:
-        ju = atom_of.get(a.tail)
-        jv = atom_of.get(a.head)
-        if ju is not None and (jv is None or not atom_roots[ju] <= atom_roots[jv]):
-            raise InvariantError(
-                f"arc {a.id!r} violates root-set monotonicity between atoms"
-            )
+    dec = _decompose(d, roots, reachable_in_view)
+    atoms, atom_roots, atom_of = dec.atoms, dec.atom_roots, dec.atom_of
 
     order = sorted(range(len(atoms)), key=lambda j: (len(atom_roots[j]), j))
     tree_arcs: dict[int, list[tuple[int, ViewArc]]] = {i: [] for i in range(len(roots))}
@@ -260,18 +244,7 @@ def pack_atom_branchings(
                     rt_hits.append(hq)
                 elif not tb & y:
                     rho += 1
-            need = 0
-            for dsub in range(1 << len(q)):
-                union_hit = 0
-                chosen = 0
-                for hq in rt_hits:
-                    if hq & ~dsub == 0:
-                        union_hit |= hq
-                        chosen += 1
-                val = (len(q) - union_hit.bit_count()) - (len(rt_hits) - chosen)
-                if val > need:
-                    need = val
-            if need > rho:
+            if _worst_completion(len(q), rt_hits)[0] > rho:
                 return False
         return True
 
@@ -348,43 +321,8 @@ def validate_digraph_packing(
         if tree.root_index != i:
             return CheckResult(False, f"tree {i + 1} carries root index {tree.root_index + 1}")
         r = roots[i]
-        verdict = _check_arborescence(tree.arcs, r, reachable_in_view(d, r), i)
+        hops = [(a.tail, a.head) for a in tree.arcs]
+        verdict = _check_arborescence(hops, r, reachable_in_view(d, r), i)
         if not verdict:
             return verdict
-    return OK_RESULT
-
-
-def _check_arborescence(
-    arcs: Sequence[ViewArc], root: str, span: frozenset[str], i: int
-) -> CheckResult:
-    """Arcs must form an arborescence rooted at ``root`` spanning ``span``."""
-    indeg: dict[str, int] = {}
-    succ: dict[str, list[str]] = {}
-    verts = {root}
-    for a in arcs:
-        verts.add(a.tail)
-        verts.add(a.head)
-        indeg[a.head] = indeg.get(a.head, 0) + 1
-        succ.setdefault(a.tail, []).append(a.head)
-    if indeg.get(root, 0) != 0:
-        return CheckResult(False, f"tree {i + 1}: root {root} has an incoming arc")
-    for v in verts:
-        if v != root and indeg.get(v, 0) != 1:
-            return CheckResult(
-                False, f"tree {i + 1}: vertex {v} has in-degree {indeg.get(v, 0)}"
-            )
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in succ.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if seen != verts:
-        return CheckResult(
-            False, f"tree {i + 1} is not an arborescence rooted at {root}"
-        )
-    if verts != span:
-        return CheckResult(False, f"tree {i + 1} does not span U_{i + 1}")
     return OK_RESULT

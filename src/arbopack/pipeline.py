@@ -1,4 +1,4 @@
-"""End-to-end solver, validators, certificates, and brute-force oracles.
+"""End-to-end solver, validators, and certificates.
 
 ``solve`` runs the full algorithm: build atoms, orient each atom's edges
 to cover its demands, then pack arborescences in the oriented digraph and
@@ -10,8 +10,6 @@ against the input alone.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,13 +24,14 @@ from .decomposition import (
     lift_biset,
     p_value,
 )
-from .errors import CapacityError, InvariantError
+from .errors import InvariantError
 from .graph_core import (
     CheckResult,
     MixedGraph,
     OK_RESULT,
     Orientation,
     Subpartition,
+    _check_arborescence,
     apply_orientation,
     arcs_view,
     crossing_edge_count,
@@ -181,10 +180,7 @@ def verify_certificate(
 
 
 def covering_orientation(
-    g: MixedGraph,
-    roots: Sequence[str],
-    bounds: Bounds = DEFAULT_BOUNDS,
-    jobs: int = 1,
+    g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
 ):
     """Orient all edges so every atom's demands are covered.
 
@@ -195,38 +191,19 @@ def covering_orientation(
     """
     roots = list(roots)
     dec = compute_atoms(g, roots)
-    reqs = [
-        CoverRequirement(build_auxiliary(g, dec, j), dec, tuple(roots), bounds)
-        for j in range(len(dec.atoms))
-    ]
-    results: list[Orientation | SubpartitionCertificate] = []
-    if jobs > 1 and len(reqs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(orient_covering, reqs))
-    else:
-        for req in reqs:
-            outcome = orient_covering(req)
-            results.append(outcome)
-            if isinstance(outcome, SubpartitionCertificate):
-                break
-    for req, outcome in zip(reqs, results):
+    direction: dict[str, tuple[str, str]] = {}
+    for j in range(len(dec.atoms)):
+        req = CoverRequirement(build_auxiliary(g, dec, j), dec, tuple(roots), bounds)
+        outcome = orient_covering(req)
         if isinstance(outcome, SubpartitionCertificate):
             return certificate_from_subpartition(outcome, req.aux, dec, g, roots)
-
-    direction: dict[str, tuple[str, str]] = {}
-    for outcome in results:
         direction.update(outcome.direction)
     leftover = [e.id for e in g.edges if e.id not in direction]
     direction.update(lexicographic_orientation(g, leftover).direction)
     return Orientation(direction)
 
 
-def solve(
-    g: MixedGraph,
-    roots: Sequence[str],
-    bounds: Bounds = DEFAULT_BOUNDS,
-    jobs: int = 1,
-):
+def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     """Solve the packing problem on a mixed graph.
 
     Returns a :class:`MixedPacking` or, when no packing exists, a
@@ -234,7 +211,7 @@ def solve(
     be oriented.
     """
     roots = list(roots)
-    outcome = covering_orientation(g, roots, bounds, jobs)
+    outcome = covering_orientation(g, roots, bounds)
     if isinstance(outcome, BiSetFamilyCertificate):
         return outcome
     oriented = apply_orientation(g, outcome)
@@ -298,211 +275,9 @@ def validate_mixed_packing(
         r = roots[i]
         if tree.root != r:
             return CheckResult(False, f"tree {i + 1} names root {tree.root!r}, not {r!r}")
-        span = mixed_reachable_set(g, r)
-        verdict = _check_mixed_tree(g, tree, r, span, i)
+        hops = [(g.arc_by_id[aid].tail, g.arc_by_id[aid].head) for aid in tree.arcs]
+        hops += [(use.tail, use.head) for use in tree.edges]
+        verdict = _check_arborescence(hops, r, mixed_reachable_set(g, r), i)
         if not verdict:
             return verdict
     return OK_RESULT
-
-
-def _check_mixed_tree(
-    g: MixedGraph, tree: MixedTree, root: str, span: frozenset[str], i: int
-) -> CheckResult:
-    indeg: dict[str, int] = {}
-    succ: dict[str, list[str]] = {}
-    verts = {root}
-    hops: list[tuple[str, str]] = []
-    for aid in tree.arcs:
-        a = g.arc_by_id[aid]
-        hops.append((a.tail, a.head))
-    for use in tree.edges:
-        hops.append((use.tail, use.head))
-    for t, h in hops:
-        verts.add(t)
-        verts.add(h)
-        indeg[h] = indeg.get(h, 0) + 1
-        succ.setdefault(t, []).append(h)
-    if indeg.get(root, 0) != 0:
-        return CheckResult(False, f"tree {i + 1}: root {root} has an incoming arc")
-    for v in verts:
-        if v != root and indeg.get(v, 0) != 1:
-            return CheckResult(
-                False, f"tree {i + 1}: vertex {v} has in-degree {indeg.get(v, 0)}"
-            )
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in succ.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if seen != verts:
-        return CheckResult(False, f"tree {i + 1} is not an arborescence rooted at {root}")
-    if verts != span:
-        return CheckResult(False, f"tree {i + 1} does not span U_{i + 1}")
-    return OK_RESULT
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-
-
-def brute_force_feasible(
-    g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
-) -> bool:
-    """Exhaustive feasibility oracle, independent of the solver.
-
-    Tries every orientation of the edges; an orientation works when it
-    keeps every vertex's set of reaching roots intact and the resulting
-    digraph satisfies the cut condition.
-    """
-    n = len(g.vertices)
-    if n > bounds.max_enum_vertices:
-        raise CapacityError(
-            f"|V| = {n} exceeds max_enum_vertices = {bounds.max_enum_vertices}"
-        )
-    plain_edges = [e for e in g.edges if not e.is_loop()]
-    if len(plain_edges) > 12:
-        raise CapacityError(f"|E| = {len(plain_edges)} exceeds the orientation bound 12")
-    for r in roots:
-        if r not in g.vertex_set:
-            raise ValueError(f"unknown root {r!r}")
-
-    bit = g.vertex_index
-    base_reach = [
-        sum(1 << bit[v] for v in mixed_reachable_set(g, r)) for r in roots
-    ]
-    root_bits = [1 << bit[r] for r in roots]
-    native = [
-        (1 << bit[a.tail], 1 << bit[a.head]) for a in g.arcs if not a.is_loop()
-    ]
-    edges = [(1 << bit[e.u], 1 << bit[e.v]) for e in plain_edges]
-
-    size = 1 << n
-    need = [0] * size
-    rho_native = [0] * size
-    boundary = [0] * size
-    for mask in range(1, size):
-        c = 0
-        for rb, um in zip(root_bits, base_reach):
-            if not rb & mask and um & mask:
-                c += 1
-        need[mask] = c
-        rho_native[mask] = sum(1 for t, h in native if h & mask and not t & mask)
-        boundary[mask] = sum(
-            1 for bu, bv in edges if bool(bu & mask) != bool(bv & mask)
-        )
-    # quick refutation: even orienting every boundary edge inward is too little
-    for mask in range(1, size):
-        if rho_native[mask] + boundary[mask] < need[mask]:
-            return False
-
-    succ_base: list[list[int]] = [[] for _ in range(n)]
-    for t, h in native:
-        succ_base[t.bit_length() - 1].append(h.bit_length() - 1)
-
-    m = len(edges)
-    for combo in range(1 << m):
-        succ = [list(s) for s in succ_base]
-        for pos, (bu, bv) in enumerate(edges):
-            if combo >> pos & 1:
-                succ[bv.bit_length() - 1].append(bu.bit_length() - 1)
-            else:
-                succ[bu.bit_length() - 1].append(bv.bit_length() - 1)
-        ok = True
-        for rb, um in zip(root_bits, base_reach):
-            if _reach_mask(succ, rb.bit_length() - 1) != um:
-                ok = False
-                break
-        if not ok:
-            continue
-        for mask in range(1, size):
-            if need[mask] == 0:
-                continue
-            rho = rho_native[mask]
-            if rho < need[mask]:
-                for pos, (bu, bv) in enumerate(edges):
-                    if combo >> pos & 1:
-                        if bu & mask and not bv & mask:
-                            rho += 1
-                    elif bv & mask and not bu & mask:
-                        rho += 1
-            if rho < need[mask]:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _reach_mask(succ: list[list[int]], s: int) -> int:
-    seen = 1 << s
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for w in succ[u]:
-            if not seen >> w & 1:
-                seen |= 1 << w
-                stack.append(w)
-    return seen
-
-
-def check_spanning_packing_condition(
-    g: MixedGraph, r: str, k: int, bounds: Bounds = DEFAULT_BOUNDS
-) -> bool:
-    """Spanning-packing oracle for a single root repeated ``k`` times.
-
-    Every subpartition of the vertices other than ``r`` must offer at
-    least ``k`` entries per part, counting crossing edges once and
-    entering arcs per part.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if r not in g.vertex_set:
-        raise ValueError(f"unknown root {r!r}")
-    if k == 0:
-        return True
-    ground = [v for v in g.vertices if v != r]
-    if len(ground) > bounds.max_subpartition_ground:
-        raise CapacityError(
-            f"|V|-1 = {len(ground)} exceeds max_subpartition_ground = "
-            f"{bounds.max_subpartition_ground}"
-        )
-    bit = g.vertex_index
-    arcs = [(1 << bit[a.tail], 1 << bit[a.head]) for a in g.arcs if not a.is_loop()]
-    edges = [(1 << bit[e.u], 1 << bit[e.v]) for e in g.edges if not e.is_loop()]
-
-    def violated(parts: list[int]) -> bool:
-        total_rho = 0
-        for pm in parts:
-            total_rho += sum(1 for t, h in arcs if h & pm and not t & pm)
-        crossing = 0
-        for bu, bv in edges:
-            pu = next((i for i, pm in enumerate(parts) if bu & pm), None)
-            pv = next((i for i, pm in enumerate(parts) if bv & pm), None)
-            if (pu is not None or pv is not None) and pu != pv:
-                crossing += 1
-        return crossing + total_rho < k * len(parts)
-
-    parts: list[int] = []
-
-    def rec(idx: int) -> bool:
-        """True when some extension violates the condition."""
-        if idx == len(ground):
-            return bool(parts) and violated(parts)
-        b = 1 << bit[ground[idx]]
-        if rec(idx + 1):  # leave the vertex out of every part
-            return True
-        for i in range(len(parts)):
-            parts[i] |= b
-            if rec(idx + 1):
-                return True
-            parts[i] &= ~b
-        parts.append(b)
-        if rec(idx + 1):
-            return True
-        parts.pop()
-        return False
-
-    return not rec(0)

@@ -1,21 +1,31 @@
 """Straight-from-the-definition oracles used to cross-check the fast paths.
 
-Everything here works on plain frozensets and explicit enumeration with
-no bitmask tricks, deliberately duplicating none of the library's
-optimized code.
+The set-level helpers work on plain frozensets and explicit enumeration
+with no bitmask tricks, deliberately duplicating none of the library's
+optimized code.  ``brute_force_feasible`` and
+``check_spanning_packing_condition`` enumerate orientations and
+subpartitions over vertex bitmasks and never call the solver.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, product
+from typing import Sequence
 
 from arbopack import (
+    DEFAULT_BOUNDS,
     AuxiliaryGraph,
     AtomDecomposition,
     BiSet,
+    Bounds,
+    CapacityError,
     DirectedView,
     MixedGraph,
+    mixed_reachable_set,
 )
+
+#: largest ground-set size ``check_spanning_packing_condition`` enumerates
+MAX_SUBPARTITION_GROUND = 10
 
 
 def subsets(items):
@@ -194,3 +204,161 @@ def biset_condition_holds(d: DirectedView, g: MixedGraph, dec, roots) -> bool:
         if naive_rho_view(d, b.outer, b.inner) < p_value(dec, roots, b):
             return False
     return True
+
+
+def brute_force_feasible(
+    g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
+) -> bool:
+    """Exhaustive feasibility oracle, independent of the solver.
+
+    Tries every orientation of the edges; an orientation works when it
+    keeps every vertex's set of reaching roots intact and the resulting
+    digraph satisfies the cut condition.
+    """
+    n = len(g.vertices)
+    if n > bounds.max_enum_vertices:
+        raise CapacityError(
+            f"|V| = {n} exceeds max_enum_vertices = {bounds.max_enum_vertices}"
+        )
+    plain_edges = [e for e in g.edges if not e.is_loop()]
+    if len(plain_edges) > 12:
+        raise CapacityError(f"|E| = {len(plain_edges)} exceeds the orientation bound 12")
+    for r in roots:
+        if r not in g.vertex_set:
+            raise ValueError(f"unknown root {r!r}")
+
+    bit = g.vertex_index
+    base_reach = [
+        sum(1 << bit[v] for v in mixed_reachable_set(g, r)) for r in roots
+    ]
+    root_bits = [1 << bit[r] for r in roots]
+    native = [
+        (1 << bit[a.tail], 1 << bit[a.head]) for a in g.arcs if not a.is_loop()
+    ]
+    edges = [(1 << bit[e.u], 1 << bit[e.v]) for e in plain_edges]
+
+    size = 1 << n
+    need = [0] * size
+    rho_native = [0] * size
+    boundary = [0] * size
+    for mask in range(1, size):
+        c = 0
+        for rb, um in zip(root_bits, base_reach):
+            if not rb & mask and um & mask:
+                c += 1
+        need[mask] = c
+        rho_native[mask] = sum(1 for t, h in native if h & mask and not t & mask)
+        boundary[mask] = sum(
+            1 for bu, bv in edges if bool(bu & mask) != bool(bv & mask)
+        )
+    # quick refutation: even orienting every boundary edge inward is too little
+    for mask in range(1, size):
+        if rho_native[mask] + boundary[mask] < need[mask]:
+            return False
+
+    succ_base: list[list[int]] = [[] for _ in range(n)]
+    for t, h in native:
+        succ_base[t.bit_length() - 1].append(h.bit_length() - 1)
+
+    m = len(edges)
+    for combo in range(1 << m):
+        succ = [list(s) for s in succ_base]
+        for pos, (bu, bv) in enumerate(edges):
+            if combo >> pos & 1:
+                succ[bv.bit_length() - 1].append(bu.bit_length() - 1)
+            else:
+                succ[bu.bit_length() - 1].append(bv.bit_length() - 1)
+        ok = True
+        for rb, um in zip(root_bits, base_reach):
+            if _reach_mask(succ, rb.bit_length() - 1) != um:
+                ok = False
+                break
+        if not ok:
+            continue
+        for mask in range(1, size):
+            if need[mask] == 0:
+                continue
+            rho = rho_native[mask]
+            if rho < need[mask]:
+                for pos, (bu, bv) in enumerate(edges):
+                    if combo >> pos & 1:
+                        if bu & mask and not bv & mask:
+                            rho += 1
+                    elif bv & mask and not bu & mask:
+                        rho += 1
+            if rho < need[mask]:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def _reach_mask(succ: list[list[int]], s: int) -> int:
+    seen = 1 << s
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for w in succ[u]:
+            if not seen >> w & 1:
+                seen |= 1 << w
+                stack.append(w)
+    return seen
+
+
+def check_spanning_packing_condition(g: MixedGraph, r: str, k: int) -> bool:
+    """Spanning-packing oracle for a single root repeated ``k`` times.
+
+    Every subpartition of the vertices other than ``r`` must offer at
+    least ``k`` entries per part, counting crossing edges once and
+    entering arcs per part.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if r not in g.vertex_set:
+        raise ValueError(f"unknown root {r!r}")
+    if k == 0:
+        return True
+    ground = [v for v in g.vertices if v != r]
+    if len(ground) > MAX_SUBPARTITION_GROUND:
+        raise CapacityError(
+            f"|V|-1 = {len(ground)} exceeds the subpartition bound "
+            f"{MAX_SUBPARTITION_GROUND}"
+        )
+    bit = g.vertex_index
+    arcs = [(1 << bit[a.tail], 1 << bit[a.head]) for a in g.arcs if not a.is_loop()]
+    edges = [(1 << bit[e.u], 1 << bit[e.v]) for e in g.edges if not e.is_loop()]
+
+    def violated(parts: list[int]) -> bool:
+        total_rho = 0
+        for pm in parts:
+            total_rho += sum(1 for t, h in arcs if h & pm and not t & pm)
+        crossing = 0
+        for bu, bv in edges:
+            pu = next((i for i, pm in enumerate(parts) if bu & pm), None)
+            pv = next((i for i, pm in enumerate(parts) if bv & pm), None)
+            if (pu is not None or pv is not None) and pu != pv:
+                crossing += 1
+        return crossing + total_rho < k * len(parts)
+
+    parts: list[int] = []
+
+    def rec(idx: int) -> bool:
+        """True when some extension violates the condition."""
+        if idx == len(ground):
+            return bool(parts) and violated(parts)
+        b = 1 << bit[ground[idx]]
+        if rec(idx + 1):  # leave the vertex out of every part
+            return True
+        for i in range(len(parts)):
+            parts[i] |= b
+            if rec(idx + 1):
+                return True
+            parts[i] &= ~b
+        parts.append(b)
+        if rec(idx + 1):
+            return True
+        parts.pop()
+        return False
+
+    return not rec(0)

@@ -22,9 +22,7 @@ from arbopack import (
     Orientation,
     apply_orientation,
     arcs_view,
-    brute_force_feasible,
     build_auxiliary,
-    check_spanning_packing_condition,
     compute_atoms,
     mixed_reachable_set,
     p_value,
@@ -39,7 +37,13 @@ from instance_gen import (
     random_orientation,
     repeated_root_all_reachable,
 )
-from naive import enumerate_biset_family, naive_rho_view, subsets
+from naive import (
+    brute_force_feasible,
+    check_spanning_packing_condition,
+    enumerate_biset_family,
+    naive_rho_view,
+    subsets,
+)
 
 C2_SEED_BASE = 220_000
 C2_COUNT = 500

@@ -204,3 +204,19 @@ class TestExportDot:
         _, a, _ = run(capsys, "export-dot", two_root_path)
         _, b, _ = run(capsys, "export-dot", two_root_path)
         assert a == b
+
+    def test_quotes_and_backslashes_escaped(self, capsys, tmp_path):
+        inst = tmp_path / "quoted.mg"
+        inst.write_text(
+            'vertex a"b\nvertex c\\d\nedge a"b c\\d e"1\narc c\\d a"b x\\2\nroot a"b\n'
+        )
+        code, out, _ = run(capsys, "export-dot", str(inst))
+        assert code == 0
+        assert out.splitlines() == [
+            "digraph mixed {",
+            '  "a\\"b" [shape=doublecircle];',
+            '  "c\\\\d" [shape=circle];',
+            '  "a\\"b" -> "c\\\\d" [dir=none, label="e\\"1"];',
+            '  "c\\\\d" -> "a\\"b" [label="x\\\\2"];',
+            "}",
+        ]

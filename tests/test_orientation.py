@@ -5,6 +5,7 @@ import random
 import pytest
 
 from arbopack import (
+    BiSetFamilyCertificate,
     Bounds,
     CapacityError,
     CoverRequirement,
@@ -15,8 +16,10 @@ from arbopack import (
     compute_atoms,
     make_subpartition_certificate,
     orient_covering,
+    solve,
     subpartition_deficit,
 )
+from arbopack.decomposition import _worst_completion
 from arbopack.orientation import _extract_certificate, _reduced_table
 from instance_gen import random_mixed_instance
 from naive import (
@@ -173,6 +176,29 @@ class TestReducedTable:
                     assert naive_pj(aux, dec, roots, xs) - rho == need
 
 
+class TestWorstCompletion:
+    def test_matches_every_terminal_subset(self):
+        rng = random.Random(27182)
+        for _ in range(400):
+            nq = rng.randint(0, 4)
+            hits = [rng.randrange(1 << nq) for _ in range(rng.randint(0, 6))]
+
+            def value(chosen):
+                touched = set()
+                for k in chosen:
+                    touched |= {i for i in range(nq) if hits[k] >> i & 1}
+                return (nq - len(touched)) - (len(hits) - len(chosen))
+
+            def completion(d):
+                return [k for k, hq in enumerate(hits) if hq & ~d == 0]
+
+            best = max(value(c) for c in subsets(range(len(hits))))
+            got, d = _worst_completion(nq, hits)
+            assert got == best, (nq, hits)
+            assert value(completion(d)) == best
+            assert all(value(completion(e)) < best for e in range(d))
+
+
 class TestSolverProperties:
     def _atom_requirements(self, rng, count, max_vj=10, max_ej=12):
         for _ in range(count):
@@ -227,6 +253,15 @@ class TestCapacity:
             orient_covering(req)
         with pytest.raises(CapacityError, match="max_enum_vertices"):
             check_cover(req, Orientation({}))
+
+    def test_stalled_descent_certifies_within_edge_bound(self):
+        # The descent stalls on this instance's two-edge atom.  Its
+        # certificate is found before any 2^m sweep, so an edge bound the
+        # sweep would exceed changes nothing.
+        g, roots = random_mixed_instance(random.Random(478))
+        expect = solve(g, roots)
+        assert isinstance(expect, BiSetFamilyCertificate)
+        assert solve(g, roots, Bounds(max_enum_edges=1)) == expect
 
     def test_cover_requires_matching_domain(self, two_root):
         g, roots = two_root
