@@ -22,9 +22,6 @@ from .graph_core import (
     apply_orientation,
     arcs_view,
     crossing_edge_count,
-    entering_arcs,
-    in_degree,
-    induced,
     lexicographic_orientation,
     mixed_reachable_set,
     parse_mixed_graph,
@@ -35,24 +32,17 @@ from .decomposition import (
     AuxiliaryGraph,
     BiSet,
     biset_in_degree,
-    biset_intersection,
-    biset_union,
     build_auxiliary,
     compute_atoms,
-    in_family_F,
     in_Hj,
     is_consistent,
     lift_biset,
-    p_j_value,
     p_value,
 )
 from .orientation import (
     CoverRequirement,
     SubpartitionCertificate,
-    check_cover,
-    make_subpartition_certificate,
     orient_covering,
-    subpartition_deficit,
 )
 from .packing import (
     Arborescence,
@@ -61,7 +51,6 @@ from .packing import (
     pack_reachability,
     reachable_in_view,
     validate_digraph_packing,
-    verify_cut_condition,
 )
 from .pipeline import (
     BiSetFamilyCertificate,
@@ -108,35 +97,24 @@ __all__ = [
     "apply_orientation",
     "arcs_view",
     "biset_in_degree",
-    "biset_intersection",
-    "biset_union",
     "build_auxiliary",
     "certificate_from_subpartition",
-    "check_cover",
     "covering_orientation",
     "compute_atoms",
     "crossing_edge_count",
-    "entering_arcs",
-    "in_degree",
-    "in_family_F",
     "in_Hj",
-    "induced",
     "is_consistent",
     "lexicographic_orientation",
     "lift_biset",
-    "make_subpartition_certificate",
     "mixed_reachable_set",
     "orient_covering",
-    "p_j_value",
     "p_value",
     "pack_atom_branchings",
     "pack_reachability",
     "parse_mixed_graph",
     "reachable_in_view",
     "solve",
-    "subpartition_deficit",
     "validate_digraph_packing",
     "validate_mixed_packing",
     "verify_certificate",
-    "verify_cut_condition",
 ]

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 class Bounds:
     #: largest vertex count a 2^n subset sweep will accept
     max_enum_vertices: int = 20
-    #: largest undirected edge count the 2^m orientation fallback will accept
-    max_enum_edges: int = 16
     #: hard step limit for the branching-packing backtracking search
     max_pack_steps: int = 2_000_000
 
     def __post_init__(self):
-        for name in ("max_enum_vertices", "max_enum_edges", "max_pack_steps"):
+        for name in ("max_enum_vertices", "max_pack_steps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

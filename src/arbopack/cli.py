@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 input or parse error, 2 infeasible (a
+Exit codes: 0 success, 1 usage, input or parse error, 2 infeasible (a
 certificate or a failed verification), 3 capacity bound exceeded.
 All JSON payloads carry ``"format": 1``.
 """
@@ -59,12 +59,9 @@ def _load_graph(path: str) -> tuple[MixedGraph, list[str]]:
 
 
 def _bounds_from(args) -> Bounds:
-    overrides = {}
-    if getattr(args, "max_enum_vertices", None) is not None:
-        overrides["max_enum_vertices"] = args.max_enum_vertices
-    if getattr(args, "max_enum_edges", None) is not None:
-        overrides["max_enum_edges"] = args.max_enum_edges
-    return replace(DEFAULT_BOUNDS, **overrides) if overrides else DEFAULT_BOUNDS
+    if getattr(args, "max_enum_vertices", None) is None:
+        return DEFAULT_BOUNDS
+    return replace(DEFAULT_BOUNDS, max_enum_vertices=args.max_enum_vertices)
 
 
 def _emit(payload: dict) -> None:
@@ -324,8 +321,16 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own 2 means "infeasible" here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arbopack",
         description=(
             "Pack edge/arc-disjoint arborescences spanning each root's "
@@ -338,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_bounds(p):
         p.add_argument("--max-enum-vertices", type=int, default=None)
-        p.add_argument("--max-enum-edges", type=int, default=None)
 
     p = sub.add_parser("solve", help="solve an instance; JSON packing or certificate")
     p.add_argument("file")

@@ -46,14 +46,6 @@ class BiSet:
         return self.outer - self.inner
 
 
-def biset_union(x: BiSet, y: BiSet) -> BiSet:
-    return BiSet(x.outer | y.outer, x.inner | y.inner)
-
-
-def biset_intersection(x: BiSet, y: BiSet) -> BiSet:
-    return BiSet(x.outer & y.outer, x.inner & y.inner)
-
-
 @dataclass(frozen=True)
 class AtomDecomposition:
     """Reachability sets, atoms, and per-atom root index sets.
@@ -150,23 +142,6 @@ def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
     return n
 
 
-def in_family_F(dec: AtomDecomposition, x: BiSet) -> int | None:
-    """Atom index when ``x`` belongs to the demand family, else ``None``.
-
-    Membership requires a nonempty inner set inside a single atom and a
-    wall disjoint from that atom.
-    """
-    if not x.inner:
-        return None
-    js = {dec.atom_of.get(v) for v in x.inner}
-    if None in js or len(js) != 1:
-        return None
-    (j,) = js
-    if x.wall() & dec.atoms[j]:
-        return None
-    return j
-
-
 # ---------------------------------------------------------------------------
 # auxiliary graphs
 
@@ -256,16 +231,6 @@ def lift_biset(aux: AuxiliaryGraph, x: Iterable[str]) -> BiSet:
     return BiSet(outer=inner | tails, inner=inner)
 
 
-def p_j_value(
-    aux: AuxiliaryGraph,
-    dec: AtomDecomposition,
-    roots: Sequence[str],
-    x: Iterable[str],
-) -> int:
-    """Atom-level demand: the bi-set demand of the lifted set."""
-    return p_value(dec, roots, lift_biset(aux, x))
-
-
 def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
     """Worst terminal completion of one inner set, over bit-indexed trees.
 
@@ -275,9 +240,16 @@ def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
     is the trees left untouched minus the terminal arcs still entering.
     Returns the best value and the first ``d`` attaining it.  Every
     terminal subset is dominated by one of these, so the maximum is exact.
+    The value depends on ``d`` only through its trees that some terminal
+    hits, so ``d`` runs over the submasks of their union, ascending; the
+    first best ``d`` is the same as over all of ``range(1 << nq)``.
     """
+    hit = 0
+    for hq in hits:
+        hit |= hq
     best = best_d = None
-    for d in range(1 << nq):
+    d = 0
+    while True:
         union = 0
         chosen = 0
         for hq in hits:
@@ -287,7 +259,9 @@ def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
         val = nq - union.bit_count() - (len(hits) - chosen)
         if best is None or val > best:
             best, best_d = val, d
-    return best, best_d
+        if d == hit:
+            return best, best_d
+        d = (d - hit) & hit
 
 
 # ---------------------------------------------------------------------------
@@ -387,29 +361,8 @@ class AtomContext:
     def size(self) -> int:
         return len(self.order)
 
-    def to_mask(self, xs: Iterable[str]) -> int:
-        m = 0
-        for v in xs:
-            m |= 1 << self.bit_of[v]
-        return m
-
     def to_vertices(self, mask: int) -> frozenset[str]:
         return frozenset(v for i, v in enumerate(self.order) if mask >> i & 1)
-
-    def consistent(self, mask: int) -> bool:
-        for t in self.terminals:
-            if mask & t.bit and not mask & t.head_bit:
-                return False
-        return True
-
-    def in_family(self, mask: int) -> bool:
-        return bool(mask & self.gamma_mask) and self.consistent(mask)
-
-    def iter_family(self):
-        """All family members as masks, ascending."""
-        for mask in range(1, self.full_mask + 1):
-            if mask & self.gamma_mask and self.consistent(mask):
-                yield mask
 
     def p_of(self, mask: int) -> int:
         """Demand of a family member given as a mask."""

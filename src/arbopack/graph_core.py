@@ -366,26 +366,6 @@ def _check_arborescence(
     return OK_RESULT
 
 
-def in_degree(d: DirectedView, x: Iterable[str]) -> int:
-    """Number of arcs entering ``x``: head inside, tail outside."""
-    xs = d.require_vertices(x)
-    return sum(1 for a in d.arcs if a.head in xs and a.tail not in xs)
-
-
-def entering_arcs(g: MixedGraph, x: Iterable[str]) -> list[str]:
-    """Ids of arcs entering ``x``, in declaration order."""
-    xs = g.require_vertices(x)
-    return [a.id for a in g.arcs if a.head in xs and a.tail not in xs]
-
-
-def induced(g: MixedGraph, x: Iterable[str]) -> tuple[list[str], list[str]]:
-    """Edge and arc ids with both endpoints inside ``x``, declaration order."""
-    xs = g.require_vertices(x)
-    es = [e.id for e in g.edges if e.u in xs and e.v in xs]
-    as_ = [a.id for a in g.arcs if a.tail in xs and a.head in xs]
-    return es, as_
-
-
 def crossing_edge_count(g: MixedGraph, p: Subpartition) -> int:
     """Edges joining distinct parts of ``p``, or a part and the outside.
 

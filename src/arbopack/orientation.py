@@ -5,20 +5,23 @@ consistent-set family.  The solver starts from a deterministic
 orientation and repeatedly reverses a directed path of oriented edges
 while that strictly shrinks the total deficiency.  When stuck, it
 certifies infeasibility by a subpartition of the auxiliary vertex set
-whose summed demands exceed what edges plus fixed arcs can deliver, and
-exhausts all orientations only if no such subpartition exists.
+whose summed demands exceed what edges plus fixed arcs can deliver.  By
+Frank's orientation theorem for intersecting supermodular requirements,
+such a subpartition exists exactly when no orientation covers the atom,
+so when there is none the edges are fixed one at a time, each in a
+direction that keeps the remaining requirement certificate-free.
 
 Violation checks run over a reduced family: for every inner set only the
 terminal completions that maximise the deficit can be binding, and there
 is one such completion per subset of the atom's trees.  The reduction is
-exact; ``check_cover`` still performs the literal full-family sweep.
+exact.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import (
@@ -49,7 +52,7 @@ class CoverRequirement:
         object.__setattr__(self, "roots", tuple(self.roots))
         ctx = AtomContext.build(self.aux, self.dec, self.roots)
         object.__setattr__(self, "_ctx", ctx)
-        if ctx.p_of(ctx.full_mask) - ctx.rho_static(ctx.full_mask) != 0:
+        if self.h_of(ctx.full_mask) != 0:
             raise InvariantError("total auxiliary set carries nonzero requirement")
 
     @property
@@ -176,17 +179,6 @@ def orient_covering(req: CoverRequirement):
     # edge direction 0: smaller internal bit is the tail
     dirs = [0] * len(ctx.edge_bits)
 
-    def oriented() -> Orientation:
-        direction = {}
-        for (eid, bu, bv), d in zip(ctx.edge_bits, dirs):
-            u = ctx.order[bu.bit_length() - 1]
-            v = ctx.order[bv.bit_length() - 1]
-            direction[eid] = (u, v) if d == 0 else (v, u)
-        for eid in ctx.loop_edge_ids:
-            e = ctx.aux.graph.edge_by_id[eid]
-            direction[eid] = (e.u, e.v)
-        return Orientation(direction)
-
     # Quick refutation: a set demanding more than its whole edge boundary
     # cannot be covered by any orientation, so the descent is skipped.
     boundary_ok = all(
@@ -194,27 +186,53 @@ def orient_covering(req: CoverRequirement):
         for y, need in cands
     )
     if boundary_ok and _descend(ctx, cands, dirs):
-        return oriented()
-
-    # A positive-deficit subpartition rules out every orientation (weak
-    # duality), so the exhaustive sweep only runs when there is none.
+        return _oriented(ctx, dirs)
+    # The descent is not proven complete, so when it stalls without a
+    # certificate an orientation still exists, and is found edge by edge.
     cert = _extract_certificate(req, table)
     if cert is not None:
         return cert
-    m = len(ctx.edge_bits)
-    if m > req.bounds.max_enum_edges:
-        raise CapacityError(
-            f"|E_j| = {m} exceeds max_enum_edges = {req.bounds.max_enum_edges}"
-        )
-    for combo in range(1 << m):
-        for pos in range(m):
-            dirs[pos] = combo >> pos & 1
-        ends = _edge_ends(ctx, dirs)
-        if all(_cross_into(ends, y) >= need for y, need in cands):
-            return oriented()
-    raise InvariantError(
-        "no covering orientation exists, yet no subpartition has positive deficit"
-    )
+    return _fix_edges(req, table)
+
+
+def _oriented(ctx, dirs: Sequence[int]) -> Orientation:
+    """The atom's orientation for per-edge direction bits; loops as stored."""
+    direction = {}
+    for (eid, bu, bv), d in zip(ctx.edge_bits, dirs):
+        u = ctx.order[bu.bit_length() - 1]
+        v = ctx.order[bv.bit_length() - 1]
+        direction[eid] = (u, v) if d == 0 else (v, u)
+    for eid in ctx.loop_edge_ids:
+        e = ctx.aux.graph.edge_by_id[eid]
+        direction[eid] = (e.u, e.v)
+    return Orientation(direction)
+
+
+def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orientation:
+    """Covering orientation of an atom whose table has no certificate.
+
+    Edges are fixed in declaration order.  Each takes the first direction
+    after which the table, less what the fixed edges already send in,
+    still has no certificate over the edges left.  The certificate search
+    is exact, so one of the two directions always qualifies, and after
+    the last edge every need is met.
+    """
+    ctx = req.context
+    dirs: list[int] = []
+    for pos in range(len(ctx.edge_bits)):
+        for d in (0, 1):
+            ends = _edge_ends(ctx, dirs + [d])
+            rest = {
+                y: (need - _cross_into(ends, y), xm) for y, (need, xm) in table.items()
+            }
+            if _extract_certificate(req, rest, ctx.edge_bits[pos + 1 :]) is None:
+                dirs.append(d)
+                break
+        else:
+            raise InvariantError(
+                "no covering orientation exists, yet no subpartition has positive deficit"
+            )
+    return _oriented(ctx, dirs)
 
 
 def _descend(ctx, cands: Sequence[tuple[int, int]], dirs: list[int]) -> bool:
@@ -268,14 +286,16 @@ def _descend(ctx, cands: Sequence[tuple[int, int]], dirs: list[int]) -> bool:
 
 
 def _extract_certificate(
-    req: CoverRequirement, table: dict[int, tuple[int, int]] | None = None
+    req: CoverRequirement,
+    table: dict[int, tuple[int, int]] | None = None,
+    edges: Sequence[tuple[str, int, int]] | None = None,
 ) -> SubpartitionCertificate | None:
     """Maximum-deficit subpartition; fewest parts, lexicographic tie-break.
 
     Only parts with positive requirement can help (dropping a
     nonpositive part never lowers the deficit), so the search runs over
-    the reduced table.  Returns ``None`` when every subpartition has
-    deficit <= 0.
+    the reduced table.  ``edges`` defaults to all of the atom's edges.
+    Returns ``None`` when every subpartition has deficit <= 0.
     """
     ctx = req.context
     if table is None:
@@ -283,7 +303,8 @@ def _extract_certificate(
     pool = {y: (need, xm) for y, (need, xm) in table.items() if need >= 1}
     if not pool:
         return None
-    edges = ctx.edge_bits
+    if edges is None:
+        edges = ctx.edge_bits
 
     def in_edges(y: int) -> int:
         return sum(1 for _eid, bu, bv in edges if bu & y and bv & y)
@@ -338,65 +359,3 @@ def _extract_certificate(
 def _neg_lex(parts: tuple[int, ...]) -> tuple[int, ...]:
     # larger under max-comparison exactly when lexicographically smaller
     return tuple(-p for p in parts)
-
-
-def check_cover(req: CoverRequirement, o: Orientation) -> frozenset[str] | None:
-    """First family member (ascending mask order) left uncovered, if any.
-
-    This is the literal full-family sweep; the solver's internal checks
-    use the reduced table instead.
-    """
-    ctx = req.context
-    if ctx.size > req.bounds.max_enum_vertices:
-        raise CapacityError(
-            f"|V_j| = {ctx.size} exceeds max_enum_vertices = "
-            f"{req.bounds.max_enum_vertices}"
-        )
-    edge_ids = frozenset(e.id for e in ctx.aux.graph.edges)
-    if o.edge_ids() != edge_ids:
-        raise ValueError("orientation does not orient exactly the atom's edges")
-    ends = []
-    for eid, _bu, _bv in ctx.edge_bits:
-        t, h = o.direction[eid]
-        ends.append((1 << ctx.bit_of[t], 1 << ctx.bit_of[h]))
-    for mask in ctx.iter_family():
-        rho = ctx.rho_static(mask) + _cross_into(ends, mask)
-        if rho < ctx.p_of(mask):
-            return ctx.to_vertices(mask)
-    return None
-
-
-def subpartition_deficit(req: CoverRequirement, parts: Iterable[Iterable[str]]) -> int:
-    """Summed requirement of the parts minus the crossing-edge supply."""
-    ctx = req.context
-    masks = []
-    seen = 0
-    for part in parts:
-        m = ctx.to_mask(part)
-        if not ctx.in_family(m):
-            raise ValueError("subpartition part is not a member of the atom family")
-        if m & seen:
-            raise ValueError("subpartition parts overlap")
-        seen |= m
-        masks.append(m)
-    total = sum(ctx.p_of(m) - ctx.rho_static(m) for m in masks)
-    crossing = 0
-    for _eid, bu, bv in ctx.edge_bits:
-        pu = next((i for i, m in enumerate(masks) if bu & m), None)
-        pv = next((i for i, m in enumerate(masks) if bv & m), None)
-        if (pu is not None or pv is not None) and pu != pv:
-            crossing += 1
-    return total - crossing
-
-
-def make_subpartition_certificate(
-    req: CoverRequirement, parts: Iterable[Iterable[str]]
-) -> SubpartitionCertificate:
-    """Validated certificate from explicit parts; deficit must be positive."""
-    parts = tuple(frozenset(p) for p in parts)
-    deficit = subpartition_deficit(req, parts)
-    if deficit < 1:
-        raise ValueError(f"subpartition has deficit {deficit}; not a certificate")
-    return SubpartitionCertificate(
-        atom_index=req.aux.atom_index, parts=parts, deficit=deficit
-    )

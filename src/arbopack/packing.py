@@ -8,7 +8,8 @@ rooted inside an atom grows from its root, any other tree enters through
 the arcs crossing into the atom, and each crossing arc serves at most one
 tree.  Atom subproblems share no arcs, so they are independent; within an
 atom a backtracking search with an exact necessary-condition prune does
-the work.
+the work.  When the prune already fails before the search starts, its
+deficient set, lifted to the whole digraph, is the violated set returned.
 """
 
 from __future__ import annotations
@@ -57,46 +58,6 @@ def reachable_in_view(d: DirectedView, s: str) -> frozenset[str]:
     for a in d.arcs:
         succ[a.tail].append(a.head)
     return _reachable(succ, s)
-
-
-def verify_cut_condition(
-    d: DirectedView, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
-) -> frozenset[str] | None:
-    """First vertex set violating the cut condition, or ``None``.
-
-    Checks, for every subset X, that the arcs entering X are at least as
-    many as the roots outside X whose reach set meets X.  Subsets are
-    scanned in ascending mask order over the vertex list.
-    """
-    n = len(d.vertices)
-    if n > bounds.max_enum_vertices:
-        raise CapacityError(
-            f"|V| = {n} exceeds max_enum_vertices = {bounds.max_enum_vertices}"
-        )
-    for r in roots:
-        if r not in d.vertex_set:
-            raise ValueError(f"unknown root {r!r}")
-    bit = {v: i for i, v in enumerate(d.vertices)}
-    reach_masks = []
-    root_bits = []
-    for r in roots:
-        u = reachable_in_view(d, r)
-        reach_masks.append(sum(1 << bit[v] for v in u))
-        root_bits.append(1 << bit[r])
-    arcs = [
-        (1 << bit[a.tail], 1 << bit[a.head]) for a in d.arcs if not a.is_loop()
-    ]
-    for mask in range(1, 1 << n):
-        need = 0
-        for rb, um in zip(root_bits, reach_masks):
-            if not rb & mask and um & mask:
-                need += 1
-        if need == 0:
-            continue
-        rho = sum(1 for t, h in arcs if h & mask and not t & mask)
-        if rho < need:
-            return frozenset(v for v in d.vertices if 1 << bit[v] & mask)
-    return None
 
 
 def pack_reachability(
@@ -150,13 +111,8 @@ def pack_reachability(
                         allowed.append(term_id[a.key])
                 demands[i] = frozenset(allowed)
         result = pack_atom_branchings(view_j, gamma, demands, bounds)
-        if result is None:
-            violated = verify_cut_condition(d, roots, bounds)
-            if violated is None:
-                raise InvariantError(
-                    f"atom {j} packing failed although the cut condition holds"
-                )
-            return violated
+        if isinstance(result, frozenset):
+            return _lift_witness(d, result, {term_id[a.key]: a.tail for a in entering})
         for i, arcs in result.items():
             for a in arcs:
                 orig = back.get(a.key, a)
@@ -169,18 +125,45 @@ def pack_reachability(
     return DigraphPacking(trees)
 
 
+def _lift_witness(
+    d: DirectedView, witness: frozenset[str], terminal_tail: Mapping[str, str]
+) -> frozenset[str]:
+    """Lift an atom's deficient set to a violated vertex set of ``d``.
+
+    ``witness`` is an atom part Y plus the terminals of its worst
+    completion.  Each terminal is replaced by every vertex that reaches
+    its tail.  A tree the atom check counted spans an out-closed set that
+    misses those tails, so it misses every added vertex and still needs
+    an arc into Y.  An arc into an added vertex starts at an added vertex.
+    So the only arcs entering the lifted set are the ones the check
+    counted, and there are too few of them.
+    """
+    pred: dict[str, list[str]] = {v: [] for v in d.vertices}
+    for a in d.arcs:
+        pred[a.head].append(a.tail)
+    lifted: set[str] = set()
+    for v in witness:
+        if v in terminal_tail:
+            lifted |= _reachable(pred, terminal_tail[v])
+        else:
+            lifted.add(v)
+    return frozenset(lifted)
+
+
 def pack_atom_branchings(
     view: DirectedView,
     gamma: frozenset[str],
     demands: Mapping[int, frozenset[str]],
     bounds: Bounds = DEFAULT_BOUNDS,
-) -> dict[int, tuple[ViewArc, ...]] | None:
+) -> dict[int, tuple[ViewArc, ...]] | frozenset[str]:
     """Arc-disjoint branchings covering ``gamma``, one per demanded tree.
 
     ``demands[i]`` lists tree i's entry points: either its root vertex
     inside ``gamma`` or the terminal vertices it may consume.  Each
-    terminal's unique arc is used by at most one tree.  Returns ``None``
-    exactly when no such packing exists.
+    terminal's unique arc is used by at most one tree.  When no such
+    packing exists, returns a deficient vertex set of ``view`` instead:
+    an atom part Y plus the terminals of its worst completion, where the
+    trees with no foothold in Y outnumber the arcs entering the set.
     """
     n = len(view.vertices)
     if n > bounds.max_enum_vertices:
@@ -216,10 +199,11 @@ def pack_atom_branchings(
         )
     assigned = [False] * len(arcs)
 
-    def residual_ok() -> bool:
+    def deficient() -> int:
         # Exact necessary condition: for every atom subset Y and every
         # consistent terminal completion, the trees that have no foothold
         # in the set each need a distinct unassigned arc entering it.
+        # Returns the mask of the first set that fails, or 0.
         s = gmask
         while s:
             y = s
@@ -244,12 +228,23 @@ def pack_atom_branchings(
                     rt_hits.append(hq)
                 elif not tb & y:
                     rho += 1
-            if _worst_completion(len(q), rt_hits)[0] > rho:
-                return False
-        return True
+            best, d = _worst_completion(len(q), rt_hits)
+            if best > rho:
+                # the terminals behind rt_hits, in the same order
+                terms = [
+                    tb
+                    for k, (pos, tb, hb, is_term, _a) in enumerate(arcs)
+                    if is_term and hb & y and not assigned[k]
+                ]
+                for tb, hq in zip(terms, rt_hits):
+                    if hq & ~d == 0:
+                        y |= tb
+                return y
+        return 0
 
-    if not residual_ok():
-        return None
+    short = deficient()
+    if short:
+        return frozenset(v for v in view.vertices if 1 << bit[v] & short)
 
     steps = 0
     backtracks = 0
@@ -280,7 +275,7 @@ def pack_atom_branchings(
             assigned[k] = True
             covered[tree] |= hb
             picks[tree].append(k)
-            if residual_ok() and grow():
+            if not deficient() and grow():
                 return True
             assigned[k] = False
             covered[tree] &= ~hb
@@ -290,8 +285,10 @@ def pack_atom_branchings(
 
     picks: dict[int, list[int]] = {i: [] for i in trees}
     if not grow():
-        logger.debug("atom packing infeasible after %d backtracks", backtracks)
-        return None
+        raise InvariantError(
+            f"atom packing failed after {backtracks} backtracks although "
+            "its residual check passed"
+        )
     if backtracks:
         logger.debug("atom packing needed %d backtracks", backtracks)
     return {i: tuple(arcs[k][4] for k in sorted(picks[i])) for i in trees}

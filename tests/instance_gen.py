@@ -47,6 +47,28 @@ def random_digraph_instance(
     return g, roots
 
 
+def sparse_digraph_instance(
+    rng: random.Random, min_v: int = 30, max_v: int = 80, max_k: int = 6
+) -> tuple[MixedGraph, list[str]]:
+    """Digraph with about one arc per two vertices, mostly pointing onward.
+
+    Arcs join vertices at most a few positions apart, so reach sets, and
+    with them atoms, stay small while the graph is far past the size an
+    exhaustive cut sweep can check.  Roots repeat often.
+    """
+    n = rng.randint(min_v, max_v)
+    vs = [f"n{i}" for i in range(n)]
+    arcs = []
+    for i in range(rng.randint(n // 2, n)):
+        t = rng.randrange(n)
+        h = min(n - 1, max(0, t + rng.randint(-2, 6)))
+        arcs.append(Arc(f"a{i}", vs[t], vs[h]))
+    g = MixedGraph(tuple(vs), (), tuple(arcs))
+    pool = rng.sample(vs, rng.randint(1, max_k))
+    roots = [rng.choice(pool) for _ in range(rng.randint(1, max_k))]
+    return g, roots
+
+
 def random_orientation(rng: random.Random, g: MixedGraph) -> Orientation:
     direction = {}
     for e in g.edges:

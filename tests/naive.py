@@ -4,24 +4,33 @@ The set-level helpers work on plain frozensets and explicit enumeration
 with no bitmask tricks, deliberately duplicating none of the library's
 optimized code.  ``brute_force_feasible`` and
 ``check_spanning_packing_condition`` enumerate orientations and
-subpartitions over vertex bitmasks and never call the solver.
+subpartitions over vertex bitmasks and never call the solver.  The last
+section holds the cut, cover and certificate helpers that only the tests
+call; the solver itself never needs them.
 """
 
 from __future__ import annotations
 
 from itertools import chain, combinations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from arbopack import (
     DEFAULT_BOUNDS,
+    AtomContext,
     AuxiliaryGraph,
     AtomDecomposition,
     BiSet,
     Bounds,
     CapacityError,
+    CoverRequirement,
     DirectedView,
     MixedGraph,
+    Orientation,
+    SubpartitionCertificate,
+    lift_biset,
     mixed_reachable_set,
+    p_value,
+    reachable_in_view,
 )
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
@@ -197,9 +206,16 @@ def set_condition_holds(d: DirectedView, roots, reach) -> bool:
     return True
 
 
-def biset_condition_holds(d: DirectedView, g: MixedGraph, dec, roots) -> bool:
-    from arbopack import p_value
+def cut_deficit(d: DirectedView, roots, xs) -> int:
+    """Roots outside ``xs`` whose reach set meets it, minus arcs entering it."""
+    xs = frozenset(xs)
+    need = sum(
+        1 for r in roots if r not in xs and reachable_in_view(d, r) & xs
+    )
+    return need - naive_rho_view(d, xs)
 
+
+def biset_condition_holds(d: DirectedView, g: MixedGraph, dec, roots) -> bool:
     for b in enumerate_biset_family(g, dec):
         if naive_rho_view(d, b.outer, b.inner) < p_value(dec, roots, b):
             return False
@@ -362,3 +378,189 @@ def check_spanning_packing_condition(g: MixedGraph, r: str, k: int) -> bool:
         return False
 
     return not rec(0)
+
+
+# ---------------------------------------------------------------------------
+# cut, cover and certificate helpers used only by the tests
+
+
+def in_degree(d: DirectedView, x: Iterable[str]) -> int:
+    """Number of arcs entering ``x``: head inside, tail outside."""
+    xs = d.require_vertices(x)
+    return sum(1 for a in d.arcs if a.head in xs and a.tail not in xs)
+
+
+def entering_arcs(g: MixedGraph, x: Iterable[str]) -> list[str]:
+    """Ids of arcs entering ``x``, in declaration order."""
+    xs = g.require_vertices(x)
+    return [a.id for a in g.arcs if a.head in xs and a.tail not in xs]
+
+
+def induced(g: MixedGraph, x: Iterable[str]) -> tuple[list[str], list[str]]:
+    """Edge and arc ids with both endpoints inside ``x``, declaration order."""
+    xs = g.require_vertices(x)
+    es = [e.id for e in g.edges if e.u in xs and e.v in xs]
+    as_ = [a.id for a in g.arcs if a.tail in xs and a.head in xs]
+    return es, as_
+
+
+def biset_union(x: BiSet, y: BiSet) -> BiSet:
+    return BiSet(x.outer | y.outer, x.inner | y.inner)
+
+
+def biset_intersection(x: BiSet, y: BiSet) -> BiSet:
+    return BiSet(x.outer & y.outer, x.inner & y.inner)
+
+
+def in_family_F(dec: AtomDecomposition, x: BiSet) -> int | None:
+    """Atom index when ``x`` belongs to the demand family, else ``None``.
+
+    Membership requires a nonempty inner set inside a single atom and a
+    wall disjoint from that atom.
+    """
+    if not x.inner:
+        return None
+    js = {dec.atom_of.get(v) for v in x.inner}
+    if None in js or len(js) != 1:
+        return None
+    (j,) = js
+    if x.wall() & dec.atoms[j]:
+        return None
+    return j
+
+
+def p_j_value(
+    aux: AuxiliaryGraph,
+    dec: AtomDecomposition,
+    roots: Sequence[str],
+    x: Iterable[str],
+) -> int:
+    """Atom-level demand: the bi-set demand of the lifted set."""
+    return p_value(dec, roots, lift_biset(aux, x))
+
+
+def verify_cut_condition(
+    d: DirectedView, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
+) -> frozenset[str] | None:
+    """First vertex set violating the cut condition, or ``None``.
+
+    Checks, for every subset X, that the arcs entering X are at least as
+    many as the roots outside X whose reach set meets X.  Subsets are
+    scanned in ascending mask order over the vertex list.
+    """
+    n = len(d.vertices)
+    if n > bounds.max_enum_vertices:
+        raise CapacityError(
+            f"|V| = {n} exceeds max_enum_vertices = {bounds.max_enum_vertices}"
+        )
+    for r in roots:
+        if r not in d.vertex_set:
+            raise ValueError(f"unknown root {r!r}")
+    bit = {v: i for i, v in enumerate(d.vertices)}
+    reach_masks = []
+    root_bits = []
+    for r in roots:
+        u = reachable_in_view(d, r)
+        reach_masks.append(sum(1 << bit[v] for v in u))
+        root_bits.append(1 << bit[r])
+    arcs = [
+        (1 << bit[a.tail], 1 << bit[a.head]) for a in d.arcs if not a.is_loop()
+    ]
+    for mask in range(1, 1 << n):
+        need = 0
+        for rb, um in zip(root_bits, reach_masks):
+            if not rb & mask and um & mask:
+                need += 1
+        if need == 0:
+            continue
+        rho = sum(1 for t, h in arcs if h & mask and not t & mask)
+        if rho < need:
+            return frozenset(v for v in d.vertices if 1 << bit[v] & mask)
+    return None
+
+
+def to_mask(ctx: AtomContext, xs: Iterable[str]) -> int:
+    m = 0
+    for v in xs:
+        m |= 1 << ctx.bit_of[v]
+    return m
+
+
+def consistent(ctx: AtomContext, mask: int) -> bool:
+    for t in ctx.terminals:
+        if mask & t.bit and not mask & t.head_bit:
+            return False
+    return True
+
+
+def in_family(ctx: AtomContext, mask: int) -> bool:
+    return bool(mask & ctx.gamma_mask) and consistent(ctx, mask)
+
+
+def iter_family(ctx: AtomContext):
+    """All family members as masks, ascending."""
+    for mask in range(1, ctx.full_mask + 1):
+        if in_family(ctx, mask):
+            yield mask
+
+
+def check_cover(req: CoverRequirement, o: Orientation) -> frozenset[str] | None:
+    """First family member (ascending mask order) left uncovered, if any.
+
+    This is the literal full-family sweep; the solver's internal checks
+    use the reduced table instead.
+    """
+    ctx = req.context
+    if ctx.size > req.bounds.max_enum_vertices:
+        raise CapacityError(
+            f"|V_j| = {ctx.size} exceeds max_enum_vertices = "
+            f"{req.bounds.max_enum_vertices}"
+        )
+    edge_ids = frozenset(e.id for e in ctx.aux.graph.edges)
+    if o.edge_ids() != edge_ids:
+        raise ValueError("orientation does not orient exactly the atom's edges")
+    ends = []
+    for eid, _bu, _bv in ctx.edge_bits:
+        t, h = o.direction[eid]
+        ends.append((1 << ctx.bit_of[t], 1 << ctx.bit_of[h]))
+    for mask in iter_family(ctx):
+        rho = ctx.rho_static(mask) + sum(1 for t, h in ends if h & mask and not t & mask)
+        if rho < ctx.p_of(mask):
+            return ctx.to_vertices(mask)
+    return None
+
+
+def subpartition_deficit(req: CoverRequirement, parts: Iterable[Iterable[str]]) -> int:
+    """Summed requirement of the parts minus the crossing-edge supply."""
+    ctx = req.context
+    masks = []
+    seen = 0
+    for part in parts:
+        m = to_mask(ctx, part)
+        if not in_family(ctx, m):
+            raise ValueError("subpartition part is not a member of the atom family")
+        if m & seen:
+            raise ValueError("subpartition parts overlap")
+        seen |= m
+        masks.append(m)
+    total = sum(req.h_of(m) for m in masks)
+    crossing = 0
+    for _eid, bu, bv in ctx.edge_bits:
+        pu = next((i for i, m in enumerate(masks) if bu & m), None)
+        pv = next((i for i, m in enumerate(masks) if bv & m), None)
+        if (pu is not None or pv is not None) and pu != pv:
+            crossing += 1
+    return total - crossing
+
+
+def make_subpartition_certificate(
+    req: CoverRequirement, parts: Iterable[Iterable[str]]
+) -> SubpartitionCertificate:
+    """Validated certificate from explicit parts; deficit must be positive."""
+    parts = tuple(frozenset(p) for p in parts)
+    deficit = subpartition_deficit(req, parts)
+    if deficit < 1:
+        raise ValueError(f"subpartition has deficit {deficit}; not a certificate")
+    return SubpartitionCertificate(
+        atom_index=req.aux.atom_index, parts=parts, deficit=deficit
+    )

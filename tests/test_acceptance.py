@@ -41,6 +41,7 @@ from naive import (
     brute_force_feasible,
     check_spanning_packing_condition,
     enumerate_biset_family,
+    iter_family,
     naive_rho_view,
     subsets,
 )
@@ -79,7 +80,7 @@ def criterion2_instances():
 
 
 def atom_coverage_ok(ctx: AtomContext, ends) -> bool:
-    for mask in ctx.iter_family():
+    for mask in iter_family(ctx):
         rho = ctx.rho_static(mask) + sum(
             1 for t, h in ends if h & mask and not t & mask
         )
@@ -216,7 +217,7 @@ def test_criterion_4_family_closure_and_supermodularity(capsys):
                 member = bytearray(size)
                 pval = [0] * size
                 fam = []
-                for m in ctx.iter_family():
+                for m in iter_family(ctx):
                     member[m] = 1
                     pval[m] = ctx.p_of(m)
                     fam.append(m)

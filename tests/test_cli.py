@@ -75,6 +75,32 @@ class TestSolve:
         assert out1 == out2
 
 
+class TestUsage:
+    """Usage errors exit 1; exit 2 is kept for infeasible answers."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "{f}", "--frob"),
+            ("solve", "{f}", "--max-enum-edges", "3"),
+            ("orient", "{f}"),
+            ("pack-digraph",),
+            (),
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, two_root_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(f=two_root_path) for a in argv])
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestRoundTrips:
     def test_solve_then_check(self, capsys, tmp_path, two_root_path):
         code, out, _ = run(capsys, "solve", two_root_path)
@@ -180,6 +206,17 @@ class TestPackDigraph:
         code, out, _ = run(capsys, "pack-digraph", str(f))
         assert code == 2
         assert json.loads(out)["violated"] == ["v"]
+
+    def test_failed_atom_in_large_digraph(self, capsys, tmp_path):
+        # the failed atom {m, c} is tiny; the graph has 24 vertices
+        lines = ["vertex r1", "vertex r2", "vertex m", "vertex c"]
+        lines += [f"vertex z{i}" for i in range(20)]
+        lines += ["arc r1 m", "arc r2 m", "arc m c", "root r1", "root r2"]
+        f = tmp_path / "wide.mg"
+        f.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "pack-digraph", str(f))
+        assert code == 2
+        assert json.loads(out) == {"format": 1, "feasible": False, "violated": ["c"]}
 
 
 class TestExportDot:

@@ -14,15 +14,12 @@ from arbopack import (
     apply_orientation,
     arcs_view,
     crossing_edge_count,
-    entering_arcs,
-    in_degree,
-    induced,
     lexicographic_orientation,
     mixed_reachable_set,
     parse_mixed_graph,
 )
 from instance_gen import random_mixed_instance, random_orientation
-from naive import subsets
+from naive import entering_arcs, in_degree, induced, subsets
 
 
 class TestParse:

@@ -12,22 +12,28 @@ from arbopack import (
     Orientation,
     SubpartitionCertificate,
     build_auxiliary,
-    check_cover,
     compute_atoms,
-    make_subpartition_certificate,
     orient_covering,
     solve,
-    subpartition_deficit,
+    verify_certificate,
 )
 from arbopack.decomposition import _worst_completion
-from arbopack.orientation import _extract_certificate, _reduced_table
+from arbopack.orientation import (
+    _descend,
+    _extract_certificate,
+    _fix_edges,
+    _reduced_table,
+)
 from instance_gen import random_mixed_instance
 from naive import (
+    check_cover,
+    make_subpartition_certificate,
     naive_family,
     naive_max_deficit,
     naive_orientation_covers,
     naive_orientation_exists,
     naive_pj,
+    subpartition_deficit,
     subsets,
 )
 
@@ -229,6 +235,23 @@ class TestSolverProperties:
                 failed += 1
         assert solved and failed
 
+    def test_fixing_edges_covers_every_certificate_free_atom(self):
+        # The fallback runs only when the descent stalls without a
+        # certificate, which these instances never produce; so it is run
+        # here directly on every atom that has no certificate.
+        rng = random.Random(60607)
+        fixed = 0
+        for g, roots, dec, aux in self._atom_requirements(rng, 120, max_vj=8):
+            req = CoverRequirement(aux, dec, tuple(roots))
+            table = _reduced_table(req)
+            if _extract_certificate(req, table) is not None:
+                continue
+            o = _fix_edges(req, table)
+            assert check_cover(req, o) is None
+            assert naive_orientation_covers(aux, dec, roots, dict(o.direction))
+            fixed += bool(aux.graph.edges)
+        assert fixed >= 50
+
     def test_minmax_certificate_agrees_with_naive(self):
         rng = random.Random(11209)
         seen_positive = False
@@ -255,13 +278,21 @@ class TestCapacity:
             check_cover(req, Orientation({}))
 
     def test_stalled_descent_certifies_within_edge_bound(self):
-        # The descent stalls on this instance's two-edge atom.  Its
-        # certificate is found before any 2^m sweep, so an edge bound the
-        # sweep would exceed changes nothing.
+        # The descent stalls on this instance's two-edge atom.  The
+        # certificate comes from the subpartition search alone: no
+        # orientation is enumerated, so no edge count bounds the work.
         g, roots = random_mixed_instance(random.Random(478))
-        expect = solve(g, roots)
-        assert isinstance(expect, BiSetFamilyCertificate)
-        assert solve(g, roots, Bounds(max_enum_edges=1)) == expect
+        dec = compute_atoms(g, roots)
+        req = CoverRequirement(build_auxiliary(g, dec, 0), dec, tuple(roots))
+        ctx = req.context
+        cands = sorted((y, v[0]) for y, v in _reduced_table(req).items() if v[0] >= 1)
+        assert not _descend(ctx, cands, [0] * len(ctx.edge_bits))
+        cert = orient_covering(req)
+        assert cert == _extract_certificate(req)
+        assert cert.deficit == 1
+        result = solve(g, roots)
+        assert isinstance(result, BiSetFamilyCertificate)
+        assert verify_certificate(g, roots, result)
 
     def test_cover_requires_matching_domain(self, two_root):
         g, roots = two_root

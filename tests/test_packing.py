@@ -5,6 +5,7 @@ import random
 import pytest
 
 from arbopack import (
+    CapacityError,
     Arborescence,
     DigraphPacking,
     DirectedView,
@@ -16,9 +17,9 @@ from arbopack import (
     pack_reachability,
     reachable_in_view,
     validate_digraph_packing,
-    verify_cut_condition,
 )
-from instance_gen import random_digraph_instance
+from instance_gen import random_digraph_instance, sparse_digraph_instance
+from naive import cut_deficit, verify_cut_condition
 
 
 def canonical_view(two_root) -> tuple[DirectedView, list[str]]:
@@ -134,8 +135,66 @@ class TestPackReachability:
                 feasible += 1
             else:
                 assert not ok
+                assert cut_deficit(d, roots, packing) > 0
                 infeasible += 1
         assert feasible and infeasible
+
+    def test_failed_atom_answers_beyond_sweep_size(self):
+        # The failed atom has two vertices; twenty isolated vertices put
+        # the graph past the size of any whole-graph subset sweep.
+        d = DirectedView(
+            ("r1", "r2", "m", "c") + tuple(f"z{i}" for i in range(20)),
+            (
+                ViewArc("a1", "r1", "m", "arc"),
+                ViewArc("a2", "r2", "m", "arc"),
+                ViewArc("a3", "m", "c", "arc"),
+            ),
+        )
+        assert pack_reachability(d, ["r1", "r2"]) == frozenset({"c"})
+
+    def test_violated_set_reaches_back_past_the_atom(self):
+        # All three trees need v.  Its worst completion takes in the two
+        # arcs from u, which only tree 3 spans, so the violated set grows
+        # by everything that reaches u.  Trees 1 and 2 then share the one
+        # arc from r1 into it.
+        d = DirectedView(
+            ("r1", "r2", "u", "v"),
+            (
+                ViewArc("a1", "r2", "u", "arc"),
+                ViewArc("a2", "u", "v", "arc"),
+                ViewArc("a3", "u", "v", "arc"),
+                ViewArc("a4", "r1", "v", "arc"),
+            ),
+        )
+        roots = ["r1", "r1", "r2"]
+        violated = pack_reachability(d, roots)
+        assert violated == frozenset({"v", "u", "r2"})
+        assert cut_deficit(d, roots, violated) == 1
+        assert cut_deficit(d, roots, {"v"}) == 0
+
+    def test_sparse_fuzz_beyond_oracle_scale(self):
+        # 30-80 vertices: every packing must validate, every violated set
+        # must be short of entering arcs by direct count, and the only
+        # capacity error allowed is the per-atom vertex bound.
+        rng = random.Random(8080)
+        outcomes = {"packed": 0, "violated": 0, "capacity": 0}
+        for _ in range(1000):
+            g, roots = sparse_digraph_instance(rng)
+            d = arcs_view(g)
+            try:
+                result = pack_reachability(d, roots)
+            except CapacityError as exc:
+                assert str(exc).startswith("|V_j| = "), exc
+                outcomes["capacity"] += 1
+                continue
+            if isinstance(result, DigraphPacking):
+                assert validate_digraph_packing(d, roots, result)
+                outcomes["packed"] += 1
+            else:
+                assert cut_deficit(d, roots, result) > 0
+                outcomes["violated"] += 1
+        assert outcomes["packed"] > 300 and outcomes["violated"] > 300, outcomes
+        assert outcomes["capacity"] < 20, outcomes
 
 
 class TestPackAtomBranchings:
@@ -169,7 +228,8 @@ class TestPackAtomBranchings:
     def test_two_trees_one_terminal_fails(self):
         view = DirectedView(("v", "t:a:a1"), (ViewArc("a1", "t:a:a1", "v", "arc"),))
         demands = {0: frozenset({"t:a:a1"}), 1: frozenset({"t:a:a1"})}
-        assert pack_atom_branchings(view, frozenset({"v"}), demands) is None
+        # both trees need v; taking the terminal in would block them both
+        assert pack_atom_branchings(view, frozenset({"v"}), demands) == frozenset({"v"})
 
     def test_disallowed_terminal_never_used(self):
         view = DirectedView(

@@ -23,7 +23,6 @@ from arbopack import (
     compute_atoms,
     covering_orientation,
     in_Hj,
-    make_subpartition_certificate,
     mixed_reachable_set,
     p_value,
     reachable_in_view,
@@ -42,6 +41,7 @@ from naive import (
     brute_force_feasible,
     check_spanning_packing_condition,
     enumerate_biset_family,
+    make_subpartition_certificate,
     naive_orientation_covers,
     naive_rho_view,
     subpartitions,
@@ -111,6 +111,19 @@ class TestSolveFixtures:
         assert cert.bisets == (BiSet({"v", "u"}, {"v"}),)
         assert (cert.lhs, cert.rhs) == (1, 2)
         assert not brute_force_feasible(g, ["r1", "r2"])
+
+    def test_many_trees_in_a_terminal_free_atom(self):
+        # A 3-cycle with 40 copies of each edge and its root repeated 40
+        # times.  No arc enters the atom, so no subset of the 40 trees
+        # needs to be enumerated.
+        k = 40
+        ends = (("a", "b"), ("b", "c"), ("c", "a"))
+        edges = tuple(Edge(f"{u}{v}{c}", u, v) for u, v in ends for c in range(k))
+        g = MixedGraph(("a", "b", "c"), edges)
+        roots = ["a"] * k
+        mp = solve(g, roots)
+        assert isinstance(mp, MixedPacking)
+        assert validate_mixed_packing(g, roots, mp)
 
 
 class TestValidateMixedPacking:
