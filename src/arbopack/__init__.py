@@ -27,15 +27,12 @@ from .graph_core import (
     parse_mixed_graph,
 )
 from .decomposition import (
-    AtomContext,
     AtomDecomposition,
     AuxiliaryGraph,
     BiSet,
     biset_in_degree,
     build_auxiliary,
     compute_atoms,
-    in_Hj,
-    is_consistent,
     lift_biset,
     p_value,
 )
@@ -70,7 +67,6 @@ __all__ = [
     "Arc",
     "Arborescence",
     "ArbopackError",
-    "AtomContext",
     "AtomDecomposition",
     "AuxiliaryGraph",
     "BiSet",
@@ -102,8 +98,6 @@ __all__ = [
     "covering_orientation",
     "compute_atoms",
     "crossing_edge_count",
-    "in_Hj",
-    "is_consistent",
     "lexicographic_orientation",
     "lift_biset",
     "mixed_reachable_set",

@@ -1,8 +1,10 @@
-"""Configurable limits for the exhaustive (oracle-grade) code paths.
+"""The configurable limit for the exhaustive (oracle-grade) code paths.
 
-Every enumeration in this package is gated by one of these bounds and
-raises :class:`~arbopack.errors.CapacityError` naming the bound instead of
-silently attempting an infeasible amount of work.
+The per-atom requirement sweep enumerates every subset of the atom and,
+per subset, every submask of the trees that the atom's terminals can
+give a foothold.  It raises :class:`~arbopack.errors.CapacityError`
+naming the bound instead of silently attempting an infeasible amount of
+work.
 """
 
 from __future__ import annotations
@@ -12,15 +14,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Bounds:
-    #: largest vertex count a 2^n subset sweep will accept
+    #: largest atom vertex count plus hit-tree count the sweep will accept
     max_enum_vertices: int = 20
-    #: hard step limit for the branching-packing backtracking search
-    max_pack_steps: int = 2_000_000
 
     def __post_init__(self):
-        for name in ("max_enum_vertices", "max_pack_steps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.max_enum_vertices <= 0:
+            raise ValueError("max_enum_vertices must be positive")
 
 
 DEFAULT_BOUNDS = Bounds()

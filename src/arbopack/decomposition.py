@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvariantError
+from .errors import CapacityError, InvariantError
 from .graph_core import (
     RESERVED_TERMINAL_PREFIX,
     Arc,
@@ -242,7 +242,8 @@ def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
     terminal subset is dominated by one of these, so the maximum is exact.
     The value depends on ``d`` only through its trees that some terminal
     hits, so ``d`` runs over the submasks of their union, ascending; the
-    first best ``d`` is the same as over all of ``range(1 << nq)``.
+    first best ``d`` is the same as in an ascending scan of every subset
+    of the ``nq`` trees, whichever bits stand for them.
     """
     hit = 0
     for hq in hits:
@@ -262,6 +263,57 @@ def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
         if d == hit:
             return best, best_d
         d = (d - hit) & hit
+
+
+def _requirements(
+    gmask: int,
+    footholds: Mapping[int, int],
+    arcs: Sequence[tuple[int, int]],
+    terminals: Sequence[tuple[int, int, int]],
+    max_enum_vertices: int,
+) -> Iterator[tuple[int, int, int]]:
+    """Inner sets of an atom that still need arcs, in descending mask order.
+
+    ``footholds[i]`` is the atom part tree i already holds (its root, or
+    what it spans so far), ``arcs`` the ``(tail, head)`` masks of the
+    atom's own arcs, and ``terminals`` one ``(bit, head bit, hit)`` per
+    terminal, where ``hit`` has bit i set when the terminal would give
+    tree i a foothold.  The need of a nonempty ``Y`` inside ``gmask`` is
+    the worst case, over the terminal completions of ``Y``, of the trees
+    with a foothold in neither ``Y`` nor the completion, minus the arcs
+    entering both.  Yields ``(Y, need, Y plus that completion)`` for
+    every need >= 1.
+
+    The sweep enumerates the subsets of the atom and, per set, the
+    submasks of the trees some terminal hits; their bits together are
+    gated by ``max_enum_vertices``.
+    """
+    hit_any = 0
+    for _bit, _head, hit in terminals:
+        hit_any |= hit
+    n = gmask.bit_count() + hit_any.bit_count()
+    if n > max_enum_vertices:
+        raise CapacityError(
+            f"|V_j| = {n} exceeds max_enum_vertices = {max_enum_vertices}"
+        )
+    y = gmask
+    while y:
+        free = nq = 0
+        for i, foothold in footholds.items():
+            if not foothold & y:
+                free |= 1 << i
+                nq += 1
+        if nq:
+            rho = sum(1 for t, h in arcs if h & y and not t & y)
+            entering = [(bit, hit & free) for bit, head, hit in terminals if head & y]
+            best, d = _worst_completion(nq, [hq for _bit, hq in entering])
+            if best > rho:
+                xmask = y
+                for bit, hq in entering:
+                    if hq & ~d == 0:
+                        xmask |= bit
+                yield y, best - rho, xmask
+        y = (y - 1) & gmask
 
 
 # ---------------------------------------------------------------------------

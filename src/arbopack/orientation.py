@@ -14,7 +14,8 @@ direction that keeps the remaining requirement certificate-free.
 Violation checks run over a reduced family: for every inner set only the
 terminal completions that maximise the deficit can be binding, and there
 is one such completion per subset of the atom's trees.  The reduction is
-exact.
+exact, and it keeps only the inner sets that need at least one edge.  The
+same sweep (``decomposition._requirements``) drives the packing check.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from .decomposition import (
     AtomContext,
     AtomDecomposition,
     AuxiliaryGraph,
-    _worst_completion,
+    _requirements,
 )
-from .errors import CapacityError, InvariantError
+from .errors import InvariantError
 from .graph_core import Orientation
 
 
@@ -79,49 +80,27 @@ class SubpartitionCertificate:
     deficit: int
 
 
-def _submasks(mask: int):
-    """Nonempty submasks of ``mask``, descending."""
-    s = mask
-    while s:
-        yield s
-        s = (s - 1) & mask
-
-
 def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
-    """Per inner set: the worst-case requirement and a set achieving it.
+    """Per inner set that needs edges: its worst-case need and a set with it.
 
-    Maps each nonempty ``Y`` inside the atom to ``(need, xmask)`` where
-    ``need`` is the maximum of ``p - rho_static`` over all consistent
-    completions ``Y + terminals`` and ``xmask`` attains it.  An
+    Maps each nonempty ``Y`` inside the atom whose maximum of
+    ``p - rho_static`` over all consistent completions ``Y + terminals``
+    is at least 1 to ``(need, xmask)``, where ``xmask`` attains it.  An
     orientation covers the whole family iff it sends at least ``need``
-    edges into every ``Y``.
+    edges into every ``Y`` in the table.
     """
     ctx = req.context
-    if ctx.size > req.bounds.max_enum_vertices:
-        raise CapacityError(
-            f"|V_j| = {ctx.size} exceeds max_enum_vertices = "
-            f"{req.bounds.max_enum_vertices}"
+    terminals = [(t.bit, t.head_bit, t.hit) for t in ctx.terminals]
+    return {
+        y: (need, xmask)
+        for y, need, xmask in _requirements(
+            ctx.gamma_mask,
+            ctx.root_bits,
+            ctx.internal_arcs,
+            terminals,
+            req.bounds.max_enum_vertices,
         )
-    table: dict[int, tuple[int, int]] = {}
-    trees = ctx.tree_indices
-    for y in _submasks(ctx.gamma_mask):
-        rho_int = sum(1 for t, h in ctx.internal_arcs if h & y and not t & y)
-        rt = [t for t in ctx.terminals if t.head_bit & y]
-        q = [i for i in trees if not ctx.root_bits[i] & y]
-        hits = []
-        for t in rt:
-            hq = 0
-            for pos, i in enumerate(q):
-                if t.hit >> i & 1:
-                    hq |= 1 << pos
-            hits.append(hq)
-        best, d = _worst_completion(len(q), hits)
-        xmask = y
-        for t, hq in zip(rt, hits):
-            if hq & ~d == 0:
-                xmask |= t.bit
-        table[y] = (best - rho_int, xmask)
-    return table
+    }
 
 
 def _edge_ends(ctx, dirs: list[int]) -> list[tuple[int, int]]:
@@ -175,7 +154,7 @@ def orient_covering(req: CoverRequirement):
     """
     ctx = req.context
     table = _reduced_table(req)
-    cands = sorted((y, v[0]) for y, v in table.items() if v[0] >= 1)
+    cands = sorted((y, need) for y, (need, _xm) in table.items())
     # edge direction 0: smaller internal bit is the tail
     dirs = [0] * len(ctx.edge_bits)
 

@@ -6,21 +6,23 @@ meets it.  Construction decomposes the digraph into atoms (classes of
 equal reaching-root sets), then packs branchings atom by atom: a tree
 rooted inside an atom grows from its root, any other tree enters through
 the arcs crossing into the atom, and each crossing arc serves at most one
-tree.  Atom subproblems share no arcs, so they are independent; within an
-atom a backtracking search with an exact necessary-condition prune does
-the work.  When the prune already fails before the search starts, its
-deficient set, lifted to the whole digraph, is the violated set returned.
+tree.  Atom subproblems share no arcs, so they are independent.  Within
+an atom, a residual cut check that is necessary and sufficient (the
+root-set form of Kamiyama-Katoh-Takizawa, as in Fujishige's note on
+disjoint arborescences) lets the trees grow one arc at a time with no
+search: each arc taken is the first one that keeps the check passing.
+When the check fails before any arc is taken, its deficient set, lifted
+to the whole digraph, is the violated set returned.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import _decompose, _worst_completion
-from .errors import CapacityError, InvariantError
+from .decomposition import _decompose, _requirements
+from .errors import InvariantError
 from .graph_core import (
     CheckResult,
     DirectedView,
@@ -29,8 +31,6 @@ from .graph_core import (
     _check_arborescence,
     _reachable,
 )
-
-logger = logging.getLogger(__name__)
 
 _TERMINAL_FMT = {"arc": "t:a:{}", "edge": "t:e:{}"}
 
@@ -164,12 +164,13 @@ def pack_atom_branchings(
     packing exists, returns a deficient vertex set of ``view`` instead:
     an atom part Y plus the terminals of its worst completion, where the
     trees with no foothold in Y outnumber the arcs entering the set.
+
+    The residual check (every inner set keeps enough unused arcs for the
+    trees that still lack a foothold in it, under its worst terminal
+    completion) is exact for the rest of the packing, so the trees grow
+    greedily: each arc taken is the first candidate after which the
+    check still passes, and no choice is ever undone.
     """
-    n = len(view.vertices)
-    if n > bounds.max_enum_vertices:
-        raise CapacityError(
-            f"|V_j| = {n} exceeds max_enum_vertices = {bounds.max_enum_vertices}"
-        )
     bit = {v: i for i, v in enumerate(view.vertices)}
     gmask = 0
     for v in gamma:
@@ -184,114 +185,63 @@ def pack_atom_branchings(
         covered[i] = sum(1 << bit[v] for v in entry & gamma)
         allowed_term[i] = sum(1 << bit[v] for v in entry & terminal_set)
 
-    arcs = []
-    for pos, a in enumerate(view.arcs):
+    # The unused arcs, as the sweep takes them: atom arcs as (tail, head)
+    # masks, terminal arcs with the mask of trees they may serve.  The
+    # sweep's answer does not depend on their order.
+    atom_arcs: list[tuple[int, ...]] = []
+    term_arcs: list[tuple[int, ...]] = []
+    cands = []  # (unused-arc list, masks, arc), in declaration order
+    for a in view.arcs:
         if a.is_loop():
             continue
-        arcs.append(
-            (
-                pos,
-                1 << bit[a.tail],
-                1 << bit[a.head],
-                a.tail in terminal_set,
-                a,
-            )
+        tb, hb = 1 << bit[a.tail], 1 << bit[a.head]
+        if a.tail in terminal_set:
+            hit = 0
+            for i in trees:
+                if tb & allowed_term[i]:
+                    hit |= 1 << i
+            pool, masks = term_arcs, (tb, hb, hit)
+        else:
+            pool, masks = atom_arcs, (tb, hb)
+        pool.append(masks)
+        cands.append((pool, masks, a))
+
+    def first_short() -> tuple[int, int, int] | None:
+        return next(
+            _requirements(gmask, covered, atom_arcs, term_arcs, bounds.max_enum_vertices),
+            None,
         )
-    assigned = [False] * len(arcs)
 
-    def deficient() -> int:
-        # Exact necessary condition: for every atom subset Y and every
-        # consistent terminal completion, the trees that have no foothold
-        # in the set each need a distinct unassigned arc entering it.
-        # Returns the mask of the first set that fails, or 0.
-        s = gmask
-        while s:
-            y = s
-            s = (s - 1) & gmask
-            q = [
-                i
-                for i in trees
-                if not covered[i] & y and (gmask & ~covered[i]) & y
-            ]
-            if not q:
-                continue
-            rho = 0
-            rt_hits = []
-            for k, (pos, tb, hb, is_term, _a) in enumerate(arcs):
-                if assigned[k] or not hb & y:
+    short = first_short()
+    if short is not None:
+        return frozenset(v for v in view.vertices if 1 << bit[v] & short[2])
+
+    owner: list[int | None] = [None] * len(cands)
+    for i in trees:
+        while gmask & ~covered[i]:
+            uncovered = gmask & ~covered[i]
+            for k, (pool, masks, _a) in enumerate(cands):
+                if owner[k] is not None or not masks[1] & uncovered:
                     continue
-                if is_term:
-                    hq = 0
-                    for p, i in enumerate(q):
-                        if tb & allowed_term[i]:
-                            hq |= 1 << p
-                    rt_hits.append(hq)
-                elif not tb & y:
-                    rho += 1
-            best, d = _worst_completion(len(q), rt_hits)
-            if best > rho:
-                # the terminals behind rt_hits, in the same order
-                terms = [
-                    tb
-                    for k, (pos, tb, hb, is_term, _a) in enumerate(arcs)
-                    if is_term and hb & y and not assigned[k]
-                ]
-                for tb, hq in zip(terms, rt_hits):
-                    if hq & ~d == 0:
-                        y |= tb
-                return y
-        return 0
-
-    short = deficient()
-    if short:
-        return frozenset(v for v in view.vertices if 1 << bit[v] & short)
-
-    steps = 0
-    backtracks = 0
-
-    def grow() -> bool:
-        nonlocal steps, backtracks
-        steps += 1
-        if steps > bounds.max_pack_steps:
-            raise CapacityError(
-                f"branching search exceeded max_pack_steps = {bounds.max_pack_steps}"
-            )
-        tree = None
-        for i in trees:
-            if gmask & ~covered[i]:
-                tree = i
-                break
-        if tree is None:
-            return True
-        uncovered = gmask & ~covered[tree]
-        for k, (pos, tb, hb, is_term, _a) in enumerate(arcs):
-            if assigned[k] or not hb & uncovered:
-                continue
-            if is_term:
-                if not tb & allowed_term[tree]:
+                foothold = allowed_term[i] if pool is term_arcs else covered[i]
+                if not masks[0] & foothold:
                     continue
-            elif not tb & covered[tree]:
-                continue
-            assigned[k] = True
-            covered[tree] |= hb
-            picks[tree].append(k)
-            if not deficient() and grow():
-                return True
-            assigned[k] = False
-            covered[tree] &= ~hb
-            picks[tree].pop()
-            backtracks += 1
-        return False
-
-    picks: dict[int, list[int]] = {i: [] for i in trees}
-    if not grow():
-        raise InvariantError(
-            f"atom packing failed after {backtracks} backtracks although "
-            "its residual check passed"
-        )
-    if backtracks:
-        logger.debug("atom packing needed %d backtracks", backtracks)
-    return {i: tuple(arcs[k][4] for k in sorted(picks[i])) for i in trees}
+                owner[k] = i
+                pool.remove(masks)
+                covered[i] |= masks[1]
+                if first_short() is None:
+                    break
+                owner[k] = None
+                pool.append(masks)
+                covered[i] &= ~masks[1]
+            else:
+                raise InvariantError(
+                    f"tree {i + 1} found no arc that keeps the residual check, "
+                    "although the check passed before"
+                )
+    return {
+        i: tuple(a for (_f, _e, a), o in zip(cands, owner) if o == i) for i in trees
+    }
 
 
 def validate_digraph_packing(

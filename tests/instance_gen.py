@@ -110,3 +110,14 @@ def repeated_root_all_reachable(
     g = MixedGraph(tuple(vs), tuple(edges), tuple(arcs))
     k = rng.randint(1, max_k)
     return g, r, k
+
+
+def deep_atom_text(k: int = 520) -> str:
+    """Arcs r->a and a->b, each k times, with root r repeated k times.
+
+    One 3-vertex atom hosts all k trees, so a packing takes 2k arcs, one
+    at a time: more than the interpreter's default recursion limit.
+    """
+    lines = ["vertex r", "vertex a", "vertex b"]
+    lines += ["arc r a"] * k + ["arc a b"] * k + ["root r"] * k
+    return "\n".join(lines) + "\n"

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 from arbopack import (
     DEFAULT_BOUNDS,
-    AtomContext,
     AuxiliaryGraph,
     AtomDecomposition,
     BiSet,
@@ -32,6 +31,7 @@ from arbopack import (
     p_value,
     reachable_in_view,
 )
+from arbopack.decomposition import AtomContext
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
 MAX_SUBPARTITION_GROUND = 10

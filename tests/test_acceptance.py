@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from itertools import product
 
 from arbopack import (
-    AtomContext,
     BiSet,
     BiSetFamilyCertificate,
     CoverRequirement,
@@ -31,6 +30,7 @@ from arbopack import (
     verify_certificate,
 )
 from arbopack.cli import main as cli_main
+from arbopack.decomposition import AtomContext
 from arbopack.orientation import _extract_certificate, _reduced_table, orient_covering
 from instance_gen import (
     random_mixed_instance,

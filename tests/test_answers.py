@@ -1,25 +1,45 @@
 """Pinned solver answers.
 
-The solver is deterministic, so its answers on a fixed seeded corpus are
-pinned by one digest.  A change that alters any answer, or makes an
-answer depend on string hashing, fails here.  Every vertex set is sorted
-in the canonical form, so the digest does not depend on set order.
+The solver is deterministic, so its answers on fixed seeded corpora are
+pinned by digests.  A change that alters any answer, or makes an answer
+depend on string hashing, fails here.  Every vertex set is sorted in the
+canonical form, so a digest does not depend on set order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
-from arbopack import MixedPacking, solve
-from instance_gen import random_mixed_instance
+from arbopack import (
+    DigraphPacking,
+    MixedPacking,
+    arcs_view,
+    pack_reachability,
+    parse_mixed_graph,
+    solve,
+)
+from instance_gen import random_digraph_instance, random_mixed_instance
 
 ANSWERS_SHA256 = "540b6a8e7c8b6f39bc66207e736a5fccc52b48f03ee5c222cb87925103a72b3c"
+DIGRAPH_ANSWERS_SHA256 = "12a0a48f7e43795ed63f1868ac61cbf4b102ee678adf30b386e4cf1442444e30"
+BENCH_ANSWERS_SHA256 = "00c451f29ad7dd5639d7f053941b96120381c498a028e973d854a6e7c82f105f"
 
 
 def canonical(result) -> str:
     """An answer as a string that is equal exactly when the answers are."""
+    if isinstance(result, DigraphPacking):
+        body = [
+            [t.root_index, [[a.id, a.tail, a.head, a.origin] for a in t.arcs]]
+            for t in result.trees
+        ]
+        return json.dumps({"feasible": True, "trees": body})
+    if isinstance(result, frozenset):
+        return json.dumps({"feasible": False, "violated": sorted(result)})
     if isinstance(result, MixedPacking):
         body = [
             [t.root_index, t.root, list(t.arcs), [[u.id, u.tail, u.head] for u in t.edges]]
@@ -44,3 +64,35 @@ def test_random_corpus_answers_pinned():
         g, roots = random_mixed_instance(rng, max_v=9, max_e=12, max_a=8)
         h.update(canonical(solve(g, roots)).encode() + b"\n")
     assert h.hexdigest() == ANSWERS_SHA256
+
+
+def test_digraph_packing_answers_pinned():
+    # Pins each arc the greedy picks in every atom, and each violated set.
+    rng = random.Random(4343)
+    h = hashlib.sha256()
+    for _ in range(3000):
+        g, roots = random_digraph_instance(rng, max_v=8, max_a=14, max_k=4)
+        h.update(canonical(pack_reachability(arcs_view(g), roots)).encode() + b"\n")
+    assert h.hexdigest() == DIGRAPH_ANSWERS_SHA256
+
+
+def bench_corpus(workload: str, seed: int, size: int):
+    """The benchmark's own corpus, read from ``bench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.corpus(workload, seed, size)
+
+
+def test_bench_corpus_answers_pinned():
+    # The corpora whose atoms turn the most candidate arcs down.  A change
+    # to bench/workloads.py changes them, and the digest must then be
+    # recorded again, from the commit before the change.
+    h = hashlib.sha256()
+    for workload in ("pack_heavy", "many_atoms"):
+        for inst in bench_corpus(workload, 1, 110):
+            g, roots = parse_mixed_graph(inst.text)
+            h.update(canonical(solve(g, roots)).encode() + b"\n")
+    assert h.hexdigest() == BENCH_ANSWERS_SHA256

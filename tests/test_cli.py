@@ -5,6 +5,7 @@ import json
 import pytest
 
 from arbopack.cli import main
+from instance_gen import deep_atom_text
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -217,6 +218,13 @@ class TestPackDigraph:
         code, out, _ = run(capsys, "pack-digraph", str(f))
         assert code == 2
         assert json.loads(out) == {"format": 1, "feasible": False, "violated": ["c"]}
+
+    def test_deep_atom(self, capsys, tmp_path):
+        f = tmp_path / "deep.mg"
+        f.write_text(deep_atom_text())
+        code, out, _ = run(capsys, "pack-digraph", str(f))
+        assert code == 0
+        assert out.startswith("tree 1 root r\n")
 
 
 class TestExportDot:

@@ -5,19 +5,17 @@ import random
 import pytest
 
 from arbopack import (
-    AtomContext,
     BiSet,
     MixedGraph,
     arcs_view,
     biset_in_degree,
     build_auxiliary,
     compute_atoms,
-    in_Hj,
-    is_consistent,
     lift_biset,
     mixed_reachable_set,
     p_value,
 )
+from arbopack.decomposition import AtomContext, in_Hj, is_consistent
 from instance_gen import random_digraph_instance, random_mixed_instance
 from naive import (
     biset_condition_holds,

@@ -35,6 +35,7 @@ from naive import (
     naive_pj,
     subpartition_deficit,
     subsets,
+    to_mask,
 )
 
 
@@ -180,6 +181,10 @@ class TestReducedTable:
                     xs = ctx.to_vertices(xmask)
                     rho = sum(1 for t, h in static if h in xs and t not in xs)
                     assert naive_pj(aux, dec, roots, xs) - rho == need
+                # the table keeps exactly the inner sets that need an edge
+                for inner, best in best_by_inner.items():
+                    if to_mask(ctx, inner) not in table:
+                        assert best <= 0
 
 
 class TestWorstCompletion:

@@ -13,12 +13,14 @@ from arbopack import (
     ViewArc,
     apply_orientation,
     arcs_view,
+    compute_atoms,
     pack_atom_branchings,
     pack_reachability,
+    parse_mixed_graph,
     reachable_in_view,
     validate_digraph_packing,
 )
-from instance_gen import random_digraph_instance, sparse_digraph_instance
+from instance_gen import deep_atom_text, random_digraph_instance, sparse_digraph_instance
 from naive import cut_deficit, verify_cut_condition
 
 
@@ -195,6 +197,27 @@ class TestPackReachability:
                 outcomes["violated"] += 1
         assert outcomes["packed"] > 300 and outcomes["violated"] > 300, outcomes
         assert outcomes["capacity"] < 20, outcomes
+
+    def test_vertex_bound_counts_atom_and_hit_trees_only(self):
+        # Instance 469 of the fuzz corpus: a 14-vertex atom with 7
+        # terminals, none of which gives a tree a foothold.  The sweep
+        # enumerates 2^14 sets, within the default bound of 20.
+        rng = random.Random(8080)
+        for _ in range(470):
+            g, roots = sparse_digraph_instance(rng)
+        d = arcs_view(g)
+        assert max(len(atom) for atom in compute_atoms(g, roots).atoms) == 14
+        violated = pack_reachability(d, roots)
+        assert isinstance(violated, frozenset)
+        assert cut_deficit(d, roots, violated) > 0
+
+    def test_deep_atom(self):
+        # 520 trees take 1,040 arcs in one atom, one arc at a time.
+        g, roots = parse_mixed_graph(deep_atom_text())
+        d = arcs_view(g)
+        packing = pack_reachability(d, roots)
+        assert isinstance(packing, DigraphPacking)
+        assert validate_digraph_packing(d, roots, packing)
 
 
 class TestPackAtomBranchings:

@@ -22,7 +22,6 @@ from arbopack import (
     certificate_from_subpartition,
     compute_atoms,
     covering_orientation,
-    in_Hj,
     mixed_reachable_set,
     p_value,
     reachable_in_view,
@@ -31,6 +30,7 @@ from arbopack import (
     validate_mixed_packing,
     verify_certificate,
 )
+from arbopack.decomposition import in_Hj
 from arbopack.orientation import SubpartitionCertificate
 from instance_gen import (
     random_mixed_instance,
