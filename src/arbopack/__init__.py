@@ -15,14 +15,10 @@ from .graph_core import (
     DirectedView,
     Edge,
     MixedGraph,
-    OK_RESULT,
     Orientation,
-    Subpartition,
     ViewArc,
     apply_orientation,
     arcs_view,
-    crossing_edge_count,
-    lexicographic_orientation,
     mixed_reachable_set,
     parse_mixed_graph,
 )
@@ -30,11 +26,8 @@ from .decomposition import (
     AtomDecomposition,
     AuxiliaryGraph,
     BiSet,
-    biset_in_degree,
     build_auxiliary,
     compute_atoms,
-    lift_biset,
-    p_value,
 )
 from .orientation import (
     CoverRequirement,
@@ -46,7 +39,6 @@ from .packing import (
     DigraphPacking,
     pack_atom_branchings,
     pack_reachability,
-    reachable_in_view,
     validate_digraph_packing,
 )
 from .pipeline import (
@@ -84,29 +76,21 @@ __all__ = [
     "MixedGraph",
     "MixedPacking",
     "MixedTree",
-    "OK_RESULT",
     "Orientation",
     "ParseError",
-    "Subpartition",
     "SubpartitionCertificate",
     "ViewArc",
     "apply_orientation",
     "arcs_view",
-    "biset_in_degree",
     "build_auxiliary",
     "certificate_from_subpartition",
     "covering_orientation",
     "compute_atoms",
-    "crossing_edge_count",
-    "lexicographic_orientation",
-    "lift_biset",
     "mixed_reachable_set",
     "orient_covering",
-    "p_value",
     "pack_atom_branchings",
     "pack_reachability",
     "parse_mixed_graph",
-    "reachable_in_view",
     "solve",
     "validate_digraph_packing",
     "validate_mixed_packing",

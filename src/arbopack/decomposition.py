@@ -185,18 +185,18 @@ def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryG
             )
     internal = [a for a in g.arcs if a.tail in gamma and a.head in gamma]
     entering = [a for a in g.arcs if a.head in gamma and a.tail not in gamma]
-    terminals = []
-    origin: dict[str, tuple[str, str]] = {}
-    for a in entering:
-        t = f"{RESERVED_TERMINAL_PREFIX}{a.id}"
-        if t in g.vertex_set or t in origin:
-            raise InvariantError(f"terminal id {t!r} collides with an existing vertex")
-        terminals.append(t)
-        origin[t] = (a.id, a.tail)
+    terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
+    for t in terminals:
+        if t in g.vertex_set:
+            raise ValueError(
+                f"vertex {t!r} uses the {RESERVED_TERMINAL_PREFIX!r} prefix "
+                "reserved for terminal ids"
+            )
+    origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
     vertices = tuple(v for v in g.vertices if v in gamma) + tuple(terminals)
     edges = tuple(e for e in g.edges if e.u in gamma and e.v in gamma)
     arcs = tuple(internal) + tuple(
-        Arc(a.id, f"{RESERVED_TERMINAL_PREFIX}{a.id}", a.head) for a in entering
+        Arc(a.id, t, a.head) for t, a in zip(terminals, entering)
     )
     graph = MixedGraph(vertices, edges, arcs)
     return AuxiliaryGraph(atom_index=j, graph=graph, gamma=gamma, terminal_origin=origin)
@@ -325,8 +325,6 @@ class TerminalBits:
     bit: int
     head_bit: int
     hit: int  # bitmask over root indices whose U contains the original tail
-    arc_id: str
-    tail_id: str
 
 
 @dataclass(frozen=True)
@@ -377,15 +375,7 @@ class AtomContext:
                 for i in R:
                     if tail0 in dec.reach[i]:
                         hit |= 1 << i
-                terms.append(
-                    TerminalBits(
-                        bit=1 << bit_of[a.tail],
-                        head_bit=1 << bit_of[a.head],
-                        hit=hit,
-                        arc_id=a.id,
-                        tail_id=tail0,
-                    )
-                )
+                terms.append(TerminalBits(1 << bit_of[a.tail], 1 << bit_of[a.head], hit))
             elif not a.is_loop():
                 internal.append((1 << bit_of[a.tail], 1 << bit_of[a.head]))
         edge_bits = []

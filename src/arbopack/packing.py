@@ -3,16 +3,17 @@
 Feasibility is the cut condition: every vertex set must admit at least as
 many entering arcs as there are roots outside it whose reachability set
 meets it.  Construction decomposes the digraph into atoms (classes of
-equal reaching-root sets), then packs branchings atom by atom: a tree
-rooted inside an atom grows from its root, any other tree enters through
-the arcs crossing into the atom, and each crossing arc serves at most one
-tree.  Atom subproblems share no arcs, so they are independent.  Within
-an atom, a residual cut check that is necessary and sufficient (the
-root-set form of Kamiyama-Katoh-Takizawa, as in Fujishige's note on
-disjoint arborescences) lets the trees grow one arc at a time with no
-search: each arc taken is the first one that keeps the check passing.
-When the check fails before any arc is taken, its deficient set, lifted
-to the whole digraph, is the violated set returned.
+equal reaching-root sets), then packs branchings atom by atom, each on
+the digraph itself: a tree rooted inside an atom grows from its root, any
+other tree enters through the arcs crossing into the atom from vertices
+it spans, and each crossing arc serves at most one tree.  Atom
+subproblems share no arcs, so they are independent.  Within an atom, a
+residual cut check that is necessary and sufficient (the root-set form
+of Kamiyama-Katoh-Takizawa, as in Fujishige's note on disjoint
+arborescences) lets the trees grow one arc at a time with no search:
+each arc taken is the first one that keeps the check passing.  When the
+check fails before any arc is taken, its deficient set, lifted to the
+whole digraph, is the violated set returned.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .graph_core import (
     _check_arborescence,
     _reachable,
 )
-
-_TERMINAL_FMT = {"arc": "t:a:{}", "edge": "t:e:{}"}
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,11 @@ def pack_reachability(
     """A packing of reachability arborescences, or a violated vertex set.
 
     Atoms are processed in topological order of their root-set lattice;
-    within each atom the entry points of tree i are its root (when the
-    root lies inside) or the crossing arcs coming from vertices tree i
-    already spans.
+    within each atom tree i starts from its root (when the root lies
+    inside) or from the arcs entering the atom out of U_i.
     """
     dec = _decompose(d, roots, reachable_in_view)
-    atoms, atom_roots, atom_of = dec.atoms, dec.atom_roots, dec.atom_of
+    atoms, atom_roots = dec.atoms, dec.atom_roots
 
     order = sorted(range(len(atoms)), key=lambda j: (len(atom_roots[j]), j))
     tree_arcs: dict[int, list[tuple[int, ViewArc]]] = {i: [] for i in range(len(roots))}
@@ -79,44 +77,15 @@ def pack_reachability(
 
     for j in order:
         gamma = atoms[j]
-        entering = [a for a in d.arcs if a.head in gamma and a.tail not in gamma]
-        term_id = {}
-        back: dict[tuple[str, str], ViewArc] = {}
-        # keep declaration order: internal arcs as-is, entering arcs re-rooted
-        # at their terminals
-        aux_arcs: list[ViewArc] = []
-        for a in d.arcs:
-            if a.head not in gamma:
-                continue
-            if a.tail in gamma:
-                aux_arcs.append(a)
-            else:
-                t = _TERMINAL_FMT[a.origin].format(a.id)
-                term_id[a.key] = t
-                back[a.key] = a
-                aux_arcs.append(ViewArc(a.id, t, a.head, a.origin))
-        vertices = tuple(v for v in d.vertices if v in gamma) + tuple(
-            term_id[a.key] for a in entering
-        )
-        view_j = DirectedView(vertices, tuple(aux_arcs))
-        demands: dict[int, frozenset[str]] = {}
-        for i in sorted(atom_roots[j]):
-            if roots[i] in gamma:
-                demands[i] = frozenset((roots[i],))
-            else:
-                allowed = []
-                for a in entering:
-                    ju = atom_of.get(a.tail)
-                    if ju is not None and i in atom_roots[ju]:
-                        allowed.append(term_id[a.key])
-                demands[i] = frozenset(allowed)
-        result = pack_atom_branchings(view_j, gamma, demands, bounds)
+        demands = {
+            i: frozenset((roots[i],)) if roots[i] in gamma else dec.reach[i] - gamma
+            for i in sorted(atom_roots[j])
+        }
+        result = pack_atom_branchings(d, gamma, demands, bounds)
         if isinstance(result, frozenset):
-            return _lift_witness(d, result, {term_id[a.key]: a.tail for a in entering})
+            return _lift_witness(d, result, gamma)
         for i, arcs in result.items():
-            for a in arcs:
-                orig = back.get(a.key, a)
-                tree_arcs[i].append((arc_pos[orig.key], orig))
+            tree_arcs[i].extend((arc_pos[a.key], a) for a in arcs)
 
     trees = tuple(
         Arborescence(i, tuple(a for _pos, a in sorted(tree_arcs[i], key=lambda x: x[0])))
@@ -126,27 +95,24 @@ def pack_reachability(
 
 
 def _lift_witness(
-    d: DirectedView, witness: frozenset[str], terminal_tail: Mapping[str, str]
+    d: DirectedView, witness: frozenset[str], gamma: frozenset[str]
 ) -> frozenset[str]:
     """Lift an atom's deficient set to a violated vertex set of ``d``.
 
-    ``witness`` is an atom part Y plus the terminals of its worst
-    completion.  Each terminal is replaced by every vertex that reaches
-    its tail.  A tree the atom check counted spans an out-closed set that
-    misses those tails, so it misses every added vertex and still needs
-    an arc into Y.  An arc into an added vertex starts at an added vertex.
-    So the only arcs entering the lifted set are the ones the check
-    counted, and there are too few of them.
+    ``witness`` is an atom part Y plus the tails of the entering arcs in
+    its worst completion.  Each tail is replaced by every vertex that
+    reaches it.  A tree the atom check counted spans an out-closed set
+    that misses those tails, so it misses every added vertex and still
+    needs an arc into Y.  An arc into an added vertex starts at an added
+    vertex.  So the only arcs entering the lifted set are the ones the
+    check counted, and there are too few of them.
     """
     pred: dict[str, list[str]] = {v: [] for v in d.vertices}
     for a in d.arcs:
         pred[a.head].append(a.tail)
-    lifted: set[str] = set()
-    for v in witness:
-        if v in terminal_tail:
-            lifted |= _reachable(pred, terminal_tail[v])
-        else:
-            lifted.add(v)
+    lifted = set(witness & gamma)
+    for v in witness - gamma:
+        lifted |= _reachable(pred, v)
     return frozenset(lifted)
 
 
@@ -158,48 +124,45 @@ def pack_atom_branchings(
 ) -> dict[int, tuple[ViewArc, ...]] | frozenset[str]:
     """Arc-disjoint branchings covering ``gamma``, one per demanded tree.
 
-    ``demands[i]`` lists tree i's entry points: either its root vertex
-    inside ``gamma`` or the terminal vertices it may consume.  Each
-    terminal's unique arc is used by at most one tree.  When no such
-    packing exists, returns a deficient vertex set of ``view`` instead:
-    an atom part Y plus the terminals of its worst completion, where the
-    trees with no foothold in Y outnumber the arcs entering the set.
+    ``demands[i]`` is what tree i already spans: its root inside
+    ``gamma``, or vertices outside it.  An arc of ``view`` entering
+    ``gamma`` can serve tree i when its tail is in ``demands[i]``, and
+    serves at most one tree; arcs whose head is outside ``gamma`` are
+    ignored.  When no such packing exists, returns a deficient vertex set
+    of ``view`` instead: an atom part Y plus the tails of the entering
+    arcs in its worst completion, where the trees with no foothold in Y
+    outnumber the arcs entering the set.
 
-    The residual check (every inner set keeps enough unused arcs for the
-    trees that still lack a foothold in it, under its worst terminal
-    completion) is exact for the rest of the packing, so the trees grow
-    greedily: each arc taken is the first candidate after which the
-    check still passes, and no choice is ever undone.
+    Atom vertices take the low mask bits, in ``view`` order, and each
+    entering arc its own bit after them.  The residual check (every inner
+    set keeps enough unused arcs for the trees that still lack a foothold
+    in it, under its worst completion) is exact for the rest of the
+    packing, so the trees grow greedily: each arc taken is the first
+    candidate after which the check still passes, and no choice is ever
+    undone.
     """
-    bit = {v: i for i, v in enumerate(view.vertices)}
-    gmask = 0
-    for v in gamma:
-        gmask |= 1 << bit[v]
-    terminal_set = frozenset(view.vertices) - gamma
+    view.require_vertices(gamma)
+    bit = {v: 1 << k for k, v in enumerate(v for v in view.vertices if v in gamma)}
+    gmask = (1 << len(bit)) - 1
 
     trees = sorted(demands)
-    covered = {}
-    allowed_term = {}
-    for i in trees:
-        entry = view.require_vertices(demands[i])
-        covered[i] = sum(1 << bit[v] for v in entry & gamma)
-        allowed_term[i] = sum(1 << bit[v] for v in entry & terminal_set)
+    entry = {i: view.require_vertices(demands[i]) for i in trees}
+    covered = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
 
     # The unused arcs, as the sweep takes them: atom arcs as (tail, head)
-    # masks, terminal arcs with the mask of trees they may serve.  The
+    # masks, entering arcs with the mask of trees they may serve.  The
     # sweep's answer does not depend on their order.
     atom_arcs: list[tuple[int, ...]] = []
     term_arcs: list[tuple[int, ...]] = []
     cands = []  # (unused-arc list, masks, arc), in declaration order
     for a in view.arcs:
-        if a.is_loop():
+        hb = bit.get(a.head)
+        if hb is None or a.is_loop():
             continue
-        tb, hb = 1 << bit[a.tail], 1 << bit[a.head]
-        if a.tail in terminal_set:
-            hit = 0
-            for i in trees:
-                if tb & allowed_term[i]:
-                    hit |= 1 << i
+        tb = bit.get(a.tail)
+        if tb is None:
+            tb = 1 << (len(bit) + len(term_arcs))
+            hit = sum(1 << i for i in trees if a.tail in entry[i])
             pool, masks = term_arcs, (tb, hb, hit)
         else:
             pool, masks = atom_arcs, (tb, hb)
@@ -214,7 +177,10 @@ def pack_atom_branchings(
 
     short = first_short()
     if short is not None:
-        return frozenset(v for v in view.vertices if 1 << bit[v] & short[2])
+        xmask = short[2]
+        return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
+            a.tail for pool, masks, a in cands if pool is term_arcs and masks[0] & xmask
+        )
 
     owner: list[int | None] = [None] * len(cands)
     for i in trees:
@@ -223,8 +189,11 @@ def pack_atom_branchings(
             for k, (pool, masks, _a) in enumerate(cands):
                 if owner[k] is not None or not masks[1] & uncovered:
                     continue
-                foothold = allowed_term[i] if pool is term_arcs else covered[i]
-                if not masks[0] & foothold:
+                if pool is term_arcs:
+                    usable = masks[2] >> i & 1
+                else:
+                    usable = masks[0] & covered[i]
+                if not usable:
                     continue
                 owner[k] = i
                 pool.remove(masks)
@@ -255,13 +224,20 @@ def validate_digraph_packing(
     used: dict[tuple[str, str], int] = {}
     for tree in packing.trees:
         for a in tree.arcs:
-            if a.key not in d.arc_by_key:
+            known = d.arc_by_key.get(a.key)
+            if known is None:
                 return CheckResult(
                     False,
                     f"tree {tree.root_index + 1} uses unknown arc {a.id!r}",
                 )
+            kind = "edge" if a.origin == "edge" else "arc"
+            if (a.tail, a.head) != (known.tail, known.head):
+                return CheckResult(
+                    False,
+                    f"{kind} {a.id} used as {a.tail}->{a.head}, "
+                    f"not {known.tail}->{known.head}",
+                )
             if a.key in used:
-                kind = "edge" if a.origin == "edge" else "arc"
                 return CheckResult(False, f"{kind} {a.id} used twice")
             used[a.key] = tree.root_index
     for i, tree in enumerate(packing.trees):

@@ -26,12 +26,10 @@ from arbopack import (
     MixedGraph,
     Orientation,
     SubpartitionCertificate,
-    lift_biset,
     mixed_reachable_set,
-    p_value,
-    reachable_in_view,
 )
-from arbopack.decomposition import AtomContext
+from arbopack.decomposition import AtomContext, lift_biset, p_value
+from arbopack.packing import reachable_in_view
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
 MAX_SUBPARTITION_GROUND = 10

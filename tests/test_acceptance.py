@@ -24,13 +24,12 @@ from arbopack import (
     build_auxiliary,
     compute_atoms,
     mixed_reachable_set,
-    p_value,
     solve,
     validate_mixed_packing,
     verify_certificate,
 )
 from arbopack.cli import main as cli_main
-from arbopack.decomposition import AtomContext
+from arbopack.decomposition import AtomContext, p_value
 from arbopack.orientation import _extract_certificate, _reduced_table, orient_covering
 from instance_gen import (
     random_mixed_instance,

@@ -8,14 +8,18 @@ from arbopack import (
     BiSet,
     MixedGraph,
     arcs_view,
-    biset_in_degree,
     build_auxiliary,
     compute_atoms,
-    lift_biset,
     mixed_reachable_set,
+)
+from arbopack.decomposition import (
+    AtomContext,
+    biset_in_degree,
+    in_Hj,
+    is_consistent,
+    lift_biset,
     p_value,
 )
-from arbopack.decomposition import AtomContext, in_Hj, is_consistent
 from instance_gen import random_digraph_instance, random_mixed_instance
 from naive import (
     biset_condition_holds,

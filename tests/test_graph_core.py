@@ -10,13 +10,15 @@ from arbopack import (
     MixedGraph,
     Orientation,
     ParseError,
-    Subpartition,
     apply_orientation,
     arcs_view,
-    crossing_edge_count,
-    lexicographic_orientation,
     mixed_reachable_set,
     parse_mixed_graph,
+)
+from arbopack.graph_core import (
+    Subpartition,
+    crossing_edge_count,
+    lexicographic_orientation,
 )
 from instance_gen import random_mixed_instance, random_orientation
 from naive import entering_arcs, in_degree, induced, subsets
@@ -106,7 +108,7 @@ class TestReachability:
         for _ in range(60):
             g, roots = random_mixed_instance(rng, max_v=6, max_e=5, max_a=5)
             d = apply_orientation(g, random_orientation(rng, g))
-            from arbopack import reachable_in_view
+            from arbopack.packing import reachable_in_view
 
             for r in roots:
                 assert reachable_in_view(d, r) <= mixed_reachable_set(g, r)

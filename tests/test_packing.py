@@ -17,9 +17,9 @@ from arbopack import (
     pack_atom_branchings,
     pack_reachability,
     parse_mixed_graph,
-    reachable_in_view,
     validate_digraph_packing,
 )
+from arbopack.packing import reachable_in_view
 from instance_gen import deep_atom_text, random_digraph_instance, sparse_digraph_instance
 from naive import cut_deficit, verify_cut_condition
 
@@ -219,6 +219,18 @@ class TestPackReachability:
         assert isinstance(packing, DigraphPacking)
         assert validate_digraph_packing(d, roots, packing)
 
+    def test_vertex_named_like_a_terminal(self):
+        # "t:a:x" is an ordinary vertex that both roots reach; each tree
+        # enters it through its own arc.
+        d = DirectedView(
+            ("r", "w", "t:a:x"),
+            (ViewArc("x", "r", "t:a:x", "arc"), ViewArc("y", "w", "t:a:x", "arc")),
+        )
+        roots = ["r", "w"]
+        packing = pack_reachability(d, roots)
+        assert isinstance(packing, DigraphPacking)
+        assert validate_digraph_packing(d, roots, packing)
+
 
 class TestPackAtomBranchings:
     def shared_atom_view(self):
@@ -264,6 +276,26 @@ class TestPackAtomBranchings:
         )
         assert result is not None
         assert [a.id for a in result[0]] == ["a2"]
+
+    def test_whole_digraph_as_view(self):
+        # Trees 1 and 2 both span r and u.  a1 and a6 have their heads
+        # outside the atom, so they are ignored; a2 and a3 both enter
+        # from u, and each serves one tree.
+        view = DirectedView(
+            ("r", "u", "v", "w"),
+            (
+                ViewArc("a1", "r", "u", "arc"),
+                ViewArc("a2", "u", "v", "arc"),
+                ViewArc("a3", "u", "v", "arc"),
+                ViewArc("a4", "v", "w", "arc"),
+                ViewArc("a5", "u", "w", "arc"),
+                ViewArc("a6", "w", "r", "arc"),
+            ),
+        )
+        spans = frozenset({"r", "u"})
+        result = pack_atom_branchings(view, frozenset({"v", "w"}), {0: spans, 1: spans})
+        _, a2, a3, a4, a5, _ = view.arcs
+        assert result == {0: (a2, a4), 1: (a3, a5)}
 
 
 class TestValidateDigraphPacking:
@@ -313,3 +345,24 @@ class TestValidateDigraphPacking:
         )
         verdict = validate_digraph_packing(d, ["r"], bad)
         assert not verdict and "incoming" in verdict.reason
+
+    def test_arc_with_other_endpoints_rejected(self):
+        # The tree claims y and z as r->a and r->b; they run r->b and a->b.
+        d = DirectedView(
+            ("r", "a", "b"),
+            (
+                ViewArc("x", "r", "a", "arc"),
+                ViewArc("y", "r", "b", "arc"),
+                ViewArc("z", "a", "b", "arc"),
+            ),
+        )
+        forged = DigraphPacking(
+            (
+                Arborescence(
+                    0, (ViewArc("y", "r", "a", "arc"), ViewArc("z", "r", "b", "arc"))
+                ),
+            )
+        )
+        verdict = validate_digraph_packing(d, ["r"], forged)
+        assert not verdict
+        assert verdict.reason == "arc y used as r->a, not r->b"

@@ -17,21 +17,19 @@ from arbopack import (
     MixedTree,
     apply_orientation,
     arcs_view,
-    biset_in_degree,
     build_auxiliary,
     certificate_from_subpartition,
     compute_atoms,
     covering_orientation,
     mixed_reachable_set,
-    p_value,
-    reachable_in_view,
     solve,
     validate_digraph_packing,
     validate_mixed_packing,
     verify_certificate,
 )
-from arbopack.decomposition import in_Hj
+from arbopack.decomposition import biset_in_degree, in_Hj, p_value
 from arbopack.orientation import SubpartitionCertificate
+from arbopack.packing import reachable_in_view
 from instance_gen import (
     random_mixed_instance,
     random_orientation,
@@ -124,6 +122,26 @@ class TestSolveFixtures:
         mp = solve(g, roots)
         assert isinstance(mp, MixedPacking)
         assert validate_mixed_packing(g, roots, mp)
+
+    def test_vertex_named_like_a_terminal(self):
+        # The packing stage names no vertices of its own, so a vertex
+        # called "t:a:x" is an ordinary vertex.
+        g = MixedGraph(
+            ("r", "w", "t:a:x"), (), (Arc("x", "r", "t:a:x"), Arc("y", "w", "t:a:x"))
+        )
+        roots = ["r", "w"]
+        mp = solve(g, roots)
+        assert isinstance(mp, MixedPacking)
+        assert validate_mixed_packing(g, roots, mp)
+
+    def test_vertex_named_like_an_auxiliary_terminal(self):
+        # The orientation stage names arc x's terminal "t:x", which is
+        # taken: a bad input, not a bug.
+        g = MixedGraph(
+            ("r", "w", "t:x"), (), (Arc("x", "r", "t:x"), Arc("y", "w", "t:x"))
+        )
+        with pytest.raises(ValueError, match="reserved"):
+            solve(g, ["r", "w"])
 
 
 class TestValidateMixedPacking:
