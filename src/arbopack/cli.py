@@ -112,8 +112,8 @@ def _certificate_json(g: MixedGraph, cert: BiSetFamilyCertificate) -> dict:
 
 
 def _certificate_from_json(payload: dict) -> BiSetFamilyCertificate:
-    body = payload.get("certificate", payload)
     try:
+        body = payload.get("certificate", payload)
         bisets = tuple(
             BiSet(outer=frozenset(b["outer"]), inner=frozenset(b["inner"]))
             for b in body["bisets"]
@@ -121,7 +121,7 @@ def _certificate_from_json(payload: dict) -> BiSetFamilyCertificate:
         atom_index = int(body["atom_index"]) - 1
         lhs = int(body["lhs"])
         rhs = int(body["rhs"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate JSON: {exc}") from None
     return BiSetFamilyCertificate(atom_index=atom_index, bisets=bisets, lhs=lhs, rhs=rhs)
 
@@ -139,6 +139,10 @@ def _packing_from_json(payload: dict) -> MixedPacking:
                     arcs.append(a["id"])
             for u in t.get("edges", ()):
                 edges.append(EdgeUse(u["id"], u["tail"], u["head"]))
+            # the validator hashes ids and endpoints
+            for name in (*arcs, *(x for use in edges for x in (use.id, use.tail, use.head))):
+                if not isinstance(name, str):
+                    raise TypeError(f"{name!r} is not a string")
             trees.append(
                 MixedTree(
                     root_index=int(t["root_index"]) - 1,
@@ -147,7 +151,7 @@ def _packing_from_json(payload: dict) -> MixedPacking:
                     edges=tuple(edges),
                 )
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed packing JSON: {exc}") from None
     return MixedPacking(tuple(trees))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, InvariantError
 from .graph_core import (
@@ -25,7 +25,7 @@ from .graph_core import (
     Arc,
     DirectedView,
     MixedGraph,
-    mixed_reachable_set,
+    _reachable,
 )
 
 
@@ -70,23 +70,21 @@ class AtomDecomposition:
 
 def compute_atoms(g: MixedGraph, roots: Sequence[str]) -> AtomDecomposition:
     """Atoms of ``g`` with respect to the given (possibly repeated) roots."""
-    return _decompose(g, roots, mixed_reachable_set)
+    return _decompose(g, roots)
 
 
-def _decompose(
-    graph: MixedGraph | DirectedView,
-    roots: Sequence[str],
-    reachable: Callable[..., frozenset[str]],
-) -> AtomDecomposition:
-    """Atoms of a mixed graph or a directed view, given its reachability.
+def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDecomposition:
+    """Atoms of a mixed graph or a directed view.
 
     Vertices are grouped by their nonempty reaching-root sets; atom order
     follows the first appearance of each root set in the vertex order.
+    A root repeated in ``roots`` is searched from once.
     """
     for r in roots:
         if r not in graph.vertex_set:
             raise ValueError(f"unknown root {r!r}")
-    reach = tuple(reachable(graph, r) for r in roots)
+    reach_of = {r: _reachable(graph._successors, r) for r in dict.fromkeys(roots)}
+    reach = tuple(reach_of[r] for r in roots)
     members: list[list[str]] = []
     keys: list[frozenset[int]] = []
     where: dict[frozenset[int], int] = {}
@@ -321,13 +319,6 @@ def _requirements(
 
 
 @dataclass(frozen=True)
-class TerminalBits:
-    bit: int
-    head_bit: int
-    hit: int  # bitmask over root indices whose U contains the original tail
-
-
-@dataclass(frozen=True)
 class AtomContext:
     """Bitmask evaluation context for one auxiliary graph.
 
@@ -345,7 +336,9 @@ class AtomContext:
     tree_indices: tuple[int, ...]
     root_bits: Mapping[int, int]  # root index -> singleton mask inside gamma (0 if outside)
     internal_arcs: tuple[tuple[int, int], ...]  # (tail mask, head mask), loops dropped
-    terminals: tuple[TerminalBits, ...]
+    # (bit, head bit, hit) per terminal; hit has bit i set when the
+    # original tail lies in U_i
+    terminals: tuple[tuple[int, int, int], ...]
     edge_bits: tuple[tuple[str, int, int], ...]  # (edge id, bit u, bit v), loops dropped
     loop_edge_ids: tuple[str, ...]
 
@@ -375,7 +368,7 @@ class AtomContext:
                 for i in R:
                     if tail0 in dec.reach[i]:
                         hit |= 1 << i
-                terms.append(TerminalBits(1 << bit_of[a.tail], 1 << bit_of[a.head], hit))
+                terms.append((1 << bit_of[a.tail], 1 << bit_of[a.head], hit))
             elif not a.is_loop():
                 internal.append((1 << bit_of[a.tail], 1 << bit_of[a.head]))
         edge_bits = []
@@ -409,9 +402,9 @@ class AtomContext:
     def p_of(self, mask: int) -> int:
         """Demand of a family member given as a mask."""
         disq = 0
-        for t in self.terminals:
-            if mask & t.bit:
-                disq |= t.hit
+        for bit, _head, hit in self.terminals:
+            if mask & bit:
+                disq |= hit
         n = 0
         for i in self.tree_indices:
             if self.root_bits[i] & mask:
@@ -427,7 +420,7 @@ class AtomContext:
         for tail, head in self.internal_arcs:
             if head & mask and not tail & mask:
                 c += 1
-        for t in self.terminals:
-            if t.head_bit & mask and not t.bit & mask:
+        for bit, head, _hit in self.terminals:
+            if head & mask and not bit & mask:
                 c += 1
         return c

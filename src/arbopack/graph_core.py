@@ -120,6 +120,17 @@ class MixedGraph:
     def arc_by_id(self) -> Mapping[str, Arc]:
         return {a.id: a for a in self.arcs}
 
+    @cached_property
+    def _successors(self) -> Mapping[str, list[str]]:
+        """Mixed-path successors: arc heads, and the far end of each edge."""
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a in self.arcs:
+            succ[a.tail].append(a.head)
+        for e in self.edges:
+            succ[e.u].append(e.v)
+            succ[e.v].append(e.u)
+        return succ
+
     def index(self, v: str) -> int:
         try:
             return self.vertex_index[v]
@@ -186,6 +197,13 @@ class DirectedView:
     @cached_property
     def arc_by_key(self) -> Mapping[tuple[str, str], ViewArc]:
         return {a.key: a for a in self.arcs}
+
+    @cached_property
+    def _successors(self) -> Mapping[str, list[str]]:
+        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for a in self.arcs:
+            succ[a.tail].append(a.head)
+        return succ
 
     def require_vertices(self, xs: Iterable[str]) -> frozenset[str]:
         xs = frozenset(xs)
@@ -312,13 +330,7 @@ def mixed_reachable_set(g: MixedGraph, s: str) -> frozenset[str]:
     """
     if s not in g.vertex_set:
         raise ValueError(f"unknown vertex {s!r}")
-    succ: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for a in g.arcs:
-        succ[a.tail].append(a.head)
-    for e in g.edges:
-        succ[e.u].append(e.v)
-        succ[e.v].append(e.u)
-    return _reachable(succ, s)
+    return _reachable(g._successors, s)
 
 
 def _reachable(succ: Mapping[str, Sequence[str]], s: str) -> frozenset[str]:

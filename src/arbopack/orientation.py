@@ -3,7 +3,10 @@
 The requirement is the function ``p_j - rho_static`` over the atom's
 consistent-set family.  The solver starts from a deterministic
 orientation and repeatedly reverses a directed path of oriented edges
-while that strictly shrinks the total deficiency.  When stuck, it
+while that strictly shrinks the total deficiency.  The drop is counted,
+not tried: reversing a path from s to t sends one more edge into each
+set with s but not t and one fewer into each set with t but not s, and
+one breadth-first search per start s gives every path.  When stuck, it
 certifies infeasibility by a subpartition of the auxiliary vertex set
 whose summed demands exceed what edges plus fixed arcs can deliver.  By
 Frank's orientation theorem for intersecting supermodular requirements,
@@ -90,14 +93,13 @@ def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
     edges into every ``Y`` in the table.
     """
     ctx = req.context
-    terminals = [(t.bit, t.head_bit, t.hit) for t in ctx.terminals]
     return {
         y: (need, xmask)
         for y, need, xmask in _requirements(
             ctx.gamma_mask,
             ctx.root_bits,
             ctx.internal_arcs,
-            terminals,
+            ctx.terminals,
             req.bounds.max_enum_vertices,
         )
     }
@@ -113,37 +115,6 @@ def _edge_ends(ctx, dirs: list[int]) -> list[tuple[int, int]]:
 
 def _cross_into(ends: Sequence[tuple[int, int]], y: int) -> int:
     return sum(1 for t, h in ends if h & y and not t & y)
-
-
-def _find_edge_path(ctx, dirs: list[int], s_bit: int, t_bit: int) -> list[int] | None:
-    """Shortest directed path from s to t using oriented edges only.
-
-    Returns edge positions along the path, or ``None``.  Deterministic:
-    breadth-first with edges scanned in declaration order.
-    """
-    if s_bit == t_bit:
-        return None
-    ends = _edge_ends(ctx, dirs)
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {s_bit}
-    queue = deque([s_bit])
-    while queue:
-        u = queue.popleft()
-        for pos, (tail, head) in enumerate(ends):
-            if tail == u and head not in seen:
-                seen.add(head)
-                parent[head] = (u, pos)
-                if head == t_bit:
-                    path = []
-                    cur = t_bit
-                    while cur != s_bit:
-                        prev, p = parent[cur]
-                        path.append(p)
-                        cur = prev
-                    path.reverse()
-                    return path
-                queue.append(head)
-    return None
 
 
 def orient_covering(req: CoverRequirement):
@@ -217,51 +188,65 @@ def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orie
 def _descend(ctx, cands: Sequence[tuple[int, int]], dirs: list[int]) -> bool:
     """Reverse edge paths in ``dirs`` while the total deficiency drops.
 
-    Returns whether the deficiency reached zero.  Reversing a directed path
-    that starts inside Y and ends outside turns it into one more path
-    entering Y, so deficient sets scan their members as path starts.  Any
-    reversal is kept only on a strict drop of the total deficiency, so the
-    loop terminates.
+    Returns whether the deficiency reached zero.  Each round takes every
+    row's slack ``need - cross`` once; each reversal strictly lowers the
+    total deficiency, so the loop terminates.
     """
-
-    def phi() -> int:
+    while True:
         ends = _edge_ends(ctx, dirs)
-        return sum(max(0, need - _cross_into(ends, y)) for y, need in cands)
-
-    total = phi()
-    while total > 0:
-        improved = False
-        ends = _edge_ends(ctx, dirs)
-        for y, need in cands:
-            if improved:
-                break
-            if _cross_into(ends, y) >= need:
-                continue
-            for start_pos in range(ctx.size):
-                if improved:
-                    break
-                start_bit = 1 << start_pos
-                if not start_bit & y:
-                    continue
-                for end_pos in range(ctx.size):
-                    end_bit = 1 << end_pos
-                    if not end_bit & ctx.gamma_mask or end_bit & y:
-                        continue
-                    path = _find_edge_path(ctx, dirs, start_bit, end_bit)
-                    if path is None:
-                        continue
-                    for p in path:
-                        dirs[p] ^= 1
-                    new_total = phi()
-                    if new_total < total:
-                        total = new_total
-                        improved = True
-                        break
-                    for p in path:
-                        dirs[p] ^= 1
-        if not improved:
+        rows = [(y, need - _cross_into(ends, y)) for y, need in cands]
+        if all(slack < 1 for _y, slack in rows):
+            return True
+        path = _improving_path(ctx, ends, rows)
+        if path is None:
             return False
-    return True
+        for pos in path:
+            dirs[pos] ^= 1
+
+
+def _improving_path(ctx, ends, rows) -> list[int] | None:
+    """Edge positions of the first path whose reversal lowers the deficiency.
+
+    Reversing a path from s to t lowers it exactly when the deficient rows
+    with s but not t outnumber the rows with slack >= 0 that hold t but
+    not s.  Candidates run over deficient rows by ascending Y, then s in Y
+    and t in the atom outside Y by ascending bit; the path is the shortest
+    one, from one breadth-first search per s with edges in declaration order.
+    """
+    bits = [1 << i for i in range(ctx.gamma_mask.bit_length())]
+    parents: dict[int, dict[int, tuple[int, int] | None]] = {}
+    for y, slack in rows:
+        if slack < 1:
+            continue
+        for s in (b for b in bits if b & y):
+            if s not in parents:
+                parents[s] = _bfs_parents(ends, s)
+            parent = parents[s]
+            for t in (b for b in bits if not b & y):
+                if t not in parent:
+                    continue
+                gain = sum(1 for z, sl in rows if sl >= 1 and z & s and not z & t)
+                loss = sum(1 for z, sl in rows if sl >= 0 and z & t and not z & s)
+                if gain > loss:
+                    path = []
+                    while t != s:
+                        t, pos = parent[t]
+                        path.append(pos)
+                    return path
+    return None
+
+
+def _bfs_parents(ends: Sequence[tuple[int, int]], s: int) -> dict:
+    """Breadth-first search tree from ``s``: vertex -> (parent, edge position)."""
+    parent: dict[int, tuple[int, int] | None] = {s: None}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for pos, (tail, head) in enumerate(ends):
+            if tail == u and head not in parent:
+                parent[head] = (u, pos)
+                queue.append(head)
+    return parent
 
 
 def _extract_certificate(
@@ -279,62 +264,40 @@ def _extract_certificate(
     ctx = req.context
     if table is None:
         table = _reduced_table(req)
-    pool = {y: (need, xm) for y, (need, xm) in table.items() if need >= 1}
-    if not pool:
-        return None
     if edges is None:
         edges = ctx.edge_bits
-
-    def in_edges(y: int) -> int:
-        return sum(1 for _eid, bu, bv in edges if bu & y and bv & y)
-
-    def touch(w: int) -> int:
-        return sum(1 for _eid, bu, bv in edges if (bu | bv) & w)
-
-    # best[w]: (value, -parts, parts tuple) over exact disjoint covers of w
-    best: dict[int, tuple[int, int, tuple[int, ...]]] = {0: (0, 0, ())}
-    pool_items = sorted(pool.items())
-    for w in range(1, ctx.gamma_mask + 1):
-        if w & ~ctx.gamma_mask:
-            continue
-        low = w & -w
-        cur = None
-        for y, (need, xm) in pool_items:
-            if y & ~w or not y & low:
-                continue
-            prev = best.get(w ^ y)
-            if prev is None:
-                continue
-            value = prev[0] + need + in_edges(y)
-            parts = tuple(sorted(prev[2] + (xm,)))
-            cand = (value, prev[1] - 1, parts)
-            if cur is None or (cand[0], cand[1], _neg_lex(cand[2])) > (
-                cur[0],
-                cur[1],
-                _neg_lex(cur[2]),
-            ):
-                cur = cand
-        if cur is not None:
-            best[w] = cur
-
-    winner = None
-    for w, (value, negparts, parts) in sorted(best.items()):
-        if not parts:
-            continue
-        deficit = value - touch(w)
-        key = (deficit, negparts, _neg_lex(parts))
-        if winner is None or key > winner[0]:
-            winner = (key, parts, deficit)
-    if winner is None or winner[2] < 1:
+    # (Y, need plus the edges inside Y, completion), by ascending Y
+    pool = sorted(
+        (y, need + sum(1 for _eid, bu, bv in edges if bu & y and bv & y), xm)
+        for y, (need, xm) in table.items()
+        if need >= 1
+    )
+    if not pool:
         return None
-    _key, parts, deficit = winner
+
+    # best[w]: least (-value, part count, sorted parts) over exact disjoint
+    # covers of w.  The parts determine w, so keys never tie across w.
+    best: dict[int, tuple[int, int, tuple[int, ...]]] = {0: (0, 0, ())}
+    for w in range(1, ctx.gamma_mask + 1):  # the atom's bits are the low ones
+        low = w & -w
+        covers = []
+        for y, gain, xm in pool:
+            if y & low and not y & ~w and (w ^ y) in best:
+                negvalue, count, parts = best[w ^ y]
+                covers.append((negvalue - gain, count + 1, tuple(sorted(parts + (xm,)))))
+        if covers:
+            best[w] = min(covers)
+
+    winner = min(
+        (negvalue + sum(1 for _eid, bu, bv in edges if (bu | bv) & w), count, parts)
+        for w, (negvalue, count, parts) in best.items()
+        if parts
+    )
+    if winner[0] > -1:
+        return None
+    negdeficit, _count, parts = winner
     return SubpartitionCertificate(
         atom_index=ctx.aux.atom_index,
         parts=tuple(ctx.to_vertices(p) for p in parts),
-        deficit=deficit,
+        deficit=-negdeficit,
     )
-
-
-def _neg_lex(parts: tuple[int, ...]) -> tuple[int, ...]:
-    # larger under max-comparison exactly when lexicographically smaller
-    return tuple(-p for p in parts)

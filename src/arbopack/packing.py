@@ -53,10 +53,7 @@ def reachable_in_view(d: DirectedView, s: str) -> frozenset[str]:
     """Vertices reachable from ``s`` along the view's arcs."""
     if s not in d.vertex_set:
         raise ValueError(f"unknown vertex {s!r}")
-    succ: dict[str, list[str]] = {v: [] for v in d.vertices}
-    for a in d.arcs:
-        succ[a.tail].append(a.head)
-    return _reachable(succ, s)
+    return _reachable(d._successors, s)
 
 
 def pack_reachability(
@@ -68,7 +65,7 @@ def pack_reachability(
     within each atom tree i starts from its root (when the root lies
     inside) or from the arcs entering the atom out of U_i.
     """
-    dec = _decompose(d, roots, reachable_in_view)
+    dec = _decompose(d, roots)
     atoms, atom_roots = dec.atoms, dec.atom_roots
 
     order = sorted(range(len(atoms)), key=lambda j: (len(atom_roots[j]), j))

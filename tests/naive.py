@@ -6,11 +6,14 @@ optimized code.  ``brute_force_feasible`` and
 ``check_spanning_packing_condition`` enumerate orientations and
 subpartitions over vertex bitmasks and never call the solver.  The last
 section holds the cut, cover and certificate helpers that only the tests
-call; the solver itself never needs them.
+call; the solver itself never needs them.  The section before it keeps
+the trial-and-error forms of the orientation descent and the certificate
+search, which the solver's counting forms must match exactly.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
@@ -379,6 +382,153 @@ def check_spanning_packing_condition(g: MixedGraph, r: str, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# reference forms of the orientation descent and the certificate search
+
+
+def _ref_edge_ends(ctx: AtomContext, dirs) -> list[tuple[int, int]]:
+    return [(bu, bv) if d == 0 else (bv, bu) for (_eid, bu, bv), d in zip(ctx.edge_bits, dirs)]
+
+
+def _ref_cross_into(ends, y: int) -> int:
+    return sum(1 for t, h in ends if h & y and not t & y)
+
+
+def _ref_find_edge_path(ctx: AtomContext, dirs, s_bit: int, t_bit: int) -> list[int] | None:
+    """Shortest s-t path of oriented edges, breadth-first, edges in order."""
+    if s_bit == t_bit:
+        return None
+    ends = _ref_edge_ends(ctx, dirs)
+    parent: dict[int, tuple[int, int]] = {}
+    seen = {s_bit}
+    queue = deque([s_bit])
+    while queue:
+        u = queue.popleft()
+        for pos, (tail, head) in enumerate(ends):
+            if tail == u and head not in seen:
+                seen.add(head)
+                parent[head] = (u, pos)
+                if head == t_bit:
+                    path = []
+                    cur = t_bit
+                    while cur != s_bit:
+                        prev, p = parent[cur]
+                        path.append(p)
+                        cur = prev
+                    path.reverse()
+                    return path
+                queue.append(head)
+    return None
+
+
+def reference_descend(ctx: AtomContext, cands, dirs: list[int]) -> bool:
+    """The descent by trial: flip each candidate path, rescan, unflip."""
+
+    def phi() -> int:
+        ends = _ref_edge_ends(ctx, dirs)
+        return sum(max(0, need - _ref_cross_into(ends, y)) for y, need in cands)
+
+    total = phi()
+    while total > 0:
+        improved = False
+        ends = _ref_edge_ends(ctx, dirs)
+        for y, need in cands:
+            if improved:
+                break
+            if _ref_cross_into(ends, y) >= need:
+                continue
+            for start_pos in range(ctx.size):
+                if improved:
+                    break
+                start_bit = 1 << start_pos
+                if not start_bit & y:
+                    continue
+                for end_pos in range(ctx.size):
+                    end_bit = 1 << end_pos
+                    if not end_bit & ctx.gamma_mask or end_bit & y:
+                        continue
+                    path = _ref_find_edge_path(ctx, dirs, start_bit, end_bit)
+                    if path is None:
+                        continue
+                    for p in path:
+                        dirs[p] ^= 1
+                    new_total = phi()
+                    if new_total < total:
+                        total = new_total
+                        improved = True
+                        break
+                    for p in path:
+                        dirs[p] ^= 1
+        if not improved:
+            return False
+    return True
+
+
+def _neg_lex(parts: tuple[int, ...]) -> tuple[int, ...]:
+    # larger under max-comparison exactly when lexicographically smaller
+    return tuple(-p for p in parts)
+
+
+def reference_certificate(
+    req: CoverRequirement, table: dict[int, tuple[int, int]], edges=None
+) -> SubpartitionCertificate | None:
+    """The certificate search with a max over negated part tuples."""
+    ctx = req.context
+    pool = {y: (need, xm) for y, (need, xm) in table.items() if need >= 1}
+    if not pool:
+        return None
+    if edges is None:
+        edges = ctx.edge_bits
+
+    def in_edges(y: int) -> int:
+        return sum(1 for _eid, bu, bv in edges if bu & y and bv & y)
+
+    def touch(w: int) -> int:
+        return sum(1 for _eid, bu, bv in edges if (bu | bv) & w)
+
+    best: dict[int, tuple[int, int, tuple[int, ...]]] = {0: (0, 0, ())}
+    pool_items = sorted(pool.items())
+    for w in range(1, ctx.gamma_mask + 1):
+        if w & ~ctx.gamma_mask:
+            continue
+        low = w & -w
+        cur = None
+        for y, (need, xm) in pool_items:
+            if y & ~w or not y & low:
+                continue
+            prev = best.get(w ^ y)
+            if prev is None:
+                continue
+            value = prev[0] + need + in_edges(y)
+            parts = tuple(sorted(prev[2] + (xm,)))
+            cand = (value, prev[1] - 1, parts)
+            if cur is None or (cand[0], cand[1], _neg_lex(cand[2])) > (
+                cur[0],
+                cur[1],
+                _neg_lex(cur[2]),
+            ):
+                cur = cand
+        if cur is not None:
+            best[w] = cur
+
+    winner = None
+    for w, (value, negparts, parts) in sorted(best.items()):
+        if not parts:
+            continue
+        deficit = value - touch(w)
+        key = (deficit, negparts, _neg_lex(parts))
+        if winner is None or key > winner[0]:
+            winner = (key, parts, deficit)
+    if winner is None or winner[2] < 1:
+        return None
+    _key, parts, deficit = winner
+    return SubpartitionCertificate(
+        atom_index=ctx.aux.atom_index,
+        parts=tuple(ctx.to_vertices(p) for p in parts),
+        deficit=deficit,
+    )
+
+
+# ---------------------------------------------------------------------------
 # cut, cover and certificate helpers used only by the tests
 
 
@@ -485,8 +635,8 @@ def to_mask(ctx: AtomContext, xs: Iterable[str]) -> int:
 
 
 def consistent(ctx: AtomContext, mask: int) -> bool:
-    for t in ctx.terminals:
-        if mask & t.bit and not mask & t.head_bit:
+    for bit, head, _hit in ctx.terminals:
+        if mask & bit and not mask & head:
             return False
     return True
 

@@ -138,6 +138,34 @@ class TestRoundTrips:
         assert code == 2 and "invalid" in out2
 
 
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "command, payload, kind",
+        [
+            ("certify", [1, 2], "certificate"),
+            ("check", {"trees": [{"root_index": 1, "root": "r1", "arcs": ["x"]}]}, "packing"),
+            (
+                "check",
+                {
+                    "trees": [
+                        {"root_index": 1, "root": "r1", "arcs": [{"id": [1]}]},
+                        {"root_index": 2, "root": "r2", "arcs": []},
+                    ]
+                },
+                "packing",
+            ),
+        ],
+    )
+    def test_error_message_not_traceback(
+        self, capsys, tmp_path, two_root_path, command, payload, kind
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, command, two_root_path, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: malformed {kind} JSON")
+
+
 class TestAtoms:
     def test_text(self, capsys, two_root_path):
         code, out, _ = run(capsys, "atoms", two_root_path)

@@ -1,0 +1,129 @@
+"""The orientation descent and certificate search against their reference forms.
+
+``naive.reference_descend`` flips each candidate path, rescans every row
+and flips it back; ``naive.reference_certificate`` ranks subpartitions by
+a max over negated part tuples.  The solver decides the same by counting
+and by a plain ``min``, so on every atom both must give the same return
+value, the same final edge directions and the same certificate.  The
+certificate search is also run the way ``_fix_edges`` runs it, from two
+random edge positions per atom: on the table less what a fixed prefix of
+edges sends in, over the edges left.
+No answer digest reaches that path.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+import sys
+from collections import Counter
+from pathlib import Path
+
+from arbopack import CoverRequirement, build_auxiliary, compute_atoms, parse_mixed_graph
+from arbopack.orientation import (
+    _cross_into,
+    _descend,
+    _edge_ends,
+    _extract_certificate,
+    _reduced_table,
+)
+from instance_gen import random_mixed_instance
+from naive import reference_certificate, reference_descend
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _requirements_of(g, roots, max_vertices):
+    dec = compute_atoms(g, roots)
+    for j in range(len(dec.atoms)):
+        aux = build_auxiliary(g, dec, j)
+        if len(aux.gamma) <= max_vertices:
+            yield CoverRequirement(aux, dec, tuple(roots))
+
+
+def _compare(req, rng, seen, exhaust):
+    """Check one atom; ``exhaust`` also runs descents that cannot succeed."""
+    ctx = req.context
+    table = _reduced_table(req)
+    cands = sorted((y, need) for y, (need, _xm) in table.items())
+    m = len(ctx.edge_bits)
+    boundary_ok = all(
+        sum(1 for _eid, bu, bv in ctx.edge_bits if bool(bu & y) != bool(bv & y)) >= need
+        for y, need in cands
+    )
+    if exhaust or boundary_ok:
+        for start in ([0] * m, [rng.randint(0, 1) for _ in range(m)]):
+            got, want = list(start), list(start)
+            ok = _descend(ctx, cands, got)
+            assert ok == reference_descend(ctx, cands, want)
+            assert got == want
+            seen["reversed"] += got != start
+            seen["stalled"] += not ok
+    cert = _extract_certificate(req, table)
+    assert cert == reference_certificate(req, table)
+    seen["certified"] += cert is not None
+    for pos in rng.sample(range(m), min(m, 2)):
+        ends = _edge_ends(ctx, [rng.randint(0, 1) for _ in range(pos + 1)])
+        rest = {y: (need - _cross_into(ends, y), xm) for y, (need, xm) in table.items()}
+        edges = ctx.edge_bits[pos + 1 :]
+        cert = _extract_certificate(req, rest, edges)
+        assert cert == reference_certificate(req, rest, edges)
+        seen["fixed_certified"] += cert is not None
+
+
+def test_random_atoms_match_reference():
+    rng = random.Random(5150)
+    seen = Counter()
+    for _ in range(300):
+        g, roots = random_mixed_instance(rng, max_v=7, max_e=9, max_a=6)
+        for req in _requirements_of(g, roots, max_vertices=7):
+            _compare(req, rng, seen, exhaust=True)
+    assert all(seen[k] for k in ("reversed", "stalled", "certified", "fixed_certified")), seen
+
+
+def test_bench_family_atoms_match_reference():
+    wl = _bench_workloads()
+    rng = random.Random(6160)
+    components = [wl.cycle_copies(rng, "", n, k) for n in (3, 6, 10) for k in (1, 3)]
+    components += [wl.doubled_path(rng, "", n) for n in (2, 5, 10)]
+    components += [
+        wl.staggered_segments(rng, "", length, segments, drop)
+        for length, segments in ((2, 4), (5, 3), (10, 3))
+        for drop in (False, True)
+    ]
+    seen = Counter()
+    for comp in components:
+        g, roots = parse_mixed_graph(wl._render(rng, [comp]))
+        for req in _requirements_of(g, roots, max_vertices=10):
+            _compare(req, rng, seen, exhaust=False)
+    assert all(seen[k] for k in ("reversed", "certified", "fixed_certified")), seen
+
+
+def test_synthetic_tables_match_reference():
+    # Tables with small, often equal needs make subpartitions tie on value
+    # and part count, so the lexicographic tie-break decides; the tables
+    # the solver builds rarely get there.
+    wl = _bench_workloads()
+    rng = random.Random(7170)
+    g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", 6, 2)]))
+    (req,) = _requirements_of(g, roots, max_vertices=6)
+    ctx = req.context
+    multi_part = 0
+    for _ in range(300):
+        table = {
+            y: (rng.randint(-1, 2), y)
+            for y in range(1, ctx.gamma_mask + 1)
+            if rng.random() < 0.3
+        }
+        edges = [e for e in ctx.edge_bits if rng.random() < 0.5]
+        cert = _extract_certificate(req, table, edges)
+        assert cert == reference_certificate(req, table, edges)
+        multi_part += cert is not None and len(cert.parts) > 1
+    assert multi_part
