@@ -78,19 +78,28 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
 
     Vertices are grouped by their nonempty reaching-root sets; atom order
     follows the first appearance of each root set in the vertex order.
-    A root repeated in ``roots`` is searched from once.
+    A root repeated in ``roots`` is searched from once: vertices are keyed
+    by the distinct roots that reach them, and each atom's key is turned
+    into root indices once.
     """
     for r in roots:
         if r not in graph.vertex_set:
             raise ValueError(f"unknown root {r!r}")
-    reach_of = {r: _reachable(graph._successors, r) for r in dict.fromkeys(roots)}
-    reach = tuple(reach_of[r] for r in roots)
+    indices: dict[str, list[int]] = {}
+    for i, r in enumerate(roots):
+        indices.setdefault(r, []).append(i)
+    reach_of = {r: _reachable(graph._successors, r) for r in indices}
+    # bit d of a vertex's key: the d-th distinct root reaches it
+    key_of: dict[str, int] = {}
+    for d, r in enumerate(indices):
+        for v in reach_of[r]:
+            key_of[v] = key_of.get(v, 0) | 1 << d
     members: list[list[str]] = []
-    keys: list[frozenset[int]] = []
-    where: dict[frozenset[int], int] = {}
+    keys: list[int] = []
+    where: dict[int, int] = {}
     for v in graph.vertices:
-        key = frozenset(i for i, u in enumerate(reach) if v in u)
-        if not key:
+        key = key_of.get(v)
+        if key is None:
             continue
         j = where.get(key)
         if j is None:
@@ -99,20 +108,27 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
             members.append([])
             keys.append(key)
         members[j].append(v)
-    dec = AtomDecomposition(
-        reach=reach, atoms=tuple(frozenset(m) for m in members), atom_roots=tuple(keys)
-    )
     # reachability only grows along an arc, so root sets must be nested
     for a in graph.arcs:
-        ju = dec.atom_of.get(a.tail)
-        if ju is None:
-            continue
-        jv = dec.atom_of.get(a.head)
-        if jv is None or not keys[ju] <= keys[jv]:
+        key = key_of.get(a.tail)
+        if key is not None and key & ~key_of.get(a.head, 0):
             raise InvariantError(
                 f"arc {a.id!r} violates root-set monotonicity between atoms"
             )
-    return dec
+    per_root = list(indices.values())
+    atom_roots = []
+    for key in keys:
+        idx: list[int] = []
+        while key:
+            low = key & -key
+            idx += per_root[low.bit_length() - 1]
+            key ^= low
+        atom_roots.append(frozenset(idx))
+    return AtomDecomposition(
+        reach=tuple(reach_of[r] for r in roots),
+        atoms=tuple(frozenset(m) for m in members),
+        atom_roots=tuple(atom_roots),
+    )
 
 
 def biset_in_degree(d: DirectedView, x: BiSet) -> int:
@@ -176,13 +192,18 @@ def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryG
     if not 0 <= j < len(dec.atoms):
         raise ValueError(f"atom index {j} out of range")
     gamma = dec.atoms[j]
-    for e in g.edges:
+    # only the edges and arcs that touch the atom, in declaration order
+    edges_at, arcs_into = g._incidence
+    touching = {p for v in gamma for p in edges_at.get(v, ())}
+    edges = [g.edges[p] for p in sorted(touching)]
+    for e in edges:
         if (e.u in gamma) != (e.v in gamma):
             raise InvariantError(
                 f"edge {e.id!r} crosses the atom boundary; atoms cannot share edges"
             )
-    internal = [a for a in g.arcs if a.tail in gamma and a.head in gamma]
-    entering = [a for a in g.arcs if a.head in gamma and a.tail not in gamma]
+    arcs_in = [g.arcs[p] for p in sorted(p for v in gamma for p in arcs_into.get(v, ()))]
+    internal = [a for a in arcs_in if a.tail in gamma]
+    entering = [a for a in arcs_in if a.tail not in gamma]
     terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
     for t in terminals:
         if t in g.vertex_set:
@@ -191,8 +212,7 @@ def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryG
                 "reserved for terminal ids"
             )
     origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
-    vertices = tuple(v for v in g.vertices if v in gamma) + tuple(terminals)
-    edges = tuple(e for e in g.edges if e.u in gamma and e.v in gamma)
+    vertices = tuple(sorted(gamma, key=g.vertex_index.__getitem__)) + tuple(terminals)
     arcs = tuple(internal) + tuple(
         Arc(a.id, t, a.head) for t, a in zip(terminals, entering)
     )

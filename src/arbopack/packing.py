@@ -11,13 +11,16 @@ subproblems share no arcs, so they are independent.  Within an atom, a
 residual cut check that is necessary and sufficient (the root-set form
 of Kamiyama-Katoh-Takizawa, as in Fujishige's note on disjoint
 arborescences) lets the trees grow one arc at a time with no search:
-each arc taken is the first one that keeps the check passing.  When the
-check fails before any arc is taken, its deficient set, lifted to the
-whole digraph, is the violated set returned.
+each arc taken is the first one that keeps the check passing.  The
+requirement sweep runs the check once per atom, before any arc is taken;
+when it fails, its deficient set, lifted to the whole digraph, is the
+violated set returned.  Each later step can only break the sets holding
+the new arc's head w, so it is checked by one max-flow from w.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -136,7 +139,10 @@ def pack_atom_branchings(
     in it, under its worst completion) is exact for the rest of the
     packing, so the trees grow greedily: each arc taken is the first
     candidate after which the check still passes, and no choice is ever
-    undone.
+    undone.  The requirement sweep runs once, to decide the atom and to
+    give the deficient set; ``bounds.max_enum_vertices`` gates it.  After
+    that, an arc with head w can only break the sets that contain w, so
+    each step is checked by one max-flow from w (see :class:`_StepFlow`).
     """
     view.require_vertices(gamma)
     bit = {v: 1 << k for k, v in enumerate(v for v in view.vertices if v in gamma)}
@@ -146,12 +152,11 @@ def pack_atom_branchings(
     entry = {i: view.require_vertices(demands[i]) for i in trees}
     covered = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
 
-    # The unused arcs, as the sweep takes them: atom arcs as (tail, head)
-    # masks, entering arcs with the mask of trees they may serve.  The
-    # sweep's answer does not depend on their order.
-    atom_arcs: list[tuple[int, ...]] = []
-    term_arcs: list[tuple[int, ...]] = []
-    cands = []  # (unused-arc list, masks, arc), in declaration order
+    # The arcs as the sweep takes them: atom arcs as (tail, head) masks,
+    # entering arcs with the mask of trees they may serve.
+    atom_arcs: list[tuple[int, int]] = []
+    term_arcs: list[tuple[int, int, int]] = []
+    cands = []  # (tail bit, head bit, hit, arc), in declaration order
     for a in view.arcs:
         hb = bit.get(a.head)
         if hb is None or a.is_loop():
@@ -160,54 +165,189 @@ def pack_atom_branchings(
         if tb is None:
             tb = 1 << (len(bit) + len(term_arcs))
             hit = sum(1 << i for i in trees if a.tail in entry[i])
-            pool, masks = term_arcs, (tb, hb, hit)
+            term_arcs.append((tb, hb, hit))
         else:
-            pool, masks = atom_arcs, (tb, hb)
-        pool.append(masks)
-        cands.append((pool, masks, a))
+            hit = 0
+            atom_arcs.append((tb, hb))
+        cands.append((tb, hb, hit, a))
 
-    def first_short() -> tuple[int, int, int] | None:
-        return next(
-            _requirements(gmask, covered, atom_arcs, term_arcs, bounds.max_enum_vertices),
-            None,
-        )
-
-    short = first_short()
+    short = next(
+        _requirements(gmask, covered, atom_arcs, term_arcs, bounds.max_enum_vertices),
+        None,
+    )
     if short is not None:
         xmask = short[2]
         return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
-            a.tail for pool, masks, a in cands if pool is term_arcs and masks[0] & xmask
+            a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
         )
 
+    flow = _StepFlow(len(bit), trees, [c[:3] for c in cands], gmask)
     owner: list[int | None] = [None] * len(cands)
     for i in trees:
         while gmask & ~covered[i]:
             uncovered = gmask & ~covered[i]
-            for k, (pool, masks, _a) in enumerate(cands):
-                if owner[k] is not None or not masks[1] & uncovered:
+            for k, (tb, hb, hit, _a) in enumerate(cands):
+                if owner[k] is not None or not hb & uncovered:
                     continue
-                if pool is term_arcs:
-                    usable = masks[2] >> i & 1
-                else:
-                    usable = masks[0] & covered[i]
-                if not usable:
+                if not (tb & covered[i] or hit >> i & 1):
                     continue
                 owner[k] = i
-                pool.remove(masks)
-                covered[i] |= masks[1]
-                if first_short() is None:
+                flow.take(k, 1)
+                covered[i] |= hb
+                if flow.passes(hb, covered):
                     break
                 owner[k] = None
-                pool.append(masks)
-                covered[i] &= ~masks[1]
+                flow.take(k, -1)
+                covered[i] &= ~hb
             else:
                 raise InvariantError(
                     f"tree {i + 1} found no arc that keeps the residual check, "
                     "although the check passed before"
                 )
     return {
-        i: tuple(a for (_f, _e, a), o in zip(cands, owner) if o == i) for i in trees
+        i: tuple(a for (_t, _h, _hit, a), o in zip(cands, owner) if o == i) for i in trees
     }
+
+
+class _StepFlow:
+    """The max-flow form of one atom's residual check, for sets holding w.
+
+    A cut with w on the source side stands for a set Y with w in Y and a
+    consistent set T of unused entering arcs, and its capacity is
+    ``rho(Y) + |entering(Y) - T| + cov(Y + T)``: the unused atom arcs
+    into Y, the unused entering arcs outside T, and the trees with a
+    foothold in Y or an arc in T.  Every such set passes exactly when
+    the minimum cut, the most flow w can send to the sink, is at least
+    the number of trees.  The network has these nodes and edges:
+
+    - atom vertex v: an atom arc t->h becomes the edge h->t, with
+      capacity the number of its unused parallel copies;
+    - entering group: the unused entering arcs with one head h and one
+      hit mask, with an edge h->group of capacity their count;
+    - tree group: the trees with one foothold and the same hitting
+      entering groups, with an edge to the sink of capacity their count
+      and unbounded edges into it from its foothold vertices and its
+      hitting groups.
+
+    A group on the source side without its head costs the cut at least as
+    much as the same cut with the group moved across, so minimum cuts
+    keep T consistent with no edge to enforce it.  Trees whose foothold
+    holds w cross every such cut, so they are left out and lower the
+    target instead.  Atom arcs and entering groups are built once; tree
+    groups follow the footholds and are built per check.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        trees: Sequence[int],
+        cands: Sequence[tuple[int, int, int]],
+        gmask: int,
+    ):
+        self.trees = trees
+        # edge e runs to head[e], and its residual twin is e ^ 1
+        self.head: list[int] = []
+        self.cap: list[float] = []
+        self.adj: list[list[int]] = [[] for _ in range(n)]
+        net = (self.head, self.cap, self.adj)
+        arc_edge: dict[tuple[int, int], int] = {}  # (head, tail bit) -> edge
+        group_edge: dict[tuple[int, int], int] = {}  # (head, hit) -> edge
+        self.cand_edge: list[int] = []
+        for tb, hb, hit in cands:
+            h = hb.bit_length() - 1
+            if tb & gmask:
+                e = arc_edge.get((h, tb))
+                if e is None:
+                    e = arc_edge[h, tb] = _add_edge(*net, h, tb.bit_length() - 1, 0)
+            else:
+                e = group_edge.get((h, hit))
+                if e is None:
+                    self.adj.append([])
+                    e = group_edge[h, hit] = _add_edge(*net, h, len(self.adj) - 1, 0)
+            self.cap[e] += 1
+            self.cand_edge.append(e)
+        # the entering-group nodes that hit each tree
+        self.hit_by = {
+            i: tuple(self.head[e] for (_h, hit), e in group_edge.items() if hit >> i & 1)
+            for i in trees
+        }
+
+    def take(self, k: int, used: int) -> None:
+        """Mark candidate ``k`` used (``used`` 1) or unused again (-1)."""
+        self.cap[self.cand_edge[k]] -= used
+
+    def passes(self, wbit: int, footholds: Mapping[int, int]) -> bool:
+        """Does every inner set holding ``wbit`` keep enough unused arcs?"""
+        groups: dict[tuple[int, tuple[int, ...]], int] = {}
+        for i in self.trees:
+            foothold = footholds[i]
+            if not foothold & wbit:
+                key = (foothold, self.hit_by[i])
+                groups[key] = groups.get(key, 0) + 1
+        if not groups:
+            return True
+        target = sum(groups.values())
+        head, cap = self.head[:], self.cap[:]
+        adj = [list(a) for a in self.adj]
+        sink = len(adj)
+        adj.append([])
+        for (foothold, hit_by), count in groups.items():
+            c = len(adj)
+            adj.append([])
+            _add_edge(head, cap, adj, c, sink, count)
+            while foothold:
+                low = foothold & -foothold
+                _add_edge(head, cap, adj, low.bit_length() - 1, c, math.inf)
+                foothold ^= low
+            for g in hit_by:
+                _add_edge(head, cap, adj, g, c, math.inf)
+        return _max_flow(head, cap, adj, wbit.bit_length() - 1, sink, target) >= target
+
+
+def _add_edge(
+    head: list[int], cap: list[float], adj: list[list[int]], u: int, v: int, c: float
+) -> int:
+    """Add u->v of capacity ``c`` and its residual twin v->u; returns u->v."""
+    e = len(head)
+    head += (v, u)
+    cap += (c, 0)
+    adj[u].append(e)
+    adj[v].append(e + 1)
+    return e
+
+
+def _max_flow(
+    head: Sequence[int], cap: list[float], adj: Sequence[Sequence[int]],
+    s: int, t: int, limit: int,
+) -> float:
+    """Flow from ``s`` to ``t`` along shortest augmenting paths, up to ``limit``."""
+    flow = 0
+    while flow < limit:
+        pred = {s: -1}
+        queue = [s]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and head[e] not in pred:
+                    pred[head[e]] = e
+                    queue.append(head[e])
+            if t in pred:
+                break
+        else:
+            return flow
+        push = limit - flow
+        v = t
+        while v != s:
+            e = pred[v]
+            push = min(push, cap[e])
+            v = head[e ^ 1]
+        v = t
+        while v != s:
+            e = pred[v]
+            cap[e] -= push
+            cap[e ^ 1] += push
+            v = head[e ^ 1]
+        flow += push
+    return flow
 
 
 def validate_digraph_packing(

@@ -6,9 +6,11 @@ optimized code.  ``brute_force_feasible`` and
 ``check_spanning_packing_condition`` enumerate orientations and
 subpartitions over vertex bitmasks and never call the solver.  The last
 section holds the cut, cover and certificate helpers that only the tests
-call; the solver itself never needs them.  The section before it keeps
-the trial-and-error forms of the orientation descent and the certificate
-search, which the solver's counting forms must match exactly.
+call; the solver itself never needs them.  The two sections before it
+keep the slower forms the solver's code must match exactly: the
+trial-and-error orientation descent and certificate search; and the
+whole-graph scans of the atom decomposition and the auxiliary graph,
+with the packing step check as a requirement sweep.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Iterable, Sequence
 
 from arbopack import (
     DEFAULT_BOUNDS,
+    Arc,
     AuxiliaryGraph,
     AtomDecomposition,
     BiSet,
@@ -26,12 +29,14 @@ from arbopack import (
     CapacityError,
     CoverRequirement,
     DirectedView,
+    InvariantError,
     MixedGraph,
     Orientation,
     SubpartitionCertificate,
     mixed_reachable_set,
 )
-from arbopack.decomposition import AtomContext, lift_biset, p_value
+from arbopack.decomposition import AtomContext, _requirements, lift_biset, p_value
+from arbopack.graph_core import RESERVED_TERMINAL_PREFIX, _reachable
 from arbopack.packing import reachable_in_view
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
@@ -526,6 +531,78 @@ def reference_certificate(
         parts=tuple(ctx.to_vertices(p) for p in parts),
         deficit=deficit,
     )
+
+
+# ---------------------------------------------------------------------------
+# reference forms of the atom decomposition, the auxiliary graph and the
+# packing step check
+
+
+def reference_decompose(graph, roots: Sequence[str]) -> AtomDecomposition:
+    """Atoms keyed by frozensets of root indices, checked arc by arc."""
+    for r in roots:
+        if r not in graph.vertex_set:
+            raise ValueError(f"unknown root {r!r}")
+    reach_of = {r: _reachable(graph._successors, r) for r in dict.fromkeys(roots)}
+    reach = tuple(reach_of[r] for r in roots)
+    members: list[list[str]] = []
+    keys: list[frozenset[int]] = []
+    where: dict[frozenset[int], int] = {}
+    for v in graph.vertices:
+        key = frozenset(i for i, u in enumerate(reach) if v in u)
+        if not key:
+            continue
+        j = where.get(key)
+        if j is None:
+            j = len(members)
+            where[key] = j
+            members.append([])
+            keys.append(key)
+        members[j].append(v)
+    dec = AtomDecomposition(
+        reach=reach, atoms=tuple(frozenset(m) for m in members), atom_roots=tuple(keys)
+    )
+    for a in graph.arcs:
+        ju = dec.atom_of.get(a.tail)
+        if ju is None:
+            continue
+        jv = dec.atom_of.get(a.head)
+        if jv is None or not keys[ju] <= keys[jv]:
+            raise InvariantError(
+                f"arc {a.id!r} violates root-set monotonicity between atoms"
+            )
+    return dec
+
+
+def reference_build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryGraph:
+    """The auxiliary graph of atom ``j`` from a scan of every edge and arc."""
+    gamma = dec.atoms[j]
+    for e in g.edges:
+        if (e.u in gamma) != (e.v in gamma):
+            raise InvariantError(
+                f"edge {e.id!r} crosses the atom boundary; atoms cannot share edges"
+            )
+    internal = [a for a in g.arcs if a.tail in gamma and a.head in gamma]
+    entering = [a for a in g.arcs if a.head in gamma and a.tail not in gamma]
+    terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
+    origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
+    vertices = tuple(v for v in g.vertices if v in gamma) + tuple(terminals)
+    edges = tuple(e for e in g.edges if e.u in gamma and e.v in gamma)
+    arcs = tuple(internal) + tuple(
+        Arc(a.id, t, a.head) for t, a in zip(terminals, entering)
+    )
+    graph = MixedGraph(vertices, edges, arcs)
+    return AuxiliaryGraph(atom_index=j, graph=graph, gamma=gamma, terminal_origin=origin)
+
+
+def reference_step_check(gmask, footholds, atom_arcs, term_arcs, wbit: int) -> bool:
+    """No inner set that still needs arcs contains ``wbit``.
+
+    The arguments are those of ``_requirements``: the footholds and the
+    unused atom and entering arcs after a packing step with head ``wbit``.
+    """
+    sweep = _requirements(gmask, footholds, atom_arcs, term_arcs, max_enum_vertices=64)
+    return not any(y & wbit for y, _need, _x in sweep)
 
 
 # ---------------------------------------------------------------------------

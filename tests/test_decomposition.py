@@ -5,22 +5,27 @@ import random
 import pytest
 
 from arbopack import (
+    AtomDecomposition,
     BiSet,
+    Edge,
+    InvariantError,
     MixedGraph,
     arcs_view,
     build_auxiliary,
     compute_atoms,
     mixed_reachable_set,
+    parse_mixed_graph,
 )
 from arbopack.decomposition import (
     AtomContext,
+    _decompose,
     biset_in_degree,
     in_Hj,
     is_consistent,
     lift_biset,
     p_value,
 )
-from instance_gen import random_digraph_instance, random_mixed_instance
+from instance_gen import deep_atom_text, random_digraph_instance, random_mixed_instance
 from naive import (
     biset_condition_holds,
     biset_intersection,
@@ -32,6 +37,8 @@ from naive import (
     naive_p,
     naive_pj,
     p_j_value,
+    reference_build_auxiliary,
+    reference_decompose,
     set_condition_holds,
 )
 
@@ -234,6 +241,49 @@ class TestAuxiliaryGraph:
             outs = [a for a in aux.graph.arcs if a.tail == t]
             assert len(outs) == 1
             assert outs[0].head == aux.terminal_head(t)
+
+
+class TestReferenceForms:
+    """Atoms and auxiliary graphs equal the whole-graph scans, in order."""
+
+    def instances(self):
+        rng = random.Random(6161)
+        for _ in range(300):
+            yield random_mixed_instance(rng, max_v=9, max_e=10, max_a=10, max_k=5)
+        for k in (1, 260):
+            yield parse_mixed_graph(deep_atom_text(k))
+
+    def test_decompose_matches_reference(self):
+        for g, roots in self.instances():
+            for graph in (g, arcs_view(g)):
+                dec = _decompose(graph, roots)
+                ref = reference_decompose(graph, roots)
+                assert (dec.reach, dec.atoms, dec.atom_roots) == (
+                    ref.reach,
+                    ref.atoms,
+                    ref.atom_roots,
+                )
+
+    def test_build_auxiliary_matches_reference(self):
+        for g, roots in self.instances():
+            dec = compute_atoms(g, roots)
+            for j in range(len(dec.atoms)):
+                aux = build_auxiliary(g, dec, j)
+                ref = reference_build_auxiliary(g, dec, j)
+                got = (aux.graph.vertices, aux.graph.edges, aux.graph.arcs)
+                assert got == (ref.graph.vertices, ref.graph.edges, ref.graph.arcs)
+                assert aux.terminal_origin == ref.terminal_origin
+
+    def test_crossing_edge_named(self):
+        g = MixedGraph(("r", "u", "w"), (Edge("e1", "r", "w"), Edge("e2", "u", "r")))
+        dec = AtomDecomposition(
+            reach=(frozenset({"r", "u"}),),
+            atoms=(frozenset({"r", "u"}), frozenset({"w"})),
+            atom_roots=(frozenset({0}), frozenset({0})),
+        )
+        for build in (build_auxiliary, reference_build_auxiliary):
+            with pytest.raises(InvariantError, match="edge 'e1' crosses"):
+                build(g, dec, 0)
 
 
 class TestConsistency:

@@ -19,9 +19,10 @@ from arbopack import (
     parse_mixed_graph,
     validate_digraph_packing,
 )
-from arbopack.packing import reachable_in_view
+from arbopack import packing
+from arbopack.packing import _StepFlow, reachable_in_view
 from instance_gen import deep_atom_text, random_digraph_instance, sparse_digraph_instance
-from naive import cut_deficit, verify_cut_condition
+from naive import cut_deficit, reference_step_check, verify_cut_condition
 
 
 def canonical_view(two_root) -> tuple[DirectedView, list[str]]:
@@ -296,6 +297,103 @@ class TestPackAtomBranchings:
         result = pack_atom_branchings(view, frozenset({"v", "w"}), {0: spans, 1: spans})
         _, a2, a3, a4, a5, _ = view.arcs
         assert result == {0: (a2, a4), 1: (a3, a5)}
+
+
+def random_atom_state(rng: random.Random):
+    """Footholds and arcs of an atom of up to 8 vertices, some arcs used.
+
+    Trees share footholds (repeated roots) or hold nothing inside the
+    atom; arcs come in parallel copies; entering arcs may serve several
+    trees.  Returns the atom mask, the footholds, the ``(tail, head,
+    hit)`` candidates in packing order and which of them are used.
+    """
+    n = rng.randint(1, 8)
+    gmask = (1 << n) - 1
+    footholds: dict[int, int] = {}
+    for i in sorted(rng.sample(range(8), rng.randint(1, 6))):
+        roll = rng.random()
+        if footholds and roll < 0.3:
+            footholds[i] = rng.choice(list(footholds.values()))
+        elif roll < 0.55:
+            footholds[i] = 0
+        else:
+            footholds[i] = rng.randint(1, gmask)
+    trees = list(footholds)
+    cands: list[tuple[int, int, int]] = []
+    n_term = 0
+    for _ in range(rng.randint(0, 14)):
+        if cands and rng.random() < 0.25:
+            tb, hb, hit = rng.choice(cands)
+            if not tb & gmask:
+                tb = 1 << (n + n_term)
+                n_term += 1
+        elif n > 1 and rng.random() < 0.6:
+            t, h = rng.sample(range(n), 2)
+            tb, hb, hit = 1 << t, 1 << h, 0
+        else:
+            tb, hb = 1 << (n + n_term), 1 << rng.randrange(n)
+            hit = sum(1 << i for i in trees if rng.random() < 0.5)
+            n_term += 1
+        cands.append((tb, hb, hit))
+    used = {k for k in range(len(cands)) if rng.random() < 0.3}
+    return gmask, footholds, cands, used
+
+
+class TestStepFlow:
+    def assert_matches_sweep(self, n, gmask, footholds, cands, used, flow):
+        atom_arcs = [c[:2] for k, c in enumerate(cands) if k not in used and c[0] & gmask]
+        term_arcs = [c for k, c in enumerate(cands) if k not in used and not c[0] & gmask]
+        verdicts = []
+        for w in range(n):
+            expected = reference_step_check(gmask, footholds, atom_arcs, term_arcs, 1 << w)
+            assert flow.passes(1 << w, footholds) == expected, (footholds, cands, used, w)
+            verdicts.append(expected)
+        return verdicts
+
+    def test_flow_matches_requirement_sweep(self):
+        rng = random.Random(7070)
+        verdicts = []
+        for _ in range(400):
+            gmask, footholds, cands, used = random_atom_state(rng)
+            n = gmask.bit_length()
+            flow = _StepFlow(n, list(footholds), cands, gmask)
+            for k in used:
+                flow.take(k, 1)
+            verdicts += self.assert_matches_sweep(n, gmask, footholds, cands, used, flow)
+            if used:
+                # give one arc back, as a rejected step does
+                k = rng.choice(sorted(used))
+                flow.take(k, -1)
+                used.discard(k)
+                verdicts += self.assert_matches_sweep(n, gmask, footholds, cands, used, flow)
+        assert verdicts.count(True) > 300 and verdicts.count(False) > 300
+
+    def test_one_requirement_sweep_per_atom(self, monkeypatch, two_root):
+        calls = {"sweep": 0, "atom": 0}
+        sweep, pack_atom = packing._requirements, packing.pack_atom_branchings
+
+        def counted_sweep(*args):
+            calls["sweep"] += 1
+            return sweep(*args)
+
+        def counted_pack_atom(*args):
+            calls["atom"] += 1
+            return pack_atom(*args)
+
+        monkeypatch.setattr(packing, "_requirements", counted_sweep)
+        monkeypatch.setattr(packing, "pack_atom_branchings", counted_pack_atom)
+        rng = random.Random(5150)
+        cases = [canonical_view(two_root)]
+        g, roots = parse_mixed_graph(deep_atom_text(6))
+        cases.append((arcs_view(g), roots))
+        for _ in range(40):
+            g, roots = random_digraph_instance(rng, max_v=6, max_a=12)
+            cases.append((arcs_view(g), roots))
+        outcomes = set()
+        for d, roots in cases:
+            outcomes.add(type(pack_reachability(d, roots)))
+        assert outcomes == {DigraphPacking, frozenset}
+        assert calls["sweep"] == calls["atom"] > 40
 
 
 class TestValidateDigraphPacking:
