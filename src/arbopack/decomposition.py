@@ -192,18 +192,13 @@ def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryG
     if not 0 <= j < len(dec.atoms):
         raise ValueError(f"atom index {j} out of range")
     gamma = dec.atoms[j]
-    # only the edges and arcs that touch the atom, in declaration order
-    edges_at, arcs_into = g._incidence
-    touching = {p for v in gamma for p in edges_at.get(v, ())}
-    edges = [g.edges[p] for p in sorted(touching)]
-    for e in edges:
+    for e in g.edges:
         if (e.u in gamma) != (e.v in gamma):
             raise InvariantError(
                 f"edge {e.id!r} crosses the atom boundary; atoms cannot share edges"
             )
-    arcs_in = [g.arcs[p] for p in sorted(p for v in gamma for p in arcs_into.get(v, ()))]
-    internal = [a for a in arcs_in if a.tail in gamma]
-    entering = [a for a in arcs_in if a.tail not in gamma]
+    internal = [a for a in g.arcs if a.tail in gamma and a.head in gamma]
+    entering = [a for a in g.arcs if a.head in gamma and a.tail not in gamma]
     terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
     for t in terminals:
         if t in g.vertex_set:
@@ -212,7 +207,8 @@ def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryG
                 "reserved for terminal ids"
             )
     origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
-    vertices = tuple(sorted(gamma, key=g.vertex_index.__getitem__)) + tuple(terminals)
+    vertices = tuple(v for v in g.vertices if v in gamma) + tuple(terminals)
+    edges = tuple(e for e in g.edges if e.u in gamma and e.v in gamma)
     arcs = tuple(internal) + tuple(
         Arc(a.id, t, a.head) for t, a in zip(terminals, entering)
     )

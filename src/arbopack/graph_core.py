@@ -131,23 +131,6 @@ class MixedGraph:
             succ[e.v].append(e.u)
         return succ
 
-    @cached_property
-    def _incidence(self) -> tuple[Mapping[str, list[int]], Mapping[str, list[int]]]:
-        """Positions of the edges touching each vertex, and of the arcs into it.
-
-        A vertex with no such edge or arc has no entry, which keeps the
-        cache small.
-        """
-        edges_at: dict[str, list[int]] = {}
-        for pos, e in enumerate(self.edges):
-            edges_at.setdefault(e.u, []).append(pos)
-            if e.v != e.u:
-                edges_at.setdefault(e.v, []).append(pos)
-        arcs_into: dict[str, list[int]] = {}
-        for pos, a in enumerate(self.arcs):
-            arcs_into.setdefault(a.head, []).append(pos)
-        return edges_at, arcs_into
-
     def index(self, v: str) -> int:
         try:
             return self.vertex_index[v]
