@@ -6,13 +6,17 @@ orientation and repeatedly reverses a directed path of oriented edges
 while that strictly shrinks the total deficiency.  The drop is counted,
 not tried: reversing a path from s to t sends one more edge into each
 set with s but not t and one fewer into each set with t but not s, and
-one breadth-first search per start s gives every path.  When stuck, it
+one breadth-first search per start s gives every path.  The slacks are
+taken once and shifted in place after each reversal.  When stuck, it
 certifies infeasibility by a subpartition of the auxiliary vertex set
-whose summed demands exceed what edges plus fixed arcs can deliver.  By
-Frank's orientation theorem for intersecting supermodular requirements,
-such a subpartition exists exactly when no orientation covers the atom,
-so when there is none the edges are fixed one at a time, each in a
-direction that keeps the remaining requirement certificate-free.
+whose summed demands exceed what edges plus fixed arcs can deliver: the
+one of maximum deficit, with the fewest parts, then lexicographically
+least.  Its parts are deficient sets, so the search runs over the exact
+covers of their union, about 3^|union| steps.  By Frank's orientation
+theorem for intersecting supermodular requirements, such a subpartition
+exists exactly when no orientation covers the atom, so when there is
+none the edges are fixed one at a time, each in a direction that keeps
+the remaining requirement certificate-free.
 
 Violation checks run over a reduced family: for every inner set only the
 terminal completions that maximise the deficit can be binding, and there
@@ -131,9 +135,10 @@ def orient_covering(req: CoverRequirement):
 
     # Quick refutation: a set demanding more than its whole edge boundary
     # cannot be covered by any orientation, so the descent is skipped.
+    # An edge is on Y's boundary when Y holds one of its ends, not both.
+    spans = [bu | bv for _eid, bu, bv in ctx.edge_bits]
     boundary_ok = all(
-        sum(1 for _eid, bu, bv in ctx.edge_bits if bool(bu & y) != bool(bv & y)) >= need
-        for y, need in cands
+        sum(1 for span in spans if 0 != span & y != span) >= need for y, need in cands
     )
     if boundary_ok and _descend(ctx, cands, dirs):
         return _oriented(ctx, dirs)
@@ -165,18 +170,21 @@ def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orie
     after which the table, less what the fixed edges already send in,
     still has no certificate over the edges left.  The certificate search
     is exact, so one of the two directions always qualifies, and after
-    the last edge every need is met.
+    the last edge every need is met.  The table less the fixed edges is
+    kept, so each trial subtracts only the new edge's crossing.
     """
     ctx = req.context
     dirs: list[int] = []
-    for pos in range(len(ctx.edge_bits)):
-        for d in (0, 1):
-            ends = _edge_ends(ctx, dirs + [d])
-            rest = {
-                y: (need - _cross_into(ends, y), xm) for y, (need, xm) in table.items()
+    rest = table
+    for pos, (_eid, bu, bv) in enumerate(ctx.edge_bits):
+        for d, (tail, head) in enumerate(((bu, bv), (bv, bu))):
+            trial = {
+                y: (need - 1, xm) if head & y and not tail & y else (need, xm)
+                for y, (need, xm) in rest.items()
             }
-            if _extract_certificate(req, rest, ctx.edge_bits[pos + 1 :]) is None:
+            if _extract_certificate(req, trial, ctx.edge_bits[pos + 1 :]) is None:
                 dirs.append(d)
+                rest = trial
                 break
         else:
             raise InvariantError(
@@ -188,30 +196,39 @@ def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orie
 def _descend(ctx, cands: Sequence[tuple[int, int]], dirs: list[int]) -> bool:
     """Reverse edge paths in ``dirs`` while the total deficiency drops.
 
-    Returns whether the deficiency reached zero.  Each round takes every
-    row's slack ``need - cross`` once; each reversal strictly lowers the
-    total deficiency, so the loop terminates.
+    Returns whether the deficiency reached zero.  One pass takes every
+    row's slack ``need - cross``.  After each reversal of a path from s
+    to t the slacks are shifted in place: -1 on the rows with s but not
+    t, +1 on the rows with t but not s.  Each reversal strictly lowers
+    the total deficiency, so the loop terminates.
     """
-    while True:
-        ends = _edge_ends(ctx, dirs)
-        rows = [(y, need - _cross_into(ends, y)) for y, need in cands]
-        if all(slack < 1 for _y, slack in rows):
-            return True
-        path = _improving_path(ctx, ends, rows)
-        if path is None:
+    ends = _edge_ends(ctx, dirs)
+    rows = [[y, need - _cross_into(ends, y)] for y, need in cands]
+    while any(slack >= 1 for _y, slack in rows):
+        found = _improving_path(ctx, ends, rows)
+        if found is None:
             return False
+        s, t, path = found
         for pos in path:
             dirs[pos] ^= 1
+            tail, head = ends[pos]
+            ends[pos] = (head, tail)
+        for row in rows:
+            row[1] += bool(row[0] & t) - bool(row[0] & s)
+    return True
 
 
-def _improving_path(ctx, ends, rows) -> list[int] | None:
-    """Edge positions of the first path whose reversal lowers the deficiency.
+def _improving_path(ctx, ends, rows) -> tuple[int, int, list[int]] | None:
+    """The first path whose reversal lowers the deficiency, with its ends.
 
-    Reversing a path from s to t lowers it exactly when the deficient rows
-    with s but not t outnumber the rows with slack >= 0 that hold t but
-    not s.  Candidates run over deficient rows by ascending Y, then s in Y
-    and t in the atom outside Y by ascending bit; the path is the shortest
-    one, from one breadth-first search per s with edges in declaration order.
+    Returns ``(s, t, positions)``: the path's start and end bits and its
+    edge positions.  Reversing a path from s to t lowers the deficiency
+    exactly when the deficient rows with s but not t outnumber the rows
+    with slack >= 0 that hold t but not s; those are the rows whose slack
+    the reversal shifts.  Candidates run over deficient rows by ascending
+    Y, then s in Y and t in the atom outside Y by ascending bit; the path
+    is the shortest one, from one breadth-first search per s with edges
+    in declaration order.
     """
     bits = [1 << i for i in range(ctx.gamma_mask.bit_length())]
     parents: dict[int, dict[int, tuple[int, int] | None]] = {}
@@ -229,10 +246,11 @@ def _improving_path(ctx, ends, rows) -> list[int] | None:
                 loss = sum(1 for z, sl in rows if sl >= 0 and z & t and not z & s)
                 if gain > loss:
                     path = []
-                    while t != s:
-                        t, pos = parent[t]
+                    v = t
+                    while v != s:
+                        v, pos = parent[v]
                         path.append(pos)
-                    return path
+                    return s, t, path
     return None
 
 
@@ -260,33 +278,57 @@ def _extract_certificate(
     nonpositive part never lowers the deficit), so the search runs over
     the reduced table.  ``edges`` defaults to all of the atom's edges.
     Returns ``None`` when every subpartition has deficit <= 0.
+
+    A subpartition is an exact cover of its union by table sets, so the
+    union ``w`` runs over the submasks of the union of the deficient
+    sets, ascending, and the part holding the lowest bit of ``w`` over
+    that bit plus each submask of the rest: about 3^|union| steps.
+    Covers compare on value and part count first; the sorted parts are
+    built only for those that tie the best, to break the tie.
     """
     ctx = req.context
     if table is None:
         table = _reduced_table(req)
     if edges is None:
         edges = ctx.edge_bits
-    # (Y, need plus the edges inside Y, completion), by ascending Y
-    pool = sorted(
-        (y, need + sum(1 for _eid, bu, bv in edges if bu & y and bv & y), xm)
+    # Y -> (need plus the edges inside Y, completion)
+    pool = {
+        y: (need + sum(1 for _eid, bu, bv in edges if bu & y and bv & y), xm)
         for y, (need, xm) in table.items()
         if need >= 1
-    )
+    }
     if not pool:
         return None
+    union = 0
+    for y in pool:
+        union |= y
 
     # best[w]: least (-value, part count, sorted parts) over exact disjoint
     # covers of w.  The parts determine w, so keys never tie across w.
     best: dict[int, tuple[int, int, tuple[int, ...]]] = {0: (0, 0, ())}
-    for w in range(1, ctx.gamma_mask + 1):  # the atom's bits are the low ones
+    w = 0
+    while w != union:
+        w = (w - union) & union
         low = w & -w
-        covers = []
-        for y, gain, xm in pool:
-            if y & low and not y & ~w and (w ^ y) in best:
-                negvalue, count, parts = best[w ^ y]
-                covers.append((negvalue - gain, count + 1, tuple(sorted(parts + (xm,)))))
-        if covers:
-            best[w] = min(covers)
+        rest = w ^ low
+        key = None
+        ties: list[tuple[tuple[int, ...], int]] = []
+        s = rest
+        while True:
+            part = pool.get(low | s)
+            if part is not None:
+                prev = best.get(rest ^ s)
+                if prev is not None:
+                    cand = (prev[0] - part[0], prev[1] + 1)
+                    if key is None or cand < key:
+                        key, ties = cand, [(prev[2], part[1])]
+                    elif cand == key:
+                        ties.append((prev[2], part[1]))
+            if not s:
+                break
+            s = (s - 1) & rest
+        if key is not None:
+            best[w] = key + (min(tuple(sorted(parts + (xm,))) for parts, xm in ties),)
 
     winner = min(
         (negvalue + sum(1 for _eid, bu, bv in edges if (bu | bv) & w), count, parts)

@@ -8,9 +8,9 @@ subpartitions over vertex bitmasks and never call the solver.  The last
 section holds the cut, cover and certificate helpers that only the tests
 call; the solver itself never needs them.  The two sections before it
 keep the slower forms the solver's code must match exactly: the
-trial-and-error orientation descent and certificate search; and the
-frozenset-keyed atom decomposition, with the packing step check as a
-requirement sweep.
+trial-and-error orientation descent, certificate search and edge
+fixing; and the frozenset-keyed atom decomposition, with the packing
+step check as a requirement sweep.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from arbopack import (
 )
 from arbopack.decomposition import AtomContext, _requirements, lift_biset, p_value
 from arbopack.graph_core import _reachable
+from arbopack.orientation import _oriented
 from arbopack.packing import reachable_in_view
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
@@ -530,6 +531,24 @@ def reference_certificate(
         parts=tuple(ctx.to_vertices(p) for p in parts),
         deficit=deficit,
     )
+
+
+def reference_fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orientation:
+    """The edge-fixing fallback that recounts every fixed edge on each trial."""
+    ctx = req.context
+    dirs: list[int] = []
+    for pos in range(len(ctx.edge_bits)):
+        for d in (0, 1):
+            ends = _ref_edge_ends(ctx, dirs + [d])
+            rest = {
+                y: (need - _ref_cross_into(ends, y), xm) for y, (need, xm) in table.items()
+            }
+            if reference_certificate(req, rest, ctx.edge_bits[pos + 1 :]) is None:
+                dirs.append(d)
+                break
+        else:
+            raise InvariantError("no direction of an edge keeps the table certificate-free")
+    return _oriented(ctx, dirs)
 
 
 # ---------------------------------------------------------------------------

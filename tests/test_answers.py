@@ -28,6 +28,7 @@ from instance_gen import random_digraph_instance, random_mixed_instance
 ANSWERS_SHA256 = "540b6a8e7c8b6f39bc66207e736a5fccc52b48f03ee5c222cb87925103a72b3c"
 DIGRAPH_ANSWERS_SHA256 = "12a0a48f7e43795ed63f1868ac61cbf4b102ee678adf30b386e4cf1442444e30"
 BENCH_ANSWERS_SHA256 = "00c451f29ad7dd5639d7f053941b96120381c498a028e973d854a6e7c82f105f"
+CERTIFY_ANSWERS_SHA256 = "1a463d4a305167325bf75655d3ae20542137f4d53b7b2d034426b8b1f10b6984"
 
 
 def canonical(result) -> str:
@@ -96,3 +97,13 @@ def test_bench_corpus_answers_pinned():
             g, roots = parse_mixed_graph(inst.text)
             h.update(canonical(solve(g, roots)).encode() + b"\n")
     assert h.hexdigest() == BENCH_ANSWERS_SHA256
+
+
+def test_certify_corpus_answers_pinned():
+    # The corpus whose infeasible atoms of 6 to 8 vertices reach the
+    # certificate search; the other digests reach only smaller ones.
+    h = hashlib.sha256()
+    for inst in bench_corpus("certify_heavy", 1, 110):
+        g, roots = parse_mixed_graph(inst.text)
+        h.update(canonical(solve(g, roots)).encode() + b"\n")
+    assert h.hexdigest() == CERTIFY_ANSWERS_SHA256

@@ -33,6 +33,7 @@ from naive import (
     naive_orientation_covers,
     naive_orientation_exists,
     naive_pj,
+    reference_fix_edges,
     subpartition_deficit,
     subsets,
     to_mask,
@@ -252,6 +253,7 @@ class TestSolverProperties:
             if _extract_certificate(req, table) is not None:
                 continue
             o = _fix_edges(req, table)
+            assert o == reference_fix_edges(req, table)
             assert check_cover(req, o) is None
             assert naive_orientation_covers(aux, dec, roots, dict(o.direction))
             fixed += bool(aux.graph.edges)

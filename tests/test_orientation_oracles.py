@@ -8,7 +8,8 @@ value, the same final edge directions and the same certificate.  The
 certificate search is also run the way ``_fix_edges`` runs it, from two
 random edge positions per atom: on the table less what a fixed prefix of
 edges sends in, over the edges left.
-No answer digest reaches that path.
+No answer digest reaches that path.  Beyond the references' scale, the
+certificate of a long doubled path is checked against its construction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from arbopack import CoverRequirement, build_auxiliary, compute_atoms, parse_mixed_graph
+from arbopack import (
+    CoverRequirement,
+    build_auxiliary,
+    compute_atoms,
+    parse_mixed_graph,
+    solve,
+    verify_certificate,
+)
 from arbopack.orientation import (
     _cross_into,
     _descend,
@@ -127,3 +135,78 @@ def test_synthetic_tables_match_reference():
         assert cert == reference_certificate(req, table, edges)
         multi_part += cert is not None and len(cert.parts) > 1
     assert multi_part
+
+
+def _exact_covers(sets, w):
+    """Every way to write ``w`` as a disjoint union of members of ``sets``."""
+    if not w:
+        yield ()
+        return
+    low = w & -w
+    for y in sets:
+        if y & low and not y & ~w:
+            for rest in _exact_covers(sets, w ^ y):
+                yield (y,) + rest
+
+
+def _cover_deficit(table, edges, parts):
+    """Summed needs of disjoint ``parts`` less the edges between or out of them."""
+    within = sum(1 for _eid, bu, bv in edges for y in parts if bu & y and bv & y)
+    touching = sum(1 for _eid, bu, bv in edges if (bu | bv) & sum(parts))
+    return sum(table[y][0] for y in parts) + within - touching
+
+
+def test_synthetic_tables_on_part_of_the_atom_match_reference():
+    # The certificate search runs only over the submasks of the union of
+    # the deficient sets.  Here every set lies inside a random proper
+    # part of the atom, so the union misses some of its bits, and small,
+    # often equal needs make several subpartitions tie on deficit and
+    # part count, so the tie-break among sorted parts decides.
+    wl = _bench_workloads()
+    rng = random.Random(8180)
+    g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", 6, 2)]))
+    (req,) = _requirements_of(g, roots, max_vertices=6)
+    ctx = req.context
+    partial = multi_part_ties = 0
+    for _ in range(300):
+        inside = rng.randint(1, ctx.gamma_mask - 1)
+        table = {
+            y: (rng.choice((0, 1, 1, 1, 2)), y)
+            for y in range(1, inside + 1)
+            if not y & ~inside and rng.random() < 0.5
+        }
+        # few edges, so that parts rarely lose deficit to edges between them
+        edges = [e for e in ctx.edge_bits if rng.random() < 0.25]
+        cert = _extract_certificate(req, table, edges)
+        assert cert == reference_certificate(req, table, edges)
+        pool = [y for y, (need, _xm) in table.items() if need >= 1]
+        union = 0
+        for y in pool:
+            union |= y
+        partial += bool(pool) and union != ctx.gamma_mask
+        if cert is None or len(cert.parts) < 2:
+            continue
+        tied = [
+            parts
+            for w in range(1, union + 1)
+            if not w & ~union
+            for parts in _exact_covers(pool, w)
+            if len(parts) == len(cert.parts)
+            and _cover_deficit(table, edges, parts) == cert.deficit
+        ]
+        multi_part_ties += len(tied) > 1
+    assert partial and multi_part_ties, (partial, multi_part_ties)
+
+
+def test_doubled_path_certificate_beyond_oracle_scale():
+    # A 14-vertex path with one root repeated twice.  Each of the 13
+    # vertices other than the root needs both trees to enter it, 26 edge
+    # ends in all, and the path has 13 edges: the best subpartition has
+    # 13 parts and falls short by 13.
+    wl = _bench_workloads()
+    rng = random.Random(9190)
+    g, roots = parse_mixed_graph(wl._render(rng, [wl.doubled_path(rng, "", 14)]))
+    cert = solve(g, roots)
+    assert len(cert.bisets) == 13
+    assert cert.deficit == 13
+    assert verify_certificate(g, roots, cert).ok
