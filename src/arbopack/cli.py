@@ -111,11 +111,21 @@ def _certificate_json(g: MixedGraph, cert: BiSetFamilyCertificate) -> dict:
     }
 
 
+def _vertex_names(value) -> frozenset[str]:
+    """A JSON list of vertex names; a string would read as its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list of vertex names")
+    for name in value:
+        if not isinstance(name, str):
+            raise TypeError(f"{name!r} is not a string")
+    return frozenset(value)
+
+
 def _certificate_from_json(payload: dict) -> BiSetFamilyCertificate:
     try:
         body = payload.get("certificate", payload)
         bisets = tuple(
-            BiSet(outer=frozenset(b["outer"]), inner=frozenset(b["inner"]))
+            BiSet(outer=_vertex_names(b["outer"]), inner=_vertex_names(b["inner"]))
             for b in body["bisets"]
         )
         atom_index = int(body["atom_index"]) - 1

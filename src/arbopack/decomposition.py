@@ -10,21 +10,25 @@ Per atom, an *auxiliary graph* replaces every arc entering the atom by a
 fresh terminal vertex with a single outgoing arc to the original head.
 Subsets of the auxiliary vertex set that contain the head of every chosen
 terminal ("consistent" sets) carry the demand function down to plain set
-functions, one independent subproblem per atom.
+functions, one independent subproblem per atom.  One pass buckets the
+graph's vertices, edges and arcs by atom, so an atom's set-up reads its
+own part of the graph, not the whole of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapacityError, InvariantError
 from .graph_core import (
     RESERVED_TERMINAL_PREFIX,
     Arc,
     DirectedView,
+    Edge,
     MixedGraph,
+    ViewArc,
     _reachable,
 )
 
@@ -187,18 +191,72 @@ class AuxiliaryGraph:
         return self.graph.arc_by_id[arc_id].head
 
 
-def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryGraph:
-    """Auxiliary graph of atom ``j`` (0-based)."""
+class _AtomSlice(NamedTuple):
+    """One atom's part of a graph, each list in declaration order."""
+
+    vertices: list[str]
+    edges: list[Edge]  # both ends in the atom
+    arcs: list[Arc | ViewArc]  # head in the atom
+    crossing: Edge | None  # the first edge with exactly one end in the atom
+
+
+def _atom_slices(
+    graph: MixedGraph | DirectedView, dec: AtomDecomposition
+) -> list[_AtomSlice]:
+    """Every atom's slice of ``graph``, bucketed in one pass over it.
+
+    Per-atom set-up then reads its atom only, so a solve costs the graph
+    once plus the atoms, not atoms times the graph.  Nothing is cached.
+    """
+    atom_of = dec.atom_of
+    n = len(dec.atoms)
+    vertices: list[list[str]] = [[] for _ in range(n)]
+    edges: list[list[Edge]] = [[] for _ in range(n)]
+    arcs: list[list[Arc | ViewArc]] = [[] for _ in range(n)]
+    crossing: list[Edge | None] = [None] * n
+    for v in graph.vertices:
+        j = atom_of.get(v)
+        if j is not None:
+            vertices[j].append(v)
+    for e in graph.edges if isinstance(graph, MixedGraph) else ():
+        ju, jv = atom_of.get(e.u), atom_of.get(e.v)
+        if ju == jv:
+            if ju is not None:
+                edges[ju].append(e)
+            continue
+        for j in (ju, jv):
+            if j is not None and crossing[j] is None:
+                crossing[j] = e
+    for a in graph.arcs:
+        j = atom_of.get(a.head)
+        if j is not None:
+            arcs[j].append(a)
+    return [_AtomSlice(*s) for s in zip(vertices, edges, arcs, crossing)]
+
+
+def build_auxiliary(
+    g: MixedGraph,
+    dec: AtomDecomposition,
+    j: int,
+    slices: Sequence[_AtomSlice] | None = None,
+) -> AuxiliaryGraph:
+    """Auxiliary graph of atom ``j`` (0-based).
+
+    ``slices`` are ``_atom_slices(g, dec)``, computed here when not given;
+    a caller building every atom's graph computes them once.
+    """
     if not 0 <= j < len(dec.atoms):
         raise ValueError(f"atom index {j} out of range")
     gamma = dec.atoms[j]
-    for e in g.edges:
-        if (e.u in gamma) != (e.v in gamma):
-            raise InvariantError(
-                f"edge {e.id!r} crosses the atom boundary; atoms cannot share edges"
-            )
-    internal = [a for a in g.arcs if a.tail in gamma and a.head in gamma]
-    entering = [a for a in g.arcs if a.head in gamma and a.tail not in gamma]
+    if slices is None:
+        slices = _atom_slices(g, dec)
+    vertices, edges, arcs, crossing = slices[j]
+    if crossing is not None:
+        raise InvariantError(
+            f"edge {crossing.id!r} crosses the atom boundary; atoms cannot share edges"
+        )
+    internal = [a for a in arcs if a.tail in gamma]
+    entering = [a for a in arcs if a.tail not in gamma]
     terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
     for t in terminals:
         if t in g.vertex_set:
@@ -207,12 +265,11 @@ def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryG
                 "reserved for terminal ids"
             )
     origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
-    vertices = tuple(v for v in g.vertices if v in gamma) + tuple(terminals)
-    edges = tuple(e for e in g.edges if e.u in gamma and e.v in gamma)
-    arcs = tuple(internal) + tuple(
-        Arc(a.id, t, a.head) for t, a in zip(terminals, entering)
+    graph = MixedGraph(
+        tuple(vertices) + tuple(terminals),
+        tuple(edges),
+        tuple(internal) + tuple(Arc(a.id, t, a.head) for t, a in zip(terminals, entering)),
     )
-    graph = MixedGraph(vertices, edges, arcs)
     return AuxiliaryGraph(atom_index=j, graph=graph, gamma=gamma, terminal_origin=origin)
 
 

@@ -66,6 +66,24 @@ class CheckResult:
 OK_RESULT = CheckResult(True)
 
 
+def _require_vertices(graph, xs: Iterable[str]) -> frozenset[str]:
+    """``xs`` as a frozenset; ``ValueError`` if a member is not a vertex.
+
+    The error names the least stray string, so it does not depend on
+    string hashing; strays that are not strings (say, from JSON input)
+    come after every string and are ordered by type name and ``repr``.
+    """
+    xs = frozenset(xs)
+    stray = xs - graph.vertex_set
+    if stray:
+        first = min(
+            stray,
+            key=lambda v: (0, v) if isinstance(v, str) else (1, type(v).__name__, repr(v)),
+        )
+        raise ValueError(f"unknown vertex {first!r}")
+    return xs
+
+
 @dataclass(frozen=True)
 class MixedGraph:
     """Immutable mixed multigraph over named vertices.
@@ -137,12 +155,7 @@ class MixedGraph:
         except KeyError:
             raise ValueError(f"unknown vertex {v!r}") from None
 
-    def require_vertices(self, xs: Iterable[str]) -> frozenset[str]:
-        xs = frozenset(xs)
-        stray = xs - self.vertex_set
-        if stray:
-            raise ValueError(f"unknown vertex {sorted(stray)[0]!r}")
-        return xs
+    require_vertices = _require_vertices
 
 
 @dataclass(frozen=True)
@@ -205,12 +218,7 @@ class DirectedView:
             succ[a.tail].append(a.head)
         return succ
 
-    def require_vertices(self, xs: Iterable[str]) -> frozenset[str]:
-        xs = frozenset(xs)
-        stray = xs - self.vertex_set
-        if stray:
-            raise ValueError(f"unknown vertex {sorted(stray)[0]!r}")
-        return xs
+    require_vertices = _require_vertices
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import _decompose, _requirements
+from .decomposition import _atom_slices, _decompose, _requirements
 from .errors import InvariantError
 from .graph_core import (
     CheckResult,
@@ -66,10 +66,12 @@ def pack_reachability(
 
     Atoms are processed in topological order of their root-set lattice;
     within each atom tree i starts from its root (when the root lies
-    inside) or from the arcs entering the atom out of U_i.
+    inside) or from the arcs entering the atom out of U_i.  The view is
+    sliced by atom once, and each atom is packed on its own slice.
     """
     dec = _decompose(d, roots)
     atoms, atom_roots = dec.atoms, dec.atom_roots
+    slices = _atom_slices(d, dec)
 
     order = sorted(range(len(atoms)), key=lambda j: (len(atom_roots[j]), j))
     tree_arcs: dict[int, list[tuple[int, ViewArc]]] = {i: [] for i in range(len(roots))}
@@ -81,11 +83,12 @@ def pack_reachability(
             i: frozenset((roots[i],)) if roots[i] in gamma else dec.reach[i] - gamma
             for i in sorted(atom_roots[j])
         }
-        result = pack_atom_branchings(d, gamma, demands, bounds)
+        vertices, _edges, arcs, _crossing = slices[j]
+        result = pack_atom_branchings(d, gamma, demands, bounds, vertices, arcs)
         if isinstance(result, frozenset):
             return _lift_witness(d, result, gamma)
-        for i, arcs in result.items():
-            tree_arcs[i].extend((arc_pos[a.key], a) for a in arcs)
+        for i, taken in result.items():
+            tree_arcs[i].extend((arc_pos[a.key], a) for a in taken)
 
     trees = tuple(
         Arborescence(i, tuple(a for _pos, a in sorted(tree_arcs[i], key=lambda x: x[0])))
@@ -121,6 +124,8 @@ def pack_atom_branchings(
     gamma: frozenset[str],
     demands: Mapping[int, frozenset[str]],
     bounds: Bounds = DEFAULT_BOUNDS,
+    vertices: Sequence[str] | None = None,
+    arcs: Sequence[ViewArc] | None = None,
 ) -> dict[int, tuple[ViewArc, ...]] | frozenset[str]:
     """Arc-disjoint branchings covering ``gamma``, one per demanded tree.
 
@@ -132,6 +137,11 @@ def pack_atom_branchings(
     of ``view`` instead: an atom part Y plus the tails of the entering
     arcs in its worst completion, where the trees with no foothold in Y
     outnumber the arcs entering the set.
+
+    ``vertices`` and ``arcs`` default to the whole view.  A caller may
+    pass just the atom's vertices and the arcs into it instead, each in
+    view order, as ``decomposition._atom_slices`` gives them: the result
+    is the same, and the set-up reads the atom, not the view.
 
     Atom vertices take the low mask bits, in ``view`` order, and each
     entering arc its own bit after them.  The residual check (every inner
@@ -145,7 +155,11 @@ def pack_atom_branchings(
     each step is checked by one max-flow from w (see :class:`_StepFlow`).
     """
     view.require_vertices(gamma)
-    bit = {v: 1 << k for k, v in enumerate(v for v in view.vertices if v in gamma)}
+    if vertices is None:
+        vertices = view.vertices
+    if arcs is None:
+        arcs = view.arcs
+    bit = {v: 1 << k for k, v in enumerate(v for v in vertices if v in gamma)}
     gmask = (1 << len(bit)) - 1
 
     trees = sorted(demands)
@@ -157,7 +171,7 @@ def pack_atom_branchings(
     atom_arcs: list[tuple[int, int]] = []
     term_arcs: list[tuple[int, int, int]] = []
     cands = []  # (tail bit, head bit, hit, arc), in declaration order
-    for a in view.arcs:
+    for a in arcs:
         hb = bit.get(a.head)
         if hb is None or a.is_loop():
             continue
@@ -377,12 +391,15 @@ def validate_digraph_packing(
             if a.key in used:
                 return CheckResult(False, f"{kind} {a.id} used twice")
             used[a.key] = tree.root_index
+    reach: dict[str, frozenset[str]] = {}  # searched once per distinct root
     for i, tree in enumerate(packing.trees):
         if tree.root_index != i:
             return CheckResult(False, f"tree {i + 1} carries root index {tree.root_index + 1}")
         r = roots[i]
         hops = [(a.tail, a.head) for a in tree.arcs]
-        verdict = _check_arborescence(hops, r, reachable_in_view(d, r), i)
+        if r not in reach:
+            reach[r] = reachable_in_view(d, r)
+        verdict = _check_arborescence(hops, r, reach[r], i)
         if not verdict:
             return verdict
     return OK_RESULT

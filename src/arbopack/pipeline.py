@@ -18,6 +18,7 @@ from .decomposition import (
     AtomDecomposition,
     AuxiliaryGraph,
     BiSet,
+    _atom_slices,
     build_auxiliary,
     biset_in_degree,
     compute_atoms,
@@ -187,13 +188,15 @@ def covering_orientation(
     Returns an :class:`Orientation` over the whole edge set, or the
     lifted certificate of the lowest-index atom that cannot be oriented.
     Edges incident to no atom get the lexicographic direction; they can
-    never matter.
+    never matter.  The graph is sliced by atom once, so each atom's
+    auxiliary graph is built from its own vertices, edges and arcs.
     """
-    roots = list(roots)
+    roots = tuple(roots)
     dec = compute_atoms(g, roots)
+    slices = _atom_slices(g, dec)
     direction: dict[str, tuple[str, str]] = {}
     for j in range(len(dec.atoms)):
-        req = CoverRequirement(build_auxiliary(g, dec, j), dec, tuple(roots), bounds)
+        req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, roots, bounds)
         outcome = orient_covering(req)
         if isinstance(outcome, SubpartitionCertificate):
             return certificate_from_subpartition(outcome, req.aux, dec, g, roots)
@@ -267,6 +270,7 @@ def validate_mixed_packing(
             if use.id in used_edges:
                 return CheckResult(False, f"edge {use.id} used twice")
             used_edges.add(use.id)
+    reach: dict[str, frozenset[str]] = {}  # searched once per distinct root
     for i, tree in enumerate(mp.trees):
         if tree.root_index != i:
             return CheckResult(
@@ -277,7 +281,9 @@ def validate_mixed_packing(
             return CheckResult(False, f"tree {i + 1} names root {tree.root!r}, not {r!r}")
         hops = [(g.arc_by_id[aid].tail, g.arc_by_id[aid].head) for aid in tree.arcs]
         hops += [(use.tail, use.head) for use in tree.edges]
-        verdict = _check_arborescence(hops, r, mixed_reachable_set(g, r), i)
+        if r not in reach:
+            reach[r] = mixed_reachable_set(g, r)
+        verdict = _check_arborescence(hops, r, reach[r], i)
         if not verdict:
             return verdict
     return OK_RESULT

@@ -6,7 +6,10 @@ seed printed by the calling test.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from arbopack import Arc, DirectedView, Edge, MixedGraph, Orientation, ViewArc
 
@@ -121,3 +124,13 @@ def deep_atom_text(k: int = 520) -> str:
     lines = ["vertex r", "vertex a", "vertex b"]
     lines += ["arc r a"] * k + ["arc a b"] * k + ["root r"] * k
     return "\n".join(lines) + "\n"
+
+
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

@@ -9,8 +9,9 @@ section holds the cut, cover and certificate helpers that only the tests
 call; the solver itself never needs them.  The two sections before it
 keep the slower forms the solver's code must match exactly: the
 trial-and-error orientation descent, certificate search and edge
-fixing; and the frozenset-keyed atom decomposition, with the packing
-step check as a requirement sweep.
+fixing; and the frozenset-keyed atom decomposition, the auxiliary graph
+built from whole-graph scans, with the packing step check as a
+requirement sweep.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Iterable, Sequence
 
 from arbopack import (
     DEFAULT_BOUNDS,
+    Arc,
     AuxiliaryGraph,
     AtomDecomposition,
     BiSet,
@@ -35,7 +37,7 @@ from arbopack import (
     mixed_reachable_set,
 )
 from arbopack.decomposition import AtomContext, _requirements, lift_biset, p_value
-from arbopack.graph_core import _reachable
+from arbopack.graph_core import RESERVED_TERMINAL_PREFIX, _reachable
 from arbopack.orientation import _oriented
 from arbopack.packing import reachable_in_view
 
@@ -552,7 +554,8 @@ def reference_fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
-# reference forms of the atom decomposition and the packing step check
+# reference forms of the atom decomposition, the auxiliary graph and the
+# packing step check
 
 
 def reference_decompose(graph, roots: Sequence[str]) -> AtomDecomposition:
@@ -589,6 +592,35 @@ def reference_decompose(graph, roots: Sequence[str]) -> AtomDecomposition:
                 f"arc {a.id!r} violates root-set monotonicity between atoms"
             )
     return dec
+
+
+def reference_build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryGraph:
+    """Auxiliary graph of atom ``j``, from scans of every edge and arc of ``g``."""
+    if not 0 <= j < len(dec.atoms):
+        raise ValueError(f"atom index {j} out of range")
+    gamma = dec.atoms[j]
+    for e in g.edges:
+        if (e.u in gamma) != (e.v in gamma):
+            raise InvariantError(
+                f"edge {e.id!r} crosses the atom boundary; atoms cannot share edges"
+            )
+    internal = [a for a in g.arcs if a.tail in gamma and a.head in gamma]
+    entering = [a for a in g.arcs if a.head in gamma and a.tail not in gamma]
+    terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
+    for t in terminals:
+        if t in g.vertex_set:
+            raise ValueError(
+                f"vertex {t!r} uses the {RESERVED_TERMINAL_PREFIX!r} prefix "
+                "reserved for terminal ids"
+            )
+    origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
+    vertices = tuple(v for v in g.vertices if v in gamma) + tuple(terminals)
+    edges = tuple(e for e in g.edges if e.u in gamma and e.v in gamma)
+    arcs = tuple(internal) + tuple(
+        Arc(a.id, t, a.head) for t, a in zip(terminals, entering)
+    )
+    graph = MixedGraph(vertices, edges, arcs)
+    return AuxiliaryGraph(atom_index=j, graph=graph, gamma=gamma, terminal_origin=origin)
 
 
 def reference_step_check(gmask, footholds, atom_arcs, term_arcs, wbit: int) -> bool:

@@ -9,11 +9,8 @@ canonical form, so a digest does not depend on set order.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import random
-import sys
-from pathlib import Path
 
 from arbopack import (
     DigraphPacking,
@@ -23,7 +20,7 @@ from arbopack import (
     parse_mixed_graph,
     solve,
 )
-from instance_gen import random_digraph_instance, random_mixed_instance
+from instance_gen import bench_workloads, random_digraph_instance, random_mixed_instance
 
 ANSWERS_SHA256 = "540b6a8e7c8b6f39bc66207e736a5fccc52b48f03ee5c222cb87925103a72b3c"
 DIGRAPH_ANSWERS_SHA256 = "12a0a48f7e43795ed63f1868ac61cbf4b102ee678adf30b386e4cf1442444e30"
@@ -79,12 +76,7 @@ def test_digraph_packing_answers_pinned():
 
 def bench_corpus(workload: str, seed: int, size: int):
     """The benchmark's own corpus, read from ``bench/workloads.py``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module.corpus(workload, seed, size)
+    return bench_workloads().corpus(workload, seed, size)
 
 
 def test_bench_corpus_answers_pinned():

@@ -138,6 +138,10 @@ class TestRoundTrips:
         assert code == 2 and "invalid" in out2
 
 
+def _certificate(biset: dict) -> dict:
+    return {"atom_index": 3, "bisets": [biset], "lhs": 0, "rhs": 1}
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize(
         "command, payload, kind",
@@ -154,6 +158,10 @@ class TestMalformedJson:
                 },
                 "packing",
             ),
+            # a vertex set is a list of names: a string would be read as its
+            # characters, and mixed-type names cannot be sorted
+            ("certify", _certificate({"outer": "v3", "inner": "v3"}), "certificate"),
+            ("certify", _certificate({"outer": ["v3", 1, "zz"], "inner": ["v3"]}), "certificate"),
         ],
     )
     def test_error_message_not_traceback(

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from arbopack import (
+    Arc,
     AtomDecomposition,
     BiSet,
     Edge,
@@ -18,6 +19,7 @@ from arbopack import (
 )
 from arbopack.decomposition import (
     AtomContext,
+    _atom_slices,
     _decompose,
     biset_in_degree,
     in_Hj,
@@ -25,7 +27,12 @@ from arbopack.decomposition import (
     lift_biset,
     p_value,
 )
-from instance_gen import deep_atom_text, random_digraph_instance, random_mixed_instance
+from instance_gen import (
+    bench_workloads,
+    deep_atom_text,
+    random_digraph_instance,
+    random_mixed_instance,
+)
 from naive import (
     biset_condition_holds,
     biset_intersection,
@@ -37,6 +44,7 @@ from naive import (
     naive_p,
     naive_pj,
     p_j_value,
+    reference_build_auxiliary,
     reference_decompose,
     set_condition_holds,
 )
@@ -251,6 +259,28 @@ class TestAuxiliaryGraph:
         with pytest.raises(InvariantError, match="edge 'e1' crosses"):
             build_auxiliary(g, dec, 0)
 
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (0, 2, 1, 3)])
+    def test_crossing_edges_named_per_atom(self, order):
+        # e2 and e3 each join atoms 1 and 2; atom 0 meets neither
+        edges = [
+            Edge("e1", "u", "r"),
+            Edge("e2", "w", "x"),
+            Edge("e3", "y", "w"),
+            Edge("e4", "x", "y"),
+        ]
+        g = MixedGraph(("r", "u", "w", "x", "y"), tuple(edges[i] for i in order))
+        dec = AtomDecomposition(
+            reach=(frozenset("ruwxy"),),
+            atoms=(frozenset("ru"), frozenset("w"), frozenset("xy")),
+            atom_roots=(frozenset({0}),) * 3,
+        )
+        first = g.edges[1].id
+        for slices in (None, _atom_slices(g, dec)):
+            assert build_auxiliary(g, dec, 0, slices).graph.edges == (edges[0],)
+            for j in (1, 2):
+                with pytest.raises(InvariantError, match=f"edge '{first}' crosses"):
+                    build_auxiliary(g, dec, j, slices)
+
 
 class TestReferenceForms:
     """Atoms equal the frozenset-keyed reference decomposition, in order."""
@@ -272,6 +302,74 @@ class TestReferenceForms:
                     ref.atoms,
                     ref.atom_roots,
                 )
+
+
+class TestAuxiliaryReference:
+    """``build_auxiliary`` equals the whole-graph reference, with or without slices."""
+
+    @staticmethod
+    def outcome(build, *args):
+        try:
+            aux = build(*args)
+        except (InvariantError, ValueError) as exc:
+            return type(exc), str(exc)
+        fields = (aux.atom_index, aux.gamma, aux.terminal_origin, aux.terminals)
+        return ("built",) + fields + (aux.graph.vertices, aux.graph.edges, aux.graph.arcs)
+
+    def assert_matches(self, g, dec):
+        slices = _atom_slices(g, dec)
+        for j in range(-1, len(dec.atoms) + 1):
+            ref = self.outcome(reference_build_auxiliary, g, dec, j)
+            assert self.outcome(build_auxiliary, g, dec, j) == ref
+            assert self.outcome(build_auxiliary, g, dec, j, slices) == ref
+
+    def test_random_instances(self):
+        rng = random.Random(6262)
+        for _ in range(300):
+            g, roots = random_mixed_instance(rng, max_v=9, max_e=10, max_a=10, max_k=5)
+            self.assert_matches(g, compute_atoms(g, roots))
+
+    def test_bench_family_atoms(self):
+        wl = bench_workloads()
+        rng = random.Random(6263)
+        components = [wl.cycle_copies(rng, f"c{n}_{k}_", n, k) for n in (3, 6) for k in (1, 3)]
+        components += [wl.doubled_path(rng, f"p{n}_", n) for n in (2, 5)]
+        components += [
+            wl.staggered_segments(rng, f"s{length}{drop:d}_", length, 3, drop)
+            for length in (1, 2, 5)
+            for drop in (False, True)
+        ]
+        # each family on its own, then all of them in one graph of many atoms
+        graphs = [wl._render(rng, [comp]) for comp in components]
+        graphs.append(wl._render(rng, components))
+        graphs += [inst.text for inst in wl.corpus("many_atoms", 1, 5)]
+        atoms = 0
+        for text in graphs:
+            g, roots = parse_mixed_graph(text)
+            dec = compute_atoms(g, roots)
+            self.assert_matches(g, dec)
+            atoms += len(dec.atoms)
+        assert atoms > 250
+
+    def test_hand_built_decompositions(self):
+        # atom sets a decomposition would never give: edges leaving an atom
+        # into another or into none, and a vertex named like a terminal
+        g = MixedGraph(
+            ("r", "u", "w", "t:a2"),
+            (Edge("e1", "r", "u"), Edge("e2", "u", "w"), Edge("e3", "w", "w")),
+            (Arc("a1", "r", "u"), Arc("a2", "t:a2", "r"), Arc("a3", "u", "w")),
+        )
+        kinds = set()
+        for atoms in (["ruw"], ["ru", "w"], ["ruw", "t:a2"], ["u"], ["w", "r"]):
+            dec = AtomDecomposition(
+                reach=(frozenset(g.vertices),),
+                atoms=tuple(frozenset([a] if a.startswith("t:") else a) for a in atoms),
+                atom_roots=(frozenset({0}),) * len(atoms),
+            )
+            self.assert_matches(g, dec)
+            for j in range(len(atoms)):
+                kinds.add(self.outcome(build_auxiliary, g, dec, j)[0])
+        assert kinds == {"built", InvariantError, ValueError}
 
 
 class TestConsistency:

@@ -238,3 +238,17 @@ class TestGraphValidation:
     def test_unknown_endpoint(self):
         with pytest.raises(ValueError, match="unknown vertex"):
             MixedGraph(("a",), (), (Arc("a1", "a", "zz"),))
+
+
+class TestRequireVertices:
+    @pytest.mark.parametrize("make", [lambda g: g, arcs_view], ids=["mixed", "view"])
+    def test_names_one_stray_of_any_type(self, make):
+        graph = make(MixedGraph(("a", "b")))
+        assert graph.require_vertices(["b", "a"]) == frozenset({"a", "b"})
+        # strings first, least first, as when every stray was a string
+        with pytest.raises(ValueError, match="^unknown vertex 'x'$"):
+            graph.require_vertices(["y", "b", "x"])
+        with pytest.raises(ValueError, match="^unknown vertex 'zz'$"):
+            graph.require_vertices(["b", 1, "zz"])
+        with pytest.raises(ValueError, match="^unknown vertex 1$"):
+            graph.require_vertices([2, (0,), 1])

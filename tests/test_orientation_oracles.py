@@ -14,11 +14,8 @@ certificate of a long doubled path is checked against its construction.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 from arbopack import (
     CoverRequirement,
@@ -35,17 +32,8 @@ from arbopack.orientation import (
     _extract_certificate,
     _reduced_table,
 )
-from instance_gen import random_mixed_instance
+from instance_gen import bench_workloads, random_mixed_instance
 from naive import reference_certificate, reference_descend
-
-
-def _bench_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def _requirements_of(g, roots, max_vertices):
@@ -97,7 +85,7 @@ def test_random_atoms_match_reference():
 
 
 def test_bench_family_atoms_match_reference():
-    wl = _bench_workloads()
+    wl = bench_workloads()
     rng = random.Random(6160)
     components = [wl.cycle_copies(rng, "", n, k) for n in (3, 6, 10) for k in (1, 3)]
     components += [wl.doubled_path(rng, "", n) for n in (2, 5, 10)]
@@ -118,7 +106,7 @@ def test_synthetic_tables_match_reference():
     # Tables with small, often equal needs make subpartitions tie on value
     # and part count, so the lexicographic tie-break decides; the tables
     # the solver builds rarely get there.
-    wl = _bench_workloads()
+    wl = bench_workloads()
     rng = random.Random(7170)
     g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", 6, 2)]))
     (req,) = _requirements_of(g, roots, max_vertices=6)
@@ -162,7 +150,7 @@ def test_synthetic_tables_on_part_of_the_atom_match_reference():
     # part of the atom, so the union misses some of its bits, and small,
     # often equal needs make several subpartitions tie on deficit and
     # part count, so the tie-break among sorted parts decides.
-    wl = _bench_workloads()
+    wl = bench_workloads()
     rng = random.Random(8180)
     g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", 6, 2)]))
     (req,) = _requirements_of(g, roots, max_vertices=6)
@@ -203,7 +191,7 @@ def test_doubled_path_certificate_beyond_oracle_scale():
     # vertices other than the root needs both trees to enter it, 26 edge
     # ends in all, and the path has 13 edges: the best subpartition has
     # 13 parts and falls short by 13.
-    wl = _bench_workloads()
+    wl = bench_workloads()
     rng = random.Random(9190)
     g, roots = parse_mixed_graph(wl._render(rng, [wl.doubled_path(rng, "", 14)]))
     cert = solve(g, roots)

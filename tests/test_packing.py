@@ -5,6 +5,7 @@ import random
 import pytest
 
 from arbopack import (
+    DEFAULT_BOUNDS,
     CapacityError,
     Arborescence,
     DigraphPacking,
@@ -20,8 +21,15 @@ from arbopack import (
     validate_digraph_packing,
 )
 from arbopack import packing
+from arbopack.decomposition import _atom_slices, _decompose
 from arbopack.packing import _StepFlow, reachable_in_view
-from instance_gen import deep_atom_text, random_digraph_instance, sparse_digraph_instance
+from instance_gen import (
+    deep_atom_text,
+    random_digraph_instance,
+    random_mixed_instance,
+    random_orientation,
+    sparse_digraph_instance,
+)
 from naive import cut_deficit, reference_step_check, verify_cut_condition
 
 
@@ -298,6 +306,31 @@ class TestPackAtomBranchings:
         _, a2, a3, a4, a5, _ = view.arcs
         assert result == {0: (a2, a4), 1: (a3, a5)}
 
+    def test_atom_slice_matches_whole_view(self):
+        rng = random.Random(7171)
+        views = []
+        for _ in range(300):
+            g, roots = random_digraph_instance(rng, max_v=7, max_a=14, max_k=4)
+            views.append((arcs_view(g), roots))
+        for _ in range(100):
+            g, roots = random_mixed_instance(rng, max_v=7, max_e=8, max_a=8, max_k=4)
+            views.append((apply_orientation(g, random_orientation(rng, g)), roots))
+        infeasible = [0, 0]
+        for d, roots in views:
+            dec = _decompose(d, roots)
+            slices = _atom_slices(d, dec)
+            for j, gamma in enumerate(dec.atoms):
+                demands = {
+                    i: frozenset((roots[i],)) if roots[i] in gamma else dec.reach[i] - gamma
+                    for i in sorted(dec.atom_roots[j])
+                }
+                whole = pack_atom_branchings(d, gamma, demands)
+                vertices, _edges, arcs, _crossing = slices[j]
+                sliced = pack_atom_branchings(d, gamma, demands, DEFAULT_BOUNDS, vertices, arcs)
+                assert sliced == whole
+                infeasible[isinstance(whole, frozenset)] += 1
+        assert min(infeasible) > 30, infeasible
+
 
 def random_atom_state(rng: random.Random):
     """Footholds and arcs of an atom of up to 8 vertices, some arcs used.
@@ -397,6 +430,23 @@ class TestStepFlow:
 
 
 class TestValidateDigraphPacking:
+    def test_one_search_per_distinct_root(self, monkeypatch, two_root):
+        calls = []
+        search = packing.reachable_in_view
+
+        def counted(d, r):
+            calls.append(r)
+            return search(d, r)
+
+        g, roots = parse_mixed_graph(deep_atom_text(260))
+        cases = [(arcs_view(g), roots), canonical_view(two_root)]
+        results = [pack_reachability(d, roots) for d, roots in cases]
+        monkeypatch.setattr(packing, "reachable_in_view", counted)
+        for (d, roots), result in zip(cases, results):
+            calls.clear()
+            assert validate_digraph_packing(d, roots, result)
+            assert calls == list(dict.fromkeys(roots))
+
     def test_canonical_ok(self, two_root):
         d, roots = canonical_view(two_root)
         packing = pack_reachability(d, roots)

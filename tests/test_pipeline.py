@@ -22,15 +22,20 @@ from arbopack import (
     compute_atoms,
     covering_orientation,
     mixed_reachable_set,
+    pack_reachability,
+    parse_mixed_graph,
     solve,
     validate_digraph_packing,
     validate_mixed_packing,
     verify_certificate,
 )
+from arbopack import pipeline
 from arbopack.decomposition import biset_in_degree, in_Hj, p_value
 from arbopack.orientation import SubpartitionCertificate
 from arbopack.packing import reachable_in_view
 from instance_gen import (
+    bench_workloads,
+    deep_atom_text,
     random_mixed_instance,
     random_orientation,
     repeated_root_all_reachable,
@@ -151,6 +156,21 @@ class TestValidateMixedPacking:
         assert isinstance(mp, MixedPacking)
         return g, roots, mp
 
+    def test_one_search_per_distinct_root(self, monkeypatch, two_root):
+        calls = []
+
+        def counted(g, r):
+            calls.append(r)
+            return mixed_reachable_set(g, r)
+
+        cases = [parse_mixed_graph(deep_atom_text(260)), two_root]
+        results = [solve(g, roots) for g, roots in cases]
+        monkeypatch.setattr(pipeline, "mixed_reachable_set", counted)
+        for (g, roots), mp in zip(cases, results):
+            calls.clear()
+            assert validate_mixed_packing(g, roots, mp)
+            assert calls == list(dict.fromkeys(roots))
+
     def test_edge_used_twice_in_opposite_directions(self, two_root):
         g, roots, mp = self._packing(two_root)
         t0, t1 = mp.trees
@@ -247,6 +267,12 @@ class TestCertificates:
         stale = BiSetFamilyCertificate(cert.atom_index, cert.bisets, cert.lhs, cert.rhs + 5)
         verdict = verify_certificate(g, roots, stale)
         assert not verdict and "recomputation" in verdict.reason
+
+    def test_verify_names_a_stray_of_any_type(self, two_root):
+        g, roots = two_root
+        cert = BiSetFamilyCertificate(0, (BiSet({"v3", 1, "zz"}, {"v3"}),), 0, 1)
+        verdict = verify_certificate(g, roots, cert)
+        assert not verdict and verdict.reason == "unknown vertex 'zz'"
 
     def test_verify_rejects_wall_inside_atom(self, two_root):
         g, roots = two_root
@@ -460,3 +486,65 @@ class TestEndToEndProperties:
                 assert mixed_vec == view_vec
             seen += 1
         assert seen
+
+
+class _CountedTuple(tuple):
+    """A tuple that counts the times it is iterated."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self.iterations = 0
+        return self
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def _iterations(obj, names, run):
+    """How often ``run()`` iterates each named tuple field of ``obj``."""
+    seqs = {name: _CountedTuple(getattr(obj, name)) for name in names}
+    for name, seq in seqs.items():
+        object.__setattr__(obj, name, seq)
+    run()
+    return {name: seq.iterations for name, seq in seqs.items()}
+
+
+class TestAtomCountIndependence:
+    """One solve reads the whole graph a fixed number of times, however many atoms it has."""
+
+    SIZES = (8, 128)
+
+    @staticmethod
+    def components(n: int):
+        """``n`` of the ``many_atoms`` benchmark's small components in one graph."""
+        wl = bench_workloads()
+        rng = random.Random(n)
+        kinds = wl._SMALL_KINDS
+        parts = [wl._build(rng, f"c{c}_", kinds[c % len(kinds)]) for c in range(n)]
+        return parse_mixed_graph(wl._render(rng, parts))
+
+    def test_solve(self):
+        counts, atoms = [], []
+        for n in self.SIZES:
+            g, roots = self.components(n)
+            atoms.append(len(compute_atoms(g, roots).atoms))
+            result = []
+            counts.append(
+                _iterations(g, ("vertices", "edges", "arcs"), lambda: result.append(solve(g, roots)))
+            )
+            assert isinstance(result[0], MixedPacking)
+        assert atoms[1] > 10 * atoms[0]
+        assert counts[0] == counts[1]
+
+    def test_pack_reachability(self):
+        counts = []
+        for n in self.SIZES:
+            g, roots = self.components(n)
+            d = apply_orientation(g, covering_orientation(g, roots))
+            result = []
+            counts.append(
+                _iterations(d, ("vertices", "arcs"), lambda: result.append(pack_reachability(d, roots)))
+            )
+            assert isinstance(result[0], DigraphPacking)
+        assert counts[0] == counts[1]
