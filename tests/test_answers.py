@@ -3,7 +3,10 @@
 The solver is deterministic, so its answers on fixed seeded corpora are
 pinned by digests.  A change that alters any answer, or makes an answer
 depend on string hashing, fails here.  Every vertex set is sorted in the
-canonical form, so a digest does not depend on set order.
+canonical form, so a digest does not depend on set order.  To print
+every digest's current value, on purpose::
+
+    PYTHONPATH=src python tests/test_answers.py
 """
 
 from __future__ import annotations
@@ -20,10 +23,16 @@ from arbopack import (
     parse_mixed_graph,
     solve,
 )
-from instance_gen import bench_workloads, random_digraph_instance, random_mixed_instance
+from instance_gen import (
+    bench_workloads,
+    random_digraph_instance,
+    random_mixed_instance,
+    sparse_digraph_instance,
+)
 
 ANSWERS_SHA256 = "540b6a8e7c8b6f39bc66207e736a5fccc52b48f03ee5c222cb87925103a72b3c"
 DIGRAPH_ANSWERS_SHA256 = "12a0a48f7e43795ed63f1868ac61cbf4b102ee678adf30b386e4cf1442444e30"
+DIGRAPH_PACKINGS_SHA256 = "ab59c4f5fc33046c569adf33dfb98cd2e5aeb238461fa81f432cf158757bcdb5"
 BENCH_ANSWERS_SHA256 = "00c451f29ad7dd5639d7f053941b96120381c498a028e973d854a6e7c82f105f"
 CERTIFY_ANSWERS_SHA256 = "1a463d4a305167325bf75655d3ae20542137f4d53b7b2d034426b8b1f10b6984"
 
@@ -55,23 +64,51 @@ def canonical(result) -> str:
     )
 
 
-def test_random_corpus_answers_pinned():
+def random_corpus_digest() -> str:
     rng = random.Random(4242)
     h = hashlib.sha256()
     for _ in range(1000):
         g, roots = random_mixed_instance(rng, max_v=9, max_e=12, max_a=8)
         h.update(canonical(solve(g, roots)).encode() + b"\n")
-    assert h.hexdigest() == ANSWERS_SHA256
+    return h.hexdigest()
 
 
-def test_digraph_packing_answers_pinned():
-    # Pins each arc the greedy picks in every atom, and each violated set.
+def digraph_answers():
+    """Each answer of ``pack_reachability`` on the seed-4343 digraph corpus."""
     rng = random.Random(4343)
-    h = hashlib.sha256()
     for _ in range(3000):
         g, roots = random_digraph_instance(rng, max_v=8, max_a=14, max_k=4)
-        h.update(canonical(pack_reachability(arcs_view(g), roots)).encode() + b"\n")
-    assert h.hexdigest() == DIGRAPH_ANSWERS_SHA256
+        yield pack_reachability(arcs_view(g), roots)
+
+
+def sparse_answers():
+    """Each answer of ``pack_reachability`` on the seed-8080 sparse fuzz."""
+    rng = random.Random(8080)
+    for _ in range(1000):
+        g, roots = sparse_digraph_instance(rng)
+        yield pack_reachability(arcs_view(g), roots)
+
+
+def digraph_digest() -> str:
+    # Pins each arc the greedy picks in every atom, and each violated set.
+    h = hashlib.sha256()
+    for result in digraph_answers():
+        h.update(canonical(result).encode() + b"\n")
+    return h.hexdigest()
+
+
+def digraph_packings_digest() -> str:
+    # Pins every packing, and which instances have none, but not which
+    # violated set an infeasible instance returns.
+    h = hashlib.sha256()
+    for answers in (digraph_answers(), sparse_answers()):
+        for result in answers:
+            if isinstance(result, frozenset):
+                result = json.dumps({"feasible": False})
+            else:
+                result = canonical(result)
+            h.update(result.encode() + b"\n")
+    return h.hexdigest()
 
 
 def bench_corpus(workload: str, seed: int, size: int):
@@ -79,7 +116,7 @@ def bench_corpus(workload: str, seed: int, size: int):
     return bench_workloads().corpus(workload, seed, size)
 
 
-def test_bench_corpus_answers_pinned():
+def bench_digest() -> str:
     # The corpora whose atoms turn the most candidate arcs down.  A change
     # to bench/workloads.py changes them, and the digest must then be
     # recorded again, from the commit before the change.
@@ -88,14 +125,48 @@ def test_bench_corpus_answers_pinned():
         for inst in bench_corpus(workload, 1, 110):
             g, roots = parse_mixed_graph(inst.text)
             h.update(canonical(solve(g, roots)).encode() + b"\n")
-    assert h.hexdigest() == BENCH_ANSWERS_SHA256
+    return h.hexdigest()
 
 
-def test_certify_corpus_answers_pinned():
+def certify_digest() -> str:
     # The corpus whose infeasible atoms of 6 to 8 vertices reach the
     # certificate search; the other digests reach only smaller ones.
     h = hashlib.sha256()
     for inst in bench_corpus("certify_heavy", 1, 110):
         g, roots = parse_mixed_graph(inst.text)
         h.update(canonical(solve(g, roots)).encode() + b"\n")
-    assert h.hexdigest() == CERTIFY_ANSWERS_SHA256
+    return h.hexdigest()
+
+
+DIGESTS = {
+    "ANSWERS_SHA256": random_corpus_digest,
+    "DIGRAPH_ANSWERS_SHA256": digraph_digest,
+    "DIGRAPH_PACKINGS_SHA256": digraph_packings_digest,
+    "BENCH_ANSWERS_SHA256": bench_digest,
+    "CERTIFY_ANSWERS_SHA256": certify_digest,
+}
+
+
+def test_random_corpus_answers_pinned():
+    assert random_corpus_digest() == ANSWERS_SHA256
+
+
+def test_digraph_packing_answers_pinned():
+    assert digraph_digest() == DIGRAPH_ANSWERS_SHA256
+
+
+def test_digraph_packings_pinned():
+    assert digraph_packings_digest() == DIGRAPH_PACKINGS_SHA256
+
+
+def test_bench_corpus_answers_pinned():
+    assert bench_digest() == BENCH_ANSWERS_SHA256
+
+
+def test_certify_corpus_answers_pinned():
+    assert certify_digest() == CERTIFY_ANSWERS_SHA256
+
+
+if __name__ == "__main__":
+    for name, digest in DIGESTS.items():
+        print(f'{name} = "{digest()}"')
