@@ -1,10 +1,9 @@
-"""The configurable limit for the exhaustive (oracle-grade) code paths.
+"""The configurable limit for orientation's exhaustive requirement sweep.
 
-The per-atom requirement sweep enumerates every subset of the atom and,
-per subset, every submask of the trees that the atom's terminals can
-give a foothold.  It raises :class:`~arbopack.errors.CapacityError`
-naming the bound instead of silently attempting an infeasible amount of
-work.
+Orienting an atom enumerates every subset of it and, per subset, every
+submask of the trees its terminals can give a foothold.  The sweep
+raises :class:`~arbopack.errors.CapacityError` naming the bound instead
+of attempting an infeasible amount of work.  Packing is not bounded.
 """
 
 from __future__ import annotations

@@ -257,8 +257,7 @@ def _cmd_pack_digraph(args) -> int:
     g, roots = _load_graph(args.file)
     if g.edges:
         raise ParseError("pack-digraph accepts arcs only; the input declares edges")
-    bounds = _bounds_from(args)
-    result = pack_reachability(arcs_view(g), roots, bounds)
+    result = pack_reachability(arcs_view(g), roots)
     if not isinstance(result, DigraphPacking):
         order = g.vertex_index
         _emit(
@@ -355,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_bounds(p):
-        p.add_argument("--max-enum-vertices", type=int, default=None)
+    def add_bounds(p, help=None):
+        p.add_argument("--max-enum-vertices", type=int, default=None, help=help)
 
     p = sub.add_parser("solve", help="solve an instance; JSON packing or certificate")
     p.add_argument("file")
@@ -389,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pack-digraph", help="pack an arcs-only instance")
     p.add_argument("file")
-    add_bounds(p)
+    add_bounds(p, "accepted for compatibility and ignored; packing enumerates no sets")
     p.set_defaults(func=_cmd_pack_digraph)
 
     p = sub.add_parser("certify", help="verify a certificate JSON")

@@ -21,8 +21,7 @@ the remaining requirement certificate-free.
 Violation checks run over a reduced family: for every inner set only the
 terminal completions that maximise the deficit can be binding, and there
 is one such completion per subset of the atom's trees.  The reduction is
-exact, and it keeps only the inner sets that need at least one edge.  The
-same sweep (``decomposition._requirements``) drives the packing check.
+exact, and it keeps only the inner sets that need at least one edge.
 """
 
 from __future__ import annotations

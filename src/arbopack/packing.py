@@ -11,11 +11,11 @@ subproblems share no arcs, so they are independent.  Within an atom, a
 residual cut check that is necessary and sufficient (the root-set form
 of Kamiyama-Katoh-Takizawa, as in Fujishige's note on disjoint
 arborescences) lets the trees grow one arc at a time with no search:
-each arc taken is the first one that keeps the check passing.  The
-requirement sweep runs the check once per atom, before any arc is taken;
-when it fails, its deficient set, lifted to the whole digraph, is the
-violated set returned.  Each later step can only break the sets holding
-the new arc's head w, so it is checked by one max-flow from w.
+each arc taken is the first one that keeps the check passing.  A step
+can only break the sets holding the new arc's head w, so it is checked
+by one max-flow from w.  Only an infeasible atom gets a tree stuck; its
+untouched atom is then checked from each vertex, and the first short
+cut, lifted to the whole digraph, is the violated set returned.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import _atom_slices, _decompose, _requirements
+from .decomposition import _atom_slices, _decompose
 from .errors import InvariantError
 from .graph_core import (
     CheckResult,
@@ -59,9 +58,7 @@ def reachable_in_view(d: DirectedView, s: str) -> frozenset[str]:
     return _reachable(d._successors, s)
 
 
-def pack_reachability(
-    d: DirectedView, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
-):
+def pack_reachability(d: DirectedView, roots: Sequence[str]):
     """A packing of reachability arborescences, or a violated vertex set.
 
     Atoms are processed in topological order of their root-set lattice;
@@ -84,7 +81,7 @@ def pack_reachability(
             for i in sorted(atom_roots[j])
         }
         vertices, _edges, arcs, _crossing = slices[j]
-        result = pack_atom_branchings(d, gamma, demands, bounds, vertices, arcs)
+        result = pack_atom_branchings(d, gamma, demands, vertices, arcs)
         if isinstance(result, frozenset):
             return _lift_witness(d, result, gamma)
         for i, taken in result.items():
@@ -102,13 +99,13 @@ def _lift_witness(
 ) -> frozenset[str]:
     """Lift an atom's deficient set to a violated vertex set of ``d``.
 
-    ``witness`` is an atom part Y plus the tails of the entering arcs in
-    its worst completion.  Each tail is replaced by every vertex that
-    reaches it.  A tree the atom check counted spans an out-closed set
-    that misses those tails, so it misses every added vertex and still
-    needs an arc into Y.  An arc into an added vertex starts at an added
-    vertex.  So the only arcs entering the lifted set are the ones the
-    check counted, and there are too few of them.
+    ``witness`` is an atom part Y plus the tails of a set T of entering
+    arcs that the atom check found short.  Each tail is replaced by every
+    vertex that reaches it.  A tree the atom check counted spans an
+    out-closed set that misses those tails, so it misses every added
+    vertex and still needs an arc into Y.  An arc into an added vertex
+    starts at an added vertex.  So the only arcs entering the lifted set
+    are the ones the check counted, and there are too few of them.
     """
     pred: dict[str, list[str]] = {v: [] for v in d.vertices}
     for a in d.arcs:
@@ -123,7 +120,6 @@ def pack_atom_branchings(
     view: DirectedView,
     gamma: frozenset[str],
     demands: Mapping[int, frozenset[str]],
-    bounds: Bounds = DEFAULT_BOUNDS,
     vertices: Sequence[str] | None = None,
     arcs: Sequence[ViewArc] | None = None,
 ) -> dict[int, tuple[ViewArc, ...]] | frozenset[str]:
@@ -134,8 +130,8 @@ def pack_atom_branchings(
     ``gamma`` can serve tree i when its tail is in ``demands[i]``, and
     serves at most one tree; arcs whose head is outside ``gamma`` are
     ignored.  When no such packing exists, returns a deficient vertex set
-    of ``view`` instead: an atom part Y plus the tails of the entering
-    arcs in its worst completion, where the trees with no foothold in Y
+    of ``view`` instead: an atom part Y plus the tails of a set T of
+    entering arcs, where the trees with no foothold in Y and no arc in T
     outnumber the arcs entering the set.
 
     ``vertices`` and ``arcs`` default to the whole view.  A caller may
@@ -146,13 +142,13 @@ def pack_atom_branchings(
     Atom vertices take the low mask bits, in ``view`` order, and each
     entering arc its own bit after them.  The residual check (every inner
     set keeps enough unused arcs for the trees that still lack a foothold
-    in it, under its worst completion) is exact for the rest of the
-    packing, so the trees grow greedily: each arc taken is the first
-    candidate after which the check still passes, and no choice is ever
-    undone.  The requirement sweep runs once, to decide the atom and to
-    give the deficient set; ``bounds.max_enum_vertices`` gates it.  After
-    that, an arc with head w can only break the sets that contain w, so
-    each step is checked by one max-flow from w (see :class:`_StepFlow`).
+    in it) is exact for the rest of the packing, so the trees grow
+    greedily: each arc taken is the first candidate after which the check
+    still passes, and no choice is ever undone.  An arc with head w can
+    only break the sets that contain w, so each step is checked by one
+    max-flow from w (see :class:`_StepFlow`).  A tree gets stuck only on
+    an infeasible atom; the first vertex of the untouched atom whose
+    check fails then gives the deficient set.
     """
     view.require_vertices(gamma)
     if vertices is None:
@@ -165,35 +161,22 @@ def pack_atom_branchings(
     trees = sorted(demands)
     entry = {i: view.require_vertices(demands[i]) for i in trees}
     covered = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
+    start = dict(covered)
 
-    # The arcs as the sweep takes them: atom arcs as (tail, head) masks,
-    # entering arcs with the mask of trees they may serve.
-    atom_arcs: list[tuple[int, int]] = []
-    term_arcs: list[tuple[int, int, int]] = []
-    cands = []  # (tail bit, head bit, hit, arc), in declaration order
+    # (tail bit, head bit, hit, arc), in declaration order; an entering
+    # arc has the mask of trees it may serve
+    cands = []
     for a in arcs:
         hb = bit.get(a.head)
         if hb is None or a.is_loop():
             continue
         tb = bit.get(a.tail)
         if tb is None:
-            tb = 1 << (len(bit) + len(term_arcs))
+            tb = 1 << (len(bit) + len(cands))
             hit = sum(1 << i for i in trees if a.tail in entry[i])
-            term_arcs.append((tb, hb, hit))
         else:
             hit = 0
-            atom_arcs.append((tb, hb))
         cands.append((tb, hb, hit, a))
-
-    short = next(
-        _requirements(gmask, covered, atom_arcs, term_arcs, bounds.max_enum_vertices),
-        None,
-    )
-    if short is not None:
-        xmask = short[2]
-        return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
-            a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
-        )
 
     flow = _StepFlow(len(bit), trees, [c[:3] for c in cands], gmask)
     owner: list[int | None] = [None] * len(cands)
@@ -208,16 +191,20 @@ def pack_atom_branchings(
                 owner[k] = i
                 flow.take(k, 1)
                 covered[i] |= hb
-                if flow.passes(hb, covered):
+                if flow.cut(hb, covered) is None:
                     break
                 owner[k] = None
                 flow.take(k, -1)
                 covered[i] &= ~hb
             else:
-                raise InvariantError(
-                    f"tree {i + 1} found no arc that keeps the residual check, "
-                    "although the check passed before"
-                )
+                untouched = _StepFlow(len(bit), trees, [c[:3] for c in cands], gmask)
+                for wbit in bit.values():
+                    xmask = untouched.cut(wbit, start)
+                    if xmask is not None:
+                        return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
+                            a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
+                        )
+                raise InvariantError(f"tree {i + 1} is stuck, but the untouched atom passes")
     return {
         i: tuple(a for (_t, _h, _hit, a), o in zip(cands, owner) if o == i) for i in trees
     }
@@ -232,7 +219,8 @@ class _StepFlow:
     into Y, the unused entering arcs outside T, and the trees with a
     foothold in Y or an arc in T.  Every such set passes exactly when
     the minimum cut, the most flow w can send to the sink, is at least
-    the number of trees.  The network has these nodes and edges:
+    the number of trees; when it is not, the last, failed augmenting
+    search reaches the source side of a short cut.  The network has:
 
     - atom vertex v: an atom arc t->h becomes the edge h->t, with
       capacity the number of its unused parallel copies;
@@ -267,6 +255,9 @@ class _StepFlow:
         arc_edge: dict[tuple[int, int], int] = {}  # (head, tail bit) -> edge
         group_edge: dict[tuple[int, int], int] = {}  # (head, hit) -> edge
         self.cand_edge: list[int] = []
+        # the mask bits of each node: an atom vertex its own, an entering
+        # group its arcs' tail bits
+        self.node_bits = {v: 1 << v for v in range(n)}
         for tb, hb, hit in cands:
             h = hb.bit_length() - 1
             if tb & gmask:
@@ -278,6 +269,7 @@ class _StepFlow:
                 if e is None:
                     self.adj.append([])
                     e = group_edge[h, hit] = _add_edge(*net, h, len(self.adj) - 1, 0)
+                self.node_bits[self.head[e]] = self.node_bits.get(self.head[e], 0) | tb
             self.cap[e] += 1
             self.cand_edge.append(e)
         # the entering-group nodes that hit each tree
@@ -290,8 +282,8 @@ class _StepFlow:
         """Mark candidate ``k`` used (``used`` 1) or unused again (-1)."""
         self.cap[self.cand_edge[k]] -= used
 
-    def passes(self, wbit: int, footholds: Mapping[int, int]) -> bool:
-        """Does every inner set holding ``wbit`` keep enough unused arcs?"""
+    def cut(self, wbit: int, footholds: Mapping[int, int]) -> int | None:
+        """Y plus the tail bits of T, for a short set holding ``wbit``, or None."""
         groups: dict[tuple[int, tuple[int, ...]], int] = {}
         for i in self.trees:
             foothold = footholds[i]
@@ -299,7 +291,7 @@ class _StepFlow:
                 key = (foothold, self.hit_by[i])
                 groups[key] = groups.get(key, 0) + 1
         if not groups:
-            return True
+            return None
         target = sum(groups.values())
         head, cap = self.head[:], self.cap[:]
         adj = [list(a) for a in self.adj]
@@ -315,7 +307,8 @@ class _StepFlow:
                 foothold ^= low
             for g in hit_by:
                 _add_edge(head, cap, adj, g, c, math.inf)
-        return _max_flow(head, cap, adj, wbit.bit_length() - 1, sink, target) >= target
+        reached = _min_cut(head, cap, adj, wbit.bit_length() - 1, sink, target)
+        return sum(self.node_bits.get(v, 0) for v in reached) or None
 
 
 def _add_edge(
@@ -330,11 +323,14 @@ def _add_edge(
     return e
 
 
-def _max_flow(
+def _min_cut(
     head: Sequence[int], cap: list[float], adj: Sequence[Sequence[int]],
     s: int, t: int, limit: int,
-) -> float:
-    """Flow from ``s`` to ``t`` along shortest augmenting paths, up to ``limit``."""
+) -> dict[int, int]:
+    """Augment along shortest paths; the source side of a cut below ``limit``.
+
+    The nodes the failed search reached, or none once ``limit`` flows.
+    """
     flow = 0
     while flow < limit:
         pred = {s: -1}
@@ -347,7 +343,7 @@ def _max_flow(
             if t in pred:
                 break
         else:
-            return flow
+            return pred
         push = limit - flow
         v = t
         while v != s:
@@ -361,7 +357,7 @@ def _max_flow(
             cap[e ^ 1] += push
             v = head[e ^ 1]
         flow += push
-    return flow
+    return {}
 
 
 def validate_digraph_packing(

@@ -218,7 +218,7 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     if isinstance(outcome, BiSetFamilyCertificate):
         return outcome
     oriented = apply_orientation(g, outcome)
-    packing = pack_reachability(oriented, roots, bounds)
+    packing = pack_reachability(oriented, roots)
     if not isinstance(packing, DigraphPacking):
         raise InvariantError(
             "oriented graph fails the cut condition although every atom was covered"

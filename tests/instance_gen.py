@@ -126,6 +126,18 @@ def deep_atom_text(k: int = 520) -> str:
     return "\n".join(lines) + "\n"
 
 
+def doubled_cycle_text(n: int, k: int) -> str:
+    """Two arcs v_i->v_(i+1) around an n-cycle, with root v0 repeated k times.
+
+    The cycle is one atom.  Two roots pack; three need a third arc into
+    every vertex but v0, and fail.
+    """
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"arc v{i} v{(i + 1) % n}" for i in range(n) for _ in range(2)]
+    lines += ["root v0"] * k
+    return "\n".join(lines) + "\n"
+
+
 def bench_workloads():
     """The benchmark's ``bench/workloads.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from arbopack.cli import main
-from instance_gen import deep_atom_text
+from instance_gen import deep_atom_text, doubled_cycle_text
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -261,6 +261,15 @@ class TestPackDigraph:
         code, out, _ = run(capsys, "pack-digraph", str(f))
         assert code == 0
         assert out.startswith("tree 1 root r\n")
+
+    def test_enumeration_bound_ignored(self, capsys, tmp_path):
+        # A 100-vertex atom packs whatever bound is given: packing
+        # enumerates no sets, so the flag is accepted and changes nothing.
+        f = tmp_path / "cycle.mg"
+        f.write_text(doubled_cycle_text(100, 2))
+        code, out, _ = run(capsys, "pack-digraph", str(f))
+        assert code == 0 and out.startswith("tree 1 root v0\n")
+        assert run(capsys, "pack-digraph", str(f), "--max-enum-vertices", "2") == (0, out, "")
 
 
 class TestExportDot:

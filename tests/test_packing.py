@@ -6,10 +6,10 @@ import pytest
 
 from arbopack import (
     DEFAULT_BOUNDS,
-    CapacityError,
     Arborescence,
     DigraphPacking,
     DirectedView,
+    InvariantError,
     Orientation,
     ViewArc,
     apply_orientation,
@@ -20,11 +20,12 @@ from arbopack import (
     parse_mixed_graph,
     validate_digraph_packing,
 )
-from arbopack import packing
+from arbopack import decomposition, packing
 from arbopack.decomposition import _atom_slices, _decompose
 from arbopack.packing import _StepFlow, reachable_in_view
 from instance_gen import (
     deep_atom_text,
+    doubled_cycle_text,
     random_digraph_instance,
     random_mixed_instance,
     random_orientation,
@@ -184,20 +185,15 @@ class TestPackReachability:
         assert cut_deficit(d, roots, {"v"}) == 0
 
     def test_sparse_fuzz_beyond_oracle_scale(self):
-        # 30-80 vertices: every packing must validate, every violated set
-        # must be short of entering arcs by direct count, and the only
-        # capacity error allowed is the per-atom vertex bound.
+        # 30-80 vertices: every packing must validate, and every violated
+        # set must be short of entering arcs by direct count.  Packing
+        # has no size bound, so no instance may raise CapacityError.
         rng = random.Random(8080)
-        outcomes = {"packed": 0, "violated": 0, "capacity": 0}
+        outcomes = {"packed": 0, "violated": 0}
         for _ in range(1000):
             g, roots = sparse_digraph_instance(rng)
             d = arcs_view(g)
-            try:
-                result = pack_reachability(d, roots)
-            except CapacityError as exc:
-                assert str(exc).startswith("|V_j| = "), exc
-                outcomes["capacity"] += 1
-                continue
+            result = pack_reachability(d, roots)
             if isinstance(result, DigraphPacking):
                 assert validate_digraph_packing(d, roots, result)
                 outcomes["packed"] += 1
@@ -205,17 +201,33 @@ class TestPackReachability:
                 assert cut_deficit(d, roots, result) > 0
                 outcomes["violated"] += 1
         assert outcomes["packed"] > 300 and outcomes["violated"] > 300, outcomes
-        assert outcomes["capacity"] < 20, outcomes
 
     def test_vertex_bound_counts_atom_and_hit_trees_only(self):
         # Instance 469 of the fuzz corpus: a 14-vertex atom with 7
-        # terminals, none of which gives a tree a foothold.  The sweep
-        # enumerates 2^14 sets, within the default bound of 20.
+        # terminals, none of which gives a tree a foothold.  Packing no
+        # longer enumerates its sets; the orientation sweep would count
+        # 14 bits for it, within the default bound of 20.
         rng = random.Random(8080)
         for _ in range(470):
             g, roots = sparse_digraph_instance(rng)
         d = arcs_view(g)
         assert max(len(atom) for atom in compute_atoms(g, roots).atoms) == 14
+        violated = pack_reachability(d, roots)
+        assert isinstance(violated, frozenset)
+        assert cut_deficit(d, roots, violated) > 0
+
+    def test_doubled_cycle_past_the_vertex_bound(self):
+        # One 200-vertex atom, ten times the default max_enum_vertices,
+        # which gates only the orientation sweep.
+        g, roots = parse_mixed_graph(doubled_cycle_text(200, 2))
+        d = arcs_view(g)
+        assert len(d.vertices) > DEFAULT_BOUNDS.max_enum_vertices
+        packing = pack_reachability(d, roots)
+        assert isinstance(packing, DigraphPacking)
+        assert validate_digraph_packing(d, roots, packing)
+
+        g, roots = parse_mixed_graph(doubled_cycle_text(200, 3))
+        d = arcs_view(g)
         violated = pack_reachability(d, roots)
         assert isinstance(violated, frozenset)
         assert cut_deficit(d, roots, violated) > 0
@@ -326,7 +338,7 @@ class TestPackAtomBranchings:
                 }
                 whole = pack_atom_branchings(d, gamma, demands)
                 vertices, _edges, arcs, _crossing = slices[j]
-                sliced = pack_atom_branchings(d, gamma, demands, DEFAULT_BOUNDS, vertices, arcs)
+                sliced = pack_atom_branchings(d, gamma, demands, vertices, arcs)
                 assert sliced == whole
                 infeasible[isinstance(whole, frozenset)] += 1
         assert min(infeasible) > 30, infeasible
@@ -372,6 +384,25 @@ def random_atom_state(rng: random.Random):
     return gmask, footholds, cands, used
 
 
+def direct_deficiency(gmask, footholds, cands, used, xmask) -> int:
+    """Trees left short by a cut mask, counted from the arcs themselves.
+
+    ``xmask`` holds Y inside ``gmask`` and the tail bits of a set T of
+    entering arcs.  Counts the trees with no foothold in Y and no unused
+    arc in T, minus the unused atom arcs into Y and the unused entering
+    arcs into Y outside T.
+    """
+    y = xmask & gmask
+    unused = [c for k, c in enumerate(cands) if k not in used]
+    hit = 0
+    for tb, _hb, h in unused:
+        if tb & xmask & ~gmask:
+            hit |= h
+    need = sum(1 for i, f in footholds.items() if not f & y and not hit >> i & 1)
+    entering = sum(1 for tb, hb, _h in unused if hb & y and not tb & xmask)
+    return need - entering
+
+
 class TestStepFlow:
     def assert_matches_sweep(self, n, gmask, footholds, cands, used, flow):
         atom_arcs = [c[:2] for k, c in enumerate(cands) if k not in used and c[0] & gmask]
@@ -379,7 +410,11 @@ class TestStepFlow:
         verdicts = []
         for w in range(n):
             expected = reference_step_check(gmask, footholds, atom_arcs, term_arcs, 1 << w)
-            assert flow.passes(1 << w, footholds) == expected, (footholds, cands, used, w)
+            xmask = flow.cut(1 << w, footholds)
+            assert (xmask is None) == expected, (footholds, cands, used, w)
+            if xmask is not None:
+                assert xmask & 1 << w
+                assert direct_deficiency(gmask, footholds, cands, used, xmask) > 0
             verdicts.append(expected)
         return verdicts
 
@@ -401,9 +436,9 @@ class TestStepFlow:
                 verdicts += self.assert_matches_sweep(n, gmask, footholds, cands, used, flow)
         assert verdicts.count(True) > 300 and verdicts.count(False) > 300
 
-    def test_one_requirement_sweep_per_atom(self, monkeypatch, two_root):
+    def test_no_requirement_sweep(self, monkeypatch, two_root):
         calls = {"sweep": 0, "atom": 0}
-        sweep, pack_atom = packing._requirements, packing.pack_atom_branchings
+        sweep, pack_atom = decomposition._requirements, packing.pack_atom_branchings
 
         def counted_sweep(*args):
             calls["sweep"] += 1
@@ -413,7 +448,8 @@ class TestStepFlow:
             calls["atom"] += 1
             return pack_atom(*args)
 
-        monkeypatch.setattr(packing, "_requirements", counted_sweep)
+        assert not hasattr(packing, "_requirements")
+        monkeypatch.setattr(decomposition, "_requirements", counted_sweep)
         monkeypatch.setattr(packing, "pack_atom_branchings", counted_pack_atom)
         rng = random.Random(5150)
         cases = [canonical_view(two_root)]
@@ -426,7 +462,24 @@ class TestStepFlow:
         for d, roots in cases:
             outcomes.add(type(pack_reachability(d, roots)))
         assert outcomes == {DigraphPacking, frozenset}
-        assert calls["sweep"] == calls["atom"] > 40
+        assert calls["sweep"] == 0 and calls["atom"] > 40
+
+    def test_lost_capacity_raises_instead_of_a_bogus_set(self, monkeypatch):
+        # Taking two units per arc imitates a bookkeeping bug.  Tree 1
+        # keeps one of the three arcs r->a, leaving one unit, then finds
+        # no a->b that passes.  The atom as it stands then fails the check
+        # at a, but the untouched atom passes it from every vertex, so no
+        # violated set may come back.
+        def take_twice(self, k, used):
+            self.cap[self.cand_edge[k]] -= 2 * used
+
+        text = "vertex r\nvertex a\nvertex b\n" + "arc r a\n" * 3 + "arc a b\n" * 2
+        g, roots = parse_mixed_graph(text + "root r\nroot r\n")
+        d = arcs_view(g)
+        assert isinstance(pack_reachability(d, roots), DigraphPacking)
+        monkeypatch.setattr(_StepFlow, "take", take_twice)
+        with pytest.raises(InvariantError, match="untouched atom passes"):
+            pack_reachability(d, roots)
 
 
 class TestValidateDigraphPacking:
