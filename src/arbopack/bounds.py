@@ -1,9 +1,11 @@
 """The configurable limit for orientation's exhaustive requirement sweep.
 
-Orienting an atom enumerates every subset of it and, per subset, every
-submask of the trees its terminals can give a foothold.  The sweep
-raises :class:`~arbopack.errors.CapacityError` naming the bound instead
-of attempting an infeasible amount of work.  Packing is not bounded.
+Only the exact orientation fallback enumerates: it sweeps every subset
+of the atom and, per subset, every submask of the trees its terminals
+can give a foothold.  The sweep raises
+:class:`~arbopack.errors.CapacityError` naming the bound instead of
+attempting an infeasible amount of work.  The fast orientation path and
+packing are not bounded.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ from dataclasses import replace
 from typing import Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import BiSet, build_auxiliary, compute_atoms
+from .decomposition import BiSet, compute_atoms
 from .errors import ArbopackError, CapacityError, InvariantError, ParseError
 from .graph_core import MixedGraph, arcs_view, parse_mixed_graph
-from .orientation import CoverRequirement, SubpartitionCertificate, orient_covering
+from .orientation import SubpartitionCertificate, orient_atom
 from .packing import DigraphPacking, pack_reachability
 from .pipeline import (
     BiSetFamilyCertificate,
@@ -223,10 +223,9 @@ def _cmd_orient(args) -> int:
     j = args.atom - 1
     if not 0 <= j < len(dec.atoms):
         raise ParseError(f"atom index {args.atom} out of range 1..{len(dec.atoms)}")
-    req = CoverRequirement(build_auxiliary(g, dec, j), dec, tuple(roots), bounds)
-    outcome = orient_covering(req)
+    outcome, aux = orient_atom(g, dec, j, roots, bounds=bounds)
     if isinstance(outcome, SubpartitionCertificate):
-        order = {v: i for i, v in enumerate(req.aux.graph.vertices)}
+        order = {v: i for i, v in enumerate(aux.graph.vertices)}
         _emit(
             {
                 "format": 1,

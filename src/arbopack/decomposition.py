@@ -6,8 +6,9 @@ atom and to no tree.  Demands are expressed through bi-sets: nested pairs
 (outer, inner) of vertex sets.  The demand of a bi-set counts the roots
 whose tree is forced to enter the inner set across the outer "wall".
 
-Per atom, an *auxiliary graph* replaces every arc entering the atom by a
-fresh terminal vertex with a single outgoing arc to the original head.
+Per atom, an *auxiliary graph*, which only the exact orientation
+fallback builds, replaces every arc entering the atom by a fresh
+terminal vertex with a single outgoing arc to the original head.
 Subsets of the auxiliary vertex set that contain the head of every chosen
 terminal ("consistent" sets) carry the demand function down to plain set
 functions, one independent subproblem per atom.  One pass buckets the
@@ -234,6 +235,27 @@ def _atom_slices(
     return [_AtomSlice(*s) for s in zip(vertices, edges, arcs, crossing)]
 
 
+def _entering_arcs(g: MixedGraph, gamma: frozenset[str], sl: _AtomSlice) -> list[Arc]:
+    """The arcs entering an atom, each of which its auxiliary graph names.
+
+    Raises for an edge crossing the atom's boundary, and for a vertex
+    that already has the name of one of the atom's terminals.
+    """
+    if sl.crossing is not None:
+        raise InvariantError(
+            f"edge {sl.crossing.id!r} crosses the atom boundary; atoms cannot share edges"
+        )
+    entering = [a for a in sl.arcs if a.tail not in gamma]
+    for a in entering:
+        t = f"{RESERVED_TERMINAL_PREFIX}{a.id}"
+        if t in g.vertex_set:
+            raise ValueError(
+                f"vertex {t!r} uses the {RESERVED_TERMINAL_PREFIX!r} prefix "
+                "reserved for terminal ids"
+            )
+    return entering
+
+
 def build_auxiliary(
     g: MixedGraph,
     dec: AtomDecomposition,
@@ -250,20 +272,10 @@ def build_auxiliary(
     gamma = dec.atoms[j]
     if slices is None:
         slices = _atom_slices(g, dec)
-    vertices, edges, arcs, crossing = slices[j]
-    if crossing is not None:
-        raise InvariantError(
-            f"edge {crossing.id!r} crosses the atom boundary; atoms cannot share edges"
-        )
+    vertices, edges, arcs, _crossing = slices[j]
+    entering = _entering_arcs(g, gamma, slices[j])
     internal = [a for a in arcs if a.tail in gamma]
-    entering = [a for a in arcs if a.tail not in gamma]
     terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
-    for t in terminals:
-        if t in g.vertex_set:
-            raise ValueError(
-                f"vertex {t!r} uses the {RESERVED_TERMINAL_PREFIX!r} prefix "
-                "reserved for terminal ids"
-            )
     origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
     graph = MixedGraph(
         tuple(vertices) + tuple(terminals),

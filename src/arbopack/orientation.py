@@ -1,27 +1,44 @@
 """Orient an atom's edges so the resulting digraph covers its demands.
 
-The requirement is the function ``p_j - rho_static`` over the atom's
-consistent-set family.  The solver starts from a deterministic
-orientation and repeatedly reverses a directed path of oriented edges
-while that strictly shrinks the total deficiency.  The drop is counted,
-not tried: reversing a path from s to t sends one more edge into each
-set with s but not t and one fewer into each set with t but not s, and
-one breadth-first search per start s gives every path.  The slacks are
-taken once and shifted in place after each reversal.  When stuck, it
-certifies infeasibility by a subpartition of the auxiliary vertex set
-whose summed demands exceed what edges plus fixed arcs can deliver: the
-one of maximum deficit, with the fewest parts, then lexicographically
-least.  Its parts are deficient sets, so the search runs over the exact
-covers of their union, about 3^|union| steps.  By Frank's orientation
-theorem for intersecting supermodular requirements, such a subpartition
-exists exactly when no orientation covers the atom, so when there is
-none the edges are fixed one at a time, each in a direction that keeps
-the remaining requirement certificate-free.
+An orientation covers an atom when every vertex set Y of it, with any
+set T of the arcs that enter the atom at Y, has in-degree at least the
+number of trees forced to enter Y + T.  :func:`orient_atom` is the one
+per-atom entry, used by ``solve`` and ``arbopack orient`` alike.  Its
+fast path checks that condition with the atom's cut oracle, the max-flow
+network packing uses (``packing._StepFlow``), built from the atom's
+slice of the graph with each edge a pair of network edges whose
+capacities swap when the edge flips.  Edges start pointing away from the
+atom's roots, and a path of oriented edges is reversed out of each short
+set found, when one flow shows that no set it takes an edge from falls
+short.  No auxiliary graph and no table is built on that path.
 
-Violation checks run over a reduced family: for every inner set only the
-terminal completions that maximise the deficit can be binding, and there
-is one such completion per subset of the atom's trees.  The reduction is
-exact, and it keeps only the inner sets that need at least one edge.
+An atom the fast path refutes (a set short even with every edge counted
+both ways) or stalls on goes to the exact fallback, :func:`orient_covering`,
+which works on the auxiliary graph.  Its requirement is the function
+``p_j - rho_static`` over the atom's consistent-set family.  It starts
+from a deterministic orientation and repeatedly reverses a directed path
+of oriented edges while that strictly shrinks the total deficiency.  The
+drop is counted, not tried: reversing a path from s to t sends one more
+edge into each set with s but not t and one fewer into each set with t
+but not s, and one breadth-first search per start s gives every path.
+The slacks are taken once and shifted in place after each reversal.
+When stuck, it certifies infeasibility by a subpartition of the
+auxiliary vertex set whose summed demands exceed what edges plus fixed
+arcs can deliver: the one of maximum deficit, with the fewest parts,
+then lexicographically least.  Its parts are deficient sets, so the
+search runs over the exact covers of their union, about 3^|union|
+steps.  By Frank's orientation theorem for intersecting supermodular
+requirements, such a subpartition exists exactly when no orientation
+covers the atom, so when there is none the edges are fixed one at a
+time, each in a direction that keeps the remaining requirement
+certificate-free.
+
+The fallback's violation checks run over a reduced family: for every
+inner set only the terminal completions that maximise the deficit can
+be binding, and there is one such completion per subset of the atom's
+trees.  The reduction is exact, and it keeps only the inner sets that
+need at least one edge.  Only this table is bounded by
+``Bounds.max_enum_vertices``.
 """
 
 from __future__ import annotations
@@ -35,10 +52,15 @@ from .decomposition import (
     AtomContext,
     AtomDecomposition,
     AuxiliaryGraph,
+    _AtomSlice,
+    _atom_slices,
+    _entering_arcs,
     _requirements,
+    build_auxiliary,
 )
 from .errors import InvariantError
-from .graph_core import Orientation
+from .graph_core import MixedGraph, Orientation
+from .packing import _StepFlow
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,142 @@ class SubpartitionCertificate:
     atom_index: int
     parts: tuple[frozenset[str], ...]
     deficit: int
+
+
+def orient_atom(
+    g: MixedGraph,
+    dec: AtomDecomposition,
+    j: int,
+    roots: Sequence[str],
+    slices: Sequence[_AtomSlice] | None = None,
+    bounds: Bounds = DEFAULT_BOUNDS,
+) -> tuple[Orientation | SubpartitionCertificate, AuxiliaryGraph | None]:
+    """Atom ``j``'s covering orientation or certificate, and its auxiliary graph.
+
+    The fast path (:func:`_orient_by_cuts`) orients the atom from its
+    slice of ``g``, with no auxiliary graph, which is then ``None``.
+    Only an atom it refutes or stalls on goes to :func:`orient_covering`,
+    whose answer comes with the auxiliary graph its certificate names.
+    ``slices`` are ``_atom_slices(g, dec)``, computed here when not given.
+    """
+    if slices is None:
+        slices = _atom_slices(g, dec)
+    entering = _entering_arcs(g, dec.atoms[j], slices[j])
+    fast = _orient_by_cuts(slices[j], entering, dec, j, roots)
+    if fast is not None:
+        return fast, None
+    aux = build_auxiliary(g, dec, j, slices)
+    return orient_covering(CoverRequirement(aux, dec, roots, bounds)), aux
+
+
+def _orient_by_cuts(sl, entering, dec: AtomDecomposition, j: int, roots) -> Orientation | None:
+    """A covering orientation found with the cut oracle alone, or None.
+
+    The vertices w are checked in order, each by one flow of the oracle
+    (:func:`_cut_oracle`).  A short set X holding w that stays short with
+    every edge counted both ways refutes the atom.  Otherwise a path of
+    oriented edges from some s in X (w first) to a vertex t outside X is
+    reversed.  X gains an edge, and so does every set with s but not t.
+    Every set with t but not s loses one, so t is taken only when one
+    flow with s tied to the sink shows that each of those sets has slack
+    at least 1.  Sets that passed keep passing, so the scan resumes at w.
+    Returns None when it refutes the atom, or when no such path leaves X.
+    """
+    flow, start, ends = _cut_oracle(sl, entering, dec, j, roots)
+    n = len(sl.vertices)
+    for w in range(n):
+        x = flow.cut(1 << w, start)
+        if x is not None and flow.cut(1 << w, start, both=True) is not None:
+            return None
+        while x is not None:
+            if not _reverse_a_path(flow, ends, x & ((1 << n) - 1), w, start):
+                return None
+            x = flow.cut(1 << w, start)
+
+    direction = {}
+    oriented = iter(ends)
+    for e in sl.edges:
+        if e.is_loop():
+            direction[e.id] = (e.u, e.v)
+        else:
+            t, h = next(oriented)
+            direction[e.id] = (sl.vertices[t], sl.vertices[h])
+    return Orientation(direction)
+
+
+def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots):
+    """The atom's cut oracle, with its edges in the starting orientation.
+
+    Returns the oracle (a :class:`~arbopack.packing._StepFlow` whose
+    edges flip), the trees' footholds, and the (tail, head) vertex
+    indices of each non-loop edge, in slice order.  Vertex k of the
+    atom's slice has bit k.  Edges point away from the atom's roots (from
+    the heads of its entering arcs when no root lies inside), by
+    breadth-first distance over its edges and arcs.
+    """
+    vertices, edges, arcs, _crossing = sl
+    gamma = dec.atoms[j]
+    at = {v: k for k, v in enumerate(vertices)}
+    n = len(vertices)
+    trees = sorted(dec.atom_roots[j])
+    start = {i: 1 << at[roots[i]] if roots[i] in gamma else 0 for i in trees}
+    inner = [(at[a.tail], at[a.head]) for a in arcs if a.tail in gamma and not a.is_loop()]
+    pairs = [(at[e.u], at[e.v]) for e in edges if not e.is_loop()]
+
+    near = [[] for _ in range(n)]
+    for u, v in pairs:
+        near[u].append(v)
+        near[v].append(u)
+    for t, h in inner:
+        near[t].append(h)
+    sources = [at[roots[i]] for i in trees if roots[i] in gamma]
+    dist = dict.fromkeys(sources or [at[a.head] for a in entering], 0)
+    queue = list(dist)
+    for u in queue:
+        for v in near[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    ends = [(v, u) if dist.get(v, n) < dist.get(u, n) else (u, v) for u, v in pairs]
+
+    cands = [(1 << t, 1 << h, 0) for t, h in inner] + [
+        (1 << (n + k), 1 << at[a.head], sum(1 << i for i in trees if a.tail in dec.reach[i]))
+        for k, a in enumerate(entering)
+    ]
+    return _StepFlow(n, trees, cands, (1 << n) - 1, ends), start, ends
+
+
+def _reverse_a_path(flow, ends, y: int, w: int, start) -> bool:
+    """Reverse the first safe path of oriented edges out of the short set ``y``.
+
+    Starts s run over ``y``, ``w`` first; ends t over the vertices
+    outside ``y`` in breadth-first order from s.  Returns whether one
+    was reversed.
+    """
+    incident: dict[int, list[int]] = {}
+    for k, (u, v) in enumerate(ends):
+        incident.setdefault(u, []).append(k)
+        incident.setdefault(v, []).append(k)
+    for s in [w] + [v for v in range(y.bit_length()) if y >> v & 1 and v != w]:
+        parent = {s: -1}
+        queue = [s]
+        for u in queue:
+            for k in incident.get(u, ()):
+                tail, t = ends[k]
+                if tail != u or t in parent:
+                    continue
+                parent[t] = k
+                queue.append(t)
+                if y >> t & 1 or flow.cut(1 << t, start, avoid=1 << s, extra=1) is not None:
+                    continue
+                while t != s:
+                    k = parent[t]
+                    flow.flip(k)
+                    tail, head = ends[k]
+                    ends[k] = (head, tail)
+                    t = tail
+                return True
+    return False
 
 
 def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:

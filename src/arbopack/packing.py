@@ -211,19 +211,22 @@ def pack_atom_branchings(
 
 
 class _StepFlow:
-    """The max-flow form of one atom's residual check, for sets holding w.
+    """One atom's cut oracle: the max-flow form of its check, for sets holding w.
 
     A cut with w on the source side stands for a set Y with w in Y and a
     consistent set T of unused entering arcs, and its capacity is
     ``rho(Y) + |entering(Y) - T| + cov(Y + T)``: the unused atom arcs
-    into Y, the unused entering arcs outside T, and the trees with a
-    foothold in Y or an arc in T.  Every such set passes exactly when
-    the minimum cut, the most flow w can send to the sink, is at least
-    the number of trees; when it is not, the last, failed augmenting
-    search reaches the source side of a short cut.  The network has:
+    and edges into Y, the unused entering arcs outside T, and the trees
+    with a foothold in Y or an arc in T.  Every such set passes exactly
+    when the minimum cut, the most flow w can send to the sink, is at
+    least the number of trees; when it is not, the last, failed
+    augmenting search reaches the source side of a short cut.  The
+    network has:
 
     - atom vertex v: an atom arc t->h becomes the edge h->t, with
-      capacity the number of its unused parallel copies;
+      capacity the number of its unused parallel copies, and an atom
+      edge oriented t->h becomes the edge h->t of capacity 1, whose
+      residual twin t->h takes the unit when the edge is flipped;
     - entering group: the unused entering arcs with one head h and one
       hit mask, with an edge h->group of capacity their count;
     - tree group: the trees with one foothold and the same hitting
@@ -235,8 +238,10 @@ class _StepFlow:
     much as the same cut with the group moved across, so minimum cuts
     keep T consistent with no edge to enforce it.  Trees whose foothold
     holds w cross every such cut, so they are left out and lower the
-    target instead.  Atom arcs and entering groups are built once; tree
-    groups follow the footholds and are built per check.
+    target instead.  Atom arcs, edges and entering groups are built
+    once.  Tree groups follow the footholds: they come after every other
+    node, and a check rebuilds them only when its groups differ from the
+    last check's.  Each flow runs on a copy of the capacities.
     """
 
     def __init__(
@@ -245,6 +250,7 @@ class _StepFlow:
         trees: Sequence[int],
         cands: Sequence[tuple[int, int, int]],
         gmask: int,
+        edges: Sequence[tuple[int, int]] = (),
     ):
         self.trees = trees
         # edge e runs to head[e], and its residual twin is e ^ 1
@@ -272,43 +278,88 @@ class _StepFlow:
                 self.node_bits[self.head[e]] = self.node_bits.get(self.head[e], 0) | tb
             self.cap[e] += 1
             self.cand_edge.append(e)
+        # atom edges, as (tail, head) vertices
+        self.edge_net = [_add_edge(*net, h, t, 1) for t, h in edges]
         # the entering-group nodes that hit each tree
         self.hit_by = {
             i: tuple(self.head[e] for (_h, hit), e in group_edge.items() if hit >> i & 1)
             for i in trees
         }
+        self.fixed = (len(self.head), len(self.adj))
+        self.groups: dict[tuple[int, tuple[int, ...]], int] | None = None
+        self.touched: list[int] = []
 
     def take(self, k: int, used: int) -> None:
         """Mark candidate ``k`` used (``used`` 1) or unused again (-1)."""
         self.cap[self.cand_edge[k]] -= used
 
-    def cut(self, wbit: int, footholds: Mapping[int, int]) -> int | None:
-        """Y plus the tail bits of T, for a short set holding ``wbit``, or None."""
+    def flip(self, k: int) -> None:
+        """Reverse atom edge ``k``."""
+        e = self.edge_net[k]
+        self.cap[e], self.cap[e ^ 1] = self.cap[e ^ 1], self.cap[e]
+
+    def cut(
+        self,
+        wbit: int,
+        footholds: Mapping[int, int],
+        avoid: int = 0,
+        extra: int = 0,
+        both: bool = False,
+    ) -> int | None:
+        """Y plus the tail bits of T, for a set with slack below ``extra``, or None.
+
+        The sets searched hold ``wbit`` and not the bit ``avoid``, which
+        one unbounded edge ties to the sink.  With ``both`` every atom
+        edge counts in both directions, so a set it finds short is short
+        in every orientation.
+        """
         groups: dict[tuple[int, tuple[int, ...]], int] = {}
         for i in self.trees:
             foothold = footholds[i]
             if not foothold & wbit:
                 key = (foothold, self.hit_by[i])
                 groups[key] = groups.get(key, 0) + 1
-        if not groups:
+        target = sum(groups.values()) + extra
+        if not target:
             return None
-        target = sum(groups.values())
-        head, cap = self.head[:], self.cap[:]
-        adj = [list(a) for a in self.adj]
-        sink = len(adj)
-        adj.append([])
-        for (foothold, hit_by), count in groups.items():
-            c = len(adj)
-            adj.append([])
+        if groups != self.groups:
+            self._set_groups(groups)
+        head, adj, sink = self.head, self.adj, len(self.adj) - 1
+        cap = self.cap[:]
+        if both:
+            for e in self.edge_net:
+                cap[e] = cap[e ^ 1] = 1
+        if avoid:
+            u = avoid.bit_length() - 1
+            _add_edge(head, cap, adj, u, sink, math.inf)
+        reached = _min_cut(head, cap, adj, wbit.bit_length() - 1, sink, target)
+        if avoid:
+            del head[-2:]
+            adj[u].pop()
+            adj[sink].pop()
+        return sum(self.node_bits.get(v, 0) for v in reached) or None
+
+    def _set_groups(self, groups: dict[tuple[int, tuple[int, ...]], int]) -> None:
+        """Replace the tree groups, kept after the lasting nodes, and the sink after them."""
+        head, cap, adj = self.head, self.cap, self.adj
+        n_edges, n_nodes = self.fixed
+        for u in self.touched:
+            adj[u].pop()
+        del head[n_edges:], cap[n_edges:], adj[n_nodes:]
+        self.touched = []  # the lasting tail of each edge into a group
+        sink = n_nodes + len(groups)
+        adj += [[] for _ in range(len(groups) + 1)]
+        for c, ((foothold, hit_by), count) in enumerate(groups.items(), n_nodes):
             _add_edge(head, cap, adj, c, sink, count)
+            tails = list(hit_by)
             while foothold:
                 low = foothold & -foothold
-                _add_edge(head, cap, adj, low.bit_length() - 1, c, math.inf)
+                tails.append(low.bit_length() - 1)
                 foothold ^= low
-            for g in hit_by:
-                _add_edge(head, cap, adj, g, c, math.inf)
-        reached = _min_cut(head, cap, adj, wbit.bit_length() - 1, sink, target)
-        return sum(self.node_bits.get(v, 0) for v in reached) or None
+            for u in tails:
+                _add_edge(head, cap, adj, u, c, math.inf)
+            self.touched += tails
+        self.groups = groups
 
 
 def _add_edge(

@@ -19,7 +19,6 @@ from .decomposition import (
     AuxiliaryGraph,
     BiSet,
     _atom_slices,
-    build_auxiliary,
     biset_in_degree,
     compute_atoms,
     lift_biset,
@@ -39,7 +38,7 @@ from .graph_core import (
     lexicographic_orientation,
     mixed_reachable_set,
 )
-from .orientation import CoverRequirement, SubpartitionCertificate, orient_covering
+from .orientation import SubpartitionCertificate, orient_atom
 from .packing import DigraphPacking, pack_reachability
 
 
@@ -188,18 +187,17 @@ def covering_orientation(
     Returns an :class:`Orientation` over the whole edge set, or the
     lifted certificate of the lowest-index atom that cannot be oriented.
     Edges incident to no atom get the lexicographic direction; they can
-    never matter.  The graph is sliced by atom once, so each atom's
-    auxiliary graph is built from its own vertices, edges and arcs.
+    never matter.  The graph is sliced by atom once, and each atom is
+    oriented from its own vertices, edges and arcs by :func:`orient_atom`.
     """
     roots = tuple(roots)
     dec = compute_atoms(g, roots)
     slices = _atom_slices(g, dec)
     direction: dict[str, tuple[str, str]] = {}
     for j in range(len(dec.atoms)):
-        req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, roots, bounds)
-        outcome = orient_covering(req)
+        outcome, aux = orient_atom(g, dec, j, roots, slices, bounds)
         if isinstance(outcome, SubpartitionCertificate):
-            return certificate_from_subpartition(outcome, req.aux, dec, g, roots)
+            return certificate_from_subpartition(outcome, aux, dec, g, roots)
         direction.update(outcome.direction)
     leftover = [e.id for e in g.edges if e.id not in direction]
     direction.update(lexicographic_orientation(g, leftover).direction)

@@ -30,11 +30,12 @@ from instance_gen import (
     sparse_digraph_instance,
 )
 
-ANSWERS_SHA256 = "540b6a8e7c8b6f39bc66207e736a5fccc52b48f03ee5c222cb87925103a72b3c"
+ANSWERS_SHA256 = "a0e78cc7ae3aa8cb0baac5d23cf36068a9126430dc7a1405e97e4d8ad24011fa"
 DIGRAPH_ANSWERS_SHA256 = "f9360f2ec847cfe716ff15e39b841b5199168ffe9461b98123c48e0465a809b4"
 DIGRAPH_PACKINGS_SHA256 = "ab59c4f5fc33046c569adf33dfb98cd2e5aeb238461fa81f432cf158757bcdb5"
-BENCH_ANSWERS_SHA256 = "00c451f29ad7dd5639d7f053941b96120381c498a028e973d854a6e7c82f105f"
+BENCH_ANSWERS_SHA256 = "b0b401cae132b6d4da8a01055eac749461551a59f7feee0d2ce0a8d2812f86d8"
 CERTIFY_ANSWERS_SHA256 = "1a463d4a305167325bf75655d3ae20542137f4d53b7b2d034426b8b1f10b6984"
+VERDICTS_SHA256 = "b20ce12df9b5a2141f98ba184f0a977e392bf5783c5a7d7c539e115c97784351"
 
 
 def canonical(result) -> str:
@@ -64,12 +65,18 @@ def canonical(result) -> str:
     )
 
 
-def random_corpus_digest() -> str:
+def random_corpus_answers():
+    """Each answer of ``solve`` on the seed-4242 mixed corpus."""
     rng = random.Random(4242)
-    h = hashlib.sha256()
     for _ in range(1000):
         g, roots = random_mixed_instance(rng, max_v=9, max_e=12, max_a=8)
-        h.update(canonical(solve(g, roots)).encode() + b"\n")
+        yield solve(g, roots)
+
+
+def random_corpus_digest() -> str:
+    h = hashlib.sha256()
+    for result in random_corpus_answers():
+        h.update(canonical(result).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -116,15 +123,36 @@ def bench_corpus(workload: str, seed: int, size: int):
     return bench_workloads().corpus(workload, seed, size)
 
 
+def bench_answers():
+    """Each answer of ``solve`` on the ``pack_heavy`` and ``many_atoms`` corpora."""
+    for workload in ("pack_heavy", "many_atoms"):
+        for inst in bench_corpus(workload, 1, 110):
+            g, roots = parse_mixed_graph(inst.text)
+            yield solve(g, roots)
+
+
 def bench_digest() -> str:
     # The corpora whose atoms turn the most candidate arcs down.  A change
     # to bench/workloads.py changes them, and the digest must then be
     # recorded again, from the commit before the change.
     h = hashlib.sha256()
-    for workload in ("pack_heavy", "many_atoms"):
-        for inst in bench_corpus(workload, 1, 110):
-            g, roots = parse_mixed_graph(inst.text)
-            h.update(canonical(solve(g, roots)).encode() + b"\n")
+    for result in bench_answers():
+        h.update(canonical(result).encode() + b"\n")
+    return h.hexdigest()
+
+
+def verdicts_digest() -> str:
+    # Pins the verdict of every instance behind ANSWERS_SHA256 and
+    # BENCH_ANSWERS_SHA256, and every certificate whole, but not which
+    # packing a feasible instance gets: any covering orientation packs.
+    h = hashlib.sha256()
+    for answers in (random_corpus_answers(), bench_answers()):
+        for result in answers:
+            if isinstance(result, MixedPacking):
+                result = json.dumps({"feasible": True})
+            else:
+                result = canonical(result)
+            h.update(result.encode() + b"\n")
     return h.hexdigest()
 
 
@@ -144,6 +172,7 @@ DIGESTS = {
     "DIGRAPH_PACKINGS_SHA256": digraph_packings_digest,
     "BENCH_ANSWERS_SHA256": bench_digest,
     "CERTIFY_ANSWERS_SHA256": certify_digest,
+    "VERDICTS_SHA256": verdicts_digest,
 }
 
 
@@ -165,6 +194,10 @@ def test_bench_corpus_answers_pinned():
 
 def test_certify_corpus_answers_pinned():
     assert certify_digest() == CERTIFY_ANSWERS_SHA256
+
+
+def test_verdicts_and_certificates_pinned():
+    assert verdicts_digest() == VERDICTS_SHA256
 
 
 if __name__ == "__main__":

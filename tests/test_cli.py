@@ -57,8 +57,8 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(bad))
         assert code == 1 and "line 2" in err
 
-    def test_capacity_exit(self, capsys, two_root_path):
-        code, _, err = run(capsys, "solve", two_root_path, "--max-enum-vertices", "2")
+    def test_capacity_exit(self, capsys, infeasible_path):
+        code, _, err = run(capsys, "solve", infeasible_path, "--max-enum-vertices", "2")
         assert code == 3 and "max_enum_vertices" in err
 
     def test_nonpositive_bound_rejected(self, capsys, two_root_path):

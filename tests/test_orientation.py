@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,22 +10,30 @@ from arbopack import (
     Bounds,
     CapacityError,
     CoverRequirement,
+    MixedPacking,
     Orientation,
     SubpartitionCertificate,
     build_auxiliary,
     compute_atoms,
     orient_covering,
+    parse_mixed_graph,
     solve,
+    validate_mixed_packing,
     verify_certificate,
 )
-from arbopack.decomposition import _worst_completion
+from arbopack import orientation, packing
+from arbopack.decomposition import _atom_slices, _entering_arcs, _worst_completion
 from arbopack.orientation import (
+    _cross_into,
+    _cut_oracle,
     _descend,
     _extract_certificate,
     _fix_edges,
+    _orient_by_cuts,
     _reduced_table,
+    orient_atom,
 )
-from instance_gen import random_mixed_instance
+from instance_gen import bench_workloads, random_mixed_instance
 from naive import (
     check_cover,
     make_subpartition_certificate,
@@ -33,6 +42,7 @@ from naive import (
     naive_orientation_covers,
     naive_orientation_exists,
     naive_pj,
+    iter_family,
     reference_fix_edges,
     subpartition_deficit,
     subsets,
@@ -306,3 +316,167 @@ class TestCapacity:
         req = requirement_for(g, roots, ["r1", "v1", "v2", "v5"])
         with pytest.raises(ValueError, match="exactly"):
             check_cover(req, Orientation({"e1": ("r1", "v1")}))
+
+
+def atom_oracles(rng, count, **kw):
+    """Every atom of ``count`` random instances, as its requirement and its cut oracle."""
+    for _ in range(count):
+        g, roots = random_mixed_instance(rng, **kw)
+        dec = compute_atoms(g, roots)
+        slices = _atom_slices(g, dec)
+        for j, sl in enumerate(slices):
+            req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
+            yield req, _cut_oracle(sl, _entering_arcs(g, dec.atoms[j], sl), dec, j, roots)
+
+
+def flip_at_random(rng, flow, ends) -> list[tuple[int, int]]:
+    """Flip each edge with probability 1/2; the (tail bit, head bit) per edge after."""
+    for k in range(len(ends)):
+        if rng.random() < 0.5:
+            flow.flip(k)
+            ends[k] = ends[k][::-1]
+    return [(1 << t, 1 << h) for t, h in ends]
+
+
+class TestCutOracle:
+    """The fast path's cut oracle against the table and the family, for random orientations."""
+
+    def test_short_cut_iff_table_row_uncovered(self):
+        rng = random.Random(8128)
+        seen = Counter()
+        for req, (flow, start, ends) in atom_oracles(rng, 1500, max_v=7, max_e=9, max_a=8):
+            ctx = req.context
+            spans = [bu | bv for _eid, bu, bv in ctx.edge_bits]
+            assert spans == [(1 << t) | (1 << h) for t, h in ends]
+            bits = flip_at_random(rng, flow, ends)
+            table = _reduced_table(req)
+            for w in range(ctx.gamma_mask.bit_length()):
+                rows = [(y, need) for y, (need, _xm) in table.items() if y >> w & 1]
+                covered = all(_cross_into(bits, y) >= need for y, need in rows)
+                x = flow.cut(1 << w, start)
+                assert (x is None) == covered
+                if x is not None:
+                    y = x & ctx.gamma_mask
+                    assert y >> w & 1 and _cross_into(bits, y) < table[y][0]
+                # the quick boundary refutation, restricted to the sets holding w
+                boundary = all(
+                    sum(1 for span in spans if 0 != span & y != span) >= need for y, need in rows
+                )
+                assert (flow.cut(1 << w, start, both=True) is None) == boundary
+                seen[covered, boundary] += 1
+        assert set(seen) == {(True, True), (False, True), (False, False)}
+        assert min(seen.values()) > 500, seen
+
+    def test_avoid_and_extra_match_family_slacks(self):
+        # cut(t, avoid=s, extra=1) passes exactly when every family member
+        # holding t but not s has slack at least 1.
+        rng = random.Random(1618)
+        seen = Counter()
+        for req, (flow, start, ends) in atom_oracles(rng, 400, max_v=6, max_e=8, max_a=6):
+            ctx = req.context
+            if ctx.size > 10:
+                continue
+            bits = flip_at_random(rng, flow, ends)
+            slack = {
+                m: ctx.rho_static(m) + _cross_into(bits, m) - ctx.p_of(m) for m in iter_family(ctx)
+            }
+            n = ctx.gamma_mask.bit_length()
+            for t in range(n):
+                for s in range(n):
+                    if s != t:
+                        safe = all(v >= 1 for m, v in slack.items() if m >> t & 1 and not m >> s & 1)
+                        got = flow.cut(1 << t, start, avoid=1 << s, extra=1)
+                        assert (got is None) == safe
+                        seen[safe] += 1
+        assert min(seen.values()) > 300, seen
+
+
+class TestFastPath:
+    @staticmethod
+    def fast(g, roots, dec, j, slices):
+        sl = slices[j]
+        return _orient_by_cuts(sl, _entering_arcs(g, dec.atoms[j], sl), dec, j, roots)
+
+    def test_fast_orientations_cover(self):
+        # Each orientation the fast path returns covers its atom, and it
+        # gives up on each atom that has none.
+        rng = random.Random(27182)
+        seen = Counter()
+        for _ in range(1000):
+            g, roots = random_mixed_instance(rng, max_v=7, max_e=9, max_a=8)
+            dec = compute_atoms(g, roots)
+            slices = _atom_slices(g, dec)
+            for j in range(len(dec.atoms)):
+                fast = self.fast(g, roots, dec, j, slices)
+                req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
+                exact = orient_covering(req)
+                if fast is not None:
+                    assert isinstance(exact, Orientation)
+                    assert check_cover(req, fast) is None
+                seen[fast is not None, isinstance(exact, Orientation)] += 1
+        assert seen[True, True] > 800 and seen[False, False] > 300, seen
+
+    def test_bench_atoms_reversed_into_cover_without_fallback(self, monkeypatch):
+        # Edges pointing away from a segment's root leave no way in for
+        # the trees that enter further along, so the staggered segments
+        # need path reversals; none of these atoms reaches the fallback.
+        reversals = []
+        reverse = orientation._reverse_a_path
+        monkeypatch.setattr(
+            orientation, "_reverse_a_path", lambda *a: reversals.append(a) or reverse(*a)
+        )
+        for inst in bench_workloads().corpus("pack_heavy", 1, 20):
+            g, roots = parse_mixed_graph(inst.text)
+            dec = compute_atoms(g, roots)
+            slices = _atom_slices(g, dec)
+            for j in range(len(dec.atoms)):
+                fast = self.fast(g, roots, dec, j, slices)
+                req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
+                assert fast is not None and check_cover(req, fast) is None
+        assert len(reversals) >= 10
+
+    def test_start_from_the_roots_packs_the_lexicographic_stall(self):
+        # Vertices n0..n3, edges n1-n3 and n2-n0, roots n2 and n1.  Path
+        # reversal from lexicographic directions stalls here: no single
+        # reversal repairs {n1} without dropping the tight set {n0, n3}.
+        # Starting from the roots puts n2->n0 in place, so reversing
+        # n1->n3 alone covers the atom.
+        g, roots = random_mixed_instance(
+            random.Random(248192), max_v=6, max_e=10, max_a=6, max_k=3
+        )
+        assert len(g.vertices) == 4 and len(g.edges) == 2
+        dec = compute_atoms(g, roots)
+        assert self.fast(g, roots, dec, 0, _atom_slices(g, dec)) is not None
+        mp = solve(g, roots)
+        assert isinstance(mp, MixedPacking)
+        assert validate_mixed_packing(g, roots, mp)
+
+    def test_stalled_atom_oriented_by_the_exact_path(self):
+        g, roots = random_mixed_instance(
+            random.Random(1 * 1000003 + 7619), max_v=7, max_e=11, max_a=7
+        )
+        dec = compute_atoms(g, roots)
+        slices = _atom_slices(g, dec)
+        assert [len(a) for a in dec.atoms] == [4]
+        assert self.fast(g, roots, dec, 0, slices) is None
+        outcome, aux = orient_atom(g, dec, 0, roots)
+        assert isinstance(outcome, Orientation)
+        assert check_cover(CoverRequirement(aux, dec, tuple(roots)), outcome) is None
+        mp = solve(g, roots)
+        assert isinstance(mp, MixedPacking)
+        assert validate_mixed_packing(g, roots, mp)
+
+    def test_refuted_atom_gives_up_after_two_flows(self, monkeypatch):
+        flows = []
+        min_cut = packing._min_cut
+        monkeypatch.setattr(packing, "_min_cut", lambda *a: flows.append(a) or min_cut(*a))
+        wl = bench_workloads()
+        for seed in range(10):
+            rng = random.Random(seed)
+            g, roots = parse_mixed_graph(wl._render(rng, [wl.doubled_path(rng, "", 30)]))
+            dec = compute_atoms(g, roots)
+            flows.clear()
+            assert self.fast(g, roots, dec, 0, _atom_slices(g, dec)) is None
+            assert 1 <= len(flows) <= 2
+            with pytest.raises(CapacityError, match="max_enum_vertices = 20"):
+                solve(g, roots)

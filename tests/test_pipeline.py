@@ -9,6 +9,7 @@ from arbopack import (
     Arc,
     BiSet,
     BiSetFamilyCertificate,
+    DEFAULT_BOUNDS,
     DigraphPacking,
     Edge,
     EdgeUse,
@@ -462,6 +463,22 @@ class TestEndToEndProperties:
         cert = solve(g2, roots)
         assert isinstance(cert, BiSetFamilyCertificate)
         assert verify_certificate(g2, roots, cert)
+
+    @pytest.mark.parametrize(
+        "family, size",
+        [("cycle_copies", {"n": 200, "k": 2}), ("staggered_segments", {"length": 100, "segments": 3})],
+    )
+    def test_bench_family_past_the_vertex_bound(self, family, size):
+        # Atoms of 100 and 200 vertices, far past DEFAULT_BOUNDS, which
+        # gates the exact fallback only.
+        wl = bench_workloads()
+        rng = random.Random(7)
+        g, roots = parse_mixed_graph(wl._render(rng, [getattr(wl, family)(rng, "", **size)]))
+        biggest = max(len(a) for a in compute_atoms(g, roots).atoms)
+        assert biggest >= 100 > DEFAULT_BOUNDS.max_enum_vertices
+        mp = solve(g, roots)
+        assert isinstance(mp, MixedPacking)
+        assert validate_mixed_packing(g, roots, mp)
 
     def test_successful_orientation_preserves_memberships(self):
         rng = random.Random(31337)
