@@ -2,36 +2,31 @@
 
 An orientation covers an atom when every vertex set Y of it, with any
 set T of the arcs that enter the atom at Y, has in-degree at least the
-number of trees forced to enter Y + T.  :func:`orient_atom` is the one
-per-atom entry, used by ``solve`` and ``arbopack orient`` alike.  Its
-fast path checks that condition with the atom's cut oracle, the max-flow
-network packing uses (``packing._StepFlow``), built from the atom's
-slice of the graph with each edge a pair of network edges whose
-capacities swap when the edge flips.  Edges start pointing away from the
-atom's roots, and a path of oriented edges is reversed out of each short
-set found, when one flow shows that no set it takes an edge from falls
-short.  No auxiliary graph and no table is built on that path.
+number of trees forced to enter Y + T.  :func:`orient_atom` orients one
+atom; ``solve`` also keeps the atom's cut oracle, with every edge turned
+as answered, and packs the atom on it.  The fast path checks the
+condition with that oracle, the max-flow network packing uses
+(``packing._StepFlow``), built from the atom's slice of the graph with
+each edge a pair of network edges whose capacities swap when it flips.
+Edges start pointing away from the atom's roots, and a path of oriented
+edges is reversed out of each short set found, when one flow shows that
+no set it takes an edge from falls short.  No auxiliary graph and no
+table is built on that path.
 
 An atom the fast path refutes (a set short even with every edge counted
 both ways) or stalls on goes to the exact fallback, :func:`orient_covering`,
 which works on the auxiliary graph.  Its requirement is the function
 ``p_j - rho_static`` over the atom's consistent-set family.  It starts
-from a deterministic orientation and repeatedly reverses a directed path
-of oriented edges while that strictly shrinks the total deficiency.  The
-drop is counted, not tried: reversing a path from s to t sends one more
-edge into each set with s but not t and one fewer into each set with t
-but not s, and one breadth-first search per start s gives every path.
-The slacks are taken once and shifted in place after each reversal.
+from a deterministic orientation and reverses directed paths of oriented
+edges while that strictly shrinks the total deficiency (:func:`_descend`).
 When stuck, it certifies infeasibility by a subpartition of the
 auxiliary vertex set whose summed demands exceed what edges plus fixed
 arcs can deliver: the one of maximum deficit, with the fewest parts,
-then lexicographically least.  Its parts are deficient sets, so the
-search runs over the exact covers of their union, about 3^|union|
-steps.  By Frank's orientation theorem for intersecting supermodular
-requirements, such a subpartition exists exactly when no orientation
-covers the atom, so when there is none the edges are fixed one at a
-time, each in a direction that keeps the remaining requirement
-certificate-free.
+then lexicographically least (:func:`_extract_certificate`).  By
+Frank's orientation theorem for intersecting supermodular requirements,
+such a subpartition exists exactly when no orientation covers the atom,
+so when there is none the edges are fixed one at a time, each in a
+direction that keeps the remaining requirement certificate-free.
 
 The fallback's violation checks run over a reduced family: for every
 inner set only the terminal completions that maximise the deficit can
@@ -60,7 +55,7 @@ from .decomposition import (
 )
 from .errors import InvariantError
 from .graph_core import MixedGraph, Orientation
-from .packing import _StepFlow
+from .packing import _arc_candidates, _StepFlow
 
 
 @dataclass(frozen=True)
@@ -124,17 +119,31 @@ def orient_atom(
     whose answer comes with the auxiliary graph its certificate names.
     ``slices`` are ``_atom_slices(g, dec)``, computed here when not given.
     """
+    return _orient_keeping_oracle(g, dec, j, roots, slices, bounds)[:2]
+
+
+def _orient_keeping_oracle(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
+    """:func:`orient_atom`'s pair, and the atom's oracle with its edges turned as answered."""
     if slices is None:
         slices = _atom_slices(g, dec)
-    entering = _entering_arcs(g, dec.atoms[j], slices[j])
-    fast = _orient_by_cuts(slices[j], entering, dec, j, roots)
+    sl = slices[j]
+    entering = _entering_arcs(g, dec.atoms[j], sl)
+    oracle = _cut_oracle(sl, entering, dec, j, roots)
+    fast = _orient_by_cuts(sl, entering, dec, j, roots, oracle)
     if fast is not None:
-        return fast, None
+        return fast, None, oracle
     aux = build_auxiliary(g, dec, j, slices)
-    return orient_covering(CoverRequirement(aux, dec, roots, bounds)), aux
+    outcome = orient_covering(CoverRequirement(aux, dec, roots, bounds))
+    if isinstance(outcome, Orientation):
+        flow, _start, ends = oracle
+        for k, e in enumerate(e for e in sl.edges if not e.is_loop()):
+            if outcome.direction[e.id][0] != sl.vertices[ends[k][0]]:
+                flow.flip(k)
+                ends[k] = ends[k][::-1]
+    return outcome, aux, oracle
 
 
-def _orient_by_cuts(sl, entering, dec: AtomDecomposition, j: int, roots) -> Orientation | None:
+def _orient_by_cuts(sl, entering, dec, j: int, roots, oracle=None) -> Orientation | None:
     """A covering orientation found with the cut oracle alone, or None.
 
     The vertices w are checked in order, each by one flow of the oracle
@@ -146,8 +155,9 @@ def _orient_by_cuts(sl, entering, dec: AtomDecomposition, j: int, roots) -> Orie
     flow with s tied to the sink shows that each of those sets has slack
     at least 1.  Sets that passed keep passing, so the scan resumes at w.
     Returns None when it refutes the atom, or when no such path leaves X.
+    ``oracle`` is :func:`_cut_oracle`'s, built here when not given.
     """
-    flow, start, ends = _cut_oracle(sl, entering, dec, j, roots)
+    flow, start, ends = oracle or _cut_oracle(sl, entering, dec, j, roots)
     n = len(sl.vertices)
     for w in range(n):
         x = flow.cut(1 << w, start)
@@ -177,7 +187,8 @@ def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots):
     indices of each non-loop edge, in slice order.  Vertex k of the
     atom's slice has bit k.  Edges point away from the atom's roots (from
     the heads of its entering arcs when no root lies inside), by
-    breadth-first distance over its edges and arcs.
+    breadth-first distance over its edges and arcs, when it has edges.
+    The candidates are its arcs, then its edges, each in slice order.
     """
     vertices, edges, arcs, _crossing = sl
     gamma = dec.atoms[j]
@@ -185,30 +196,29 @@ def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots):
     n = len(vertices)
     trees = sorted(dec.atom_roots[j])
     start = {i: 1 << at[roots[i]] if roots[i] in gamma else 0 for i in trees}
-    inner = [(at[a.tail], at[a.head]) for a in arcs if a.tail in gamma and not a.is_loop()]
     pairs = [(at[e.u], at[e.v]) for e in edges if not e.is_loop()]
 
-    near = [[] for _ in range(n)]
-    for u, v in pairs:
-        near[u].append(v)
-        near[v].append(u)
-    for t, h in inner:
-        near[t].append(h)
-    sources = [at[roots[i]] for i in trees if roots[i] in gamma]
-    dist = dict.fromkeys(sources or [at[a.head] for a in entering], 0)
-    queue = list(dist)
-    for u in queue:
-        for v in near[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    ends = [(v, u) if dist.get(v, n) < dist.get(u, n) else (u, v) for u, v in pairs]
+    ends = []
+    if pairs:
+        near = [[] for _ in range(n)]
+        for u, v in pairs:
+            near[u].append(v)
+            near[v].append(u)
+        for a in arcs:
+            if a.tail in gamma:
+                near[at[a.tail]].append(at[a.head])
+        sources = [at[roots[i]] for i in trees if roots[i] in gamma]
+        dist = dict.fromkeys(sources or [at[a.head] for a in entering], 0)
+        queue = list(dist)
+        for u in queue:
+            for v in near[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        ends = [(v, u) if dist.get(v, n) < dist.get(u, n) else (u, v) for u, v in pairs]
 
-    cands = [(1 << t, 1 << h, 0) for t, h in inner] + [
-        (1 << (n + k), 1 << at[a.head], sum(1 << i for i in trees if a.tail in dec.reach[i]))
-        for k, a in enumerate(entering)
-    ]
-    return _StepFlow(n, trees, cands, (1 << n) - 1, ends), start, ends
+    cands = _arc_candidates(arcs, {v: 1 << k for v, k in at.items()}, trees, dec.reach)
+    return _StepFlow(n, trees, [c[:3] for c in cands], (1 << n) - 1, ends), start, ends
 
 
 def _reverse_a_path(flow, ends, y: int, w: int, start) -> bool:

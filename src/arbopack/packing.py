@@ -1,21 +1,21 @@
-"""Pack reachability arborescences in a directed graph.
+"""Pack reachability arborescences atom by atom on each atom's cut oracle.
 
 Feasibility is the cut condition: every vertex set must admit at least as
 many entering arcs as there are roots outside it whose reachability set
-meets it.  Construction decomposes the digraph into atoms (classes of
-equal reaching-root sets), then packs branchings atom by atom, each on
-the digraph itself: a tree rooted inside an atom grows from its root, any
-other tree enters through the arcs crossing into the atom from vertices
-it spans, and each crossing arc serves at most one tree.  Atom
-subproblems share no arcs, so they are independent.  Within an atom, a
+meets it.  Atoms (classes of equal reaching-root sets) share no arcs, so
+each is packed on its own: a tree rooted inside an atom grows from its
+root, any other tree enters through the arcs crossing into the atom from
+vertices it spans, and each crossing arc serves at most one tree.  A
 residual cut check that is necessary and sufficient (the root-set form
 of Kamiyama-Katoh-Takizawa, as in Fujishige's note on disjoint
 arborescences) lets the trees grow one arc at a time with no search:
-each arc taken is the first one that keeps the check passing.  A step
-can only break the sets holding the new arc's head w, so it is checked
-by one max-flow from w.  Only an infeasible atom gets a tree stuck; its
-untouched atom is then checked from each vertex, and the first short
-cut, lifted to the whole digraph, is the violated set returned.
+each arc taken is the first one that keeps the check passing, and a
+step, which can only break the sets holding its head w, is checked by
+one max-flow from w.  ``pipeline.solve`` packs each atom of a mixed
+graph so on the oracle that oriented its edges.  Only an infeasible
+atom gets a tree stuck; in a digraph, its untouched atom is then checked
+from each vertex, and the first short cut, lifted to the whole digraph,
+is the violated set returned.
 """
 
 from __future__ import annotations
@@ -139,16 +139,9 @@ def pack_atom_branchings(
     view order, as ``decomposition._atom_slices`` gives them: the result
     is the same, and the set-up reads the atom, not the view.
 
-    Atom vertices take the low mask bits, in ``view`` order, and each
-    entering arc its own bit after them.  The residual check (every inner
-    set keeps enough unused arcs for the trees that still lack a foothold
-    in it) is exact for the rest of the packing, so the trees grow
-    greedily: each arc taken is the first candidate after which the check
-    still passes, and no choice is ever undone.  An arc with head w can
-    only break the sets that contain w, so each step is checked by one
-    max-flow from w (see :class:`_StepFlow`).  A tree gets stuck only on
-    an infeasible atom; the first vertex of the untouched atom whose
-    check fails then gives the deficient set.
+    The trees grow greedily on the atom's cut oracle (:func:`_grow`).  A
+    tree gets stuck only on an infeasible atom; the first vertex of the
+    untouched atom whose check fails then gives the deficient set.
     """
     view.require_vertices(gamma)
     if vertices is None:
@@ -160,30 +153,50 @@ def pack_atom_branchings(
 
     trees = sorted(demands)
     entry = {i: view.require_vertices(demands[i]) for i in trees}
-    covered = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
-    start = dict(covered)
+    start = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
+    cands = _arc_candidates(arcs, bit, trees, entry)
+    net = (len(bit), trees, [c[:3] for c in cands], gmask)
+    owner = _grow(_StepFlow(*net), dict(start), gmask)
+    if isinstance(owner, int):
+        untouched = _StepFlow(*net)
+        for wbit in bit.values():
+            xmask = untouched.cut(wbit, start)
+            if xmask is not None:
+                return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
+                    a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
+                )
+        raise InvariantError(f"tree {owner + 1} is stuck, but the untouched atom passes")
+    return {
+        i: tuple(a for (_t, _h, _hit, a), o in zip(cands, owner) if o == i) for i in trees
+    }
 
-    # (tail bit, head bit, hit, arc), in declaration order; an entering
-    # arc has the mask of trees it may serve
+
+def _arc_candidates(arcs, bit: Mapping[str, int], trees, reach) -> list[tuple]:
+    """``(tail bit, head bit, hit, arc)`` per non-loop arc into the atom, in order."""
     cands = []
     for a in arcs:
         hb = bit.get(a.head)
         if hb is None or a.is_loop():
             continue
-        tb = bit.get(a.tail)
+        tb, hit = bit.get(a.tail), 0
         if tb is None:
             tb = 1 << (len(bit) + len(cands))
-            hit = sum(1 << i for i in trees if a.tail in entry[i])
-        else:
-            hit = 0
+            hit = sum(1 << i for i in trees if a.tail in reach[i])
         cands.append((tb, hb, hit, a))
+    return cands
 
-    flow = _StepFlow(len(bit), trees, [c[:3] for c in cands], gmask)
+
+def _grow(flow: _StepFlow, covered: dict[int, int], gmask: int) -> list[int | None] | int:
+    """The tree owning each of the oracle's candidates, or the index of a stuck tree.
+
+    ``covered`` holds each tree's foothold and grows in place.  Each step
+    takes the first candidate after which the check from its head passes.
+    """
+    cands = flow.cands
     owner: list[int | None] = [None] * len(cands)
-    for i in trees:
-        while gmask & ~covered[i]:
-            uncovered = gmask & ~covered[i]
-            for k, (tb, hb, hit, _a) in enumerate(cands):
+    for i in flow.trees:
+        while uncovered := gmask & ~covered[i]:
+            for k, (tb, hb, hit) in enumerate(cands):
                 if owner[k] is not None or not hb & uncovered:
                     continue
                 if not (tb & covered[i] or hit >> i & 1):
@@ -197,17 +210,8 @@ def pack_atom_branchings(
                 flow.take(k, -1)
                 covered[i] &= ~hb
             else:
-                untouched = _StepFlow(len(bit), trees, [c[:3] for c in cands], gmask)
-                for wbit in bit.values():
-                    xmask = untouched.cut(wbit, start)
-                    if xmask is not None:
-                        return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
-                            a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
-                        )
-                raise InvariantError(f"tree {i + 1} is stuck, but the untouched atom passes")
-    return {
-        i: tuple(a for (_t, _h, _hit, a), o in zip(cands, owner) if o == i) for i in trees
-    }
+                return i
+    return owner
 
 
 class _StepFlow:
@@ -253,6 +257,7 @@ class _StepFlow:
         edges: Sequence[tuple[int, int]] = (),
     ):
         self.trees = trees
+        self.cands = list(cands)
         # edge e runs to head[e], and its residual twin is e ^ 1
         self.head: list[int] = []
         self.cap: list[float] = []
@@ -278,8 +283,11 @@ class _StepFlow:
                 self.node_bits[self.head[e]] = self.node_bits.get(self.head[e], 0) | tb
             self.cap[e] += 1
             self.cand_edge.append(e)
-        # atom edges, as (tail, head) vertices
-        self.edge_net = [_add_edge(*net, h, t, 1) for t, h in edges]
+        # atom edges, as (tail, head) vertices, are the candidates after
+        # the arcs, each on the network edge that holds its unit
+        self.first_edge = len(self.cands)
+        self.cands += [(1 << t, 1 << h, 0) for t, h in edges]
+        self.cand_edge += [_add_edge(*net, h, t, 1) for t, h in edges]
         # the entering-group nodes that hit each tree
         self.hit_by = {
             i: tuple(self.head[e] for (_h, hit), e in group_edge.items() if hit >> i & 1)
@@ -294,9 +302,13 @@ class _StepFlow:
         self.cap[self.cand_edge[k]] -= used
 
     def flip(self, k: int) -> None:
-        """Reverse atom edge ``k``."""
-        e = self.edge_net[k]
+        """Reverse atom edge ``k``: its unit and its candidate move to the residual twin."""
+        k += self.first_edge
+        e = self.cand_edge[k]
         self.cap[e], self.cap[e ^ 1] = self.cap[e ^ 1], self.cap[e]
+        self.cand_edge[k] = e ^ 1
+        tb, hb, hit = self.cands[k]
+        self.cands[k] = (hb, tb, hit)
 
     def cut(
         self,
@@ -327,7 +339,7 @@ class _StepFlow:
         head, adj, sink = self.head, self.adj, len(self.adj) - 1
         cap = self.cap[:]
         if both:
-            for e in self.edge_net:
+            for e in self.cand_edge[self.first_edge :]:
                 cap[e] = cap[e ^ 1] = 1
         if avoid:
             u = avoid.bit_length() - 1

@@ -1,11 +1,11 @@
 """End-to-end solver, validators, and certificates.
 
 ``solve`` runs the full algorithm: build atoms, orient each atom's edges
-to cover its demands, then pack arborescences in the oriented digraph and
-map oriented edges back to edge usages.  When some atom cannot be
-oriented, the atom-level subpartition certificate is lifted to a bi-set
-family over the original graph, which any third party can re-check
-against the input alone.
+to cover its demands, then pack each atom on the cut oracle that
+oriented it, with the arcs into the atom before its edges, each in
+declaration order.  When some atom cannot be oriented, the atom-level
+subpartition certificate is lifted to a bi-set family over the original
+graph, which any third party can re-check against the input alone.
 """
 
 from __future__ import annotations
@@ -32,14 +32,13 @@ from .graph_core import (
     Orientation,
     Subpartition,
     _check_arborescence,
-    apply_orientation,
     arcs_view,
     crossing_edge_count,
     lexicographic_orientation,
     mixed_reachable_set,
 )
-from .orientation import SubpartitionCertificate, orient_atom
-from .packing import DigraphPacking, pack_reachability
+from .orientation import SubpartitionCertificate, _orient_keeping_oracle, orient_atom
+from .packing import _grow
 
 
 @dataclass(frozen=True)
@@ -209,37 +208,41 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
 
     Returns a :class:`MixedPacking` or, when no packing exists, a
     :class:`BiSetFamilyCertificate` for the lowest-index atom that cannot
-    be oriented.
+    be oriented.  Every atom is oriented before any is packed.
     """
-    roots = list(roots)
-    outcome = covering_orientation(g, roots, bounds)
-    if isinstance(outcome, BiSetFamilyCertificate):
-        return outcome
-    oriented = apply_orientation(g, outcome)
-    packing = pack_reachability(oriented, roots)
-    if not isinstance(packing, DigraphPacking):
-        raise InvariantError(
-            "oriented graph fails the cut condition although every atom was covered"
-        )
-    return _to_mixed_packing(packing, roots)
-
-
-def _to_mixed_packing(packing: DigraphPacking, roots: Sequence[str]) -> MixedPacking:
-    trees = []
-    for tree in packing.trees:
-        arcs = tuple(a.id for a in tree.arcs if a.origin == "arc")
-        edges = tuple(
-            EdgeUse(a.id, a.tail, a.head) for a in tree.arcs if a.origin == "edge"
-        )
-        trees.append(
-            MixedTree(
-                root_index=tree.root_index,
-                root=roots[tree.root_index],
-                arcs=arcs,
-                edges=edges,
-            )
-        )
-    return MixedPacking(tuple(trees))
+    roots = tuple(roots)
+    dec = compute_atoms(g, roots)
+    slices = _atom_slices(g, dec)
+    oracles = []
+    for j in range(len(dec.atoms)):
+        outcome, aux, oracle = _orient_keeping_oracle(g, dec, j, roots, slices, bounds)
+        if isinstance(outcome, SubpartitionCertificate):
+            return certificate_from_subpartition(outcome, aux, dec, g, roots)
+        oracles.append(oracle)
+    arc_tree: dict[str, int] = {}
+    edge_use: dict[str, tuple[int, EdgeUse]] = {}
+    for sl, (flow, start, _ends) in zip(slices, oracles):
+        owner = _grow(flow, dict(start), (1 << len(sl.vertices)) - 1)
+        if isinstance(owner, int):
+            raise InvariantError(f"tree {owner + 1} is stuck on an atom its orientation covers")
+        arcs = [a for a in sl.arcs if not a.is_loop()]
+        edges = [e for e in sl.edges if not e.is_loop()]
+        arc_tree.update((a.id, i) for a, i in zip(arcs, owner) if i is not None)
+        vs = sl.vertices
+        for e, (tb, hb, _hit), i in zip(edges, flow.cands[len(arcs) :], owner[len(arcs) :]):
+            if i is not None:
+                edge_use[e.id] = i, EdgeUse(e.id, vs[tb.bit_length() - 1], vs[hb.bit_length() - 1])
+    tree_arcs: list[list[str]] = [[] for _ in roots]
+    tree_edges: list[list[EdgeUse]] = [[] for _ in roots]
+    for a in g.arcs:
+        if a.id in arc_tree:
+            tree_arcs[arc_tree[a.id]].append(a.id)
+    for e in g.edges:
+        if e.id in edge_use:
+            tree_edges[edge_use[e.id][0]].append(edge_use[e.id][1])
+    return MixedPacking(tuple(
+        MixedTree(i, r, tuple(tree_arcs[i]), tuple(tree_edges[i])) for i, r in enumerate(roots)
+    ))
 
 
 def validate_mixed_packing(

@@ -16,6 +16,7 @@ from arbopack import (
     MixedGraph,
     MixedPacking,
     MixedTree,
+    Orientation,
     apply_orientation,
     arcs_view,
     build_auxiliary,
@@ -30,10 +31,12 @@ from arbopack import (
     validate_mixed_packing,
     verify_certificate,
 )
-from arbopack import pipeline
+import arbopack
+from arbopack import graph_core, orientation, packing, pipeline
 from arbopack.decomposition import biset_in_degree, in_Hj, p_value
+from arbopack.errors import InvariantError
 from arbopack.orientation import SubpartitionCertificate
-from arbopack.packing import reachable_in_view
+from arbopack.packing import _StepFlow, reachable_in_view
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
@@ -565,3 +568,129 @@ class TestAtomCountIndependence:
             )
             assert isinstance(result[0], DigraphPacking)
         assert counts[0] == counts[1]
+
+
+def stalled_instance():
+    """One atom the fast path gives up on and the exact fallback orients."""
+    return random_mixed_instance(random.Random(1 * 1000003 + 7619), max_v=7, max_e=11, max_a=7)
+
+
+def two_stage(g, roots):
+    """``solve`` as two public stages: orient every edge, then pack the digraph."""
+    outcome = covering_orientation(g, roots)
+    if isinstance(outcome, BiSetFamilyCertificate):
+        return outcome
+    packing_ = pack_reachability(apply_orientation(g, outcome), roots)
+    assert isinstance(packing_, DigraphPacking)
+    return MixedPacking(
+        tuple(
+            MixedTree(
+                t.root_index,
+                roots[t.root_index],
+                tuple(a.id for a in t.arcs if a.origin == "arc"),
+                tuple(EdgeUse(a.id, a.tail, a.head) for a in t.arcs if a.origin == "edge"),
+            )
+            for t in packing_.trees
+        )
+    )
+
+
+def bench_instances(per_workload: int):
+    wl = bench_workloads()
+    for name in ("pack_heavy", "certify_heavy", "many_atoms"):
+        for inst in wl.corpus(name, 1, per_workload):
+            yield parse_mixed_graph(inst.text)
+
+
+class TestPackOnTheOrientingOracle:
+    """``solve`` packs each atom on the oracle that oriented it, with the two-stage answers."""
+
+    def test_same_trees_as_the_two_stage_path(self, monkeypatch):
+        fallbacks = []
+        orient = orientation.orient_covering
+        monkeypatch.setattr(
+            orientation, "orient_covering", lambda req: fallbacks.append(orient(req)) or fallbacks[-1]
+        )
+        cases = list(bench_instances(110))
+        rng = random.Random(4242)
+        cases += [random_mixed_instance(rng, max_v=9, max_e=12, max_a=8) for _ in range(1000)]
+        cases += [random_mixed_instance(rng, max_v=7, max_e=11, max_a=7) for _ in range(1000)]
+        cases.append(stalled_instance())
+        kinds = set()
+        for g, roots in cases:
+            result = solve(g, roots)
+            assert result == two_stage(g, roots), (g, roots)
+            kinds.add(type(result))
+        assert kinds == {MixedPacking, BiSetFamilyCertificate}
+        # some atoms were oriented by the fallback, not only refuted by it
+        assert any(isinstance(o, Orientation) for o in fallbacks)
+
+    def test_stalled_atom_packs_on_the_turned_oracle(self, monkeypatch):
+        g, roots = stalled_instance()
+        flips = []
+        flip = _StepFlow.flip
+        monkeypatch.setattr(_StepFlow, "flip", lambda self, k: flips.append(k) or flip(self, k))
+        result = solve(g, roots)
+        assert flips, "the fallback's directions must be copied onto the kept oracle"
+        assert isinstance(result, MixedPacking)
+        assert validate_mixed_packing(g, roots, result)
+        assert result == two_stage(g, roots)
+
+    def test_one_oracle_per_atom_and_no_second_stage(self, monkeypatch):
+        built = []
+        init = _StepFlow.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve ran the two-stage path")
+
+        for name in ("pack_reachability", "apply_orientation"):
+            for module in (arbopack, packing, graph_core):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+            monkeypatch.setattr(pipeline, name, forbidden, raising=False)
+        monkeypatch.setattr(_StepFlow, "__init__", counted)
+        cases = list(bench_instances(20))
+        cases.append(stalled_instance())
+        packed = 0
+        for g, roots in cases:
+            built.clear()
+            atoms = len(compute_atoms(g, roots).atoms)
+            if isinstance(solve(g, roots), MixedPacking):
+                assert len(built) == atoms
+                packed += 1
+            else:
+                assert len(built) <= atoms
+        assert packed > 25
+
+    def test_a_stuck_greedy_raises(self, monkeypatch):
+        # Taking two units per step imitates a lost unit of capacity:
+        # tree 1 keeps one of the three arcs r->a, then no a->b passes.
+        text = "vertex r\nvertex a\nvertex b\n" + "arc r a\n" * 3 + "arc a b\n" * 2
+        g, roots = parse_mixed_graph(text + "root r\nroot r\n")
+        assert isinstance(solve(g, roots), MixedPacking)
+
+        def take_twice(self, k, used):
+            self.cap[self.cand_edge[k]] -= 2 * used
+
+        monkeypatch.setattr(_StepFlow, "take", take_twice)
+        with pytest.raises(InvariantError, match="stuck"):
+            solve(g, roots)
+
+    def test_a_skipped_flip_raises(self, monkeypatch):
+        # The kept oracle misses the first reversal of the fast path, so
+        # it no longer holds the orientation the answer was built from.
+        g, roots = random_mixed_instance(random.Random(112), max_v=7, max_e=11, max_a=7)
+        assert validate_mixed_packing(g, roots, solve(g, roots))
+        flip, calls = _StepFlow.flip, []
+
+        def skip_first(self, k):
+            calls.append(k)
+            if len(calls) > 1:
+                flip(self, k)
+
+        monkeypatch.setattr(_StepFlow, "flip", skip_first)
+        with pytest.raises(InvariantError, match="stuck"):
+            solve(g, roots)
