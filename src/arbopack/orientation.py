@@ -16,17 +16,15 @@ table is built on that path.
 An atom the fast path refutes (a set short even with every edge counted
 both ways) or stalls on goes to the exact fallback, :func:`orient_covering`,
 which works on the auxiliary graph.  Its requirement is the function
-``p_j - rho_static`` over the atom's consistent-set family.  It starts
-from a deterministic orientation and reverses directed paths of oriented
-edges while that strictly shrinks the total deficiency (:func:`_descend`).
-When stuck, it certifies infeasibility by a subpartition of the
-auxiliary vertex set whose summed demands exceed what edges plus fixed
-arcs can deliver: the one of maximum deficit, with the fewest parts,
-then lexicographically least (:func:`_extract_certificate`).  By
-Frank's orientation theorem for intersecting supermodular requirements,
-such a subpartition exists exactly when no orientation covers the atom,
-so when there is none the edges are fixed one at a time, each in a
-direction that keeps the remaining requirement certificate-free.
+``p_j - rho_static`` over the atom's consistent-set family.  By Frank's
+orientation theorem for intersecting supermodular requirements, no
+orientation covers the atom exactly when some subpartition of the
+auxiliary vertex set has summed demands exceeding what edges plus fixed
+arcs can deliver.  So the fallback searches for one: the subpartition of
+maximum deficit, with the fewest parts, then lexicographically least
+(:func:`_extract_certificate`).  When there is none, the edges are fixed
+one at a time, each in a direction that keeps the remaining requirement
+certificate-free (:func:`_fix_edges`).
 
 The fallback's violation checks run over a reduced family: for every
 inner set only the terminal completions that maximise the deficit can
@@ -38,7 +36,6 @@ need at least one edge.  Only this table is bounded by
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -276,41 +273,15 @@ def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
     }
 
 
-def _edge_ends(ctx, dirs: list[int]) -> list[tuple[int, int]]:
-    """Current (tail bit, head bit) per non-loop edge."""
-    out = []
-    for (eid, bu, bv), d in zip(ctx.edge_bits, dirs):
-        out.append((bu, bv) if d == 0 else (bv, bu))
-    return out
-
-
-def _cross_into(ends: Sequence[tuple[int, int]], y: int) -> int:
-    return sum(1 for t, h in ends if h & y and not t & y)
-
-
 def orient_covering(req: CoverRequirement):
     """Orientation of the atom's edges covering its demands, or a certificate.
 
-    Returns an :class:`Orientation` over exactly the atom's edge ids on
-    success, otherwise a :class:`SubpartitionCertificate`.
+    Returns the atom's maximum-deficit :class:`SubpartitionCertificate`
+    when it has one.  Otherwise an orientation exists, and the edges are
+    fixed one by one into an :class:`Orientation` over exactly the atom's
+    edge ids.
     """
-    ctx = req.context
     table = _reduced_table(req)
-    cands = sorted((y, need) for y, (need, _xm) in table.items())
-    # edge direction 0: smaller internal bit is the tail
-    dirs = [0] * len(ctx.edge_bits)
-
-    # Quick refutation: a set demanding more than its whole edge boundary
-    # cannot be covered by any orientation, so the descent is skipped.
-    # An edge is on Y's boundary when Y holds one of its ends, not both.
-    spans = [bu | bv for _eid, bu, bv in ctx.edge_bits]
-    boundary_ok = all(
-        sum(1 for span in spans if 0 != span & y != span) >= need for y, need in cands
-    )
-    if boundary_ok and _descend(ctx, cands, dirs):
-        return _oriented(ctx, dirs)
-    # The descent is not proven complete, so when it stalls without a
-    # certificate an orientation still exists, and is found edge by edge.
     cert = _extract_certificate(req, table)
     if cert is not None:
         return cert
@@ -358,80 +329,6 @@ def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orie
                 "no covering orientation exists, yet no subpartition has positive deficit"
             )
     return _oriented(ctx, dirs)
-
-
-def _descend(ctx, cands: Sequence[tuple[int, int]], dirs: list[int]) -> bool:
-    """Reverse edge paths in ``dirs`` while the total deficiency drops.
-
-    Returns whether the deficiency reached zero.  One pass takes every
-    row's slack ``need - cross``.  After each reversal of a path from s
-    to t the slacks are shifted in place: -1 on the rows with s but not
-    t, +1 on the rows with t but not s.  Each reversal strictly lowers
-    the total deficiency, so the loop terminates.
-    """
-    ends = _edge_ends(ctx, dirs)
-    rows = [[y, need - _cross_into(ends, y)] for y, need in cands]
-    while any(slack >= 1 for _y, slack in rows):
-        found = _improving_path(ctx, ends, rows)
-        if found is None:
-            return False
-        s, t, path = found
-        for pos in path:
-            dirs[pos] ^= 1
-            tail, head = ends[pos]
-            ends[pos] = (head, tail)
-        for row in rows:
-            row[1] += bool(row[0] & t) - bool(row[0] & s)
-    return True
-
-
-def _improving_path(ctx, ends, rows) -> tuple[int, int, list[int]] | None:
-    """The first path whose reversal lowers the deficiency, with its ends.
-
-    Returns ``(s, t, positions)``: the path's start and end bits and its
-    edge positions.  Reversing a path from s to t lowers the deficiency
-    exactly when the deficient rows with s but not t outnumber the rows
-    with slack >= 0 that hold t but not s; those are the rows whose slack
-    the reversal shifts.  Candidates run over deficient rows by ascending
-    Y, then s in Y and t in the atom outside Y by ascending bit; the path
-    is the shortest one, from one breadth-first search per s with edges
-    in declaration order.
-    """
-    bits = [1 << i for i in range(ctx.gamma_mask.bit_length())]
-    parents: dict[int, dict[int, tuple[int, int] | None]] = {}
-    for y, slack in rows:
-        if slack < 1:
-            continue
-        for s in (b for b in bits if b & y):
-            if s not in parents:
-                parents[s] = _bfs_parents(ends, s)
-            parent = parents[s]
-            for t in (b for b in bits if not b & y):
-                if t not in parent:
-                    continue
-                gain = sum(1 for z, sl in rows if sl >= 1 and z & s and not z & t)
-                loss = sum(1 for z, sl in rows if sl >= 0 and z & t and not z & s)
-                if gain > loss:
-                    path = []
-                    v = t
-                    while v != s:
-                        v, pos = parent[v]
-                        path.append(pos)
-                    return s, t, path
-    return None
-
-
-def _bfs_parents(ends: Sequence[tuple[int, int]], s: int) -> dict:
-    """Breadth-first search tree from ``s``: vertex -> (parent, edge position)."""
-    parent: dict[int, tuple[int, int] | None] = {s: None}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for pos, (tail, head) in enumerate(ends):
-            if tail == u and head not in parent:
-                parent[head] = (u, pos)
-                queue.append(head)
-    return parent
 
 
 def _extract_certificate(

@@ -37,7 +37,7 @@ from .graph_core import (
     lexicographic_orientation,
     mixed_reachable_set,
 )
-from .orientation import SubpartitionCertificate, _orient_keeping_oracle, orient_atom
+from .orientation import SubpartitionCertificate, _orient_keeping_oracle
 from .packing import _grow
 
 
@@ -178,6 +178,23 @@ def verify_certificate(
 # the solver
 
 
+def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds):
+    """Each atom's slice, covering orientation and oracle, in atom order.
+
+    Stops at the lowest-index atom that cannot be oriented, and returns
+    its lifted certificate instead.
+    """
+    dec = compute_atoms(g, roots)
+    slices = _atom_slices(g, dec)
+    oriented = []
+    for j, sl in enumerate(slices):
+        outcome, aux, oracle = _orient_keeping_oracle(g, dec, j, roots, slices, bounds)
+        if isinstance(outcome, SubpartitionCertificate):
+            return certificate_from_subpartition(outcome, aux, dec, g, roots)
+        oriented.append((sl, outcome, oracle))
+    return oriented
+
+
 def covering_orientation(
     g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
 ):
@@ -187,16 +204,13 @@ def covering_orientation(
     lifted certificate of the lowest-index atom that cannot be oriented.
     Edges incident to no atom get the lexicographic direction; they can
     never matter.  The graph is sliced by atom once, and each atom is
-    oriented from its own vertices, edges and arcs by :func:`orient_atom`.
+    oriented from its own vertices, edges and arcs as ``orient_atom`` does.
     """
-    roots = tuple(roots)
-    dec = compute_atoms(g, roots)
-    slices = _atom_slices(g, dec)
+    oriented = _orient_atoms(g, tuple(roots), bounds)
+    if isinstance(oriented, BiSetFamilyCertificate):
+        return oriented
     direction: dict[str, tuple[str, str]] = {}
-    for j in range(len(dec.atoms)):
-        outcome, aux = orient_atom(g, dec, j, roots, slices, bounds)
-        if isinstance(outcome, SubpartitionCertificate):
-            return certificate_from_subpartition(outcome, aux, dec, g, roots)
+    for _sl, outcome, _oracle in oriented:
         direction.update(outcome.direction)
     leftover = [e.id for e in g.edges if e.id not in direction]
     direction.update(lexicographic_orientation(g, leftover).direction)
@@ -211,17 +225,12 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     be oriented.  Every atom is oriented before any is packed.
     """
     roots = tuple(roots)
-    dec = compute_atoms(g, roots)
-    slices = _atom_slices(g, dec)
-    oracles = []
-    for j in range(len(dec.atoms)):
-        outcome, aux, oracle = _orient_keeping_oracle(g, dec, j, roots, slices, bounds)
-        if isinstance(outcome, SubpartitionCertificate):
-            return certificate_from_subpartition(outcome, aux, dec, g, roots)
-        oracles.append(oracle)
+    oriented = _orient_atoms(g, roots, bounds)
+    if isinstance(oriented, BiSetFamilyCertificate):
+        return oriented
     arc_tree: dict[str, int] = {}
     edge_use: dict[str, tuple[int, EdgeUse]] = {}
-    for sl, (flow, start, _ends) in zip(slices, oracles):
+    for sl, _outcome, (flow, start, _ends) in oriented:
         owner = _grow(flow, dict(start), (1 << len(sl.vertices)) - 1)
         if isinstance(owner, int):
             raise InvariantError(f"tree {owner + 1} is stuck on an atom its orientation covers")

@@ -8,15 +8,13 @@ subpartitions over vertex bitmasks and never call the solver.  The last
 section holds the cut, cover and certificate helpers that only the tests
 call; the solver itself never needs them.  The two sections before it
 keep the slower forms the solver's code must match exactly: the
-trial-and-error orientation descent, certificate search and edge
-fixing; and the frozenset-keyed atom decomposition, the auxiliary graph
-built from whole-graph scans, with the packing step check as a
-requirement sweep.
+certificate search and edge fixing; and the frozenset-keyed atom
+decomposition, the auxiliary graph built from whole-graph scans, with
+the packing step check as a requirement sweep.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, combinations, product
 from typing import Iterable, Sequence
 
@@ -389,7 +387,7 @@ def check_spanning_packing_condition(g: MixedGraph, r: str, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reference forms of the orientation descent and the certificate search
+# reference forms of the certificate search and the edge fixing
 
 
 def _ref_edge_ends(ctx: AtomContext, dirs) -> list[tuple[int, int]]:
@@ -398,76 +396,6 @@ def _ref_edge_ends(ctx: AtomContext, dirs) -> list[tuple[int, int]]:
 
 def _ref_cross_into(ends, y: int) -> int:
     return sum(1 for t, h in ends if h & y and not t & y)
-
-
-def _ref_find_edge_path(ctx: AtomContext, dirs, s_bit: int, t_bit: int) -> list[int] | None:
-    """Shortest s-t path of oriented edges, breadth-first, edges in order."""
-    if s_bit == t_bit:
-        return None
-    ends = _ref_edge_ends(ctx, dirs)
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {s_bit}
-    queue = deque([s_bit])
-    while queue:
-        u = queue.popleft()
-        for pos, (tail, head) in enumerate(ends):
-            if tail == u and head not in seen:
-                seen.add(head)
-                parent[head] = (u, pos)
-                if head == t_bit:
-                    path = []
-                    cur = t_bit
-                    while cur != s_bit:
-                        prev, p = parent[cur]
-                        path.append(p)
-                        cur = prev
-                    path.reverse()
-                    return path
-                queue.append(head)
-    return None
-
-
-def reference_descend(ctx: AtomContext, cands, dirs: list[int]) -> bool:
-    """The descent by trial: flip each candidate path, rescan, unflip."""
-
-    def phi() -> int:
-        ends = _ref_edge_ends(ctx, dirs)
-        return sum(max(0, need - _ref_cross_into(ends, y)) for y, need in cands)
-
-    total = phi()
-    while total > 0:
-        improved = False
-        ends = _ref_edge_ends(ctx, dirs)
-        for y, need in cands:
-            if improved:
-                break
-            if _ref_cross_into(ends, y) >= need:
-                continue
-            for start_pos in range(ctx.size):
-                if improved:
-                    break
-                start_bit = 1 << start_pos
-                if not start_bit & y:
-                    continue
-                for end_pos in range(ctx.size):
-                    end_bit = 1 << end_pos
-                    if not end_bit & ctx.gamma_mask or end_bit & y:
-                        continue
-                    path = _ref_find_edge_path(ctx, dirs, start_bit, end_bit)
-                    if path is None:
-                        continue
-                    for p in path:
-                        dirs[p] ^= 1
-                    new_total = phi()
-                    if new_total < total:
-                        total = new_total
-                        improved = True
-                        break
-                    for p in path:
-                        dirs[p] ^= 1
-        if not improved:
-            return False
-    return True
 
 
 def _neg_lex(parts: tuple[int, ...]) -> tuple[int, ...]:

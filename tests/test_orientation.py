@@ -24,9 +24,7 @@ from arbopack import (
 from arbopack import orientation, packing
 from arbopack.decomposition import _atom_slices, _entering_arcs, _worst_completion
 from arbopack.orientation import (
-    _cross_into,
     _cut_oracle,
-    _descend,
     _extract_certificate,
     _fix_edges,
     _orient_by_cuts,
@@ -35,6 +33,7 @@ from arbopack.orientation import (
 )
 from instance_gen import bench_workloads, random_mixed_instance
 from naive import (
+    _ref_cross_into,
     check_cover,
     make_subpartition_certificate,
     naive_family,
@@ -252,9 +251,9 @@ class TestSolverProperties:
         assert solved and failed
 
     def test_fixing_edges_covers_every_certificate_free_atom(self):
-        # The fallback runs only when the descent stalls without a
-        # certificate, which these instances never produce; so it is run
-        # here directly on every atom that has no certificate.
+        # The fallback fixes edges only on the rare atoms the fast path
+        # stalls on, so it is run here directly on every atom that has no
+        # certificate.
         rng = random.Random(60607)
         fixed = 0
         for g, roots, dec, aux in self._atom_requirements(rng, 120, max_vj=8):
@@ -294,16 +293,13 @@ class TestCapacity:
         with pytest.raises(CapacityError, match="max_enum_vertices"):
             check_cover(req, Orientation({}))
 
-    def test_stalled_descent_certifies_within_edge_bound(self):
-        # The descent stalls on this instance's two-edge atom.  The
+    def test_infeasible_atom_certifies_within_edge_bound(self):
+        # This instance's two-edge atom has no covering orientation.  The
         # certificate comes from the subpartition search alone: no
         # orientation is enumerated, so no edge count bounds the work.
         g, roots = random_mixed_instance(random.Random(478))
         dec = compute_atoms(g, roots)
         req = CoverRequirement(build_auxiliary(g, dec, 0), dec, tuple(roots))
-        ctx = req.context
-        cands = sorted((y, v[0]) for y, v in _reduced_table(req).items() if v[0] >= 1)
-        assert not _descend(ctx, cands, [0] * len(ctx.edge_bits))
         cert = orient_covering(req)
         assert cert == _extract_certificate(req)
         assert cert.deficit == 1
@@ -352,13 +348,14 @@ class TestCutOracle:
             table = _reduced_table(req)
             for w in range(ctx.gamma_mask.bit_length()):
                 rows = [(y, need) for y, (need, _xm) in table.items() if y >> w & 1]
-                covered = all(_cross_into(bits, y) >= need for y, need in rows)
+                covered = all(_ref_cross_into(bits, y) >= need for y, need in rows)
                 x = flow.cut(1 << w, start)
                 assert (x is None) == covered
                 if x is not None:
                     y = x & ctx.gamma_mask
-                    assert y >> w & 1 and _cross_into(bits, y) < table[y][0]
-                # the quick boundary refutation, restricted to the sets holding w
+                    assert y >> w & 1 and _ref_cross_into(bits, y) < table[y][0]
+                # counted both ways, the edges fall short of a set holding w
+                # exactly when it needs more than its whole edge boundary
                 boundary = all(
                     sum(1 for span in spans if 0 != span & y != span) >= need for y, need in rows
                 )
@@ -378,7 +375,7 @@ class TestCutOracle:
                 continue
             bits = flip_at_random(rng, flow, ends)
             slack = {
-                m: ctx.rho_static(m) + _cross_into(bits, m) - ctx.p_of(m) for m in iter_family(ctx)
+                m: ctx.rho_static(m) + _ref_cross_into(bits, m) - ctx.p_of(m) for m in iter_family(ctx)
             }
             n = ctx.gamma_mask.bit_length()
             for t in range(n):
@@ -452,19 +449,26 @@ class TestFastPath:
         assert validate_mixed_packing(g, roots, mp)
 
     def test_stalled_atom_oriented_by_the_exact_path(self):
-        g, roots = random_mixed_instance(
-            random.Random(1 * 1000003 + 7619), max_v=7, max_e=11, max_a=7
-        )
-        dec = compute_atoms(g, roots)
-        slices = _atom_slices(g, dec)
-        assert [len(a) for a in dec.atoms] == [4]
-        assert self.fast(g, roots, dec, 0, slices) is None
-        outcome, aux = orient_atom(g, dec, 0, roots)
-        assert isinstance(outcome, Orientation)
-        assert check_cover(CoverRequirement(aux, dec, tuple(roots)), outcome) is None
-        mp = solve(g, roots)
-        assert isinstance(mp, MixedPacking)
-        assert validate_mixed_packing(g, roots, mp)
+        # Random instances, by seed and index, whose one atom the fast path
+        # stalls on although an orientation covers it; the fallback finds
+        # no certificate and fixes the edges one by one.
+        cases = [(1, i, 7, 11) for i in (3992, 4762, 5954, 6397, 6555, 7619, 16142, 18623)]
+        cases += [(2, i, 10, 14) for i in (10087, 14450, 18617)]
+        for seed, i, n, m in cases:
+            g, roots = random_mixed_instance(
+                random.Random(seed * 1000003 + i), max_v=n, max_e=m, max_a=n
+            )
+            dec = compute_atoms(g, roots)
+            slices = _atom_slices(g, dec)
+            assert len(dec.atoms) == 1, (seed, i)
+            assert self.fast(g, roots, dec, 0, slices) is None, (seed, i)
+            outcome, aux = orient_atom(g, dec, 0, roots)
+            assert isinstance(outcome, Orientation), (seed, i)
+            assert check_cover(CoverRequirement(aux, dec, tuple(roots)), outcome) is None
+            assert naive_orientation_covers(aux, dec, roots, dict(outcome.direction))
+            mp = solve(g, roots)
+            assert isinstance(mp, MixedPacking), (seed, i)
+            assert validate_mixed_packing(g, roots, mp)
 
     def test_refuted_atom_gives_up_after_two_flows(self, monkeypatch):
         flows = []
