@@ -4,8 +4,9 @@ Only the exact orientation fallback enumerates: it sweeps every subset
 of the atom and, per subset, every submask of the trees its terminals
 can give a foothold.  The sweep raises
 :class:`~arbopack.errors.CapacityError` naming the bound instead of
-attempting an infeasible amount of work.  The fast orientation path and
-packing are not bounded.
+attempting an infeasible amount of work.  The fallback runs only on the
+atoms the fast orientation path stalls on.  The fast path, the
+certificate of an atom it refutes, and packing are not bounded.
 """
 
 from __future__ import annotations

@@ -354,6 +354,7 @@ def _requirements(
     arcs: Sequence[tuple[int, int]],
     terminals: Sequence[tuple[int, int, int]],
     max_enum_vertices: int,
+    atom: int | None = None,
 ) -> Iterator[tuple[int, int, int]]:
     """Inner sets of an atom that still need arcs, in descending mask order.
 
@@ -369,7 +370,7 @@ def _requirements(
 
     The sweep enumerates the subsets of the atom and, per set, the
     submasks of the trees some terminal hits; their bits together are
-    gated by ``max_enum_vertices``.
+    gated by ``max_enum_vertices``, and the error names ``atom``.
     """
     hit_any = 0
     for _bit, _head, hit in terminals:
@@ -377,7 +378,10 @@ def _requirements(
     n = gmask.bit_count() + hit_any.bit_count()
     if n > max_enum_vertices:
         raise CapacityError(
-            f"|V_j| = {n} exceeds max_enum_vertices = {max_enum_vertices}"
+            f"|V_j| = {n} exceeds max_enum_vertices = {max_enum_vertices}",
+            limit=max_enum_vertices,
+            observed=n,
+            atom=atom,
         )
     y = gmask
     while y:

@@ -18,7 +18,24 @@ class ParseError(ArbopackError):
 
 
 class CapacityError(ArbopackError):
-    """An exhaustive code path was asked to exceed a configured bound."""
+    """An exhaustive code path was asked to exceed a configured bound.
+
+    ``limit`` is the bound, ``observed`` the size that exceeded it, and
+    ``atom`` the 0-based index of the atom being solved; each is None
+    where the raising code does not know it.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        limit: int | None = None,
+        observed: int | None = None,
+        atom: int | None = None,
+    ):
+        super().__init__(message)
+        self.limit = limit
+        self.observed = observed
+        self.atom = atom
 
 
 class InvariantError(ArbopackError):

@@ -13,25 +13,28 @@ edges is reversed out of each short set found, when one flow shows that
 no set it takes an edge from falls short.  No auxiliary graph and no
 table is built on that path.
 
-An atom the fast path refutes (a set short even with every edge counted
-both ways) or stalls on goes to the exact fallback, :func:`orient_covering`,
-which works on the auxiliary graph.  Its requirement is the function
-``p_j - rho_static`` over the atom's consistent-set family.  By Frank's
-orientation theorem for intersecting supermodular requirements, no
-orientation covers the atom exactly when some subpartition of the
-auxiliary vertex set has summed demands exceeding what edges plus fixed
-arcs can deliver.  So the fallback searches for one: the subpartition of
-maximum deficit, with the fewest parts, then lexicographically least
-(:func:`_extract_certificate`).  When there is none, the edges are fixed
-one at a time, each in a direction that keeps the remaining requirement
-certificate-free (:func:`_fix_edges`).
+The requirement is the function ``p_j - rho_static`` over the atom's
+consistent-set family on its auxiliary graph.  By Frank's orientation
+theorem for intersecting supermodular requirements, no orientation
+covers the atom exactly when some subpartition of the auxiliary vertex
+set has summed demands exceeding what edges plus fixed arcs can deliver.
+
+The fast path refutes an atom when it finds a set X short even with
+every edge counted both ways.  X is then a one-part subpartition of
+positive deficit, and it is the atom's certificate: the auxiliary graph
+is built only to name its terminals.  An atom the fast path stalls on
+goes to the exact fallback, :func:`orient_covering`.  It searches for
+the subpartition of maximum deficit, with the fewest parts, then
+lexicographically least (:func:`_extract_certificate`).  When there is
+none, the edges are fixed one at a time, each in a direction that keeps
+the remaining requirement certificate-free (:func:`_fix_edges`).
 
 The fallback's violation checks run over a reduced family: for every
 inner set only the terminal completions that maximise the deficit can
 be binding, and there is one such completion per subset of the atom's
 trees.  The reduction is exact, and it keeps only the inner sets that
 need at least one edge.  Only this table is bounded by
-``Bounds.max_enum_vertices``.
+``Bounds.max_enum_vertices``, so only a stalled atom can exceed it.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .decomposition import (
     build_auxiliary,
 )
 from .errors import InvariantError
-from .graph_core import MixedGraph, Orientation
+from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
 from .packing import _arc_candidates, _StepFlow
 
 
@@ -92,7 +95,9 @@ class SubpartitionCertificate:
 
     ``parts`` are disjoint family members of the auxiliary vertex set;
     their summed requirement exceeds the crossing-edge supply by
-    ``deficit``.
+    ``deficit``.  An atom the fast path refutes gets one part, the set
+    it found short; one it stalls on gets the maximum-deficit
+    subpartition.
     """
 
     atom_index: int
@@ -111,10 +116,11 @@ def orient_atom(
     """Atom ``j``'s covering orientation or certificate, and its auxiliary graph.
 
     The fast path (:func:`_orient_by_cuts`) orients the atom from its
-    slice of ``g``, with no auxiliary graph, which is then ``None``.
-    Only an atom it refutes or stalls on goes to :func:`orient_covering`,
-    whose answer comes with the auxiliary graph its certificate names.
-    ``slices`` are ``_atom_slices(g, dec)``, computed here when not given.
+    slice of ``g``, with no auxiliary graph, which is then ``None``.  An
+    atom it refutes gets the one-part certificate it found; only an atom
+    it stalls on goes to :func:`orient_covering`.  Either answer comes
+    with the auxiliary graph it names.  ``slices`` are
+    ``_atom_slices(g, dec)``, computed here when not given.
     """
     return _orient_keeping_oracle(g, dec, j, roots, slices, bounds)[:2]
 
@@ -127,10 +133,10 @@ def _orient_keeping_oracle(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS)
     entering = _entering_arcs(g, dec.atoms[j], sl)
     oracle = _cut_oracle(sl, entering, dec, j, roots)
     fast = _orient_by_cuts(sl, entering, dec, j, roots, oracle)
-    if fast is not None:
+    if isinstance(fast, Orientation):
         return fast, None, oracle
     aux = build_auxiliary(g, dec, j, slices)
-    outcome = orient_covering(CoverRequirement(aux, dec, roots, bounds))
+    outcome = fast or orient_covering(CoverRequirement(aux, dec, roots, bounds))
     if isinstance(outcome, Orientation):
         flow, _start, ends = oracle
         for k, e in enumerate(e for e in sl.edges if not e.is_loop()):
@@ -140,26 +146,31 @@ def _orient_keeping_oracle(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS)
     return outcome, aux, oracle
 
 
-def _orient_by_cuts(sl, entering, dec, j: int, roots, oracle=None) -> Orientation | None:
-    """A covering orientation found with the cut oracle alone, or None.
+def _orient_by_cuts(
+    sl, entering, dec, j: int, roots, oracle=None
+) -> Orientation | SubpartitionCertificate | None:
+    """A covering orientation or a certificate found with the cut oracle alone, or None.
 
     The vertices w are checked in order, each by one flow of the oracle
     (:func:`_cut_oracle`).  A short set X holding w that stays short with
-    every edge counted both ways refutes the atom.  Otherwise a path of
-    oriented edges from some s in X (w first) to a vertex t outside X is
+    every edge counted both ways refutes the atom, and X is returned as
+    its certificate (:func:`_refuted`).  Otherwise a path of oriented
+    edges from some s in X (w first) to a vertex t outside X is
     reversed.  X gains an edge, and so does every set with s but not t.
     Every set with t but not s loses one, so t is taken only when one
     flow with s tied to the sink shows that each of those sets has slack
     at least 1.  Sets that passed keep passing, so the scan resumes at w.
-    Returns None when it refutes the atom, or when no such path leaves X.
-    ``oracle`` is :func:`_cut_oracle`'s, built here when not given.
+    Returns None when no such path leaves X.  ``oracle`` is
+    :func:`_cut_oracle`'s, built here when not given.
     """
     flow, start, ends = oracle or _cut_oracle(sl, entering, dec, j, roots)
     n = len(sl.vertices)
     for w in range(n):
         x = flow.cut(1 << w, start)
-        if x is not None and flow.cut(1 << w, start, both=True) is not None:
-            return None
+        if x is not None:
+            short = flow.cut(1 << w, start, both=True)
+            if short is not None:
+                return _refuted(sl, j, short, flow.shortfall)
         while x is not None:
             if not _reverse_a_path(flow, ends, x & ((1 << n) - 1), w, start):
                 return None
@@ -174,6 +185,23 @@ def _orient_by_cuts(sl, entering, dec, j: int, roots, oracle=None) -> Orientatio
             t, h = next(oriented)
             direction[e.id] = (sl.vertices[t], sl.vertices[h])
     return Orientation(direction)
+
+
+def _refuted(sl, j: int, xmask: int, deficit: int) -> SubpartitionCertificate:
+    """The one-part certificate of a set the oracle found short both ways.
+
+    ``xmask`` is the oracle's Y plus the tail bits of T, and ``deficit``
+    its shortfall.  Counted both ways, the edges supply exactly the
+    boundary of Y, so the shortfall is the part's requirement less its
+    crossing edges.  Each entering arc in T becomes its terminal.
+    """
+    n = len(sl.vertices)
+    part = {v for k, v in enumerate(sl.vertices) if xmask >> k & 1}
+    cands = (a for a in sl.arcs if not a.is_loop())
+    part.update(
+        f"{RESERVED_TERMINAL_PREFIX}{a.id}" for k, a in enumerate(cands) if xmask >> n + k & 1
+    )
+    return SubpartitionCertificate(j, (frozenset(part),), deficit)
 
 
 def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots):
@@ -269,6 +297,7 @@ def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
             ctx.internal_arcs,
             ctx.terminals,
             req.bounds.max_enum_vertices,
+            ctx.aux.atom_index,
         )
     }
 

@@ -242,7 +242,9 @@ class _StepFlow:
     much as the same cut with the group moved across, so minimum cuts
     keep T consistent with no edge to enforce it.  Trees whose foothold
     holds w cross every such cut, so they are left out and lower the
-    target instead.  Atom arcs, edges and entering groups are built
+    target instead.  After a check that finds a short set, ``shortfall``
+    is the target less the flow: how far that set's slack falls below
+    the check's ``extra``.  Atom arcs, edges and entering groups are built
     once.  Tree groups follow the footholds: they come after every other
     node, and a check rebuilds them only when its groups differ from the
     last check's.  Each flow runs on a copy of the capacities.
@@ -296,6 +298,7 @@ class _StepFlow:
         self.fixed = (len(self.head), len(self.adj))
         self.groups: dict[tuple[int, tuple[int, ...]], int] | None = None
         self.touched: list[int] = []
+        self.shortfall = 0
 
     def take(self, k: int, used: int) -> None:
         """Mark candidate ``k`` used (``used`` 1) or unused again (-1)."""
@@ -344,11 +347,12 @@ class _StepFlow:
         if avoid:
             u = avoid.bit_length() - 1
             _add_edge(head, cap, adj, u, sink, math.inf)
-        reached = _min_cut(head, cap, adj, wbit.bit_length() - 1, sink, target)
+        reached, value = _min_cut(head, cap, adj, wbit.bit_length() - 1, sink, target)
         if avoid:
             del head[-2:]
             adj[u].pop()
             adj[sink].pop()
+        self.shortfall = target - value
         return sum(self.node_bits.get(v, 0) for v in reached) or None
 
     def _set_groups(self, groups: dict[tuple[int, tuple[int, ...]], int]) -> None:
@@ -389,10 +393,11 @@ def _add_edge(
 def _min_cut(
     head: Sequence[int], cap: list[float], adj: Sequence[Sequence[int]],
     s: int, t: int, limit: int,
-) -> dict[int, int]:
-    """Augment along shortest paths; the source side of a cut below ``limit``.
+) -> tuple[dict[int, int], int]:
+    """Augment along shortest paths; the source side of a cut below ``limit``, and the flow.
 
     The nodes the failed search reached, or none once ``limit`` flows.
+    A flow below ``limit`` is the capacity of the cut returned.
     """
     flow = 0
     while flow < limit:
@@ -406,7 +411,7 @@ def _min_cut(
             if t in pred:
                 break
         else:
-            return pred
+            return pred, flow
         push = limit - flow
         v = t
         while v != s:
@@ -420,7 +425,7 @@ def _min_cut(
             cap[e ^ 1] += push
             v = head[e ^ 1]
         flow += push
-    return {}
+    return {}, flow
 
 
 def validate_digraph_packing(

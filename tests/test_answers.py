@@ -16,6 +16,7 @@ import json
 import random
 
 from arbopack import (
+    BiSetFamilyCertificate,
     DigraphPacking,
     MixedPacking,
     arcs_view,
@@ -30,12 +31,13 @@ from instance_gen import (
     sparse_digraph_instance,
 )
 
-ANSWERS_SHA256 = "a0e78cc7ae3aa8cb0baac5d23cf36068a9126430dc7a1405e97e4d8ad24011fa"
+ANSWERS_SHA256 = "5ad2e70abd4ae34f82b3565dc849139a4b1a74be5fccbf7842b8c97b8d02b110"
 DIGRAPH_ANSWERS_SHA256 = "f9360f2ec847cfe716ff15e39b841b5199168ffe9461b98123c48e0465a809b4"
 DIGRAPH_PACKINGS_SHA256 = "ab59c4f5fc33046c569adf33dfb98cd2e5aeb238461fa81f432cf158757bcdb5"
-BENCH_ANSWERS_SHA256 = "b0b401cae132b6d4da8a01055eac749461551a59f7feee0d2ce0a8d2812f86d8"
-CERTIFY_ANSWERS_SHA256 = "1a463d4a305167325bf75655d3ae20542137f4d53b7b2d034426b8b1f10b6984"
-VERDICTS_SHA256 = "b20ce12df9b5a2141f98ba184f0a977e392bf5783c5a7d7c539e115c97784351"
+BENCH_ANSWERS_SHA256 = "6a36fe78a0c4ba0886381e525d32a5641d35bfa7f2d4304a476c20542e9961ec"
+CERTIFY_ANSWERS_SHA256 = "ed7bfe1eaced02a7af44b0952562515c5628d4075dfffc1553b0f6e4cb42d83c"
+VERDICTS_SHA256 = "e2b24f7c0879b55ca1d793f3e84194d36c57d560113b885795f982bc74b072a9"
+MIXED_PACKINGS_SHA256 = "a81acdc6c2309910be2136ccfb11c47884ba843e5f6f9b1c0db3cd6a202977b7"
 
 
 def canonical(result) -> str:
@@ -156,13 +158,34 @@ def verdicts_digest() -> str:
     return h.hexdigest()
 
 
-def certify_digest() -> str:
-    # The corpus whose infeasible atoms of 6 to 8 vertices reach the
-    # certificate search; the other digests reach only smaller ones.
-    h = hashlib.sha256()
+def certify_answers():
+    """Each answer of ``solve`` on the ``certify_heavy`` corpus."""
     for inst in bench_corpus("certify_heavy", 1, 110):
         g, roots = parse_mixed_graph(inst.text)
-        h.update(canonical(solve(g, roots)).encode() + b"\n")
+        yield solve(g, roots)
+
+
+def certify_digest() -> str:
+    # The corpus whose infeasible atoms have 6 to 8 vertices; the other
+    # digests reach only smaller ones.
+    h = hashlib.sha256()
+    for result in certify_answers():
+        h.update(canonical(result).encode() + b"\n")
+    return h.hexdigest()
+
+
+def mixed_packings_digest() -> str:
+    # Pins every packing behind ANSWERS_SHA256, BENCH_ANSWERS_SHA256 and
+    # CERTIFY_ANSWERS_SHA256, and which instances have none, but not
+    # which certificate an infeasible instance returns.
+    h = hashlib.sha256()
+    for answers in (random_corpus_answers(), bench_answers(), certify_answers()):
+        for result in answers:
+            if isinstance(result, BiSetFamilyCertificate):
+                result = json.dumps({"feasible": False})
+            else:
+                result = canonical(result)
+            h.update(result.encode() + b"\n")
     return h.hexdigest()
 
 
@@ -173,6 +196,7 @@ DIGESTS = {
     "BENCH_ANSWERS_SHA256": bench_digest,
     "CERTIFY_ANSWERS_SHA256": certify_digest,
     "VERDICTS_SHA256": verdicts_digest,
+    "MIXED_PACKINGS_SHA256": mixed_packings_digest,
 }
 
 
@@ -198,6 +222,10 @@ def test_certify_corpus_answers_pinned():
 
 def test_verdicts_and_certificates_pinned():
     assert verdicts_digest() == VERDICTS_SHA256
+
+
+def test_mixed_packings_pinned():
+    assert mixed_packings_digest() == MIXED_PACKINGS_SHA256
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from arbopack import (
     Orientation,
     SubpartitionCertificate,
     build_auxiliary,
+    certificate_from_subpartition,
     compute_atoms,
     orient_covering,
     parse_mixed_graph,
@@ -293,6 +294,19 @@ class TestCapacity:
         with pytest.raises(CapacityError, match="max_enum_vertices"):
             check_cover(req, Orientation({}))
 
+    def test_error_names_the_bound_and_the_atom(self):
+        # The fast path stalls on the triangle, atom 1 after the lone
+        # root's, so its table is built, and 3 atom vertices exceed 2.
+        g, roots = parse_mixed_graph(
+            "vertex r0\nvertex r1\nvertex r2\nvertex x\nedge x r1\nedge x r2\n"
+            "root r0\nroot r1\nroot r2\n"
+        )
+        with pytest.raises(CapacityError) as info:
+            solve(g, roots, Bounds(max_enum_vertices=2))
+        exc = info.value
+        assert (exc.limit, exc.observed, exc.atom) == (2, 3, 1)
+        assert str(exc) == "|V_j| = 3 exceeds max_enum_vertices = 2"
+
     def test_infeasible_atom_certifies_within_edge_bound(self):
         # This instance's two-edge atom has no covering orientation.  The
         # certificate comes from the subpartition search alone: no
@@ -395,8 +409,8 @@ class TestFastPath:
         return _orient_by_cuts(sl, _entering_arcs(g, dec.atoms[j], sl), dec, j, roots)
 
     def test_fast_orientations_cover(self):
-        # Each orientation the fast path returns covers its atom, and it
-        # gives up on each atom that has none.
+        # Each orientation the fast path returns covers its atom, and each
+        # certificate it returns is for an atom that has none.
         rng = random.Random(27182)
         seen = Counter()
         for _ in range(1000):
@@ -407,10 +421,12 @@ class TestFastPath:
                 fast = self.fast(g, roots, dec, j, slices)
                 req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
                 exact = orient_covering(req)
-                if fast is not None:
+                if isinstance(fast, Orientation):
                     assert isinstance(exact, Orientation)
                     assert check_cover(req, fast) is None
-                seen[fast is not None, isinstance(exact, Orientation)] += 1
+                elif fast is not None:
+                    assert isinstance(exact, SubpartitionCertificate)
+                seen[isinstance(fast, Orientation), isinstance(exact, Orientation)] += 1
         assert seen[True, True] > 800 and seen[False, False] > 300, seen
 
     def test_bench_atoms_reversed_into_cover_without_fallback(self, monkeypatch):
@@ -470,17 +486,57 @@ class TestFastPath:
             assert isinstance(mp, MixedPacking), (seed, i)
             assert validate_mixed_packing(g, roots, mp)
 
+    def test_refuted_atom_certificate_against_the_oracles(self):
+        # The set the fast path refutes an atom with is one part whose
+        # deficit is the naive one, at most the best subpartition's.
+        # Past 6 auxiliary vertices the enumeration is slow, and the
+        # certificate search, which test_minmax_certificate_agrees_with_naive
+        # ties to it, gives the best deficit instead.
+        rng = random.Random(9)
+        refuted = 0
+        for _ in range(2000):
+            g, roots = random_mixed_instance(rng, max_v=8)
+            dec = compute_atoms(g, roots)
+            slices = _atom_slices(g, dec)
+            for j in range(len(dec.atoms)):
+                cert = self.fast(g, roots, dec, j, slices)
+                if not isinstance(cert, SubpartitionCertificate):
+                    continue
+                aux = build_auxiliary(g, dec, j, slices)
+                req = CoverRequirement(aux, dec, tuple(roots))
+                assert len(cert.parts) == 1
+                assert cert.deficit == subpartition_deficit(req, cert.parts) >= 1
+                if len(aux.graph.vertices) <= 6:
+                    assert cert.deficit <= naive_max_deficit(aux, dec, roots)
+                else:
+                    assert cert.deficit <= _extract_certificate(req).deficit
+                lifted = certificate_from_subpartition(cert, aux, dec, g, roots)
+                assert verify_certificate(g, roots, lifted)
+                refuted += 1
+        assert refuted > 400, refuted
+
     def test_refuted_atom_gives_up_after_two_flows(self, monkeypatch):
+        # The 30-vertex path is far past DEFAULT_BOUNDS.  The set that the
+        # second flow finds short both ways is the certificate, so neither
+        # the requirement table nor the certificate search runs.
         flows = []
         min_cut = packing._min_cut
         monkeypatch.setattr(packing, "_min_cut", lambda *a: flows.append(a) or min_cut(*a))
+
+        def exhaustive(*_args):
+            raise AssertionError("a refuted atom reached the exact fallback")
+
+        monkeypatch.setattr(orientation, "_requirements", exhaustive)
+        monkeypatch.setattr(orientation, "_extract_certificate", exhaustive)
         wl = bench_workloads()
         for seed in range(10):
             rng = random.Random(seed)
             g, roots = parse_mixed_graph(wl._render(rng, [wl.doubled_path(rng, "", 30)]))
             dec = compute_atoms(g, roots)
             flows.clear()
-            assert self.fast(g, roots, dec, 0, _atom_slices(g, dec)) is None
+            cert = self.fast(g, roots, dec, 0, _atom_slices(g, dec))
+            assert isinstance(cert, SubpartitionCertificate) and len(cert.parts) == 1
             assert 1 <= len(flows) <= 2
-            with pytest.raises(CapacityError, match="max_enum_vertices = 20"):
-                solve(g, roots)
+            result = solve(g, roots)
+            assert isinstance(result, BiSetFamilyCertificate) and len(result.bisets) == 1
+            assert verify_certificate(g, roots, result)

@@ -6,8 +6,8 @@ every atom both must give the same certificate.  The search is also run
 the way ``_fix_edges`` runs it, from two random edge positions per atom:
 on the table less what a fixed prefix of edges sends in, over the edges
 left.  No answer digest reaches that path.  Beyond the reference's
-scale, the certificate of a long doubled path is checked against its
-construction.
+scale, the search's certificate of a long doubled path is checked
+against its construction.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from collections import Counter
 from arbopack import (
     CoverRequirement,
     build_auxiliary,
+    certificate_from_subpartition,
     compute_atoms,
+    orient_covering,
     parse_mixed_graph,
     solve,
     verify_certificate,
@@ -169,11 +171,17 @@ def test_doubled_path_certificate_beyond_oracle_scale():
     # A 14-vertex path with one root repeated twice.  Each of the 13
     # vertices other than the root needs both trees to enter it, 26 edge
     # ends in all, and the path has 13 edges: the best subpartition has
-    # 13 parts and falls short by 13.
+    # 13 parts and falls short by 13.  ``solve`` answers with the one
+    # short set the fast path refutes the atom with, so the search runs
+    # on the atom directly.
     wl = bench_workloads()
     rng = random.Random(9190)
     g, roots = parse_mixed_graph(wl._render(rng, [wl.doubled_path(rng, "", 14)]))
-    cert = solve(g, roots)
-    assert len(cert.bisets) == 13
-    assert cert.deficit == 13
+    dec = compute_atoms(g, roots)
+    aux = build_auxiliary(g, dec, 0)
+    sc = orient_covering(CoverRequirement(aux, dec, tuple(roots)))
+    assert len(sc.parts) == 13
+    assert sc.deficit == 13
+    cert = certificate_from_subpartition(sc, aux, dec, g, roots)
     assert verify_certificate(g, roots, cert).ok
+    assert verify_certificate(g, roots, solve(g, roots)).ok

@@ -469,19 +469,29 @@ class TestEndToEndProperties:
 
     @pytest.mark.parametrize(
         "family, size",
-        [("cycle_copies", {"n": 200, "k": 2}), ("staggered_segments", {"length": 100, "segments": 3})],
+        [
+            ("cycle_copies", {"n": 200, "k": 2}),
+            ("staggered_segments", {"length": 100, "segments": 3}),
+            ("doubled_path", {"n": 200}),
+            ("staggered_segments", {"length": 100, "segments": 3, "drop": True}),
+        ],
     )
     def test_bench_family_past_the_vertex_bound(self, family, size):
         # Atoms of 100 and 200 vertices, far past DEFAULT_BOUNDS, which
-        # gates the exact fallback only.
+        # gates the exact fallback only: the fast path orients the
+        # feasible ones and refutes the others.
         wl = bench_workloads()
         rng = random.Random(7)
         g, roots = parse_mixed_graph(wl._render(rng, [getattr(wl, family)(rng, "", **size)]))
         biggest = max(len(a) for a in compute_atoms(g, roots).atoms)
         assert biggest >= 100 > DEFAULT_BOUNDS.max_enum_vertices
-        mp = solve(g, roots)
-        assert isinstance(mp, MixedPacking)
-        assert validate_mixed_packing(g, roots, mp)
+        result = solve(g, roots)
+        if family == "doubled_path" or size.get("drop"):
+            assert isinstance(result, BiSetFamilyCertificate)
+            assert verify_certificate(g, roots, result)
+        else:
+            assert isinstance(result, MixedPacking)
+            assert validate_mixed_packing(g, roots, result)
 
     def test_successful_orientation_preserves_memberships(self):
         rng = random.Random(31337)
