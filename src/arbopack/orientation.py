@@ -3,15 +3,18 @@
 An orientation covers an atom when every vertex set Y of it, with any
 set T of the arcs that enter the atom at Y, has in-degree at least the
 number of trees forced to enter Y + T.  :func:`orient_atom` orients one
-atom; ``solve`` also keeps the atom's cut oracle, with every edge turned
-as answered, and packs the atom on it.  The fast path checks the
-condition with that oracle, the max-flow network packing uses
+atom.  Edges start pointing away from the atom's roots, and the atom's
+arcs and edges in those directions are first handed to the packing
+greedy with no check (``packing._first_fit``).  When it packs the atom,
+the starting directions cover it, and they are the answer; ``solve``
+keeps the trees.  Otherwise the fast path checks the condition with the
+atom's cut oracle, the max-flow network packing uses
 (``packing._StepFlow``), built from the atom's slice of the graph with
 each edge a pair of network edges whose capacities swap when it flips.
-Edges start pointing away from the atom's roots, and a path of oriented
-edges is reversed out of each short set found, when one flow shows that
-no set it takes an edge from falls short.  No auxiliary graph and no
-table is built on that path.
+A path of oriented edges is reversed out of each short set found, when
+one flow shows that no set it takes an edge from falls short, and
+``solve`` keeps the oracle, with every edge turned as answered, to pack
+the atom on.  No auxiliary graph and no table is built on either path.
 
 The requirement is the function ``p_j - rho_static`` over the atom's
 consistent-set family on its auxiliary graph.  By Frank's orientation
@@ -55,7 +58,7 @@ from .decomposition import (
 )
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
-from .packing import _arc_candidates, _StepFlow
+from .packing import _arc_candidates, _edge_cands, _first_fit, _StepFlow
 
 
 @dataclass(frozen=True)
@@ -115,26 +118,39 @@ def orient_atom(
 ) -> tuple[Orientation | SubpartitionCertificate, AuxiliaryGraph | None]:
     """Atom ``j``'s covering orientation or certificate, and its auxiliary graph.
 
-    The fast path (:func:`_orient_by_cuts`) orients the atom from its
-    slice of ``g``, with no auxiliary graph, which is then ``None``.  An
-    atom it refutes gets the one-part certificate it found; only an atom
-    it stalls on goes to :func:`orient_covering`.  Either answer comes
-    with the auxiliary graph it names.  ``slices`` are
+    An atom that first fit packs from the starting directions keeps
+    them.  Otherwise the fast path (:func:`_orient_by_cuts`) orients the
+    atom from its slice of ``g``, with no auxiliary graph, which is then
+    ``None``.  An atom it refutes gets the one-part certificate it found;
+    only an atom it stalls on goes to :func:`orient_covering`.  Either
+    answer comes with the auxiliary graph it names.  ``slices`` are
     ``_atom_slices(g, dec)``, computed here when not given.
     """
-    return _orient_keeping_oracle(g, dec, j, roots, slices, bounds)[:2]
+    return _orient_and_pack(g, dec, j, roots, slices, bounds)[:2]
 
 
-def _orient_keeping_oracle(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
-    """:func:`orient_atom`'s pair, and the atom's oracle with its edges turned as answered."""
+def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
+    """:func:`orient_atom`'s pair, then first fit's owner list or the atom's oracle.
+
+    First fit (``packing._first_fit``) runs on the start orientation
+    before any oracle is built.  When it packs the atom, the start
+    orientation covers it, and the answer is that orientation, its
+    owner list, and no oracle.  Otherwise the owner list is None, and the
+    oracle is :func:`_cut_oracle`'s, with its edges turned as answered.
+    """
     if slices is None:
         slices = _atom_slices(g, dec)
     sl = slices[j]
     entering = _entering_arcs(g, dec.atoms[j], sl)
-    oracle = _cut_oracle(sl, entering, dec, j, roots)
+    state = _start_state(sl, entering, dec, j, roots)
+    trees, start, cands, ends = state
+    owner = _first_fit(cands + _edge_cands(ends), trees, start, (1 << len(sl.vertices)) - 1)
+    if owner is not None:
+        return _orientation(sl, ends), None, owner, None
+    oracle = _cut_oracle(sl, entering, dec, j, roots, state)
     fast = _orient_by_cuts(sl, entering, dec, j, roots, oracle)
     if isinstance(fast, Orientation):
-        return fast, None, oracle
+        return fast, None, None, oracle
     aux = build_auxiliary(g, dec, j, slices)
     outcome = fast or orient_covering(CoverRequirement(aux, dec, roots, bounds))
     if isinstance(outcome, Orientation):
@@ -143,7 +159,7 @@ def _orient_keeping_oracle(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS)
             if outcome.direction[e.id][0] != sl.vertices[ends[k][0]]:
                 flow.flip(k)
                 ends[k] = ends[k][::-1]
-    return outcome, aux, oracle
+    return outcome, aux, None, oracle
 
 
 def _orient_by_cuts(
@@ -175,7 +191,11 @@ def _orient_by_cuts(
             if not _reverse_a_path(flow, ends, x & ((1 << n) - 1), w, start):
                 return None
             x = flow.cut(1 << w, start)
+    return _orientation(sl, ends)
 
+
+def _orientation(sl, ends) -> Orientation:
+    """The slice's edges turned as ``ends`` says, its loops as stored."""
     direction = {}
     oriented = iter(ends)
     for e in sl.edges:
@@ -204,16 +224,16 @@ def _refuted(sl, j: int, xmask: int, deficit: int) -> SubpartitionCertificate:
     return SubpartitionCertificate(j, (frozenset(part),), deficit)
 
 
-def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots):
-    """The atom's cut oracle, with its edges in the starting orientation.
+def _start_state(sl, entering, dec: AtomDecomposition, j: int, roots):
+    """The trees, their footholds, the arc candidates and the edges' starting ends.
 
-    Returns the oracle (a :class:`~arbopack.packing._StepFlow` whose
-    edges flip), the trees' footholds, and the (tail, head) vertex
-    indices of each non-loop edge, in slice order.  Vertex k of the
-    atom's slice has bit k.  Edges point away from the atom's roots (from
-    the heads of its entering arcs when no root lies inside), by
-    breadth-first distance over its edges and arcs, when it has edges.
-    The candidates are its arcs, then its edges, each in slice order.
+    Vertex k of the atom's slice has bit k.  The candidates are
+    ``(tail bit, head bit, hit)`` per non-loop arc into the atom, in
+    slice order (``packing._arc_candidates``).  ``ends`` holds the
+    (tail, head) vertex indices of each non-loop edge, in slice order:
+    edges point away from the atom's roots (from the heads of its
+    entering arcs when no root lies inside), by breadth-first distance
+    over its edges and arcs.
     """
     vertices, edges, arcs, _crossing = sl
     gamma = dec.atoms[j]
@@ -243,7 +263,20 @@ def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots):
         ends = [(v, u) if dist.get(v, n) < dist.get(u, n) else (u, v) for u, v in pairs]
 
     cands = _arc_candidates(arcs, {v: 1 << k for v, k in at.items()}, trees, dec.reach)
-    return _StepFlow(n, trees, [c[:3] for c in cands], (1 << n) - 1, ends), start, ends
+    return trees, start, [c[:3] for c in cands], ends
+
+
+def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots, state=None):
+    """The atom's cut oracle, with its edges in the starting orientation.
+
+    Returns the oracle (a :class:`~arbopack.packing._StepFlow` whose
+    edges flip), the trees' footholds, and the edges' ends, from
+    ``state``, :func:`_start_state`'s, computed here when not given.  The
+    candidates are the atom's arcs, then its edges, each in slice order.
+    """
+    trees, start, cands, ends = state or _start_state(sl, entering, dec, j, roots)
+    n = len(sl.vertices)
+    return _StepFlow(n, trees, cands, (1 << n) - 1, ends), start, ends
 
 
 def _reverse_a_path(flow, ends, y: int, w: int, start) -> bool:

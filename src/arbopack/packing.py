@@ -11,11 +11,16 @@ of Kamiyama-Katoh-Takizawa, as in Fujishige's note on disjoint
 arborescences) lets the trees grow one arc at a time with no search:
 each arc taken is the first one that keeps the check passing, and a
 step, which can only break the sets holding its head w, is checked by
-one max-flow from w.  ``pipeline.solve`` packs each atom of a mixed
-graph so on the oracle that oriented its edges.  Only an infeasible
-atom gets a tree stuck; in a digraph, its untouched atom is then checked
-from each vertex, and the first short cut, lifted to the whole digraph,
-is the violated set returned.
+one max-flow from w.  First comes first fit, the same greedy with no
+check: when it finishes, every check would have passed, so it packs
+with the same trees and no oracle is built.  It is tried only on an
+atom with at least as many candidate arcs as steps its trees need; any
+other atom cannot be packed.  ``pipeline.solve`` packs each atom of a
+mixed graph that first fit could not on the oracle that oriented its
+edges.  Only an infeasible atom gets a checked tree stuck; in a
+digraph, its untouched atom is then checked from each vertex, and the
+first short cut, lifted to the whole digraph, is the violated set
+returned.
 """
 
 from __future__ import annotations
@@ -139,9 +144,12 @@ def pack_atom_branchings(
     view order, as ``decomposition._atom_slices`` gives them: the result
     is the same, and the set-up reads the atom, not the view.
 
-    The trees grow greedily on the atom's cut oracle (:func:`_grow`).  A
-    tree gets stuck only on an infeasible atom; the first vertex of the
-    untouched atom whose check fails then gives the deficient set.
+    The trees grow greedily (:func:`_grow`), by first fit when the count
+    gate lets it (:func:`_first_fit`).  Only when first fit cannot pack
+    the atom is its cut oracle built, and the greedy run again checked
+    on it.  A checked tree gets stuck only on an infeasible atom; the
+    first vertex of the untouched atom whose check fails then gives the
+    deficient set.
     """
     view.require_vertices(gamma)
     if vertices is None:
@@ -156,7 +164,9 @@ def pack_atom_branchings(
     start = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
     cands = _arc_candidates(arcs, bit, trees, entry)
     net = (len(bit), trees, [c[:3] for c in cands], gmask)
-    owner = _grow(_StepFlow(*net), dict(start), gmask)
+    owner = _first_fit(net[2], trees, start, gmask)
+    if owner is None:
+        owner = _grow(net[2], trees, dict(start), gmask, _StepFlow(*net))
     if isinstance(owner, int):
         untouched = _StepFlow(*net)
         for wbit in bit.values():
@@ -186,15 +196,42 @@ def _arc_candidates(arcs, bit: Mapping[str, int], trees, reach) -> list[tuple]:
     return cands
 
 
-def _grow(flow: _StepFlow, covered: dict[int, int], gmask: int) -> list[int | None] | int:
-    """The tree owning each of the oracle's candidates, or the index of a stuck tree.
+def _edge_cands(ends) -> list[tuple[int, int, int]]:
+    """``(tail bit, head bit, 0)`` per atom edge, turned as its (tail, head) in ``ends``."""
+    return [(1 << t, 1 << h, 0) for t, h in ends]
 
-    ``covered`` holds each tree's foothold and grows in place.  Each step
-    takes the first candidate after which the check from its head passes.
+
+def _first_fit(cands, trees, start: Mapping[int, int], gmask: int) -> list[int | None] | None:
+    """The owner list of an unchecked :func:`_grow` from ``start``, or None.
+
+    Each step covers one atom vertex for one tree with one candidate, so
+    a packing takes one candidate per vertex outside each tree's start
+    foothold.  With fewer candidates than that the atom cannot be packed,
+    and first fit is not tried.  None also when it gets stuck.
     """
-    cands = flow.cands
+    if len(cands) < sum((gmask & ~start[i]).bit_count() for i in trees):
+        return None
+    owner = _grow(cands, trees, dict(start), gmask)
+    return None if isinstance(owner, int) else owner
+
+
+def _grow(
+    cands, trees, covered: dict[int, int], gmask: int, flow: _StepFlow | None = None
+) -> list[int | None] | int:
+    """The tree owning each candidate, or the index of a stuck tree.
+
+    ``covered`` holds each tree's foothold and grows in place.  A
+    candidate is admissible for tree i when no tree owns it, its head is
+    not yet covered, and its tail is covered or its hit mask holds i.
+    Each step takes the first admissible candidate (first fit), or, with
+    ``flow`` and its candidates as ``cands``, the first after which the
+    check from its head passes.  A first fit that finishes needs no
+    check: each of its prefixes extends to the packing it found, so every
+    check would have passed and the checked greedy takes the same
+    candidates.
+    """
     owner: list[int | None] = [None] * len(cands)
-    for i in flow.trees:
+    for i in trees:
         while uncovered := gmask & ~covered[i]:
             for k, (tb, hb, hit) in enumerate(cands):
                 if owner[k] is not None or not hb & uncovered:
@@ -202,8 +239,10 @@ def _grow(flow: _StepFlow, covered: dict[int, int], gmask: int) -> list[int | No
                 if not (tb & covered[i] or hit >> i & 1):
                     continue
                 owner[k] = i
-                flow.take(k, 1)
                 covered[i] |= hb
+                if flow is None:
+                    break
+                flow.take(k, 1)
                 if flow.cut(hb, covered) is None:
                     break
                 owner[k] = None
@@ -288,7 +327,7 @@ class _StepFlow:
         # atom edges, as (tail, head) vertices, are the candidates after
         # the arcs, each on the network edge that holds its unit
         self.first_edge = len(self.cands)
-        self.cands += [(1 << t, 1 << h, 0) for t, h in edges]
+        self.cands += _edge_cands(edges)
         self.cand_edge += [_add_edge(*net, h, t, 1) for t, h in edges]
         # the entering-group nodes that hit each tree
         self.hit_by = {

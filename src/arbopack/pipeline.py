@@ -1,9 +1,10 @@
 """End-to-end solver, validators, and certificates.
 
 ``solve`` runs the full algorithm: build atoms, orient each atom's edges
-to cover its demands, then pack each atom on the cut oracle that
-oriented it, with the arcs into the atom before its edges, each in
-declaration order.  When some atom cannot be oriented, the atom-level
+to cover its demands, and pack each atom, with the arcs into the atom
+before its edges, each in declaration order: by first fit when it packs
+the atom from its starting directions, and otherwise on the cut oracle
+that oriented it.  When some atom cannot be oriented, the atom-level
 subpartition certificate is lifted to a bi-set family over the original
 graph, which any third party can re-check against the input alone.
 """
@@ -37,8 +38,8 @@ from .graph_core import (
     lexicographic_orientation,
     mixed_reachable_set,
 )
-from .orientation import SubpartitionCertificate, _orient_keeping_oracle
-from .packing import _grow
+from .orientation import SubpartitionCertificate, _orient_and_pack
+from .packing import _first_fit, _grow
 
 
 @dataclass(frozen=True)
@@ -179,19 +180,21 @@ def verify_certificate(
 
 
 def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds):
-    """Each atom's slice, covering orientation and oracle, in atom order.
+    """Each atom's slice, covering orientation, owner list and oracle, in atom order.
 
-    Stops at the lowest-index atom that cannot be oriented, and returns
-    its lifted certificate instead.
+    The owner list is first fit's when it packed the atom, and then the
+    oracle is None; otherwise the owner list is None (see
+    ``orientation._orient_and_pack``).  Stops at the lowest-index atom
+    that cannot be oriented, and returns its lifted certificate instead.
     """
     dec = compute_atoms(g, roots)
     slices = _atom_slices(g, dec)
     oriented = []
     for j, sl in enumerate(slices):
-        outcome, aux, oracle = _orient_keeping_oracle(g, dec, j, roots, slices, bounds)
+        outcome, aux, owner, oracle = _orient_and_pack(g, dec, j, roots, slices, bounds)
         if isinstance(outcome, SubpartitionCertificate):
             return certificate_from_subpartition(outcome, aux, dec, g, roots)
-        oriented.append((sl, outcome, oracle))
+        oriented.append((sl, outcome, owner, oracle))
     return oriented
 
 
@@ -204,13 +207,15 @@ def covering_orientation(
     lifted certificate of the lowest-index atom that cannot be oriented.
     Edges incident to no atom get the lexicographic direction; they can
     never matter.  The graph is sliced by atom once, and each atom is
-    oriented from its own vertices, edges and arcs as ``orient_atom`` does.
+    oriented from its own vertices, edges and arcs as ``orient_atom``
+    does: an atom that first fit packs from the starting directions
+    keeps them, and only the others get a cut oracle.
     """
     oriented = _orient_atoms(g, tuple(roots), bounds)
     if isinstance(oriented, BiSetFamilyCertificate):
         return oriented
     direction: dict[str, tuple[str, str]] = {}
-    for _sl, outcome, _oracle in oriented:
+    for _sl, outcome, _owner, _oracle in oriented:
         direction.update(outcome.direction)
     leftover = [e.id for e in g.edges if e.id not in direction]
     direction.update(lexicographic_orientation(g, leftover).direction)
@@ -222,7 +227,11 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
 
     Returns a :class:`MixedPacking` or, when no packing exists, a
     :class:`BiSetFamilyCertificate` for the lowest-index atom that cannot
-    be oriented.  Every atom is oriented before any is packed.
+    be oriented.  Atoms are oriented in order, and an atom that first fit
+    packs from its starting directions is packed then.  Every other atom
+    is packed once all are oriented: by first fit again on its oracle's
+    turned candidates, and by the greedy checked on that oracle when
+    first fit gets stuck.  The trees are the checked greedy's either way.
     """
     roots = tuple(roots)
     oriented = _orient_atoms(g, roots, bounds)
@@ -230,17 +239,23 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
         return oriented
     arc_tree: dict[str, int] = {}
     edge_use: dict[str, tuple[int, EdgeUse]] = {}
-    for sl, _outcome, (flow, start, _ends) in oriented:
-        owner = _grow(flow, dict(start), (1 << len(sl.vertices)) - 1)
-        if isinstance(owner, int):
-            raise InvariantError(f"tree {owner + 1} is stuck on an atom its orientation covers")
+    for sl, outcome, owner, oracle in oriented:
+        if owner is None:
+            flow, start, _ends = oracle
+            gmask = (1 << len(sl.vertices)) - 1
+            owner = _first_fit(flow.cands, flow.trees, start, gmask)
+            if owner is None:
+                owner = _grow(flow.cands, flow.trees, dict(start), gmask, flow)
+            if isinstance(owner, int):
+                raise InvariantError(
+                    f"tree {owner + 1} is stuck on an atom its orientation covers"
+                )
         arcs = [a for a in sl.arcs if not a.is_loop()]
         edges = [e for e in sl.edges if not e.is_loop()]
         arc_tree.update((a.id, i) for a, i in zip(arcs, owner) if i is not None)
-        vs = sl.vertices
-        for e, (tb, hb, _hit), i in zip(edges, flow.cands[len(arcs) :], owner[len(arcs) :]):
+        for e, i in zip(edges, owner[len(arcs) :]):
             if i is not None:
-                edge_use[e.id] = i, EdgeUse(e.id, vs[tb.bit_length() - 1], vs[hb.bit_length() - 1])
+                edge_use[e.id] = i, EdgeUse(e.id, *outcome.direction[e.id])
     tree_arcs: list[list[str]] = [[] for _ in roots]
     tree_edges: list[list[EdgeUse]] = [[] for _ in roots]
     for a in g.arcs:

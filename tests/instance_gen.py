@@ -138,6 +138,19 @@ def doubled_cycle_text(n: int, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def first_fit_stuck_text() -> str:
+    """Eight arcs into one 3-vertex atom with roots n2, n0, n2, which packs.
+
+    First fit, taking each tree's first usable arc with no cut check,
+    gets stuck on it, so the checked greedy packs it.
+    """
+    arcs = [("n0", "n2"), ("n1", "n0"), ("n2", "n0"), ("n1", "n0")]
+    arcs += [("n0", "n0"), ("n2", "n1"), ("n2", "n1"), ("n0", "n1")]
+    lines = [f"vertex n{i}" for i in range(3)] + [f"arc {t} {h}" for t, h in arcs]
+    lines += ["root n2", "root n0", "root n2"]
+    return "\n".join(lines) + "\n"
+
+
 def bench_workloads():
     """The benchmark's ``bench/workloads.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

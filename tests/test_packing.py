@@ -26,6 +26,7 @@ from arbopack.packing import _StepFlow, reachable_in_view
 from instance_gen import (
     deep_atom_text,
     doubled_cycle_text,
+    first_fit_stuck_text,
     random_digraph_instance,
     random_mixed_instance,
     random_orientation,
@@ -465,18 +466,27 @@ class TestStepFlow:
         assert calls["sweep"] == 0 and calls["atom"] > 40
 
     def test_lost_capacity_raises_instead_of_a_bogus_set(self, monkeypatch):
-        # Taking two units per arc imitates a bookkeeping bug.  Tree 1
-        # keeps one of the three arcs r->a, leaving one unit, then finds
-        # no a->b that passes.  The atom as it stands then fails the check
-        # at a, but the untouched atom passes it from every vertex, so no
-        # violated set may come back.
+        # First fit gets stuck on this atom, so the checked greedy packs
+        # it.  Taking two units per arc there imitates a bookkeeping bug:
+        # a tree then finds no arc that passes, and the atom as it stands
+        # fails the check, but the untouched atom passes it from every
+        # vertex, so no violated set may come back.
         def take_twice(self, k, used):
             self.cap[self.cand_edge[k]] -= 2 * used
 
-        text = "vertex r\nvertex a\nvertex b\n" + "arc r a\n" * 3 + "arc a b\n" * 2
-        g, roots = parse_mixed_graph(text + "root r\nroot r\n")
+        g, roots = parse_mixed_graph(first_fit_stuck_text())
         d = arcs_view(g)
+        stuck = []
+        grow = packing._grow
+
+        def first_fit(cands, trees, covered, gmask, flow=None):
+            owner = grow(cands, trees, covered, gmask, flow)
+            stuck.append((flow is None, isinstance(owner, int)))
+            return owner
+
+        monkeypatch.setattr(packing, "_grow", first_fit)
         assert isinstance(pack_reachability(d, roots), DigraphPacking)
+        assert stuck == [(True, True), (False, False)]
         monkeypatch.setattr(_StepFlow, "take", take_twice)
         with pytest.raises(InvariantError, match="untouched atom passes"):
             pack_reachability(d, roots)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,13 +34,22 @@ from arbopack import (
 )
 import arbopack
 from arbopack import graph_core, orientation, packing, pipeline
-from arbopack.decomposition import biset_in_degree, in_Hj, p_value
+from arbopack.decomposition import _atom_slices, _entering_arcs, biset_in_degree, in_Hj, p_value
 from arbopack.errors import InvariantError
-from arbopack.orientation import SubpartitionCertificate
-from arbopack.packing import _StepFlow, reachable_in_view
+from arbopack.orientation import (
+    SubpartitionCertificate,
+    _cut_oracle,
+    _orient_by_cuts,
+    _orientation,
+    _start_state,
+)
+from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow, reachable_in_view
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
+    doubled_cycle_text,
+    first_fit_stuck_text,
+    random_digraph_instance,
     random_mixed_instance,
     random_orientation,
     repeated_root_all_reachable,
@@ -647,12 +657,16 @@ class TestPackOnTheOrientingOracle:
         assert result == two_stage(g, roots)
 
     def test_one_oracle_per_atom_and_no_second_stage(self, monkeypatch):
-        built = []
-        init = _StepFlow.__init__
+        built, first_fits = [], []
+        init, first_fit = _StepFlow.__init__, orientation._first_fit
 
         def counted(self, *args, **kwargs):
             built.append(args[0])
             init(self, *args, **kwargs)
+
+        def recorded(*args):
+            first_fits.append(first_fit(*args))
+            return first_fits[-1]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("solve ran the two-stage path")
@@ -662,31 +676,50 @@ class TestPackOnTheOrientingOracle:
                 monkeypatch.setattr(module, name, forbidden, raising=False)
             monkeypatch.setattr(pipeline, name, forbidden, raising=False)
         monkeypatch.setattr(_StepFlow, "__init__", counted)
+        monkeypatch.setattr(orientation, "_first_fit", recorded)
         cases = list(bench_instances(20))
         cases.append(stalled_instance())
         packed = 0
+        atoms_stuck = Counter()
         for g, roots in cases:
             built.clear()
+            first_fits.clear()
             atoms = len(compute_atoms(g, roots).atoms)
-            if isinstance(solve(g, roots), MixedPacking):
-                assert len(built) == atoms
+            result = solve(g, roots)
+            stuck = [owner is None for owner in first_fits]
+            # one oracle per atom that first fit could not pack, none for the others
+            assert len(built) == sum(stuck)
+            if isinstance(result, MixedPacking):
+                assert len(first_fits) == atoms
                 packed += 1
             else:
-                assert len(built) <= atoms
-        assert packed > 25
+                assert len(first_fits) <= atoms
+            atoms_stuck.update(stuck)
+        assert packed > 25 and min(atoms_stuck[True], atoms_stuck[False]) > 10, atoms_stuck
 
     def test_a_stuck_greedy_raises(self, monkeypatch):
-        # Taking two units per step imitates a lost unit of capacity:
-        # tree 1 keeps one of the three arcs r->a, then no a->b passes.
-        text = "vertex r\nvertex a\nvertex b\n" + "arc r a\n" * 3 + "arc a b\n" * 2
-        g, roots = parse_mixed_graph(text + "root r\nroot r\n")
-        assert isinstance(solve(g, roots), MixedPacking)
+        # First fit gets stuck on this atom, so the checked greedy packs
+        # it.  Taking two units per step imitates a lost unit of capacity
+        # there, and the greedy gets stuck on an atom that packs.
+        g, roots = parse_mixed_graph(first_fit_stuck_text())
+        stuck = []
+        grow = packing._grow
+
+        def first_fit(cands, trees, covered, gmask, flow=None):
+            owner = grow(cands, trees, covered, gmask, flow)
+            if flow is None:
+                stuck.append(isinstance(owner, int))
+            return owner
+
+        monkeypatch.setattr(packing, "_grow", first_fit)
+        assert validate_mixed_packing(g, roots, solve(g, roots))
+        assert stuck == [True, True]  # from the start, then on the oracle's candidates
 
         def take_twice(self, k, used):
             self.cap[self.cand_edge[k]] -= 2 * used
 
         monkeypatch.setattr(_StepFlow, "take", take_twice)
-        with pytest.raises(InvariantError, match="stuck"):
+        with pytest.raises(InvariantError, match="stuck on an atom its orientation covers"):
             solve(g, roots)
 
     def test_a_skipped_flip_raises(self, monkeypatch):
@@ -704,3 +737,94 @@ class TestPackOnTheOrientingOracle:
         monkeypatch.setattr(_StepFlow, "flip", skip_first)
         with pytest.raises(InvariantError, match="stuck"):
             solve(g, roots)
+
+
+class TestFirstFit:
+    """First fit packs an atom only where the checked path would give the same answer."""
+
+    def test_first_fit_agrees_with_the_checked_path(self, monkeypatch):
+        # On every atom that first fit packs from the start orientation, a
+        # fresh oracle's fast path keeps that orientation, with no flip,
+        # and the checked greedy takes the same candidates.
+        flips = []
+        flip = _StepFlow.flip
+        monkeypatch.setattr(_StepFlow, "flip", lambda self, k: flips.append(k) or flip(self, k))
+        rng = random.Random(6021)
+        cases = [random_mixed_instance(rng, max_v=8, max_e=11, max_a=8) for _ in range(2000)]
+        cases += [random_digraph_instance(rng, max_v=7, max_a=14) for _ in range(1000)]
+        seen = Counter()
+        for g, roots in cases:
+            dec = compute_atoms(g, roots)
+            for j, sl in enumerate(_atom_slices(g, dec)):
+                entering = _entering_arcs(g, dec.atoms[j], sl)
+                trees, start, cands, ends = _start_state(sl, entering, dec, j, roots)
+                gmask = (1 << len(sl.vertices)) - 1
+                owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
+                seen[owner is not None, bool(ends)] += 1
+                if owner is None:
+                    continue
+                flips.clear()
+                oracle = _cut_oracle(sl, entering, dec, j, roots)
+                assert _orient_by_cuts(sl, entering, dec, j, roots, oracle) == _orientation(sl, ends)
+                assert not flips
+                flow = oracle[0]
+                assert _grow(flow.cands, trees, dict(start), gmask, flow) == owner
+        assert min(seen.values()) > 200, seen
+
+    def test_no_atom_below_the_count_gate_reaches_first_fit(self, monkeypatch):
+        grow, first_fit = packing._grow, packing._first_fit
+        gated = Counter()
+
+        def need(trees, footholds, gmask):
+            return sum(bin(gmask & ~footholds[i]).count("1") for i in trees)
+
+        def checked_gate(cands, trees, covered, gmask, flow=None):
+            if flow is None:
+                assert len(cands) >= need(trees, covered, gmask), "first fit ran below the gate"
+            return grow(cands, trees, covered, gmask, flow)
+
+        def counted(cands, trees, start, gmask):
+            gated[len(cands) >= need(trees, start, gmask)] += 1
+            return first_fit(cands, trees, start, gmask)
+
+        monkeypatch.setattr(packing, "_grow", checked_gate)
+        for module in (packing, orientation, pipeline):
+            monkeypatch.setattr(module, "_first_fit", counted)
+        rng = random.Random(6022)
+        kinds = Counter()
+        for _ in range(600):
+            g, roots = random_mixed_instance(rng, max_v=8, max_e=11, max_a=8)
+            kinds[type(solve(g, roots))] += 1
+        for _ in range(400):
+            g, roots = random_digraph_instance(rng, max_v=7, max_a=14)
+            kinds[type(pack_reachability(arcs_view(g), roots))] += 1
+        assert gated[True] > 1000 and gated[False] > 100, gated
+        assert len(kinds) == 4 and min(kinds.values()) > 50, kinds
+
+    def test_large_atoms_pack_with_no_oracle(self, monkeypatch):
+        # First fit packs the 200-vertex cycle copies and the 400-vertex
+        # doubled cycle from their start, with no oracle and no flow.  The
+        # staggered segments need path reversals, so they take the oracle.
+        built, flows = [], []
+        init, min_cut = _StepFlow.__init__, packing._min_cut
+
+        def counted(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_StepFlow, "__init__", counted)
+        monkeypatch.setattr(packing, "_min_cut", lambda *a: flows.append(a) or min_cut(*a))
+        wl = bench_workloads()
+        rng = random.Random(7)
+        g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", n=200, k=2)]))
+        assert validate_mixed_packing(g, roots, solve(g, roots))
+        g, roots = parse_mixed_graph(doubled_cycle_text(400, 2))
+        d = arcs_view(g)
+        assert validate_digraph_packing(d, roots, pack_reachability(d, roots))
+        assert not built and not flows
+
+        g, roots = parse_mixed_graph(
+            wl._render(rng, [wl.staggered_segments(rng, "", length=100, segments=3)])
+        )
+        assert validate_mixed_packing(g, roots, solve(g, roots))
+        assert built and flows
