@@ -11,17 +11,18 @@ certificate of an atom it refutes, and packing are not bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .graph_core import _Value
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(_Value):
+    _fields = ("max_enum_vertices",)
     #: largest atom vertex count plus hit-tree count the sweep will accept
-    max_enum_vertices: int = 20
+    max_enum_vertices: int
 
-    def __post_init__(self):
-        if self.max_enum_vertices <= 0:
+    def __init__(self, max_enum_vertices: int = 20):
+        if max_enum_vertices <= 0:
             raise ValueError("max_enum_vertices must be positive")
+        object.__setattr__(self, "max_enum_vertices", max_enum_vertices)
 
 
 DEFAULT_BOUNDS = Bounds()

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
@@ -61,7 +60,7 @@ def _load_graph(path: str) -> tuple[MixedGraph, list[str]]:
 def _bounds_from(args) -> Bounds:
     if getattr(args, "max_enum_vertices", None) is None:
         return DEFAULT_BOUNDS
-    return replace(DEFAULT_BOUNDS, max_enum_vertices=args.max_enum_vertices)
+    return Bounds(max_enum_vertices=args.max_enum_vertices)
 
 
 def _emit(payload: dict) -> None:

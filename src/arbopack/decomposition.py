@@ -18,7 +18,6 @@ own part of the graph, not the whole of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -31,28 +30,29 @@ from .graph_core import (
     MixedGraph,
     ViewArc,
     _reachable,
+    _Value,
 )
 
 
-@dataclass(frozen=True)
-class BiSet:
+class BiSet(_Value):
     """Nested pair of vertex sets: inner within outer."""
 
+    _fields = ("outer", "inner")
     outer: frozenset[str]
     inner: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", frozenset(self.outer))
-        object.__setattr__(self, "inner", frozenset(self.inner))
-        if not self.inner <= self.outer:
+    def __init__(self, outer: Iterable[str], inner: Iterable[str]):
+        outer, inner = frozenset(outer), frozenset(inner)
+        if not inner <= outer:
             raise ValueError("bi-set inner set must be contained in the outer set")
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
 
     def wall(self) -> frozenset[str]:
         return self.outer - self.inner
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
+class AtomDecomposition(_Value):
     """Reachability sets, atoms, and per-atom root index sets.
 
     ``atom_roots[j]`` is the set of root indices whose tree must span
@@ -60,9 +60,20 @@ class AtomDecomposition:
     1-based.
     """
 
+    _fields = ("reach", "atoms", "atom_roots")
     reach: tuple[frozenset[str], ...]
     atoms: tuple[frozenset[str], ...]
     atom_roots: tuple[frozenset[int], ...]
+
+    def __init__(
+        self,
+        reach: tuple[frozenset[str], ...],
+        atoms: tuple[frozenset[str], ...],
+        atom_roots: tuple[frozenset[int], ...],
+    ):
+        object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "atom_roots", atom_roots)
 
     @cached_property
     def atom_of(self) -> Mapping[str, int]:
@@ -113,10 +124,12 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
             members.append([])
             keys.append(key)
         members[j].append(v)
-    # reachability only grows along an arc, so root sets must be nested
+    # reachability only grows along an arc, so root sets must be nested;
+    # an Arc or ViewArc holds (id, tail, head, ...), read by index, which
+    # is faster than by field
     for a in graph.arcs:
-        key = key_of.get(a.tail)
-        if key is not None and key & ~key_of.get(a.head, 0):
+        key = key_of.get(a[1])
+        if key is not None and key & ~key_of.get(a[2], 0):
             raise InvariantError(
                 f"arc {a.id!r} violates root-set monotonicity between atoms"
             )
@@ -138,8 +151,9 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
 
 def biset_in_degree(d: DirectedView, x: BiSet) -> int:
     """Arcs with tail outside the outer set and head inside the inner set."""
-    d.require_vertices(x.outer)
-    return sum(1 for a in d.arcs if a.head in x.inner and a.tail not in x.outer)
+    outer, inner = x.outer, x.inner
+    d.require_vertices(outer)
+    return sum(1 for _id, tail, head, _origin in d.arcs if head in inner and tail not in outer)
 
 
 def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
@@ -165,8 +179,7 @@ def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
 # auxiliary graphs
 
 
-@dataclass(frozen=True)
-class AuxiliaryGraph:
+class AuxiliaryGraph(_Value):
     """Atom-local mixed graph with one terminal per entering arc.
 
     Terminal ``t:<arc-id>`` has in-degree 0 and a single arc (keeping the
@@ -174,14 +187,23 @@ class AuxiliaryGraph:
     back to the entering arc and its original tail.
     """
 
+    _fields = ("atom_index", "graph", "gamma", "terminal_origin")
     atom_index: int
     graph: MixedGraph
     gamma: frozenset[str]
     terminal_origin: Mapping[str, tuple[str, str]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", frozenset(self.gamma))
-        object.__setattr__(self, "terminal_origin", dict(self.terminal_origin))
+    def __init__(
+        self,
+        atom_index: int,
+        graph: MixedGraph,
+        gamma: Iterable[str],
+        terminal_origin: Mapping[str, tuple[str, str]],
+    ):
+        object.__setattr__(self, "atom_index", atom_index)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "gamma", frozenset(gamma))
+        object.__setattr__(self, "terminal_origin", dict(terminal_origin))
 
     @cached_property
     def terminals(self) -> tuple[str, ...]:
@@ -407,8 +429,7 @@ def _requirements(
 # bit-indexed evaluation context
 
 
-@dataclass(frozen=True)
-class AtomContext:
+class AtomContext(NamedTuple):
     """Bitmask evaluation context for one auxiliary graph.
 
     Bit i corresponds to ``order[i]``; atom members come first, then

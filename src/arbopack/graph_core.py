@@ -14,9 +14,8 @@ order).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError
 
@@ -24,8 +23,42 @@ from .errors import ParseError
 RESERVED_TERMINAL_PREFIX = "t:"
 
 
-@dataclass(frozen=True)
-class Edge:
+class _Value:
+    """Base of the value types that coerce, validate or cache.
+
+    A subclass lists its fields in ``_fields`` and stores them from its
+    own ``__init__`` with ``object.__setattr__``; after that they cannot
+    be assigned or deleted.  Instances compare equal, and hash, by the
+    tuple of their fields, and equal only instances of the same class.
+    They keep a ``__dict__``, so ``functools.cached_property`` works.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Edge(NamedTuple):
     """Undirected edge; parallel edges are distinguished by id."""
 
     id: str
@@ -40,8 +73,7 @@ class Edge:
         return self.u == self.v
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Directed arc from ``tail`` to ``head``."""
 
     id: str
@@ -52,8 +84,7 @@ class Arc:
         return self.tail == self.head
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Verdict of a validator: truthy when the check passed."""
 
     ok: bool
@@ -84,43 +115,46 @@ def _require_vertices(graph, xs: Iterable[str]) -> frozenset[str]:
     return xs
 
 
-@dataclass(frozen=True)
-class MixedGraph:
+class MixedGraph(_Value):
     """Immutable mixed multigraph over named vertices.
 
     Self-loops are accepted but never contribute to cut counts or
     packings; they can never appear in an arborescence.
     """
 
+    _fields = ("vertices", "edges", "arcs")
     vertices: tuple[str, ...]
-    edges: tuple[Edge, ...] = ()
-    arcs: tuple[Arc, ...] = ()
+    edges: tuple[Edge, ...]
+    arcs: tuple[Arc, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    def __init__(
+        self, vertices: Iterable[str], edges: Iterable[Edge] = (), arcs: Iterable[Arc] = ()
+    ):
+        vertices, edges, arcs = tuple(vertices), tuple(edges), tuple(arcs)
         seen: set[str] = set()
-        for v in self.vertices:
+        for v in vertices:
             if v in seen:
                 raise ValueError(f"duplicate vertex id {v!r}")
             seen.add(v)
         eids: set[str] = set()
-        for e in self.edges:
-            if e.id in eids:
-                raise ValueError(f"duplicate edge id {e.id!r}")
-            eids.add(e.id)
-            for x in (e.u, e.v):
+        for eid, u, v in edges:
+            if eid in eids:
+                raise ValueError(f"duplicate edge id {eid!r}")
+            eids.add(eid)
+            for x in (u, v):
                 if x not in seen:
-                    raise ValueError(f"unknown vertex {x!r} on edge {e.id!r}")
+                    raise ValueError(f"unknown vertex {x!r} on edge {eid!r}")
         aids: set[str] = set()
-        for a in self.arcs:
-            if a.id in aids:
-                raise ValueError(f"duplicate arc id {a.id!r}")
-            aids.add(a.id)
-            for x in (a.tail, a.head):
+        for aid, tail, head in arcs:
+            if aid in aids:
+                raise ValueError(f"duplicate arc id {aid!r}")
+            aids.add(aid)
+            for x in (tail, head):
                 if x not in seen:
-                    raise ValueError(f"unknown vertex {x!r} on arc {a.id!r}")
+                    raise ValueError(f"unknown vertex {x!r} on arc {aid!r}")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "arcs", arcs)
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -158,21 +192,20 @@ class MixedGraph:
     require_vertices = _require_vertices
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(_Value):
     """Total orientation of an edge set: edge-id -> (tail, head)."""
 
+    _fields = ("direction",)
     direction: Mapping[str, tuple[str, str]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "direction", dict(self.direction))
+    def __init__(self, direction: Mapping[str, tuple[str, str]]):
+        object.__setattr__(self, "direction", dict(direction))
 
     def edge_ids(self) -> frozenset[str]:
         return frozenset(self.direction)
 
 
-@dataclass(frozen=True)
-class ViewArc:
+class ViewArc(NamedTuple):
     """Arc of a :class:`DirectedView`, tagged with where it came from."""
 
     id: str
@@ -188,20 +221,20 @@ class ViewArc:
         return self.tail == self.head
 
 
-@dataclass(frozen=True)
-class DirectedView:
+class DirectedView(_Value):
     """A fully directed picture of a mixed graph.
 
     Combines native arcs with oriented edges; origin tags keep the two
     populations apart so results can be mapped back.
     """
 
+    _fields = ("vertices", "arcs")
     vertices: tuple[str, ...]
     arcs: tuple[ViewArc, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    def __init__(self, vertices: Iterable[str], arcs: Iterable[ViewArc]):
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "arcs", tuple(arcs))
 
     @cached_property
     def vertex_set(self) -> frozenset[str]:
@@ -221,15 +254,14 @@ class DirectedView:
     require_vertices = _require_vertices
 
 
-@dataclass(frozen=True)
-class Subpartition:
+class Subpartition(_Value):
     """Pairwise-disjoint nonempty vertex subsets."""
 
+    _fields = ("parts",)
     parts: tuple[frozenset[str], ...]
 
-    def __post_init__(self):
-        parts = tuple(frozenset(p) for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: Iterable[Iterable[str]]):
+        parts = tuple(frozenset(p) for p in parts)
         seen: set[str] = set()
         for p in parts:
             if not p:
@@ -237,6 +269,7 @@ class Subpartition:
             if p & seen:
                 raise ValueError("subpartition parts overlap")
             seen |= p
+        object.__setattr__(self, "parts", parts)
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +432,11 @@ def crossing_edge_count(g: MixedGraph, p: Subpartition) -> int:
         for v in part:
             part_of[v] = i
     n = 0
-    for e in g.edges:
-        if e.is_loop():
+    for _eid, u, v in g.edges:
+        if u == v:
             continue
-        pu = part_of.get(e.u)
-        pv = part_of.get(e.v)
+        pu = part_of.get(u)
+        pv = part_of.get(v)
         if (pu is not None or pv is not None) and pu != pv:
             n += 1
     return n
@@ -432,7 +465,7 @@ def apply_orientation(g: MixedGraph, o: Orientation) -> DirectedView:
 def arcs_view(g: MixedGraph) -> DirectedView:
     """Directed view of the native arcs alone (edges ignored)."""
     return DirectedView(
-        g.vertices, tuple(ViewArc(a.id, a.tail, a.head, "arc") for a in g.arcs)
+        g.vertices, tuple(ViewArc(aid, tail, head, "arc") for aid, tail, head in g.arcs)
     )
 
 

@@ -14,7 +14,9 @@ each edge a pair of network edges whose capacities swap when it flips.
 A path of oriented edges is reversed out of each short set found, when
 one flow shows that no set it takes an edge from falls short, and
 ``solve`` keeps the oracle, with every edge turned as answered, to pack
-the atom on.  No auxiliary graph and no table is built on either path.
+the atom on.  An atom with no edge has nothing to orient: the greedy
+checked on its oracle packs it at once, or its first failing check
+refutes it.  No auxiliary graph and no table is built on either path.
 
 The requirement is the function ``p_j - rho_static`` over the atom's
 consistent-set family on its auxiliary graph.  By Frank's orientation
@@ -42,8 +44,7 @@ need at least one edge.  Only this table is bounded by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import (
@@ -57,34 +58,41 @@ from .decomposition import (
     build_auxiliary,
 )
 from .errors import InvariantError
-from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
-from .packing import _arc_candidates, _edge_cands, _first_fit, _StepFlow
+from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation, _Value
+from .packing import _arc_candidates, _edge_cands, _first_fit, _first_short, _grow, _StepFlow
 
 
-@dataclass(frozen=True)
-class CoverRequirement:
+class CoverRequirement(_Value):
     """One atom's orientation subproblem.
 
     Carries the auxiliary graph plus everything needed to evaluate the
-    demand function on the fly.  The total set carries zero requirement;
-    that is asserted at construction because the solver relies on it.
+    demand function on the fly, its :class:`AtomContext` as ``context``.
+    The total set carries zero requirement; that is asserted at
+    construction because the solver relies on it.
     """
 
+    _fields = ("aux", "dec", "roots", "bounds")
     aux: AuxiliaryGraph
     dec: AtomDecomposition
     roots: tuple[str, ...]
-    bounds: Bounds = DEFAULT_BOUNDS
+    bounds: Bounds
+    context: AtomContext
 
-    def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(self.roots))
-        ctx = AtomContext.build(self.aux, self.dec, self.roots)
-        object.__setattr__(self, "_ctx", ctx)
-        if self.h_of(ctx.full_mask) != 0:
+    def __init__(
+        self,
+        aux: AuxiliaryGraph,
+        dec: AtomDecomposition,
+        roots: Sequence[str],
+        bounds: Bounds = DEFAULT_BOUNDS,
+    ):
+        roots = tuple(roots)
+        object.__setattr__(self, "aux", aux)
+        object.__setattr__(self, "dec", dec)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "context", AtomContext.build(aux, dec, roots))
+        if self.h_of(self.context.full_mask) != 0:
             raise InvariantError("total auxiliary set carries nonzero requirement")
-
-    @property
-    def context(self) -> AtomContext:
-        return self._ctx  # type: ignore[attr-defined]
 
     def h_of(self, mask: int) -> int:
         """Requirement of one family member: demand minus fixed in-degree."""
@@ -92,8 +100,7 @@ class CoverRequirement:
         return ctx.p_of(mask) - ctx.rho_static(mask)
 
 
-@dataclass(frozen=True)
-class SubpartitionCertificate:
+class SubpartitionCertificate(NamedTuple):
     """Witness that no orientation can cover an atom's demands.
 
     ``parts`` are disjoint family members of the auxiliary vertex set;
@@ -123,7 +130,9 @@ def orient_atom(
     atom from its slice of ``g``, with no auxiliary graph, which is then
     ``None``.  An atom it refutes gets the one-part certificate it found;
     only an atom it stalls on goes to :func:`orient_covering`.  Either
-    answer comes with the auxiliary graph it names.  ``slices`` are
+    answer comes with the auxiliary graph it names.  An atom with no
+    edge to orient skips the fast path: the checked greedy packs it, or
+    its first failing check gives the certificate.  ``slices`` are
     ``_atom_slices(g, dec)``, computed here when not given.
     """
     return _orient_and_pack(g, dec, j, roots, slices, bounds)[:2]
@@ -135,8 +144,14 @@ def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
     First fit (``packing._first_fit``) runs on the start orientation
     before any oracle is built.  When it packs the atom, the start
     orientation covers it, and the answer is that orientation, its
-    owner list, and no oracle.  Otherwise the owner list is None, and the
-    oracle is :func:`_cut_oracle`'s, with its edges turned as answered.
+    owner list, and no oracle; so is an atom with no non-loop edge that
+    the greedy checked on its oracle packs.  When that greedy gets stuck,
+    the atom is refuted by the first vertex, in slice order, whose check
+    fails on an untouched oracle: with no edge, the check counted both
+    ways is the same flow, so this is the set, and the shortfall,
+    :func:`_orient_by_cuts` would refute it with.  Otherwise the owner
+    list is None, and the oracle is :func:`_cut_oracle`'s, with its edges
+    turned as answered.
     """
     if slices is None:
         slices = _atom_slices(g, dec)
@@ -144,13 +159,23 @@ def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
     entering = _entering_arcs(g, dec.atoms[j], sl)
     state = _start_state(sl, entering, dec, j, roots)
     trees, start, cands, ends = state
-    owner = _first_fit(cands + _edge_cands(ends), trees, start, (1 << len(sl.vertices)) - 1)
+    gmask = (1 << len(sl.vertices)) - 1
+    owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
     if owner is not None:
         return _orientation(sl, ends), None, owner, None
     oracle = _cut_oracle(sl, entering, dec, j, roots, state)
-    fast = _orient_by_cuts(sl, entering, dec, j, roots, oracle)
-    if isinstance(fast, Orientation):
-        return fast, None, None, oracle
+    if ends:
+        fast = _orient_by_cuts(sl, entering, dec, j, roots, oracle)
+        if isinstance(fast, Orientation):
+            return fast, None, None, oracle
+    else:
+        # nothing to orient: the checked greedy alone decides the atom
+        owner = _grow(cands, trees, dict(start), gmask, oracle[0])
+        if not isinstance(owner, int):
+            return _orientation(sl, ends), None, owner, None
+        untouched = _cut_oracle(sl, entering, dec, j, roots, state)[0]
+        xmask = _first_short(untouched, len(sl.vertices), start, owner)
+        fast = _refuted(sl, j, xmask, untouched.shortfall)
     aux = build_auxiliary(g, dec, j, slices)
     outcome = fast or orient_covering(CoverRequirement(aux, dec, roots, bounds))
     if isinstance(outcome, Orientation):
@@ -241,7 +266,7 @@ def _start_state(sl, entering, dec: AtomDecomposition, j: int, roots):
     n = len(vertices)
     trees = sorted(dec.atom_roots[j])
     start = {i: 1 << at[roots[i]] if roots[i] in gamma else 0 for i in trees}
-    pairs = [(at[e.u], at[e.v]) for e in edges if not e.is_loop()]
+    pairs = [(at[u], at[v]) for _eid, u, v in edges if u != v]
 
     ends = []
     if pairs:
@@ -249,9 +274,9 @@ def _start_state(sl, entering, dec: AtomDecomposition, j: int, roots):
         for u, v in pairs:
             near[u].append(v)
             near[v].append(u)
-        for a in arcs:
-            if a.tail in gamma:
-                near[at[a.tail]].append(at[a.head])
+        for _aid, tail, head in arcs:
+            if tail in gamma:
+                near[at[tail]].append(at[head])
         sources = [at[roots[i]] for i in trees if roots[i] in gamma]
         dist = dict.fromkeys(sources or [at[a.head] for a in entering], 0)
         queue = list(dist)

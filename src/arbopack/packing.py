@@ -26,8 +26,7 @@ returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .decomposition import _atom_slices, _decompose
 from .errors import InvariantError
@@ -41,16 +40,14 @@ from .graph_core import (
 )
 
 
-@dataclass(frozen=True)
-class Arborescence:
+class Arborescence(NamedTuple):
     """One tree of a packing: a root index and the arcs it uses."""
 
     root_index: int
     arcs: tuple[ViewArc, ...]
 
 
-@dataclass(frozen=True)
-class DigraphPacking:
+class DigraphPacking(NamedTuple):
     """Arc-disjoint trees, one per root index, spanning their reach sets."""
 
     trees: tuple[Arborescence, ...]
@@ -168,17 +165,26 @@ def pack_atom_branchings(
     if owner is None:
         owner = _grow(net[2], trees, dict(start), gmask, _StepFlow(*net))
     if isinstance(owner, int):
-        untouched = _StepFlow(*net)
-        for wbit in bit.values():
-            xmask = untouched.cut(wbit, start)
-            if xmask is not None:
-                return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
-                    a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
-                )
-        raise InvariantError(f"tree {owner + 1} is stuck, but the untouched atom passes")
+        xmask = _first_short(_StepFlow(*net), len(bit), start, owner)
+        return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
+            a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
+        )
     return {
         i: tuple(a for (_t, _h, _hit, a), o in zip(cands, owner) if o == i) for i in trees
     }
+
+
+def _first_short(flow: _StepFlow, n: int, start: Mapping[int, int], stuck: int) -> int:
+    """The set found short by the first of the ``n`` atom vertices whose check fails.
+
+    ``flow`` is an untouched oracle of an atom on which tree ``stuck``
+    got stuck, so some check fails; ``flow.shortfall`` is then the set's.
+    """
+    for k in range(n):
+        xmask = flow.cut(1 << k, start)
+        if xmask is not None:
+            return xmask
+    raise InvariantError(f"tree {stuck + 1} is stuck, but the untouched atom passes")
 
 
 def _arc_candidates(arcs, bit: Mapping[str, int], trees, reach) -> list[tuple]:

@@ -11,8 +11,7 @@ graph, which any third party can re-check against the input alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import (
@@ -42,8 +41,7 @@ from .orientation import SubpartitionCertificate, _orient_and_pack
 from .packing import _first_fit, _grow
 
 
-@dataclass(frozen=True)
-class EdgeUse:
+class EdgeUse(NamedTuple):
     """An undirected edge consumed by a tree, with its chosen direction."""
 
     id: str
@@ -51,8 +49,7 @@ class EdgeUse:
     head: str
 
 
-@dataclass(frozen=True)
-class MixedTree:
+class MixedTree(NamedTuple):
     """One mixed arborescence: native arcs plus directed edge usages."""
 
     root_index: int
@@ -61,13 +58,11 @@ class MixedTree:
     edges: tuple[EdgeUse, ...]
 
 
-@dataclass(frozen=True)
-class MixedPacking:
+class MixedPacking(NamedTuple):
     trees: tuple[MixedTree, ...]
 
 
-@dataclass(frozen=True)
-class BiSetFamilyCertificate:
+class BiSetFamilyCertificate(NamedTuple):
     """Infeasibility witness over the original graph.
 
     The inner sets subpartition one atom, each outer set avoids the rest
@@ -182,8 +177,9 @@ def verify_certificate(
 def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds):
     """Each atom's slice, covering orientation, owner list and oracle, in atom order.
 
-    The owner list is first fit's when it packed the atom, and then the
-    oracle is None; otherwise the owner list is None (see
+    The owner list is first fit's, or on an atom with no edge the checked
+    greedy's, when it packed the atom, and then the oracle is None;
+    otherwise the owner list is None (see
     ``orientation._orient_and_pack``).  Stops at the lowest-index atom
     that cannot be oriented, and returns its lifted certificate instead.
     """
@@ -228,7 +224,8 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     Returns a :class:`MixedPacking` or, when no packing exists, a
     :class:`BiSetFamilyCertificate` for the lowest-index atom that cannot
     be oriented.  Atoms are oriented in order, and an atom that first fit
-    packs from its starting directions is packed then.  Every other atom
+    packs from its starting directions is packed then, as is an atom with
+    no edge, by the greedy checked on its oracle.  Every other atom
     is packed once all are oriented: by first fit again on its oracle's
     turned candidates, and by the greedy checked on that oracle when
     first fit gets stuck.  The trees are the checked greedy's either way.
@@ -275,37 +272,36 @@ def validate_mixed_packing(
     """Check disjointness, per-tree arborescence shape, and spanning sets."""
     if len(mp.trees) != len(roots):
         return CheckResult(False, f"expected {len(roots)} trees, got {len(mp.trees)}")
+    arc_by_id, edge_by_id = g.arc_by_id, g.edge_by_id
     used_arcs: set[str] = set()
     used_edges: set[str] = set()
-    for tree in mp.trees:
-        for aid in tree.arcs:
-            if aid not in g.arc_by_id:
+    # the records are unpacked: a tuple's items read faster than its fields
+    for _root_index, _root, arcs, edges in mp.trees:
+        for aid in arcs:
+            if aid not in arc_by_id:
                 return CheckResult(False, f"unknown arc {aid!r}")
             if aid in used_arcs:
                 return CheckResult(False, f"arc {aid} used twice")
             used_arcs.add(aid)
-        for use in tree.edges:
-            e = g.edge_by_id.get(use.id)
+        for eid, tail, head in edges:
+            e = edge_by_id.get(eid)
             if e is None:
-                return CheckResult(False, f"unknown edge {use.id!r}")
-            if frozenset((use.tail, use.head)) != e.ends:
-                return CheckResult(
-                    False, f"edge {use.id} used with endpoints not its own"
-                )
-            if use.id in used_edges:
-                return CheckResult(False, f"edge {use.id} used twice")
-            used_edges.add(use.id)
+                return CheckResult(False, f"unknown edge {eid!r}")
+            _eid, u, v = e
+            if (tail, head) != (u, v) and (tail, head) != (v, u):
+                return CheckResult(False, f"edge {eid} used with endpoints not its own")
+            if eid in used_edges:
+                return CheckResult(False, f"edge {eid} used twice")
+            used_edges.add(eid)
     reach: dict[str, frozenset[str]] = {}  # searched once per distinct root
-    for i, tree in enumerate(mp.trees):
-        if tree.root_index != i:
-            return CheckResult(
-                False, f"tree {i + 1} carries root index {tree.root_index + 1}"
-            )
+    for i, (root_index, root, arcs, edges) in enumerate(mp.trees):
+        if root_index != i:
+            return CheckResult(False, f"tree {i + 1} carries root index {root_index + 1}")
         r = roots[i]
-        if tree.root != r:
-            return CheckResult(False, f"tree {i + 1} names root {tree.root!r}, not {r!r}")
-        hops = [(g.arc_by_id[aid].tail, g.arc_by_id[aid].head) for aid in tree.arcs]
-        hops += [(use.tail, use.head) for use in tree.edges]
+        if root != r:
+            return CheckResult(False, f"tree {i + 1} names root {root!r}, not {r!r}")
+        hops = [arc_by_id[aid][1:] for aid in arcs]
+        hops += [(tail, head) for _eid, tail, head in edges]
         if r not in reach:
             reach[r] = mixed_reachable_set(g, r)
         verdict = _check_arborescence(hops, r, reach[r], i)

@@ -698,9 +698,10 @@ class TestPackOnTheOrientingOracle:
         assert packed > 25 and min(atoms_stuck[True], atoms_stuck[False]) > 10, atoms_stuck
 
     def test_a_stuck_greedy_raises(self, monkeypatch):
-        # First fit gets stuck on this atom, so the checked greedy packs
-        # it.  Taking two units per step imitates a lost unit of capacity
-        # there, and the greedy gets stuck on an atom that packs.
+        # First fit gets stuck on this edgeless atom, so the checked greedy
+        # packs it at once.  Taking two units per step imitates a lost unit
+        # of capacity there, and the greedy gets stuck on an atom that
+        # packs: no check of the untouched atom fails.
         g, roots = parse_mixed_graph(first_fit_stuck_text())
         stuck = []
         grow = packing._grow
@@ -713,13 +714,13 @@ class TestPackOnTheOrientingOracle:
 
         monkeypatch.setattr(packing, "_grow", first_fit)
         assert validate_mixed_packing(g, roots, solve(g, roots))
-        assert stuck == [True, True]  # from the start, then on the oracle's candidates
+        assert stuck == [True]  # from the start only, not again on the oracle's candidates
 
         def take_twice(self, k, used):
             self.cap[self.cand_edge[k]] -= 2 * used
 
         monkeypatch.setattr(_StepFlow, "take", take_twice)
-        with pytest.raises(InvariantError, match="stuck on an atom its orientation covers"):
+        with pytest.raises(InvariantError, match="stuck, but the untouched atom passes"):
             solve(g, roots)
 
     def test_a_skipped_flip_raises(self, monkeypatch):
@@ -828,3 +829,59 @@ class TestFirstFit:
         )
         assert validate_mixed_packing(g, roots, solve(g, roots))
         assert built and flows
+
+
+class TestEdgelessAtoms:
+    """An atom with no edge to orient goes from first fit straight to the checked greedy."""
+
+    def test_no_edgeless_atom_reaches_the_fast_path(self, monkeypatch):
+        orient_by_cuts, grow = orientation._orient_by_cuts, orientation._grow
+        with_edges, grown = Counter(), Counter()
+
+        def recorded(sl, *args):
+            with_edges[any(not e.is_loop() for e in sl.edges)] += 1
+            return orient_by_cuts(sl, *args)
+
+        def checked(*args):
+            owner = grow(*args)
+            grown[isinstance(owner, int)] += 1
+            return owner
+
+        monkeypatch.setattr(orientation, "_orient_by_cuts", recorded)
+        monkeypatch.setattr(orientation, "_grow", checked)
+        cases = list(bench_instances(110))
+        rng = random.Random(6023)
+        cases += [random_mixed_instance(rng, max_v=8, max_e=11, max_a=8) for _ in range(600)]
+        cases += [random_mixed_instance(rng, max_v=8, max_e=2, max_a=10) for _ in range(600)]
+        for g, roots in cases:
+            result = solve(g, roots)
+            if isinstance(result, MixedPacking):
+                assert validate_mixed_packing(g, roots, result)
+            else:
+                assert verify_certificate(g, roots, result)
+        assert not with_edges[False] and with_edges[True] > 100, with_edges
+        # edgeless atoms that first fit got stuck on: packed, and refuted
+        assert min(grown[False], grown[True]) > 20, grown
+
+    def test_edgeless_certificate_pinned(self, monkeypatch):
+        # Atom {m, c} has two trees and three arcs: first fit is gated
+        # off, the checked greedy gets stuck, and the untouched check from
+        # m passes while the one from c fails.  The certificate is the
+        # one the fast path gave this atom when it still ran on it.
+        first_short = orientation._first_short
+        scans = []
+        monkeypatch.setattr(
+            orientation, "_first_short", lambda *a: scans.append(a) or first_short(*a)
+        )
+        g, roots = parse_mixed_graph(
+            "vertex r1\nvertex r2\nvertex m\nvertex c\n"
+            "arc r1 m\narc r2 m\narc m c\nroot r1\nroot r2\n"
+        )
+        dec = compute_atoms(g, roots)
+        assert dec.atoms[2] == {"m", "c"} and not _atom_slices(g, dec)[2].edges
+        outcome, aux = orientation.orient_atom(g, dec, 2, roots)
+        assert outcome == SubpartitionCertificate(2, (frozenset({"c"}),), 1)
+        assert len(scans) == 1
+        assert solve(g, roots) == BiSetFamilyCertificate(
+            2, (BiSet(frozenset({"c"}), frozenset({"c"})),), 1, 2
+        )

@@ -17,15 +17,19 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_zero_runtime_dependencies():
+def _loaded_by_import() -> list[str]:
     # -S skips site-packages and their start-up hooks, so every module
-    # loaded is one the interpreter or the package asked for.  A test
-    # helper such as ``naive`` is outside both, and is caught too.
+    # loaded is one the interpreter or the package asked for.
     src = str(Path(arbopack.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-S", "-c", PROBE, src], capture_output=True, text=True, check=True
     ).stdout
-    loaded = json.loads(out)
+    return json.loads(out)
+
+
+def test_zero_runtime_dependencies():
+    # A test helper such as ``naive`` is outside both, and is caught too.
+    loaded = _loaded_by_import()
     assert "arbopack.cli" in loaded
     foreign = [
         name
@@ -35,3 +39,12 @@ def test_zero_runtime_dependencies():
         and name.split(".")[0] != "arbopack"
     ]
     assert not foreign, foreign
+
+
+def test_start_up_loads_no_class_generators():
+    # ``dataclasses`` (and the ``inspect`` it imports) cost a process
+    # about 9 ms to import and more to build each class; the value types
+    # are defined without them, so ``arbopack solve`` starts sooner.
+    loaded = _loaded_by_import()
+    assert "arbopack.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
