@@ -269,8 +269,8 @@ class _StepFlow:
     with a foothold in Y or an arc in T.  Every such set passes exactly
     when the minimum cut, the most flow w can send to the sink, is at
     least the number of trees; when it is not, the last, failed
-    augmenting search reaches the source side of a short cut.  The
-    network has:
+    augmenting search reaches the source side of the least short cut.
+    The network's nodes never change:
 
     - atom vertex v: an atom arc t->h becomes the edge h->t, with
       capacity the number of its unused parallel copies, and an atom
@@ -278,29 +278,24 @@ class _StepFlow:
       residual twin t->h takes the unit when the edge is flipped;
     - entering group: the unused entering arcs with one head h and one
       hit mask, with an edge h->group of capacity their count;
-    - tree group: the trees with one foothold and the same hitting
-      entering groups, with an edge to the sink of capacity their count
-      and unbounded edges into it from its foothold vertices and its
-      hitting groups.
+    - tree: one node per tree, then the sink, with an edge of capacity 1
+      to the sink and unbounded edges into it from the entering groups
+      that hit the tree and from its foothold vertices.  A vertex's edge
+      is added when it first joins the foothold, and has capacity 0
+      while it is out; each check first sets these edges to its footholds.
 
     A group on the source side without its head costs the cut at least as
     much as the same cut with the group moved across, so minimum cuts
     keep T consistent with no edge to enforce it.  Trees whose foothold
-    holds w cross every such cut, so they are left out and lower the
-    target instead.  After a check that finds a short set, ``shortfall``
-    is the target less the flow: how far that set's slack falls below
-    the check's ``extra``.  Atom arcs, edges and entering groups are built
-    once.  Tree groups follow the footholds: they come after every other
-    node, and a check rebuilds them only when its groups differ from the
-    last check's.  Each flow runs on a copy of the capacities.
+    holds w cross every such cut: the check zeroes their sink edges and
+    lowers the target.  After a check that finds a short set,
+    ``shortfall`` is the target less the flow: how far that set's slack
+    falls below the check's ``extra``.  Each flow runs on a copy of the
+    capacities.  ``flips`` counts the edges flipped.
     """
 
     def __init__(
-        self,
-        n: int,
-        trees: Sequence[int],
-        cands: Sequence[tuple[int, int, int]],
-        gmask: int,
+        self, n: int, trees: Sequence[int], cands: Sequence[tuple[int, int, int]], gmask: int,
         edges: Sequence[tuple[int, int]] = (),
     ):
         self.trees = trees
@@ -314,8 +309,8 @@ class _StepFlow:
         group_edge: dict[tuple[int, int], int] = {}  # (head, hit) -> edge
         self.cand_edge: list[int] = []
         # the mask bits of each node: an atom vertex its own, an entering
-        # group its arcs' tail bits
-        self.node_bits = {v: 1 << v for v in range(n)}
+        # group its arcs' tail bits, a tree and the sink none
+        self.node_bits = [1 << v for v in range(n)]
         for tb, hb, hit in cands:
             h = hb.bit_length() - 1
             if tb & gmask:
@@ -326,8 +321,9 @@ class _StepFlow:
                 e = group_edge.get((h, hit))
                 if e is None:
                     self.adj.append([])
+                    self.node_bits.append(0)
                     e = group_edge[h, hit] = _add_edge(*net, h, len(self.adj) - 1, 0)
-                self.node_bits[self.head[e]] = self.node_bits.get(self.head[e], 0) | tb
+                self.node_bits[self.head[e]] |= tb
             self.cap[e] += 1
             self.cand_edge.append(e)
         # atom edges, as (tail, head) vertices, are the candidates after
@@ -335,15 +331,19 @@ class _StepFlow:
         self.first_edge = len(self.cands)
         self.cands += _edge_cands(edges)
         self.cand_edge += [_add_edge(*net, h, t, 1) for t, h in edges]
-        # the entering-group nodes that hit each tree
-        self.hit_by = {
-            i: tuple(self.head[e] for (_h, hit), e in group_edge.items() if hit >> i & 1)
-            for i in trees
-        }
-        self.fixed = (len(self.head), len(self.adj))
-        self.groups: dict[tuple[int, tuple[int, ...]], int] | None = None
-        self.touched: list[int] = []
-        self.shortfall = 0
+        # tree p is node first_tree + p, and its sink edge is sink_edge + 2 p
+        self.first_tree, self.sink_edge = len(self.adj), len(self.head)
+        self.adj += [[] for _ in range(len(trees) + 1)]
+        self.node_bits += [0] * (len(trees) + 1)
+        for p in range(len(trees)):
+            _add_edge(*net, self.first_tree + p, len(self.adj) - 1, 1)
+        for (_h, hit), e in group_edge.items():
+            for p, i in enumerate(trees):
+                if hit >> i & 1:
+                    _add_edge(*net, self.head[e], self.first_tree + p, math.inf)
+        self.foothold_edge: list[dict[int, int]] = [{} for _ in trees]  # vertex -> edge
+        self.opened = [0] * len(trees)  # the foothold each tree's edges are set to
+        self.shortfall = self.flips = 0
 
     def take(self, k: int, used: int) -> None:
         """Mark candidate ``k`` used (``used`` 1) or unused again (-1)."""
@@ -351,6 +351,7 @@ class _StepFlow:
 
     def flip(self, k: int) -> None:
         """Reverse atom edge ``k``: its unit and its candidate move to the residual twin."""
+        self.flips += 1
         k += self.first_edge
         e = self.cand_edge[k]
         self.cap[e], self.cap[e ^ 1] = self.cap[e ^ 1], self.cap[e]
@@ -359,11 +360,7 @@ class _StepFlow:
         self.cands[k] = (hb, tb, hit)
 
     def cut(
-        self,
-        wbit: int,
-        footholds: Mapping[int, int],
-        avoid: int = 0,
-        extra: int = 0,
+        self, wbit: int, footholds: Mapping[int, int], avoid: int = 0, extra: int = 0,
         both: bool = False,
     ) -> int | None:
         """Y plus the tail bits of T, for a set with slack below ``extra``, or None.
@@ -371,21 +368,24 @@ class _StepFlow:
         The sets searched hold ``wbit`` and not the bit ``avoid``, which
         one unbounded edge ties to the sink.  With ``both`` every atom
         edge counts in both directions, so a set it finds short is short
-        in every orientation.
+        in every orientation.  The set returned is the least of those
+        with the least slack.
         """
-        groups: dict[tuple[int, tuple[int, ...]], int] = {}
-        for i in self.trees:
+        held, target = [], extra
+        for p, i in enumerate(self.trees):
             foothold = footholds[i]
-            if not foothold & wbit:
-                key = (foothold, self.hit_by[i])
-                groups[key] = groups.get(key, 0) + 1
-        target = sum(groups.values()) + extra
+            if foothold != self.opened[p]:
+                self._open(p, foothold)
+            if foothold & wbit:
+                held.append(self.sink_edge + 2 * p)
+            else:
+                target += 1
         if not target:
             return None
-        if groups != self.groups:
-            self._set_groups(groups)
         head, adj, sink = self.head, self.adj, len(self.adj) - 1
         cap = self.cap[:]
+        for e in held:
+            cap[e] = 0
         if both:
             for e in self.cand_edge[self.first_edge :]:
                 cap[e] = cap[e ^ 1] = 1
@@ -398,29 +398,21 @@ class _StepFlow:
             adj[u].pop()
             adj[sink].pop()
         self.shortfall = target - value
-        return sum(self.node_bits.get(v, 0) for v in reached) or None
+        return sum(self.node_bits[v] for v in reached) or None
 
-    def _set_groups(self, groups: dict[tuple[int, tuple[int, ...]], int]) -> None:
-        """Replace the tree groups, kept after the lasting nodes, and the sink after them."""
-        head, cap, adj = self.head, self.cap, self.adj
-        n_edges, n_nodes = self.fixed
-        for u in self.touched:
-            adj[u].pop()
-        del head[n_edges:], cap[n_edges:], adj[n_nodes:]
-        self.touched = []  # the lasting tail of each edge into a group
-        sink = n_nodes + len(groups)
-        adj += [[] for _ in range(len(groups) + 1)]
-        for c, ((foothold, hit_by), count) in enumerate(groups.items(), n_nodes):
-            _add_edge(head, cap, adj, c, sink, count)
-            tails = list(hit_by)
-            while foothold:
-                low = foothold & -foothold
-                tails.append(low.bit_length() - 1)
-                foothold ^= low
-            for u in tails:
-                _add_edge(head, cap, adj, u, c, math.inf)
-            self.touched += tails
-        self.groups = groups
+    def _open(self, p: int, foothold: int) -> None:
+        """Set tree ``p``'s foothold edges to ``foothold``, touching only the changed vertices."""
+        edges, cap = self.foothold_edge[p], self.cap
+        change = foothold ^ self.opened[p]
+        while change:
+            low = change & -change
+            v = low.bit_length() - 1
+            if v in edges:
+                cap[edges[v]] = math.inf if foothold & low else 0
+            else:
+                edges[v] = _add_edge(self.head, cap, self.adj, v, self.first_tree + p, math.inf)
+            change ^= low
+        self.opened[p] = foothold
 
 
 def _add_edge(
@@ -438,39 +430,45 @@ def _add_edge(
 def _min_cut(
     head: Sequence[int], cap: list[float], adj: Sequence[Sequence[int]],
     s: int, t: int, limit: int,
-) -> tuple[dict[int, int], int]:
-    """Augment along shortest paths; the source side of a cut below ``limit``, and the flow.
+) -> tuple[list[int], int]:
+    """Augment along shortest paths; the nodes the failed search reached, and the flow.
 
-    The nodes the failed search reached, or none once ``limit`` flows.
-    A flow below ``limit`` is the capacity of the cut returned.
+    A search labels each node in a list with the edge that reached it,
+    and stops once ``t`` is labelled.  A flow below ``limit`` is maximum,
+    and the nodes are the source side of the least minimum cut; none are
+    returned once ``limit`` flows.
     """
     flow = 0
     while flow < limit:
-        pred = {s: -1}
+        pred: list[int | None] = [None] * len(adj)
+        pred[s] = -1
         queue = [s]
         for u in queue:
             for e in adj[u]:
-                if cap[e] > 0 and head[e] not in pred:
-                    pred[head[e]] = e
-                    queue.append(head[e])
-            if t in pred:
-                break
+                if cap[e] > 0:
+                    v = head[e]
+                    if pred[v] is None:
+                        pred[v] = e
+                        if v == t:
+                            break
+                        queue.append(v)
+            else:
+                continue
+            break
         else:
-            return pred, flow
-        push = limit - flow
-        v = t
+            return queue, flow
+        push, path, v = limit - flow, [], t
         while v != s:
             e = pred[v]
-            push = min(push, cap[e])
+            path.append(e)
+            if cap[e] < push:
+                push = cap[e]
             v = head[e ^ 1]
-        v = t
-        while v != s:
-            e = pred[v]
+        for e in path:
             cap[e] -= push
             cap[e ^ 1] += push
-            v = head[e ^ 1]
         flow += push
-    return {}, flow
+    return [], flow
 
 
 def validate_digraph_packing(

@@ -226,9 +226,10 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     be oriented.  Atoms are oriented in order, and an atom that first fit
     packs from its starting directions is packed then, as is an atom with
     no edge, by the greedy checked on its oracle.  Every other atom
-    is packed once all are oriented: by first fit again on its oracle's
-    turned candidates, and by the greedy checked on that oracle when
-    first fit gets stuck.  The trees are the checked greedy's either way.
+    is packed once all are oriented: by first fit again when its oracle
+    flipped an edge (with none, first fit would get stuck as before), and
+    by the greedy checked on that oracle when first fit gets stuck.  The
+    trees are the checked greedy's either way.
     """
     roots = tuple(roots)
     oriented = _orient_atoms(g, roots, bounds)
@@ -240,7 +241,7 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
         if owner is None:
             flow, start, _ends = oracle
             gmask = (1 << len(sl.vertices)) - 1
-            owner = _first_fit(flow.cands, flow.trees, start, gmask)
+            owner = _first_fit(flow.cands, flow.trees, start, gmask) if flow.flips else None
             if owner is None:
                 owner = _grow(flow.cands, flow.trees, dict(start), gmask, flow)
             if isinstance(owner, int):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -404,6 +405,66 @@ def direct_deficiency(gmask, footholds, cands, used, xmask) -> int:
     return need - entering
 
 
+def random_oracle_state(rng: random.Random):
+    """An atom of up to 4 vertices for a brute force over every mask of its check.
+
+    Returns the vertex count, the footholds of up to 4 trees, the
+    ``(tail, head, hit)`` candidates (atom arcs, some parallel, and up
+    to 3 entering arcs, some sharing a head and a hit mask) and the
+    (tail, head) vertices of up to 3 atom edges.
+    """
+    n = rng.randint(1, 4)
+    trees = sorted(rng.sample(range(6), rng.randint(1, 4)))
+    footholds = {
+        i: rng.choice((0, 1 << rng.randrange(n), rng.randint(1, (1 << n) - 1))) for i in trees
+    }
+    cands: list[tuple[int, int, int]] = []
+    n_term = 0
+    for _ in range(rng.randint(0, 7)):
+        if n > 1 and rng.random() < 0.55:
+            t, h = rng.sample(range(n), 2)
+            cands.append((1 << t, 1 << h, 0))
+        elif n_term < 3:
+            entering = [c for c in cands if c[0] >> n]
+            if entering and rng.random() < 0.4:
+                _tb, hb, hit = rng.choice(entering)
+            else:
+                hb = 1 << rng.randrange(n)
+                hit = sum(1 << i for i in trees if rng.random() < 0.5)
+            cands.append((1 << (n + n_term), hb, hit))
+            n_term += 1
+    ends = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))] if n > 1 else []
+    return n, footholds, cands, ends
+
+
+def brute_slacks(n, footholds, cands, ends, used, both) -> list[int]:
+    """The slack of every mask X, read as Y = its atom bits plus a set T of entering arcs.
+
+    A check's slack is the unused arcs and edges entering Y (every edge
+    both ways with ``both``), less the trees with no foothold in Y and
+    no unused arc in T.  X ranges over every mask of the atom and
+    entering tail bits, consistent or not.
+    """
+    gmask = (1 << n) - 1
+    arcs = [c for k, c in enumerate(cands) if k not in used]
+    edges = [(1 << t, 1 << h) for k, (t, h) in enumerate(ends) if k + len(cands) not in used]
+    if both:
+        edges = [(1 << t, 1 << h) for t, h in ends] + [(1 << h, 1 << t) for t, h in ends]
+    span = max([n] + [c[0].bit_length() for c in cands])
+    slack = []
+    for x in range(1 << span):
+        y = x & gmask
+        into = sum(1 for tb, hb, _hit in arcs if hb & y and not tb & x)
+        into += sum(1 for tb, hb in edges if hb & y and not tb & y)
+        hit = 0
+        for tb, _hb, h in arcs:
+            if tb & x & ~gmask:
+                hit |= h
+        need = sum(1 for i, f in footholds.items() if not f & y and not hit >> i & 1)
+        slack.append(into - need)
+    return slack
+
+
 class TestStepFlow:
     def assert_matches_sweep(self, n, gmask, footholds, cands, used, flow):
         atom_arcs = [c[:2] for k, c in enumerate(cands) if k not in used and c[0] & gmask]
@@ -436,6 +497,75 @@ class TestStepFlow:
                 used.discard(k)
                 verdicts += self.assert_matches_sweep(n, gmask, footholds, cands, used, flow)
         assert verdicts.count(True) > 300 and verdicts.count(False) > 300
+
+    def test_every_check_is_the_least_set_of_least_slack(self):
+        # The whole oracle against a brute force over every mask: plain
+        # checks, ``avoid`` and ``extra``, ``both``, flipped edges, and
+        # footholds that grow by a step and shrink again when it is
+        # given back, as the checked greedy does.
+        rng = random.Random(9090)
+        seen = Counter()
+        for _ in range(250):
+            n, footholds, cands, ends = random_oracle_state(rng)
+            flow = _StepFlow(n, list(footholds), cands, (1 << n) - 1, ends)
+            ends, flips = list(ends), 0
+            used = {k for k in range(len(cands) + len(ends)) if rng.random() < 0.25}
+            for k in used:
+                flow.take(k, 1)
+            for _step in range(4):
+                for k in range(len(ends)):
+                    if rng.random() < 0.3:
+                        flow.flip(k)
+                        ends[k] = ends[k][::-1]
+                        flips += 1
+                free = [k for k in range(len(cands) + len(ends)) if k not in used]
+                step = None
+                if free and rng.random() < 0.8:
+                    k, i = rng.choice(free), rng.choice(list(footholds))
+                    step = k, i, footholds[i]
+                    flow.take(k, 1)
+                    used.add(k)
+                    footholds[i] |= 1 << rng.randrange(n)
+                state = (n, footholds, cands, ends, used)
+                for both in (False, True):
+                    slack = brute_slacks(*state, both)
+                    for w in range(n):
+                        checks = [(0, 0)] if both else [(0, 0), (0, rng.randint(1, 2))]
+                        if not both and n > 1:
+                            s = rng.choice([v for v in range(n) if v != w])
+                            checks.append((1 << s, rng.randint(0, 2)))
+                        for avoid, extra in checks:
+                            got = flow.cut(1 << w, footholds, avoid, extra, both)
+                            seen[self.assert_least_short(
+                                state, slack, w, avoid, extra, got, flow.shortfall
+                            )] += 1
+                if step and rng.random() < 0.5:
+                    # give the step back: the foothold shrinks to what it was
+                    k, i, footholds[i] = step
+                    flow.take(k, -1)
+                    used.discard(k)
+            assert flow.flips == flips
+        assert min(seen["passes"], seen["short"], seen["shortfall > 1"]) > 2000, seen
+
+    @staticmethod
+    def assert_least_short(state, slack, w, avoid, extra, got, shortfall) -> str:
+        n, _footholds, cands, _ends, used = state
+        pool = [x for x in range(len(slack)) if x >> w & 1 and not x & avoid]
+        low = min(slack[x] for x in pool)
+        if low >= extra:
+            assert got is None, (state, w, avoid, extra)
+            return "passes"
+        least = -1
+        for x in pool:
+            if slack[x] == low:
+                least &= x
+        assert slack[least] == low, "the least-slack sets are closed under intersection"
+        # a used entering arc serves no tree and enters nothing, so the
+        # set may carry its tail bit or not
+        idle = sum(cands[k][0] for k in used if k < len(cands) and cands[k][0] >> n)
+        assert got is not None and got & ~idle == least, (state, w, avoid, extra)
+        assert shortfall == extra - low
+        return "shortfall > 1" if shortfall > 1 else "short"
 
     def test_no_requirement_sweep(self, monkeypatch, two_root):
         calls = {"sweep": 0, "atom": 0}

@@ -484,6 +484,7 @@ class TestEndToEndProperties:
             ("staggered_segments", {"length": 100, "segments": 3}),
             ("doubled_path", {"n": 200}),
             ("staggered_segments", {"length": 100, "segments": 3, "drop": True}),
+            ("staggered_segments", {"length": 200, "segments": 4}),
         ],
     )
     def test_bench_family_past_the_vertex_bound(self, family, size):
@@ -696,6 +697,36 @@ class TestPackOnTheOrientingOracle:
                 assert len(first_fits) <= atoms
             atoms_stuck.update(stuck)
         assert packed > 25 and min(atoms_stuck[True], atoms_stuck[False]) > 10, atoms_stuck
+
+    def test_first_fit_reruns_only_on_a_flipped_oracle(self, monkeypatch):
+        # With no flip, an oracle's candidates are the ones first fit got
+        # stuck on during orientation, so solve goes straight to the
+        # checked greedy: the first fit it skips would get stuck again.
+        oracles, reruns, skipped = [], [], []
+        init, first_fit, grow = _StepFlow.__init__, pipeline._first_fit, pipeline._grow
+
+        def built(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            oracles.append(self)
+
+        def rerun(cands, trees, start, gmask):
+            (flow,) = [f for f in oracles if f.cands is cands]
+            assert flow.flips
+            reruns.append(flow)
+            return first_fit(cands, trees, start, gmask)
+
+        def checked(cands, trees, covered, gmask, flow):
+            if not flow.flips:
+                assert first_fit(cands, trees, covered, gmask) is None
+                skipped.append(flow)
+            return grow(cands, trees, covered, gmask, flow)
+
+        monkeypatch.setattr(_StepFlow, "__init__", built)
+        monkeypatch.setattr(pipeline, "_first_fit", rerun)
+        monkeypatch.setattr(pipeline, "_grow", checked)
+        for g, roots in bench_instances(110):
+            solve(g, roots)
+        assert len(skipped) >= 10 and len(reruns) > 300, (len(skipped), len(reruns))
 
     def test_a_stuck_greedy_raises(self, monkeypatch):
         # First fit gets stuck on this edgeless atom, so the checked greedy
