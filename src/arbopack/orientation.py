@@ -3,20 +3,22 @@
 An orientation covers an atom when every vertex set Y of it, with any
 set T of the arcs that enter the atom at Y, has in-degree at least the
 number of trees forced to enter Y + T.  :func:`orient_atom` orients one
-atom.  Edges start pointing away from the atom's roots, and the atom's
-arcs and edges in those directions are first handed to the packing
-greedy with no check (``packing._first_fit``).  When it packs the atom,
-the starting directions cover it, and they are the answer; ``solve``
-keeps the trees.  Otherwise the fast path checks the condition with the
-atom's cut oracle, the max-flow network packing uses
-(``packing._StepFlow``), built from the atom's slice of the graph with
-each edge a pair of network edges whose capacities swap when it flips.
-A path of oriented edges is reversed out of each short set found, when
-one flow shows that no set it takes an edge from falls short, and
-``solve`` keeps the oracle, with every edge turned as answered, to pack
-the atom on.  An atom with no edge has nothing to orient: the greedy
-checked on its oracle packs it at once, or its first failing check
-refutes it.  No auxiliary graph and no table is built on either path.
+atom, and packs it as soon as it is oriented.  Edges start pointing
+away from the atom's roots, and the atom's arcs and edges in those
+directions are first handed to the packing greedy with no check
+(``packing._first_fit``).  When it packs the atom, the starting
+directions cover it, and they are the answer.  Otherwise the fast path
+checks the condition with the atom's cut oracle, the max-flow network
+packing uses (``packing._StepFlow``), built from the atom's slice of
+the graph with each edge a pair of network edges whose capacities swap
+when it flips.  The oracle is the one record of which way each edge
+points.  A path of oriented edges is reversed out of each short set
+found, when one flow shows that no set it takes an edge from falls
+short, and the atom is then packed on the oracle, with every edge
+turned as answered.  An atom with no edge has nothing to orient: the
+greedy checked on its oracle packs it at once, or its first failing
+check refutes it (``packing._pack``).  No auxiliary graph and no table
+is built on either path, and no oracle outlives its atom.
 
 The requirement is the function ``p_j - rho_static`` over the atom's
 consistent-set family on its auxiliary graph.  By Frank's orientation
@@ -59,7 +61,7 @@ from .decomposition import (
 )
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation, _Value
-from .packing import _arc_candidates, _edge_cands, _first_fit, _first_short, _grow, _StepFlow
+from .packing import _arc_candidates, _edge_cands, _first_fit, _grow, _pack, _StepFlow
 
 
 class CoverRequirement(_Value):
@@ -132,68 +134,66 @@ def orient_atom(
     only an atom it stalls on goes to :func:`orient_covering`.  Either
     answer comes with the auxiliary graph it names.  An atom with no
     edge to orient skips the fast path: the checked greedy packs it, or
-    its first failing check gives the certificate.  ``slices`` are
-    ``_atom_slices(g, dec)``, computed here when not given.
+    its first failing check gives the certificate.  An oriented atom is
+    packed as well, as ``solve`` packs it, and the trees are dropped.
+    ``slices`` are ``_atom_slices(g, dec)``, computed here when not given.
     """
     return _orient_and_pack(g, dec, j, roots, slices, bounds)[:2]
 
 
 def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
-    """:func:`orient_atom`'s pair, then first fit's owner list or the atom's oracle.
+    """:func:`orient_atom`'s pair, and the tree owning each candidate, or None if refuted.
 
-    First fit (``packing._first_fit``) runs on the start orientation
-    before any oracle is built.  When it packs the atom, the start
-    orientation covers it, and the answer is that orientation, its
-    owner list, and no oracle; so is an atom with no non-loop edge that
-    the greedy checked on its oracle packs.  When that greedy gets stuck,
-    the atom is refuted by the first vertex, in slice order, whose check
-    fails on an untouched oracle: with no edge, the check counted both
-    ways is the same flow, so this is the set, and the shortfall,
-    :func:`_orient_by_cuts` would refute it with.  Otherwise the owner
-    list is None, and the oracle is :func:`_cut_oracle`'s, with its edges
-    turned as answered.
+    The candidates are the atom's non-loop arcs, then its non-loop
+    edges, in slice order.  First fit (``packing._first_fit``) runs on
+    the start orientation before any oracle is built.  An atom with no
+    edge is packed or refuted by ``packing._pack``: with no edge, the
+    check counted both ways is the same flow, so it refutes the atom with
+    the set :func:`_orient_by_cuts` would.  Any other atom is oriented on
+    its cut oracle, which is turned to the fallback's directions when the
+    fallback ran, and then packed on it: by first fit again when an edge
+    was flipped (with none, it would get stuck as before), otherwise by
+    the greedy checked on the oracle.
     """
     if slices is None:
         slices = _atom_slices(g, dec)
     sl = slices[j]
     entering = _entering_arcs(g, dec.atoms[j], sl)
-    state = _start_state(sl, entering, dec, j, roots)
-    trees, start, cands, ends = state
-    gmask = (1 << len(sl.vertices)) - 1
+    trees, start, cands, ends = _start_state(sl, entering, dec, j, roots)
+    n = len(sl.vertices)
+    gmask = (1 << n) - 1
+    if not ends:
+        owner = _pack(n, trees, start, cands)
+        if isinstance(owner, tuple):
+            return _refuted(sl, j, *owner), build_auxiliary(g, dec, j, slices), None
+        return _orientation(sl, ends), None, owner
     owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
     if owner is not None:
-        return _orientation(sl, ends), None, owner, None
-    oracle = _cut_oracle(sl, entering, dec, j, roots, state)
-    if ends:
-        fast = _orient_by_cuts(sl, entering, dec, j, roots, oracle)
-        if isinstance(fast, Orientation):
-            return fast, None, None, oracle
-    else:
-        # nothing to orient: the checked greedy alone decides the atom
-        owner = _grow(cands, trees, dict(start), gmask, oracle[0])
-        if not isinstance(owner, int):
-            return _orientation(sl, ends), None, owner, None
-        untouched = _cut_oracle(sl, entering, dec, j, roots, state)[0]
-        xmask = _first_short(untouched, len(sl.vertices), start, owner)
-        fast = _refuted(sl, j, xmask, untouched.shortfall)
-    aux = build_auxiliary(g, dec, j, slices)
-    outcome = fast or orient_covering(CoverRequirement(aux, dec, roots, bounds))
-    if isinstance(outcome, Orientation):
-        flow, _start, ends = oracle
+        return _orientation(sl, ends), None, owner
+    flow = _StepFlow(n, trees, cands, gmask, ends)
+    outcome, aux = _orient_by_cuts(sl, j, flow, start), None
+    if not isinstance(outcome, Orientation):
+        aux = build_auxiliary(g, dec, j, slices)
+        outcome = outcome or orient_covering(CoverRequirement(aux, dec, roots, bounds))
+        if isinstance(outcome, SubpartitionCertificate):
+            return outcome, aux, None
         for k, e in enumerate(e for e in sl.edges if not e.is_loop()):
-            if outcome.direction[e.id][0] != sl.vertices[ends[k][0]]:
+            if outcome.direction[e.id][0] != sl.vertices[flow.ends[k][0]]:
                 flow.flip(k)
-                ends[k] = ends[k][::-1]
-    return outcome, aux, None, oracle
+    owner = _first_fit(flow.cands, trees, start, gmask) if flow.flips else None
+    if owner is None:
+        owner = _grow(flow.cands, trees, dict(start), gmask, flow)
+    if isinstance(owner, int):
+        raise InvariantError(f"tree {owner + 1} is stuck on an atom its orientation covers")
+    return outcome, aux, owner
 
 
-def _orient_by_cuts(
-    sl, entering, dec, j: int, roots, oracle=None
-) -> Orientation | SubpartitionCertificate | None:
+def _orient_by_cuts(sl, j: int, flow, start) -> Orientation | SubpartitionCertificate | None:
     """A covering orientation or a certificate found with the cut oracle alone, or None.
 
-    The vertices w are checked in order, each by one flow of the oracle
-    (:func:`_cut_oracle`).  A short set X holding w that stays short with
+    The vertices w are checked in order, each by one flow of ``flow``,
+    the atom's oracle with its edges as they point now, from the trees'
+    footholds ``start``.  A short set X holding w that stays short with
     every edge counted both ways refutes the atom, and X is returned as
     its certificate (:func:`_refuted`).  Otherwise a path of oriented
     edges from some s in X (w first) to a vertex t outside X is
@@ -201,10 +201,8 @@ def _orient_by_cuts(
     Every set with t but not s loses one, so t is taken only when one
     flow with s tied to the sink shows that each of those sets has slack
     at least 1.  Sets that passed keep passing, so the scan resumes at w.
-    Returns None when no such path leaves X.  ``oracle`` is
-    :func:`_cut_oracle`'s, built here when not given.
+    Returns None when no such path leaves X.
     """
-    flow, start, ends = oracle or _cut_oracle(sl, entering, dec, j, roots)
     n = len(sl.vertices)
     for w in range(n):
         x = flow.cut(1 << w, start)
@@ -213,10 +211,10 @@ def _orient_by_cuts(
             if short is not None:
                 return _refuted(sl, j, short, flow.shortfall)
         while x is not None:
-            if not _reverse_a_path(flow, ends, x & ((1 << n) - 1), w, start):
+            if not _reverse_a_path(flow, x & ((1 << n) - 1), w, start):
                 return None
             x = flow.cut(1 << w, start)
-    return _orientation(sl, ends)
+    return _orientation(sl, flow.ends)
 
 
 def _orientation(sl, ends) -> Orientation:
@@ -291,26 +289,14 @@ def _start_state(sl, entering, dec: AtomDecomposition, j: int, roots):
     return trees, start, [c[:3] for c in cands], ends
 
 
-def _cut_oracle(sl, entering, dec: AtomDecomposition, j: int, roots, state=None):
-    """The atom's cut oracle, with its edges in the starting orientation.
-
-    Returns the oracle (a :class:`~arbopack.packing._StepFlow` whose
-    edges flip), the trees' footholds, and the edges' ends, from
-    ``state``, :func:`_start_state`'s, computed here when not given.  The
-    candidates are the atom's arcs, then its edges, each in slice order.
-    """
-    trees, start, cands, ends = state or _start_state(sl, entering, dec, j, roots)
-    n = len(sl.vertices)
-    return _StepFlow(n, trees, cands, (1 << n) - 1, ends), start, ends
-
-
-def _reverse_a_path(flow, ends, y: int, w: int, start) -> bool:
-    """Reverse the first safe path of oriented edges out of the short set ``y``.
+def _reverse_a_path(flow, y: int, w: int, start) -> bool:
+    """Reverse the first safe path of the oracle's edges out of the short set ``y``.
 
     Starts s run over ``y``, ``w`` first; ends t over the vertices
     outside ``y`` in breadth-first order from s.  Returns whether one
     was reversed.
     """
+    ends = flow.ends
     incident: dict[int, list[int]] = {}
     for k, (u, v) in enumerate(ends):
         incident.setdefault(u, []).append(k)
@@ -329,10 +315,8 @@ def _reverse_a_path(flow, ends, y: int, w: int, start) -> bool:
                     continue
                 while t != s:
                     k = parent[t]
+                    t = ends[k][0]
                     flow.flip(k)
-                    tail, head = ends[k]
-                    ends[k] = (head, tail)
-                    t = tail
                 return True
     return False
 

@@ -15,12 +15,12 @@ one max-flow from w.  First comes first fit, the same greedy with no
 check: when it finishes, every check would have passed, so it packs
 with the same trees and no oracle is built.  It is tried only on an
 atom with at least as many candidate arcs as steps its trees need; any
-other atom cannot be packed.  ``pipeline.solve`` packs each atom of a
-mixed graph that first fit could not on the oracle that oriented its
-edges.  Only an infeasible atom gets a checked tree stuck; in a
-digraph, its untouched atom is then checked from each vertex, and the
-first short cut, lifted to the whole digraph, is the violated set
-returned.
+other atom cannot be packed.  Otherwise the greedy runs checked on a
+new oracle (:func:`_pack`), except in an atom of a mixed graph, which
+``orientation`` packs on the oracle that oriented its edges as soon as
+they are oriented.  Only an infeasible atom gets a checked tree stuck;
+its untouched atom is then checked from each vertex, and the first
+short cut, lifted to the whole digraph, is the violated set returned.
 """
 
 from __future__ import annotations
@@ -141,12 +141,10 @@ def pack_atom_branchings(
     view order, as ``decomposition._atom_slices`` gives them: the result
     is the same, and the set-up reads the atom, not the view.
 
-    The trees grow greedily (:func:`_grow`), by first fit when the count
-    gate lets it (:func:`_first_fit`).  Only when first fit cannot pack
-    the atom is its cut oracle built, and the greedy run again checked
-    on it.  A checked tree gets stuck only on an infeasible atom; the
-    first vertex of the untouched atom whose check fails then gives the
-    deficient set.
+    The trees grow greedily, by first fit when it packs the atom, and
+    otherwise checked on the atom's cut oracle (:func:`_pack`).  A
+    checked tree gets stuck only on an infeasible atom; the first vertex
+    of the untouched atom whose check fails then gives the deficient set.
     """
     view.require_vertices(gamma)
     if vertices is None:
@@ -160,12 +158,9 @@ def pack_atom_branchings(
     entry = {i: view.require_vertices(demands[i]) for i in trees}
     start = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
     cands = _arc_candidates(arcs, bit, trees, entry)
-    net = (len(bit), trees, [c[:3] for c in cands], gmask)
-    owner = _first_fit(net[2], trees, start, gmask)
-    if owner is None:
-        owner = _grow(net[2], trees, dict(start), gmask, _StepFlow(*net))
-    if isinstance(owner, int):
-        xmask = _first_short(_StepFlow(*net), len(bit), start, owner)
+    owner = _pack(len(bit), trees, start, [c[:3] for c in cands])
+    if isinstance(owner, tuple):
+        xmask = owner[0]
         return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
             a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
         )
@@ -174,16 +169,33 @@ def pack_atom_branchings(
     }
 
 
-def _first_short(flow: _StepFlow, n: int, start: Mapping[int, int], stuck: int) -> int:
+def _pack(n: int, trees, start: Mapping[int, int], cands) -> list[int | None] | tuple[int, int]:
+    """The owner list of a packing of an ``n``-vertex atom, or a short set and its shortfall.
+
+    By first fit when it packs the atom (:func:`_first_fit`), otherwise by
+    the greedy checked on a new oracle.  A checked tree gets stuck only
+    on an infeasible atom, and an untouched oracle then gives the set
+    (:func:`_first_short`).
+    """
+    gmask = (1 << n) - 1
+    owner = _first_fit(cands, trees, start, gmask)
+    if owner is None:
+        owner = _grow(cands, trees, dict(start), gmask, _StepFlow(n, trees, cands, gmask))
+    if isinstance(owner, int):
+        return _first_short(_StepFlow(n, trees, cands, gmask), n, start, owner)
+    return owner
+
+
+def _first_short(flow: _StepFlow, n: int, start: Mapping[int, int], stuck: int) -> tuple[int, int]:
     """The set found short by the first of the ``n`` atom vertices whose check fails.
 
     ``flow`` is an untouched oracle of an atom on which tree ``stuck``
-    got stuck, so some check fails; ``flow.shortfall`` is then the set's.
+    got stuck, so some check fails.  Returns the set and its shortfall.
     """
     for k in range(n):
         xmask = flow.cut(1 << k, start)
         if xmask is not None:
-            return xmask
+            return xmask, flow.shortfall
     raise InvariantError(f"tree {stuck + 1} is stuck, but the untouched atom passes")
 
 
@@ -291,7 +303,8 @@ class _StepFlow:
     lowers the target.  After a check that finds a short set,
     ``shortfall`` is the target less the flow: how far that set's slack
     falls below the check's ``extra``.  Each flow runs on a copy of the
-    capacities.  ``flips`` counts the edges flipped.
+    capacities.  ``ends`` holds each atom edge's (tail, head) vertices,
+    and only :meth:`flip` turns them; ``flips`` counts the edges flipped.
     """
 
     def __init__(
@@ -329,6 +342,7 @@ class _StepFlow:
         # atom edges, as (tail, head) vertices, are the candidates after
         # the arcs, each on the network edge that holds its unit
         self.first_edge = len(self.cands)
+        self.ends = list(edges)
         self.cands += _edge_cands(edges)
         self.cand_edge += [_add_edge(*net, h, t, 1) for t, h in edges]
         # tree p is node first_tree + p, and its sink edge is sink_edge + 2 p
@@ -350,8 +364,9 @@ class _StepFlow:
         self.cap[self.cand_edge[k]] -= used
 
     def flip(self, k: int) -> None:
-        """Reverse atom edge ``k``: its unit and its candidate move to the residual twin."""
+        """Reverse atom edge ``k``: its ends turn, and its unit and candidate move to the twin."""
         self.flips += 1
+        self.ends[k] = self.ends[k][::-1]
         k += self.first_edge
         e = self.cand_edge[k]
         self.cap[e], self.cap[e ^ 1] = self.cap[e ^ 1], self.cap[e]

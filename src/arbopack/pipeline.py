@@ -1,10 +1,10 @@
 """End-to-end solver, validators, and certificates.
 
-``solve`` runs the full algorithm: build atoms, orient each atom's edges
-to cover its demands, and pack each atom, with the arcs into the atom
-before its edges, each in declaration order: by first fit when it packs
-the atom from its starting directions, and otherwise on the cut oracle
-that oriented it.  When some atom cannot be oriented, the atom-level
+``solve`` runs the full algorithm: build atoms, and orient each atom's
+edges to cover its demands and pack it at once, with the arcs into the
+atom before its edges, each in declaration order: by first fit when it
+packs the atom from its starting directions, and otherwise on the cut
+oracle that oriented it.  When some atom cannot be oriented, the atom-level
 subpartition certificate is lifted to a bi-set family over the original
 graph, which any third party can re-check against the input alone.
 """
@@ -38,7 +38,6 @@ from .graph_core import (
     mixed_reachable_set,
 )
 from .orientation import SubpartitionCertificate, _orient_and_pack
-from .packing import _first_fit, _grow
 
 
 class EdgeUse(NamedTuple):
@@ -175,22 +174,22 @@ def verify_certificate(
 
 
 def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds):
-    """Each atom's slice, covering orientation, owner list and oracle, in atom order.
+    """Each atom's slice, covering orientation and owner list, in atom order.
 
-    The owner list is first fit's, or on an atom with no edge the checked
-    greedy's, when it packed the atom, and then the oracle is None;
-    otherwise the owner list is None (see
-    ``orientation._orient_and_pack``).  Stops at the lowest-index atom
-    that cannot be oriented, and returns its lifted certificate instead.
+    Each atom is oriented and packed in one call
+    (``orientation._orient_and_pack``); its owner list names the tree
+    that takes each of its arcs, then each of its edges.  Stops at the
+    lowest-index atom that cannot be oriented, and returns its lifted
+    certificate instead.
     """
     dec = compute_atoms(g, roots)
     slices = _atom_slices(g, dec)
     oriented = []
     for j, sl in enumerate(slices):
-        outcome, aux, owner, oracle = _orient_and_pack(g, dec, j, roots, slices, bounds)
+        outcome, aux, owner = _orient_and_pack(g, dec, j, roots, slices, bounds)
         if isinstance(outcome, SubpartitionCertificate):
             return certificate_from_subpartition(outcome, aux, dec, g, roots)
-        oriented.append((sl, outcome, owner, oracle))
+        oriented.append((sl, outcome, owner))
     return oriented
 
 
@@ -205,13 +204,15 @@ def covering_orientation(
     never matter.  The graph is sliced by atom once, and each atom is
     oriented from its own vertices, edges and arcs as ``orient_atom``
     does: an atom that first fit packs from the starting directions
-    keeps them, and only the others get a cut oracle.
+    keeps them, and only the others get a cut oracle.  Each atom is
+    packed too, as in :func:`solve`, so an orientation its trees cannot
+    use raises :class:`InvariantError`; the trees are dropped.
     """
     oriented = _orient_atoms(g, tuple(roots), bounds)
     if isinstance(oriented, BiSetFamilyCertificate):
         return oriented
     direction: dict[str, tuple[str, str]] = {}
-    for _sl, outcome, _owner, _oracle in oriented:
+    for _sl, outcome, _owner in oriented:
         direction.update(outcome.direction)
     leftover = [e.id for e in g.edges if e.id not in direction]
     direction.update(lexicographic_orientation(g, leftover).direction)
@@ -223,13 +224,11 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
 
     Returns a :class:`MixedPacking` or, when no packing exists, a
     :class:`BiSetFamilyCertificate` for the lowest-index atom that cannot
-    be oriented.  Atoms are oriented in order, and an atom that first fit
-    packs from its starting directions is packed then, as is an atom with
-    no edge, by the greedy checked on its oracle.  Every other atom
-    is packed once all are oriented: by first fit again when its oracle
-    flipped an edge (with none, first fit would get stuck as before), and
-    by the greedy checked on that oracle when first fit gets stuck.  The
-    trees are the checked greedy's either way.
+    be oriented.  Atoms are oriented in order, and each is packed as soon
+    as it is oriented, on the cut oracle that oriented it when first fit
+    could not pack it from its starting directions (see
+    ``orientation._orient_and_pack``).  The trees are then assembled,
+    each with its arcs and edges in declaration order.
     """
     roots = tuple(roots)
     oriented = _orient_atoms(g, roots, bounds)
@@ -237,17 +236,7 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
         return oriented
     arc_tree: dict[str, int] = {}
     edge_use: dict[str, tuple[int, EdgeUse]] = {}
-    for sl, outcome, owner, oracle in oriented:
-        if owner is None:
-            flow, start, _ends = oracle
-            gmask = (1 << len(sl.vertices)) - 1
-            owner = _first_fit(flow.cands, flow.trees, start, gmask) if flow.flips else None
-            if owner is None:
-                owner = _grow(flow.cands, flow.trees, dict(start), gmask, flow)
-            if isinstance(owner, int):
-                raise InvariantError(
-                    f"tree {owner + 1} is stuck on an atom its orientation covers"
-                )
+    for sl, outcome, owner in oriented:
         arcs = [a for a in sl.arcs if not a.is_loop()]
         edges = [e for e in sl.edges if not e.is_loop()]
         arc_tree.update((a.id, i) for a, i in zip(arcs, owner) if i is not None)

@@ -25,13 +25,14 @@ from arbopack import (
 from arbopack import orientation, packing
 from arbopack.decomposition import _atom_slices, _entering_arcs, _worst_completion
 from arbopack.orientation import (
-    _cut_oracle,
     _extract_certificate,
     _fix_edges,
     _orient_by_cuts,
     _reduced_table,
+    _start_state,
     orient_atom,
 )
+from arbopack.packing import _StepFlow
 from instance_gen import bench_workloads, random_mixed_instance
 from naive import (
     _ref_cross_into,
@@ -328,24 +329,30 @@ class TestCapacity:
             check_cover(req, Orientation({"e1": ("r1", "v1")}))
 
 
+def start_oracle(g, roots, dec, j, sl):
+    """Atom ``j``'s cut oracle, with its edges in the starting orientation, and the footholds."""
+    trees, start, cands, ends = _start_state(sl, _entering_arcs(g, dec.atoms[j], sl), dec, j, roots)
+    n = len(sl.vertices)
+    return _StepFlow(n, trees, cands, (1 << n) - 1, ends), start
+
+
 def atom_oracles(rng, count, **kw):
-    """Every atom of ``count`` random instances, as its requirement and its cut oracle."""
+    """Every atom of ``count`` random instances, as its requirement, cut oracle and footholds."""
     for _ in range(count):
         g, roots = random_mixed_instance(rng, **kw)
         dec = compute_atoms(g, roots)
         slices = _atom_slices(g, dec)
         for j, sl in enumerate(slices):
             req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
-            yield req, _cut_oracle(sl, _entering_arcs(g, dec.atoms[j], sl), dec, j, roots)
+            yield (req, *start_oracle(g, roots, dec, j, sl))
 
 
-def flip_at_random(rng, flow, ends) -> list[tuple[int, int]]:
+def flip_at_random(rng, flow) -> list[tuple[int, int]]:
     """Flip each edge with probability 1/2; the (tail bit, head bit) per edge after."""
-    for k in range(len(ends)):
+    for k in range(len(flow.ends)):
         if rng.random() < 0.5:
             flow.flip(k)
-            ends[k] = ends[k][::-1]
-    return [(1 << t, 1 << h) for t, h in ends]
+    return [(1 << t, 1 << h) for t, h in flow.ends]
 
 
 class TestCutOracle:
@@ -354,11 +361,11 @@ class TestCutOracle:
     def test_short_cut_iff_table_row_uncovered(self):
         rng = random.Random(8128)
         seen = Counter()
-        for req, (flow, start, ends) in atom_oracles(rng, 1500, max_v=7, max_e=9, max_a=8):
+        for req, flow, start in atom_oracles(rng, 1500, max_v=7, max_e=9, max_a=8):
             ctx = req.context
             spans = [bu | bv for _eid, bu, bv in ctx.edge_bits]
-            assert spans == [(1 << t) | (1 << h) for t, h in ends]
-            bits = flip_at_random(rng, flow, ends)
+            assert spans == [(1 << t) | (1 << h) for t, h in flow.ends]
+            bits = flip_at_random(rng, flow)
             table = _reduced_table(req)
             for w in range(ctx.gamma_mask.bit_length()):
                 rows = [(y, need) for y, (need, _xm) in table.items() if y >> w & 1]
@@ -383,11 +390,11 @@ class TestCutOracle:
         # holding t but not s has slack at least 1.
         rng = random.Random(1618)
         seen = Counter()
-        for req, (flow, start, ends) in atom_oracles(rng, 400, max_v=6, max_e=8, max_a=6):
+        for req, flow, start in atom_oracles(rng, 400, max_v=6, max_e=8, max_a=6):
             ctx = req.context
             if ctx.size > 10:
                 continue
-            bits = flip_at_random(rng, flow, ends)
+            bits = flip_at_random(rng, flow)
             slack = {
                 m: ctx.rho_static(m) + _ref_cross_into(bits, m) - ctx.p_of(m) for m in iter_family(ctx)
             }
@@ -406,7 +413,7 @@ class TestFastPath:
     @staticmethod
     def fast(g, roots, dec, j, slices):
         sl = slices[j]
-        return _orient_by_cuts(sl, _entering_arcs(g, dec.atoms[j], sl), dec, j, roots)
+        return _orient_by_cuts(sl, j, *start_oracle(g, roots, dec, j, sl))
 
     def test_fast_orientations_cover(self):
         # Each orientation the fast path returns covers its atom, and each

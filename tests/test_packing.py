@@ -508,7 +508,8 @@ class TestStepFlow:
         for _ in range(250):
             n, footholds, cands, ends = random_oracle_state(rng)
             flow = _StepFlow(n, list(footholds), cands, (1 << n) - 1, ends)
-            ends, flips = list(ends), 0
+            # the oracle's own ends are the state checked; turned[k] counts edge k's flips
+            start_ends, ends, turned = ends, flow.ends, [0] * len(ends)
             used = {k for k in range(len(cands) + len(ends)) if rng.random() < 0.25}
             for k in used:
                 flow.take(k, 1)
@@ -516,8 +517,7 @@ class TestStepFlow:
                 for k in range(len(ends)):
                     if rng.random() < 0.3:
                         flow.flip(k)
-                        ends[k] = ends[k][::-1]
-                        flips += 1
+                        turned[k] += 1
                 free = [k for k in range(len(cands) + len(ends)) if k not in used]
                 step = None
                 if free and rng.random() < 0.8:
@@ -544,7 +544,8 @@ class TestStepFlow:
                     k, i, footholds[i] = step
                     flow.take(k, -1)
                     used.discard(k)
-            assert flow.flips == flips
+            assert flow.flips == sum(turned)
+            assert ends == [e[::-1] if t % 2 else e for e, t in zip(start_ends, turned)]
         assert min(seen["passes"], seen["short"], seen["shortfall > 1"]) > 2000, seen
 
     @staticmethod

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -38,7 +40,6 @@ from arbopack.decomposition import _atom_slices, _entering_arcs, biset_in_degree
 from arbopack.errors import InvariantError
 from arbopack.orientation import (
     SubpartitionCertificate,
-    _cut_oracle,
     _orient_by_cuts,
     _orientation,
     _start_state,
@@ -659,15 +660,18 @@ class TestPackOnTheOrientingOracle:
 
     def test_one_oracle_per_atom_and_no_second_stage(self, monkeypatch):
         built, first_fits = [], []
-        init, first_fit = _StepFlow.__init__, orientation._first_fit
+        init, first_fit = _StepFlow.__init__, packing._first_fit
 
         def counted(self, *args, **kwargs):
-            built.append(args[0])
+            built.append(self)
             init(self, *args, **kwargs)
 
-        def recorded(*args):
-            first_fits.append(first_fit(*args))
-            return first_fits[-1]
+        def recorded(cands, *args):
+            # the first fit from each atom's start, not its rerun on an oracle
+            owner = first_fit(cands, *args)
+            if not any(cands is flow.cands for flow in built):
+                first_fits.append(owner)
+            return owner
 
         def forbidden(*args, **kwargs):
             raise AssertionError("solve ran the two-stage path")
@@ -677,7 +681,8 @@ class TestPackOnTheOrientingOracle:
                 monkeypatch.setattr(module, name, forbidden, raising=False)
             monkeypatch.setattr(pipeline, name, forbidden, raising=False)
         monkeypatch.setattr(_StepFlow, "__init__", counted)
-        monkeypatch.setattr(orientation, "_first_fit", recorded)
+        for module in (orientation, packing):
+            monkeypatch.setattr(module, "_first_fit", recorded)
         cases = list(bench_instances(20))
         cases.append(stalled_instance())
         packed = 0
@@ -698,21 +703,45 @@ class TestPackOnTheOrientingOracle:
             atoms_stuck.update(stuck)
         assert packed > 25 and min(atoms_stuck[True], atoms_stuck[False]) > 10, atoms_stuck
 
+    def test_no_oracle_outlives_its_atom(self, monkeypatch):
+        # Each atom is packed on its oracle before the next atom is
+        # oriented, so a new oracle finds at most one other alive
+        # (``packing._pack`` builds a second, untouched one to refute an
+        # edgeless atom).
+        live, others = weakref.WeakSet(), Counter()
+        init = _StepFlow.__init__
+
+        def tracked(self, *args, **kwargs):
+            gc.collect()
+            others[len(live)] += 1
+            live.add(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_StepFlow, "__init__", tracked)
+        cases = list(bench_instances(20))
+        cases.append(stalled_instance())
+        for g, roots in cases:
+            solve(g, roots)
+        assert max(others) <= 1 and others[0] > 100, others
+
     def test_first_fit_reruns_only_on_a_flipped_oracle(self, monkeypatch):
         # With no flip, an oracle's candidates are the ones first fit got
         # stuck on during orientation, so solve goes straight to the
         # checked greedy: the first fit it skips would get stuck again.
         oracles, reruns, skipped = [], [], []
-        init, first_fit, grow = _StepFlow.__init__, pipeline._first_fit, pipeline._grow
+        init, first_fit, grow = _StepFlow.__init__, orientation._first_fit, orientation._grow
 
         def built(self, *args, **kwargs):
             init(self, *args, **kwargs)
             oracles.append(self)
 
         def rerun(cands, trees, start, gmask):
-            (flow,) = [f for f in oracles if f.cands is cands]
-            assert flow.flips
-            reruns.append(flow)
+            # the first fit from the start runs on no oracle's candidates
+            flows = [f for f in oracles if f.cands is cands]
+            if flows:
+                (flow,) = flows
+                assert flow.flips
+                reruns.append(flow)
             return first_fit(cands, trees, start, gmask)
 
         def checked(cands, trees, covered, gmask, flow):
@@ -722,8 +751,8 @@ class TestPackOnTheOrientingOracle:
             return grow(cands, trees, covered, gmask, flow)
 
         monkeypatch.setattr(_StepFlow, "__init__", built)
-        monkeypatch.setattr(pipeline, "_first_fit", rerun)
-        monkeypatch.setattr(pipeline, "_grow", checked)
+        monkeypatch.setattr(orientation, "_first_fit", rerun)
+        monkeypatch.setattr(orientation, "_grow", checked)
         for g, roots in bench_instances(110):
             solve(g, roots)
         assert len(skipped) >= 10 and len(reruns) > 300, (len(skipped), len(reruns))
@@ -754,20 +783,23 @@ class TestPackOnTheOrientingOracle:
         with pytest.raises(InvariantError, match="stuck, but the untouched atom passes"):
             solve(g, roots)
 
-    def test_a_skipped_flip_raises(self, monkeypatch):
-        # The kept oracle misses the first reversal of the fast path, so
-        # it no longer holds the orientation the answer was built from.
+    def test_a_half_done_flip_raises(self, monkeypatch):
+        # Each flip turns the edge in the network but leaves its candidate
+        # as it was, so the greedy offers the trees an edge the checks
+        # count the other way, and a tree gets stuck on an atom that the
+        # network says is covered.
         g, roots = random_mixed_instance(random.Random(112), max_v=7, max_e=11, max_a=7)
         assert validate_mixed_packing(g, roots, solve(g, roots))
-        flip, calls = _StepFlow.flip, []
+        flip = _StepFlow.flip
 
-        def skip_first(self, k):
-            calls.append(k)
-            if len(calls) > 1:
-                flip(self, k)
+        def network_only(self, k):
+            cand = self.cands[self.first_edge + k]
+            flip(self, k)
+            self.cands[self.first_edge + k] = cand
 
-        monkeypatch.setattr(_StepFlow, "flip", skip_first)
-        with pytest.raises(InvariantError, match="stuck"):
+        monkeypatch.setattr(_StepFlow, "flip", network_only)
+        stuck = "tree 2 is stuck on an atom its orientation covers"
+        with pytest.raises(InvariantError, match=stuck):
             solve(g, roots)
 
 
@@ -796,10 +828,9 @@ class TestFirstFit:
                 if owner is None:
                     continue
                 flips.clear()
-                oracle = _cut_oracle(sl, entering, dec, j, roots)
-                assert _orient_by_cuts(sl, entering, dec, j, roots, oracle) == _orientation(sl, ends)
+                flow = _StepFlow(len(sl.vertices), trees, cands, gmask, ends)
+                assert _orient_by_cuts(sl, j, flow, start) == _orientation(sl, ends)
                 assert not flips
-                flow = oracle[0]
                 assert _grow(flow.cands, trees, dict(start), gmask, flow) == owner
         assert min(seen.values()) > 200, seen
 
@@ -820,7 +851,7 @@ class TestFirstFit:
             return first_fit(cands, trees, start, gmask)
 
         monkeypatch.setattr(packing, "_grow", checked_gate)
-        for module in (packing, orientation, pipeline):
+        for module in (packing, orientation):
             monkeypatch.setattr(module, "_first_fit", counted)
         rng = random.Random(6022)
         kinds = Counter()
@@ -866,7 +897,7 @@ class TestEdgelessAtoms:
     """An atom with no edge to orient goes from first fit straight to the checked greedy."""
 
     def test_no_edgeless_atom_reaches_the_fast_path(self, monkeypatch):
-        orient_by_cuts, grow = orientation._orient_by_cuts, orientation._grow
+        orient_by_cuts, grow = orientation._orient_by_cuts, packing._grow
         with_edges, grown = Counter(), Counter()
 
         def recorded(sl, *args):
@@ -874,12 +905,14 @@ class TestEdgelessAtoms:
             return orient_by_cuts(sl, *args)
 
         def checked(*args):
+            # packing's checked greedy runs on edgeless atoms only here
             owner = grow(*args)
-            grown[isinstance(owner, int)] += 1
+            if len(args) == 5:
+                grown[isinstance(owner, int)] += 1
             return owner
 
         monkeypatch.setattr(orientation, "_orient_by_cuts", recorded)
-        monkeypatch.setattr(orientation, "_grow", checked)
+        monkeypatch.setattr(packing, "_grow", checked)
         cases = list(bench_instances(110))
         rng = random.Random(6023)
         cases += [random_mixed_instance(rng, max_v=8, max_e=11, max_a=8) for _ in range(600)]
@@ -899,11 +932,9 @@ class TestEdgelessAtoms:
         # off, the checked greedy gets stuck, and the untouched check from
         # m passes while the one from c fails.  The certificate is the
         # one the fast path gave this atom when it still ran on it.
-        first_short = orientation._first_short
+        first_short = packing._first_short
         scans = []
-        monkeypatch.setattr(
-            orientation, "_first_short", lambda *a: scans.append(a) or first_short(*a)
-        )
+        monkeypatch.setattr(packing, "_first_short", lambda *a: scans.append(a) or first_short(*a))
         g, roots = parse_mixed_graph(
             "vertex r1\nvertex r2\nvertex m\nvertex c\n"
             "arc r1 m\narc r2 m\narc m c\nroot r1\nroot r2\n"

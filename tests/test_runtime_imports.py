@@ -1,7 +1,8 @@
-"""The package loads nothing outside the standard library and itself."""
+"""The package loads nothing outside the standard library and itself, and no stage creeps back."""
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -48,3 +49,22 @@ def test_start_up_loads_no_class_generators():
     loaded = _loaded_by_import()
     assert "arbopack.cli" in loaded
     assert not {"dataclasses", "inspect"} & set(loaded)
+
+
+def test_pipeline_imports_nothing_from_packing():
+    # ``orientation`` packs each atom as soon as it is oriented, so
+    # ``solve`` has no packing stage of its own to import for.
+    tree = ast.parse(Path(arbopack.__file__).with_name("pipeline.py").read_text())
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").rsplit(".", 1)[-1] == "packing"
+        )
+        or (
+            isinstance(node, ast.Import)
+            and any(alias.name.rsplit(".", 1)[-1] == "packing" for alias in node.names)
+        )
+    ]
+    assert not found, found
