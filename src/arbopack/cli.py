@@ -15,7 +15,7 @@ from typing import Sequence
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import BiSet, compute_atoms
 from .errors import ArbopackError, CapacityError, InvariantError, ParseError
-from .graph_core import MixedGraph, arcs_view, parse_mixed_graph
+from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, arcs_view, parse_mixed_graph
 from .orientation import SubpartitionCertificate, orient_atom
 from .packing import DigraphPacking, pack_reachability
 from .pipeline import (
@@ -215,6 +215,12 @@ def _cmd_atoms(args) -> int:
     return 0
 
 
+def _part_order(g: MixedGraph) -> dict[str, int]:
+    """Vertices in graph order, then each arc's terminal: an auxiliary graph's order."""
+    names = g.vertices + tuple(RESERVED_TERMINAL_PREFIX + a.id for a in g.arcs)
+    return {v: k for k, v in enumerate(names)}
+
+
 def _cmd_orient(args) -> int:
     g, roots = _load_graph(args.file)
     bounds = _bounds_from(args)
@@ -222,9 +228,9 @@ def _cmd_orient(args) -> int:
     j = args.atom - 1
     if not 0 <= j < len(dec.atoms):
         raise ParseError(f"atom index {args.atom} out of range 1..{len(dec.atoms)}")
-    outcome, aux = orient_atom(g, dec, j, roots, bounds=bounds)
+    outcome = orient_atom(g, dec, j, roots, bounds=bounds)
     if isinstance(outcome, SubpartitionCertificate):
-        order = {v: i for i, v in enumerate(aux.graph.vertices)}
+        order = _part_order(g)
         _emit(
             {
                 "format": 1,

@@ -8,12 +8,13 @@ whose tree is forced to enter the inner set across the outer "wall".
 
 Per atom, an *auxiliary graph*, which only the exact orientation
 fallback builds, replaces every arc entering the atom by a fresh
-terminal vertex with a single outgoing arc to the original head.
-Subsets of the auxiliary vertex set that contain the head of every chosen
-terminal ("consistent" sets) carry the demand function down to plain set
-functions, one independent subproblem per atom.  One pass buckets the
-graph's vertices, edges and arcs by atom, so an atom's set-up reads its
-own part of the graph, not the whole of it.
+terminal vertex ``t:<arc-id>`` with a single outgoing arc to the
+original head.  Subsets of the auxiliary vertex set that contain the
+head of every chosen terminal ("consistent" sets) carry the demand
+function down to plain set functions, one independent subproblem per
+atom; :func:`lift_biset` lifts one by arc id, on the input graph.  One
+pass buckets the graph's vertices, edges and arcs by atom, so an atom's
+set-up reads its own part of the graph, not the whole of it.
 """
 
 from __future__ import annotations
@@ -149,11 +150,11 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
     )
 
 
-def biset_in_degree(d: DirectedView, x: BiSet) -> int:
-    """Arcs with tail outside the outer set and head inside the inner set."""
+def biset_in_degree(d: MixedGraph | DirectedView, x: BiSet) -> int:
+    """Arcs (of a graph or a view) from outside the outer set into the inner set."""
     outer, inner = x.outer, x.inner
     d.require_vertices(outer)
-    return sum(1 for _id, tail, head, _origin in d.arcs if head in inner and tail not in outer)
+    return sum(1 for a in d.arcs if a[2] in inner and a[1] not in outer)
 
 
 def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
@@ -208,10 +209,6 @@ class AuxiliaryGraph(_Value):
     @cached_property
     def terminals(self) -> tuple[str, ...]:
         return tuple(v for v in self.graph.vertices if v not in self.gamma)
-
-    def terminal_head(self, t: str) -> str:
-        arc_id, _tail = self.terminal_origin[t]
-        return self.graph.arc_by_id[arc_id].head
 
 
 class _AtomSlice(NamedTuple):
@@ -307,33 +304,27 @@ def build_auxiliary(
     return AuxiliaryGraph(atom_index=j, graph=graph, gamma=gamma, terminal_origin=origin)
 
 
-def is_consistent(aux: AuxiliaryGraph, x: Iterable[str]) -> bool:
-    """Does ``x`` contain the head of every terminal it includes?"""
-    xs = aux.graph.require_vertices(x)
-    for t in xs:
-        if t in aux.terminal_origin and aux.terminal_head(t) not in xs:
-            return False
-    return True
+def lift_biset(g: MixedGraph, gamma: frozenset[str], part: Iterable[str]) -> BiSet:
+    """Bi-set over ``g`` of a certificate part of the atom ``gamma``.
 
-
-def in_Hj(aux: AuxiliaryGraph, x: Iterable[str]) -> bool:
-    """Family membership: consistent and meets the atom."""
-    xs = aux.graph.require_vertices(x)
-    return bool(xs & aux.gamma) and is_consistent(aux, xs)
-
-
-def lift_biset(aux: AuxiliaryGraph, x: Iterable[str]) -> BiSet:
-    """Bi-set over the original vertices induced by a family member.
-
-    Included terminals contribute their original tails to the outer set;
-    the inner set is the atom part of ``x``.
+    The atom vertices are the inner set; each ``t:<id>`` adds the tail of
+    arc ``id``, which must enter the atom at a vertex of the part, to the
+    outer set.  Raises ``ValueError`` for any other name or no atom vertex.
     """
-    xs = aux.graph.require_vertices(x)
-    if not in_Hj(aux, xs):
-        raise ValueError("set is not a member of the atom family")
-    inner = xs & aux.gamma
-    tails = frozenset(aux.terminal_origin[t][1] for t in xs - aux.gamma)
-    return BiSet(outer=inner | tails, inner=inner)
+    xs = frozenset(part)
+    inner = xs & gamma
+    if not inner:
+        raise ValueError("part has no vertex of the atom")
+    outer = set(inner)
+    cut = len(RESERVED_TERMINAL_PREFIX)
+    for t in xs - inner:
+        a = g.arc_by_id.get(t[cut:]) if t.startswith(RESERVED_TERMINAL_PREFIX) else None
+        if a is None or a.tail in gamma or a.head not in gamma:
+            raise ValueError(f"{t!r} is neither an atom vertex nor the terminal of an arc into it")
+        if a.head not in inner:
+            raise ValueError(f"terminal {t!r} is in the part but its head {a.head!r} is not")
+        outer.add(a.tail)
+    return BiSet(outer=outer, inner=inner)
 
 
 def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:

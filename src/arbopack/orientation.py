@@ -28,13 +28,14 @@ set has summed demands exceeding what edges plus fixed arcs can deliver.
 
 The fast path refutes an atom when it finds a set X short even with
 every edge counted both ways.  X is then a one-part subpartition of
-positive deficit, and it is the atom's certificate: the auxiliary graph
-is built only to name its terminals.  An atom the fast path stalls on
-goes to the exact fallback, :func:`orient_covering`.  It searches for
-the subpartition of maximum deficit, with the fewest parts, then
-lexicographically least (:func:`_extract_certificate`).  When there is
-none, the edges are fixed one at a time, each in a direction that keeps
-the remaining requirement certificate-free (:func:`_fix_edges`).
+positive deficit, and it is the atom's certificate, naming each entering
+arc it holds ``t:<arc-id>`` from the atom's slice.  Only an atom the
+fast path stalls on builds its auxiliary graph, for the exact fallback,
+:func:`orient_covering`.  It searches for the subpartition of maximum
+deficit, with the fewest parts, then lexicographically least
+(:func:`_extract_certificate`).  When there is none, the edges are fixed
+one at a time, each in a direction that keeps the remaining requirement
+certificate-free (:func:`_fix_edges`).
 
 The fallback's violation checks run over a reduced family: for every
 inner set only the terminal completions that maximise the deficit can
@@ -105,11 +106,11 @@ class CoverRequirement(_Value):
 class SubpartitionCertificate(NamedTuple):
     """Witness that no orientation can cover an atom's demands.
 
-    ``parts`` are disjoint family members of the auxiliary vertex set;
-    their summed requirement exceeds the crossing-edge supply by
-    ``deficit``.  An atom the fast path refutes gets one part, the set
-    it found short; one it stalls on gets the maximum-deficit
-    subpartition.
+    ``parts`` are disjoint family members of the auxiliary vertex set
+    (atom vertices and ``t:<arc-id>`` terminals); their summed
+    requirement exceeds the crossing-edge supply by ``deficit``.  An atom
+    the fast path refutes gets one part, the set it found short; one it
+    stalls on gets the maximum-deficit subpartition.
     """
 
     atom_index: int
@@ -124,25 +125,24 @@ def orient_atom(
     roots: Sequence[str],
     slices: Sequence[_AtomSlice] | None = None,
     bounds: Bounds = DEFAULT_BOUNDS,
-) -> tuple[Orientation | SubpartitionCertificate, AuxiliaryGraph | None]:
-    """Atom ``j``'s covering orientation or certificate, and its auxiliary graph.
+) -> Orientation | SubpartitionCertificate:
+    """Atom ``j``'s covering orientation or certificate.
 
     An atom that first fit packs from the starting directions keeps
     them.  Otherwise the fast path (:func:`_orient_by_cuts`) orients the
-    atom from its slice of ``g``, with no auxiliary graph, which is then
-    ``None``.  An atom it refutes gets the one-part certificate it found;
-    only an atom it stalls on goes to :func:`orient_covering`.  Either
-    answer comes with the auxiliary graph it names.  An atom with no
-    edge to orient skips the fast path: the checked greedy packs it, or
-    its first failing check gives the certificate.  An oriented atom is
+    atom from its slice of ``g``.  An atom it refutes gets the one-part
+    certificate it found; only an atom it stalls on builds its auxiliary
+    graph, for :func:`orient_covering`.  An atom with no edge to orient
+    skips the fast path: the checked greedy packs it, or its first
+    failing check gives the certificate.  An oriented atom is
     packed as well, as ``solve`` packs it, and the trees are dropped.
     ``slices`` are ``_atom_slices(g, dec)``, computed here when not given.
     """
-    return _orient_and_pack(g, dec, j, roots, slices, bounds)[:2]
+    return _orient_and_pack(g, dec, j, roots, slices, bounds)[0]
 
 
 def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
-    """:func:`orient_atom`'s pair, and the tree owning each candidate, or None if refuted.
+    """:func:`orient_atom`'s answer, and the tree owning each candidate, or None if refuted.
 
     The candidates are the atom's non-loop arcs, then its non-loop
     edges, in slice order.  First fit (``packing._first_fit``) runs on
@@ -151,9 +151,9 @@ def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
     check counted both ways is the same flow, so it refutes the atom with
     the set :func:`_orient_by_cuts` would.  Any other atom is oriented on
     its cut oracle, which is turned to the fallback's directions when the
-    fallback ran, and then packed on it: by first fit again when an edge
-    was flipped (with none, it would get stuck as before), otherwise by
-    the greedy checked on the oracle.
+    fast path stalled (the only time the auxiliary graph is built), and
+    then packed on it: by first fit again when an edge was flipped (with
+    none, it would get stuck as before), otherwise by the checked greedy.
     """
     if slices is None:
         slices = _atom_slices(g, dec)
@@ -165,27 +165,29 @@ def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
     if not ends:
         owner = _pack(n, trees, start, cands)
         if isinstance(owner, tuple):
-            return _refuted(sl, j, *owner), build_auxiliary(g, dec, j, slices), None
-        return _orientation(sl, ends), None, owner
+            return _refuted(sl, j, *owner), None
+        return _orientation(sl, ends), owner
     owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
     if owner is not None:
-        return _orientation(sl, ends), None, owner
+        return _orientation(sl, ends), owner
     flow = _StepFlow(n, trees, cands, gmask, ends)
-    outcome, aux = _orient_by_cuts(sl, j, flow, start), None
-    if not isinstance(outcome, Orientation):
-        aux = build_auxiliary(g, dec, j, slices)
-        outcome = outcome or orient_covering(CoverRequirement(aux, dec, roots, bounds))
-        if isinstance(outcome, SubpartitionCertificate):
-            return outcome, aux, None
-        for k, e in enumerate(e for e in sl.edges if not e.is_loop()):
-            if outcome.direction[e.id][0] != sl.vertices[flow.ends[k][0]]:
-                flow.flip(k)
+    outcome = _orient_by_cuts(sl, j, flow, start)
+    if outcome is None:
+        outcome = orient_covering(
+            CoverRequirement(build_auxiliary(g, dec, j, slices), dec, roots, bounds)
+        )
+        if isinstance(outcome, Orientation):
+            for k, e in enumerate(e for e in sl.edges if not e.is_loop()):
+                if outcome.direction[e.id][0] != sl.vertices[flow.ends[k][0]]:
+                    flow.flip(k)
+    if isinstance(outcome, SubpartitionCertificate):
+        return outcome, None
     owner = _first_fit(flow.cands, trees, start, gmask) if flow.flips else None
     if owner is None:
         owner = _grow(flow.cands, trees, dict(start), gmask, flow)
     if isinstance(owner, int):
         raise InvariantError(f"tree {owner + 1} is stuck on an atom its orientation covers")
-    return outcome, aux, owner
+    return outcome, owner
 
 
 def _orient_by_cuts(sl, j: int, flow, start) -> Orientation | SubpartitionCertificate | None:

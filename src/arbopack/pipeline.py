@@ -16,7 +16,6 @@ from typing import NamedTuple, Sequence
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import (
     AtomDecomposition,
-    AuxiliaryGraph,
     BiSet,
     _atom_slices,
     biset_in_degree,
@@ -32,7 +31,6 @@ from .graph_core import (
     Orientation,
     Subpartition,
     _check_arborescence,
-    arcs_view,
     crossing_edge_count,
     lexicographic_orientation,
     mixed_reachable_set,
@@ -86,32 +84,31 @@ def _certificate_sides(
     bisets: Sequence[BiSet],
 ) -> tuple[int, int]:
     inners = Subpartition(tuple(b.inner for b in bisets))
-    native = arcs_view(g)
-    lhs = crossing_edge_count(g, inners) + sum(
-        biset_in_degree(native, b) for b in bisets
-    )
+    lhs = crossing_edge_count(g, inners) + sum(biset_in_degree(g, b) for b in bisets)
     rhs = sum(p_value(dec, roots, b) for b in bisets)
     return lhs, rhs
 
 
 def certificate_from_subpartition(
     sc: SubpartitionCertificate,
-    aux: AuxiliaryGraph,
     dec: AtomDecomposition,
     g: MixedGraph,
     roots: Sequence[str],
 ) -> BiSetFamilyCertificate:
     """Lift an atom-level certificate to a bi-set family over ``g``.
 
-    Each part maps to its lifted bi-set; both sides of the inequality are
+    Each part maps to its lifted bi-set (:func:`lift_biset`, which reads
+    each terminal's arc off ``g``); both sides of the inequality are
     recomputed over the original graph.  The lift can only tighten the
-    left side, so a positive atom-level deficit must survive.
+    left side, so a positive atom-level deficit must survive.  A bad atom
+    index, a part that does not lift and overlapping parts raise ``ValueError``.
     """
     if sc.deficit < 1:
         raise ValueError(f"subpartition deficit {sc.deficit} is not positive")
-    if sc.atom_index != aux.atom_index:
-        raise ValueError("certificate and auxiliary graph refer to different atoms")
-    bisets = tuple(lift_biset(aux, part) for part in sc.parts)
+    if not 0 <= sc.atom_index < len(dec.atoms):
+        raise ValueError(f"atom index {sc.atom_index} out of range")
+    gamma = dec.atoms[sc.atom_index]
+    bisets = tuple(lift_biset(g, gamma, part) for part in sc.parts)
     lhs, rhs = _certificate_sides(g, roots, dec, bisets)
     if lhs >= rhs:
         raise InvariantError("lifted certificate lost its deficit")
@@ -186,9 +183,9 @@ def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds):
     slices = _atom_slices(g, dec)
     oriented = []
     for j, sl in enumerate(slices):
-        outcome, aux, owner = _orient_and_pack(g, dec, j, roots, slices, bounds)
+        outcome, owner = _orient_and_pack(g, dec, j, roots, slices, bounds)
         if isinstance(outcome, SubpartitionCertificate):
-            return certificate_from_subpartition(outcome, aux, dec, g, roots)
+            return certificate_from_subpartition(outcome, dec, g, roots)
         oriented.append((sl, outcome, owner))
     return oriented
 

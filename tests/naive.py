@@ -611,13 +611,14 @@ def in_family_F(dec: AtomDecomposition, x: BiSet) -> int | None:
 
 
 def p_j_value(
-    aux: AuxiliaryGraph,
+    g: MixedGraph,
+    gamma: frozenset[str],
     dec: AtomDecomposition,
     roots: Sequence[str],
     x: Iterable[str],
 ) -> int:
     """Atom-level demand: the bi-set demand of the lifted set."""
-    return p_value(dec, roots, lift_biset(aux, x))
+    return p_value(dec, roots, lift_biset(g, gamma, x))
 
 
 def verify_cut_condition(

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from arbopack.cli import main
-from instance_gen import deep_atom_text, doubled_cycle_text
+from arbopack import build_auxiliary, compute_atoms, parse_mixed_graph
+from arbopack.cli import _part_order, main
+from arbopack.orientation import SubpartitionCertificate, orient_atom
+from instance_gen import deep_atom_text, doubled_cycle_text, random_mixed_instance
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -221,6 +225,46 @@ class TestOrient:
         payload = json.loads(out)
         assert payload["atom"] == 1
         assert {"id": "e1", "tail": "r1", "head": "v1"} in payload["orientation"]
+
+
+class TestOrientPartOrder:
+    def test_parts_in_auxiliary_graph_order(self, capsys, tmp_path):
+        # `orient` ranks names with no auxiliary graph: atom vertices in
+        # graph order, then terminals in arc order.  That is the order of
+        # every atom's auxiliary graph, and `orient` lists each part of
+        # every atom it refutes or stalls on in it, beyond the inputs of
+        # tests/data/cli_golden.json.
+        rng = random.Random(6262)
+        path = tmp_path / "g.mg"
+        kinds = Counter()
+        for _ in range(1200):
+            g, roots = random_mixed_instance(rng, max_v=7, max_e=11, max_a=7)
+            dec = compute_atoms(g, roots)
+            rank = _part_order(g)
+            written = False
+            for j in range(len(dec.atoms)):
+                order = build_auxiliary(g, dec, j).graph.vertices
+                assert sorted(order, key=rank.__getitem__) == list(order)
+                kinds["terminals", min(len(order) - len(dec.atoms[j]), 2)] += 1
+                outcome = orient_atom(g, dec, j, roots)
+                if not isinstance(outcome, SubpartitionCertificate):
+                    continue
+                if not written:
+                    lines = [f"vertex {v}" for v in g.vertices]
+                    lines += [f"edge {u} {v} {eid}" for eid, u, v in g.edges]
+                    lines += [f"arc {t} {h} {aid}" for aid, t, h in g.arcs]
+                    lines += [f"root {r}" for r in roots]
+                    path.write_text("\n".join(lines) + "\n")
+                    assert parse_mixed_graph(path.read_text()) == (g, roots)
+                    written = True
+                code, out, _ = run(capsys, "orient", str(path), "--atom", str(j + 1))
+                assert code == 2
+                expected = [[v for v in order if v in part] for part in outcome.parts]
+                assert json.loads(out)["parts"] == expected
+                kinds["parts", min(len(expected), 2)] += 1
+                held = any(part - dec.atoms[j] for part in outcome.parts)
+                kinds["terminal in a part", held] += 1
+        assert min(kinds.values()) > 20, kinds
 
 
 class TestPackDigraph:

@@ -22,8 +22,6 @@ from arbopack.decomposition import (
     _atom_slices,
     _decompose,
     biset_in_degree,
-    in_Hj,
-    is_consistent,
     lift_biset,
     p_value,
 )
@@ -41,12 +39,14 @@ from naive import (
     in_family_F,
     iter_family,
     naive_family,
+    naive_lift,
     naive_p,
     naive_pj,
     p_j_value,
     reference_build_auxiliary,
     reference_decompose,
     set_condition_holds,
+    subsets,
 )
 
 
@@ -247,7 +247,7 @@ class TestAuxiliaryGraph:
             assert sum(1 for a in aux.graph.arcs if a.head == t) == 0
             outs = [a for a in aux.graph.arcs if a.tail == t]
             assert len(outs) == 1
-            assert outs[0].head == aux.terminal_head(t)
+            assert outs[0].head == g.arc_by_id[aux.terminal_origin[t][0]].head
 
     def test_crossing_edge_named(self):
         g = MixedGraph(("r", "u", "w"), (Edge("e1", "r", "w"), Edge("e2", "u", "r")))
@@ -373,40 +373,67 @@ class TestAuxiliaryReference:
 
 
 class TestConsistency:
+    """``lift_biset`` on the atom {v3, v4}: arcs a1, a2, a3 and a5 enter it, a4 is inside."""
+
     @pytest.fixture()
-    def shared_aux(self, two_root_dec):
+    def shared(self, two_root_dec):
         g, roots, dec = two_root_dec
-        return build_auxiliary(g, dec, atom_index_of(dec, ["v3", "v4"]))
+        return g, dec.atoms[atom_index_of(dec, ["v3", "v4"])]
 
-    def test_consistent_examples(self, shared_aux):
-        assert is_consistent(shared_aux, {"v3", "t:a1"})
-        # a terminal without its head is not consistent, hence never a member
-        assert not is_consistent(shared_aux, {"t:a1"})
-        assert not in_Hj(shared_aux, {"t:a1"})
-        assert not is_consistent(shared_aux, {"v4", "t:a1"})
-        assert is_consistent(shared_aux, set())
-        assert not in_Hj(shared_aux, set())
+    def test_consistent_examples(self, shared):
+        g, gamma = shared
+        assert lift_biset(g, gamma, {"v3", "t:a1"}) == BiSet({"r1", "v3"}, {"v3"})
+        # a terminal without its head is not consistent, hence never lifted
+        for part in ({"t:a1"}, {"v4", "t:a1"}, set()):
+            with pytest.raises(ValueError):
+                lift_biset(g, gamma, part)
 
-    def test_lift_examples(self, shared_aux):
-        b = lift_biset(shared_aux, {"v3", "t:a5"})
+    def test_lift_examples(self, shared):
+        g, gamma = shared
+        b = lift_biset(g, gamma, {"v3", "t:a5"})
         assert b == BiSet({"v1", "v3"}, {"v3"})
-        b = lift_biset(shared_aux, {"v3", "v4"})
+        b = lift_biset(g, gamma, {"v3", "v4"})
         assert b == BiSet({"v3", "v4"}, {"v3", "v4"})
-        full = set(shared_aux.graph.vertices)
-        b = lift_biset(shared_aux, full)
+        b = lift_biset(g, gamma, {"v3", "v4", "t:a1", "t:a2", "t:a3", "t:a5"})
         assert b.inner == frozenset({"v3", "v4"})
         assert b.outer == frozenset({"v3", "v4", "r1", "r2", "v1"})
 
-    def test_lift_rejects_non_members(self, shared_aux):
+    def test_lift_rejects_non_members(self, shared):
+        g, gamma = shared
         with pytest.raises(ValueError):
-            lift_biset(shared_aux, {"t:a1"})
+            lift_biset(g, gamma, {"t:a1"})
 
-    def test_pj_examples(self, two_root_dec, shared_aux):
+    @pytest.mark.parametrize(
+        "part, reason",
+        [
+            ({"v3", "t:a9"}, "unknown arc id"),
+            ({"v3", "t:a4"}, "arc inside the atom"),
+            ({"v3", "t:e1"}, "an edge's id"),
+            ({"v3", "v1"}, "vertex outside the atom"),
+            ({"v3", "x"}, "unknown vertex"),
+            ({"v3", "t:a2"}, "head v4 not in the part"),
+            ({"t:a1", "t:a5"}, "no atom vertex"),
+        ],
+    )
+    def test_lift_rejects_malformed_parts(self, shared, part, reason):
+        g, gamma = shared
+        with pytest.raises(ValueError):
+            lift_biset(g, gamma, part)
+
+    def test_lift_rejects_an_arc_into_another_atom(self, two_root_dec):
         g, roots, dec = two_root_dec
-        assert p_j_value(shared_aux, dec, roots, {"v3", "v4"}) == 2
-        assert p_j_value(shared_aux, dec, roots, {"v3", "t:a5"}) == 1
-        aux1 = build_auxiliary(g, dec, atom_index_of(dec, ["r1", "v1", "v2", "v5"]))
-        assert p_j_value(aux1, dec, roots, {"v1"}) == 1
+        root_atom = dec.atoms[atom_index_of(dec, ["r1", "v1", "v2", "v5"])]
+        assert lift_biset(g, root_atom, {"r1"}) == BiSet({"r1"}, {"r1"})
+        with pytest.raises(ValueError):
+            lift_biset(g, root_atom, {"r1", "v1", "t:a5"})
+
+    def test_pj_examples(self, two_root_dec, shared):
+        g, roots, dec = two_root_dec
+        _g, gamma = shared
+        assert p_j_value(g, gamma, dec, roots, {"v3", "v4"}) == 2
+        assert p_j_value(g, gamma, dec, roots, {"v3", "t:a5"}) == 1
+        root_atom = dec.atoms[atom_index_of(dec, ["r1", "v1", "v2", "v5"])]
+        assert p_j_value(g, root_atom, dec, roots, {"v1"}) == 1
 
 
 class TestFamilyProperties:
@@ -450,6 +477,25 @@ class TestFamilyProperties:
                 rho = sum(1 for t, h in static if h in xs and t not in xs)
                 assert ctx.rho_static(m) == rho
 
+    def test_lift_matches_the_auxiliary_family(self):
+        # Every subset of the auxiliary vertex set lifts exactly when it is
+        # a family member, to the bi-set the auxiliary graph gives it.
+        rng = random.Random(8118)
+        lifted = rejected = 0
+        for g, roots, dec, aux in self._contexts(rng, 200, 9):
+            members = set(naive_family(aux))
+            for combo in subsets(aux.graph.vertices):
+                xs = frozenset(combo)
+                if xs in members:
+                    outer, inner = naive_lift(aux, xs)
+                    assert lift_biset(g, aux.gamma, xs) == BiSet(outer, inner)
+                    lifted += 1
+                else:
+                    with pytest.raises(ValueError):
+                        lift_biset(g, aux.gamma, xs)
+                    rejected += 1
+        assert lifted > 1000 and rejected > 500, (lifted, rejected)
+
     def test_lift_union_compatibility(self):
         rng = random.Random(515)
         for g, roots, dec, aux in self._contexts(rng, 20, 9):
@@ -458,9 +504,9 @@ class TestFamilyProperties:
                 for y in fam:
                     if not x & y:
                         continue
-                    bx, by = lift_biset(aux, x), lift_biset(aux, y)
-                    assert lift_biset(aux, x | y) == biset_union(bx, by)
-                    assert p_value(dec, roots, lift_biset(aux, x & y)) >= p_value(
+                    bx, by = lift_biset(g, aux.gamma, x), lift_biset(g, aux.gamma, y)
+                    assert lift_biset(g, aux.gamma, x | y) == biset_union(bx, by)
+                    assert p_value(dec, roots, lift_biset(g, aux.gamma, x & y)) >= p_value(
                         dec, roots, biset_intersection(bx, by)
                     )
 

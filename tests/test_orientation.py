@@ -485,8 +485,9 @@ class TestFastPath:
             slices = _atom_slices(g, dec)
             assert len(dec.atoms) == 1, (seed, i)
             assert self.fast(g, roots, dec, 0, slices) is None, (seed, i)
-            outcome, aux = orient_atom(g, dec, 0, roots)
+            outcome = orient_atom(g, dec, 0, roots)
             assert isinstance(outcome, Orientation), (seed, i)
+            aux = build_auxiliary(g, dec, 0)
             assert check_cover(CoverRequirement(aux, dec, tuple(roots)), outcome) is None
             assert naive_orientation_covers(aux, dec, roots, dict(outcome.direction))
             mp = solve(g, roots)
@@ -517,7 +518,7 @@ class TestFastPath:
                     assert cert.deficit <= naive_max_deficit(aux, dec, roots)
                 else:
                     assert cert.deficit <= _extract_certificate(req).deficit
-                lifted = certificate_from_subpartition(cert, aux, dec, g, roots)
+                lifted = certificate_from_subpartition(cert, dec, g, roots)
                 assert verify_certificate(g, roots, lifted)
                 refuted += 1
         assert refuted > 400, refuted

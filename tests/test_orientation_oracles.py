@@ -182,6 +182,6 @@ def test_doubled_path_certificate_beyond_oracle_scale():
     sc = orient_covering(CoverRequirement(aux, dec, tuple(roots)))
     assert len(sc.parts) == 13
     assert sc.deficit == 13
-    cert = certificate_from_subpartition(sc, aux, dec, g, roots)
+    cert = certificate_from_subpartition(sc, dec, g, roots)
     assert verify_certificate(g, roots, cert).ok
     assert verify_certificate(g, roots, solve(g, roots)).ok

@@ -36,7 +36,7 @@ from arbopack import (
 )
 import arbopack
 from arbopack import graph_core, orientation, packing, pipeline
-from arbopack.decomposition import _atom_slices, _entering_arcs, biset_in_degree, in_Hj, p_value
+from arbopack.decomposition import _atom_slices, _entering_arcs, biset_in_degree, lift_biset, p_value
 from arbopack.errors import InvariantError
 from arbopack.orientation import (
     SubpartitionCertificate,
@@ -230,7 +230,7 @@ class TestCertificates:
 
         req = CoverRequirement(aux, dec, tuple(roots))
         sc = make_subpartition_certificate(req, [{"r1"}, {"r2"}, {"x"}])
-        cert = certificate_from_subpartition(sc, aux, dec, g, roots)
+        cert = certificate_from_subpartition(sc, dec, g, roots)
         assert cert.deficit == 2
         assert verify_certificate(g, roots, cert)
 
@@ -238,20 +238,41 @@ class TestCertificates:
         g, roots = two_root
         dec = compute_atoms(g, roots)
         j = dec.atoms.index(frozenset(["v3", "v4"]))
-        aux = build_auxiliary(g, dec, j)
         sc = SubpartitionCertificate(j, (frozenset(["v3", "v4"]),), 0)
         with pytest.raises(ValueError, match="not positive"):
-            certificate_from_subpartition(sc, aux, dec, g, roots)
+            certificate_from_subpartition(sc, dec, g, roots)
+
+    def test_malformed_certificate_rejected(self, two_root):
+        # The instance is feasible, so no certificate of it lifts; each of
+        # these is turned away for its shape, before any deficit is counted.
+        g, roots = two_root
+        dec = compute_atoms(g, roots)
+        j = dec.atoms.index(frozenset(["v3", "v4"]))
+        parts = (frozenset({"v3", "t:a1"}), frozenset({"v4", "t:a3"}))
+        assert [lift_biset(g, dec.atoms[j], part).outer for part in parts] == [
+            {"v3", "r1"},
+            {"v4", "r2"},
+        ]
+        bad = [
+            (SubpartitionCertificate(len(dec.atoms), parts, 1), "out of range"),
+            (SubpartitionCertificate(-1, parts, 1), "out of range"),
+            (SubpartitionCertificate(j, parts + (frozenset({"v3"}),), 1), "overlap"),
+            (SubpartitionCertificate(j, (frozenset({"v3", "t:a2"}),), 1), "head"),
+            (SubpartitionCertificate(j, (frozenset({"v3", "t:a4"}),), 1), "neither"),
+            (SubpartitionCertificate(j - 1, parts, 1), "no vertex of the atom"),
+        ]
+        for sc, reason in bad:
+            with pytest.raises(ValueError, match=reason):
+                certificate_from_subpartition(sc, dec, g, roots)
 
     def test_terminal_part_contributions(self, two_root):
         g, roots = two_root
         dec = compute_atoms(g, roots)
         j = dec.atoms.index(frozenset(["v3", "v4"]))
-        aux = build_auxiliary(g, dec, j)
-        assert in_Hj(aux, {"v3", "t:a5"})
         b = BiSet({"v1", "v3"}, {"v3"})
+        assert lift_biset(g, dec.atoms[j], {"v3", "t:a5"}) == b
         assert p_value(dec, roots, b) == 1
-        assert biset_in_degree(arcs_view(g), b) == 2
+        assert biset_in_degree(arcs_view(g), b) == biset_in_degree(g, b) == 2
 
     def test_verify_rejects_shrunken_family(self, infeasible3):
         g, roots = infeasible3
@@ -803,6 +824,50 @@ class TestPackOnTheOrientingOracle:
             solve(g, roots)
 
 
+class TestAuxiliaryGraph:
+    def test_only_a_stalled_atom_builds_one(self, monkeypatch):
+        # A refuted atom's certificate names its terminals by arc id and
+        # is lifted on the input graph, so the auxiliary graph is built
+        # once per atom the fast path stalls on, and for no other atom.
+        built, stalled, refuted = [], [], []
+        build, by_cuts, refute = (
+            orientation.build_auxiliary,
+            orientation._orient_by_cuts,
+            orientation._refuted,
+        )
+
+        def counted_build(*args):
+            built.append(args[2])
+            return build(*args)
+
+        def counted_by_cuts(*args):
+            outcome = by_cuts(*args)
+            stalled.append(outcome is None)
+            return outcome
+
+        def counted_refute(*args):
+            refuted.append(args[1])
+            return refute(*args)
+
+        for module in (arbopack, arbopack.decomposition, orientation):
+            monkeypatch.setattr(module, "build_auxiliary", counted_build)
+        monkeypatch.setattr(orientation, "_orient_by_cuts", counted_by_cuts)
+        monkeypatch.setattr(orientation, "_refuted", counted_refute)
+        cases = list(bench_instances(110))
+        rng = random.Random(5150)
+        cases += [random_mixed_instance(rng, max_v=7, max_e=11, max_a=7) for _ in range(1200)]
+        cases.append(stalled_instance())
+        kinds = Counter()
+        for g, roots in cases:
+            result = solve(g, roots)
+            kinds[type(result)] += 1
+            if isinstance(result, BiSetFamilyCertificate):
+                assert verify_certificate(g, roots, result)
+        assert len(built) == sum(stalled)
+        assert sum(stalled) > 50 and len(refuted) > 300, (sum(stalled), len(refuted))
+        assert min(kinds.values()) > 300, kinds
+
+
 class TestFirstFit:
     """First fit packs an atom only where the checked path would give the same answer."""
 
@@ -941,7 +1006,7 @@ class TestEdgelessAtoms:
         )
         dec = compute_atoms(g, roots)
         assert dec.atoms[2] == {"m", "c"} and not _atom_slices(g, dec)[2].edges
-        outcome, aux = orientation.orient_atom(g, dec, 2, roots)
+        outcome = orientation.orient_atom(g, dec, 2, roots)
         assert outcome == SubpartitionCertificate(2, (frozenset({"c"}),), 1)
         assert len(scans) == 1
         assert solve(g, roots) == BiSetFamilyCertificate(

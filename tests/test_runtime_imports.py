@@ -68,3 +68,19 @@ def test_pipeline_imports_nothing_from_packing():
         )
     ]
     assert not found, found
+
+
+def test_solve_and_the_cli_build_no_auxiliary_graph():
+    # Certificates are lifted by arc id on the input graph; only the exact
+    # fallback in ``orientation`` builds an auxiliary graph.
+    names = {"build_auxiliary", "AuxiliaryGraph"}
+    for module in ("pipeline.py", "cli.py"):
+        tree = ast.parse(Path(arbopack.__file__).with_name(module).read_text())
+        found = [
+            ast.unparse(node)
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr in names)
+            or (isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] in names)
+        ]
+        assert not found, (module, found)
