@@ -13,13 +13,14 @@ original head.  Subsets of the auxiliary vertex set that contain the
 head of every chosen terminal ("consistent" sets) carry the demand
 function down to plain set functions, one independent subproblem per
 atom; :func:`lift_biset` lifts one by arc id, on the input graph.  One
-pass buckets the graph's vertices, edges and arcs by atom, so an atom's
-set-up reads its own part of the graph, not the whole of it.
+indexed pass over the graph sets up every atom, so an atom's set-up
+reads its own part of the graph, in integers, not the whole of it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapacityError, InvariantError
@@ -206,73 +207,101 @@ class AuxiliaryGraph(_Value):
         object.__setattr__(self, "gamma", frozenset(gamma))
         object.__setattr__(self, "terminal_origin", dict(terminal_origin))
 
-    @cached_property
-    def terminals(self) -> tuple[str, ...]:
-        return tuple(v for v in self.graph.vertices if v not in self.gamma)
-
 
 class _AtomSlice(NamedTuple):
-    """One atom's part of a graph, each list in declaration order."""
+    """One atom's part of a graph, each list in declaration order.
+
+    Vertex k of the atom is ``vertices[k]``, with bit k.  The positions
+    index the graph's ``edges`` and ``arcs``.
+    """
 
     vertices: list[str]
     edges: list[Edge]  # both ends in the atom
     arcs: list[Arc | ViewArc]  # head in the atom
     crossing: Edge | None  # the first edge with exactly one end in the atom
+    reserved: str | None  # the first terminal name of an entering arc that a vertex has
+    pairs: list[tuple[int, int]]  # per non-loop edge, its ends' indices
+    edge_pos: list[int]  # per non-loop edge, its position
+    cands: list[tuple[int, int, int]]  # per non-loop arc, (tail bit, head bit, hit)
+    arc_pos: list[int]  # per non-loop arc, its position
+    heads: list[int]  # the head index of each entering arc
+    at: Mapping[str, tuple[int, int]]  # every atom vertex's atom and index in it
 
 
 def _atom_slices(
     graph: MixedGraph | DirectedView, dec: AtomDecomposition
 ) -> list[_AtomSlice]:
-    """Every atom's slice of ``graph``, bucketed in one pass over it.
+    """Every atom's slice of ``graph``, set up in one pass over it.
 
-    Per-atom set-up then reads its atom only, so a solve costs the graph
-    once plus the atoms, not atoms times the graph.  Nothing is cached.
+    Per-atom set-up then reads its atom only, in integers, so a solve
+    costs the graph once plus the atoms, not atoms times the graph.  An
+    entering arc's tail gets bit n + k, for atom size n and candidate k,
+    and its ``hit`` has bit i set when tree i spans its tail: the tail
+    lies in one atom, whose root mask meets the atom's in those trees,
+    or in none.  Terminal names are looked up only when some vertex name
+    starts with ``t:``.  Nothing is cached.
     """
-    atom_of = dec.atom_of
-    n = len(dec.atoms)
-    vertices: list[list[str]] = [[] for _ in range(n)]
-    edges: list[list[Edge]] = [[] for _ in range(n)]
-    arcs: list[list[Arc | ViewArc]] = [[] for _ in range(n)]
-    crossing: list[Edge | None] = [None] * n
+    atom_of, count = dec.atom_of, len(dec.atoms)
+    vertices, edges, arcs, pairs, edge_pos, cands, arc_pos, heads = (
+        [[] for _ in range(count)] for _ in range(8)
+    )
+    crossing, reserved = [None] * count, [None] * count
+    at: dict[str, tuple[int, int]] = {}
     for v in graph.vertices:
         j = atom_of.get(v)
         if j is not None:
+            at[v] = j, len(vertices[j])
             vertices[j].append(v)
-    for e in graph.edges if isinstance(graph, MixedGraph) else ():
-        ju, jv = atom_of.get(e.u), atom_of.get(e.v)
-        if ju == jv:
-            if ju is not None:
-                edges[ju].append(e)
+    for pos, e in enumerate(graph.edges if isinstance(graph, MixedGraph) else ()):
+        ju, u = at.get(e[1], (None, None))
+        jv, v = at.get(e[2], (None, None))
+        if ju != jv:
+            for j in (ju, jv):
+                if j is not None and crossing[j] is None:
+                    crossing[j] = e
+        elif ju is not None:
+            edges[ju].append(e)
+            if u != v:
+                pairs[ju].append((u, v))
+                edge_pos[ju].append(pos)
+    rootmask = [sum(map((1).__lshift__, r)) for r in dec.atom_roots]
+    names = graph.vertex_set if any(
+        isinstance(v, str) and v.startswith(RESERVED_TERMINAL_PREFIX) for v in graph.vertices
+    ) else ()
+    # an Arc or ViewArc holds (id, tail, head, ...), read by index
+    for pos, a in enumerate(graph.arcs):
+        j, h = at.get(a[2], (None, None))
+        if j is None:
             continue
-        for j in (ju, jv):
-            if j is not None and crossing[j] is None:
-                crossing[j] = e
-    for a in graph.arcs:
-        j = atom_of.get(a.head)
-        if j is not None:
-            arcs[j].append(a)
-    return [_AtomSlice(*s) for s in zip(vertices, edges, arcs, crossing)]
+        arcs[j].append(a)
+        jt, t = at.get(a[1], (None, None))
+        if jt != j:
+            hit = 0 if jt is None else rootmask[jt] & rootmask[j]
+            cands[j].append((1 << len(vertices[j]) + len(cands[j]), 1 << h, hit))
+            heads[j].append(h)
+            if names and reserved[j] is None:
+                name = f"{RESERVED_TERMINAL_PREFIX}{a[0]}"
+                reserved[j] = name if name in names else None
+        elif t != h:
+            cands[j].append((1 << t, 1 << h, 0))
+        else:
+            continue
+        arc_pos[j].append(pos)
+    columns = (vertices, edges, arcs, crossing, reserved, pairs, edge_pos, cands, arc_pos, heads)
+    return list(map(_AtomSlice._make, zip(*columns, repeat(at))))
 
 
-def _entering_arcs(g: MixedGraph, gamma: frozenset[str], sl: _AtomSlice) -> list[Arc]:
-    """The arcs entering an atom, each of which its auxiliary graph names.
-
-    Raises for an edge crossing the atom's boundary, and for a vertex
-    that already has the name of one of the atom's terminals.
-    """
+def _check_atom(sl: _AtomSlice) -> None:
+    """Raise for an edge crossing the atom's boundary, then for a vertex named as its terminal."""
     if sl.crossing is not None:
         raise InvariantError(
             f"edge {sl.crossing.id!r} crosses the atom boundary; atoms cannot share edges"
         )
-    entering = [a for a in sl.arcs if a.tail not in gamma]
-    for a in entering:
-        t = f"{RESERVED_TERMINAL_PREFIX}{a.id}"
-        if t in g.vertex_set:
-            raise ValueError(
-                f"vertex {t!r} uses the {RESERVED_TERMINAL_PREFIX!r} prefix "
-                "reserved for terminal ids"
-            )
-    return entering
+    if sl.reserved is not None:
+        raise ValueError(
+            f"vertex {sl.reserved!r} uses the {RESERVED_TERMINAL_PREFIX!r} prefix "
+            "reserved for terminal ids"
+        )
 
 
 def build_auxiliary(
@@ -291,8 +320,10 @@ def build_auxiliary(
     gamma = dec.atoms[j]
     if slices is None:
         slices = _atom_slices(g, dec)
-    vertices, edges, arcs, _crossing = slices[j]
-    entering = _entering_arcs(g, gamma, slices[j])
+    sl = slices[j]
+    _check_atom(sl)
+    vertices, edges, arcs = sl.vertices, sl.edges, sl.arcs
+    entering = [a for a in arcs if a.tail not in gamma]
     internal = [a for a in arcs if a.tail in gamma]
     terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
     origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
@@ -452,9 +483,7 @@ class AtomContext(NamedTuple):
             v for v in g.vertices if v not in aux.gamma
         )
         bit_of = {v: i for i, v in enumerate(order)}
-        gamma_mask = 0
-        for v in aux.gamma:
-            gamma_mask |= 1 << bit_of[v]
+        gamma_mask = sum(1 << bit_of[v] for v in aux.gamma)
         full_mask = (1 << len(order)) - 1
         R = tuple(sorted(dec.atom_roots[aux.atom_index]))
         root_bits = {
@@ -465,20 +494,12 @@ class AtomContext(NamedTuple):
         for a in g.arcs:
             if a.tail in aux.terminal_origin:
                 _arc_id, tail0 = aux.terminal_origin[a.tail]
-                hit = 0
-                for i in R:
-                    if tail0 in dec.reach[i]:
-                        hit |= 1 << i
+                hit = sum(1 << i for i in R if tail0 in dec.reach[i])
                 terms.append((1 << bit_of[a.tail], 1 << bit_of[a.head], hit))
             elif not a.is_loop():
                 internal.append((1 << bit_of[a.tail], 1 << bit_of[a.head]))
-        edge_bits = []
-        loop_ids = []
-        for e in g.edges:
-            if e.is_loop():
-                loop_ids.append(e.id)
-            else:
-                edge_bits.append((e.id, 1 << bit_of[e.u], 1 << bit_of[e.v]))
+        edge_bits = [(e.id, 1 << bit_of[e.u], 1 << bit_of[e.v]) for e in g.edges if not e.is_loop()]
+        loop_ids = [e.id for e in g.edges if e.is_loop()]
         return cls(
             aux=aux,
             order=order,
@@ -506,22 +527,10 @@ class AtomContext(NamedTuple):
         for bit, _head, hit in self.terminals:
             if mask & bit:
                 disq |= hit
-        n = 0
-        for i in self.tree_indices:
-            if self.root_bits[i] & mask:
-                continue
-            if disq >> i & 1:
-                continue
-            n += 1
-        return n
+        return sum(1 for i in self.tree_indices if not (self.root_bits[i] & mask or disq >> i & 1))
 
     def rho_static(self, mask: int) -> int:
         """In-degree from the atom's own arcs (terminal arcs included)."""
-        c = 0
-        for tail, head in self.internal_arcs:
-            if head & mask and not tail & mask:
-                c += 1
-        for bit, head, _hit in self.terminals:
-            if head & mask and not bit & mask:
-                c += 1
-        return c
+        return sum(1 for tail, head in self.internal_arcs if head & mask and not tail & mask) + sum(
+            1 for bit, head, _hit in self.terminals if head & mask and not bit & mask
+        )

@@ -3,22 +3,20 @@
 An orientation covers an atom when every vertex set Y of it, with any
 set T of the arcs that enter the atom at Y, has in-degree at least the
 number of trees forced to enter Y + T.  :func:`orient_atom` orients one
-atom, and packs it as soon as it is oriented.  Edges start pointing
-away from the atom's roots, and the atom's arcs and edges in those
-directions are first handed to the packing greedy with no check
-(``packing._first_fit``).  When it packs the atom, the starting
-directions cover it, and they are the answer.  Otherwise the fast path
-checks the condition with the atom's cut oracle, the max-flow network
-packing uses (``packing._StepFlow``), built from the atom's slice of
-the graph with each edge a pair of network edges whose capacities swap
-when it flips.  The oracle is the one record of which way each edge
-points.  A path of oriented edges is reversed out of each short set
-found, when one flow shows that no set it takes an edge from falls
-short, and the atom is then packed on the oracle, with every edge
-turned as answered.  An atom with no edge has nothing to orient: the
-greedy checked on its oracle packs it at once, or its first failing
-check refutes it (``packing._pack``).  No auxiliary graph and no table
-is built on either path, and no oracle outlives its atom.
+atom from the integers its slice holds (``decomposition._atom_slices``),
+and packs it as soon as it is oriented.  Edges start pointing away from
+the atom's roots, and first fit (``packing._first_fit``) gets the
+atom's arcs and edges in those directions: when it packs the atom, the
+starting directions are the answer.  Otherwise the fast path checks
+the condition on the atom's cut oracle (``packing._StepFlow``), where
+each edge is a pair of network edges whose capacities swap when it
+flips, and which is the one record of which way each edge points.  A
+path of oriented edges is reversed out of each short set found, when
+one flow shows that no set it takes an edge from falls short, and the
+atom is then packed on the oracle.  An atom with no edge is packed by
+the checked greedy or refuted by its first failing check
+(``packing._pack``).  No auxiliary graph and no table is built on
+either path, and no oracle outlives its atom.
 
 The requirement is the function ``p_j - rho_static`` over the atom's
 consistent-set family on its auxiliary graph.  By Frank's orientation
@@ -56,13 +54,13 @@ from .decomposition import (
     AuxiliaryGraph,
     _AtomSlice,
     _atom_slices,
-    _entering_arcs,
+    _check_atom,
     _requirements,
     build_auxiliary,
 )
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation, _Value
-from .packing import _arc_candidates, _edge_cands, _first_fit, _grow, _pack, _StepFlow
+from .packing import _edge_cands, _first_fit, _grow, _pack, _StepFlow
 
 
 class CoverRequirement(_Value):
@@ -133,43 +131,43 @@ def orient_atom(
     atom from its slice of ``g``.  An atom it refutes gets the one-part
     certificate it found; only an atom it stalls on builds its auxiliary
     graph, for :func:`orient_covering`.  An atom with no edge to orient
-    skips the fast path: the checked greedy packs it, or its first
-    failing check gives the certificate.  An oriented atom is
-    packed as well, as ``solve`` packs it, and the trees are dropped.
-    ``slices`` are ``_atom_slices(g, dec)``, computed here when not given.
+    skips the fast path.  The atom is packed as ``solve`` packs it, and
+    the trees are dropped (:func:`_orient_and_pack`).  ``slices`` are
+    ``_atom_slices(g, dec)``, computed here when not given.
     """
-    return _orient_and_pack(g, dec, j, roots, slices, bounds)[0]
+    slices = _atom_slices(g, dec) if slices is None else slices
+    outcome = _orient_and_pack(g, dec, j, roots, slices, bounds)[0]
+    return _orientation(slices[j], outcome) if isinstance(outcome, list) else outcome
 
 
-def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
-    """:func:`orient_atom`'s answer, and the tree owning each candidate, or None if refuted.
+def _orient_and_pack(g, dec, j, roots, slices, bounds):
+    """The local (tail, head) ends of the atom's non-loop edges, and the tree owning each candidate.
 
-    The candidates are the atom's non-loop arcs, then its non-loop
-    edges, in slice order.  First fit (``packing._first_fit``) runs on
-    the start orientation before any oracle is built.  An atom with no
-    edge is packed or refuted by ``packing._pack``: with no edge, the
-    check counted both ways is the same flow, so it refutes the atom with
-    the set :func:`_orient_by_cuts` would.  Any other atom is oriented on
-    its cut oracle, which is turned to the fallback's directions when the
-    fast path stalled (the only time the auxiliary graph is built), and
-    then packed on it: by first fit again when an edge was flipped (with
-    none, it would get stuck as before), otherwise by the checked greedy.
+    A refuted atom gives its certificate and None.  The candidates are
+    the atom's non-loop arcs, then its non-loop edges, in slice order.
+    First fit (``packing._first_fit``) runs on the start orientation
+    before any oracle is built.  An atom with no edge is packed or
+    refuted by ``packing._pack``: with no edge, the check counted both
+    ways is the same flow, so it refutes the atom with the set
+    :func:`_orient_by_cuts` would.  Any other atom is oriented on its cut
+    oracle, which is turned to the fallback's directions when the fast
+    path stalled (the only time the auxiliary graph is built), and then
+    packed on it: by first fit again when an edge was flipped (with none,
+    it would get stuck as before), otherwise by the checked greedy.
     """
-    if slices is None:
-        slices = _atom_slices(g, dec)
     sl = slices[j]
-    entering = _entering_arcs(g, dec.atoms[j], sl)
-    trees, start, cands, ends = _start_state(sl, entering, dec, j, roots)
-    n = len(sl.vertices)
+    _check_atom(sl)
+    trees, start, ends = _start_state(sl, dec, j, roots)
+    cands, n = sl.cands, len(sl.vertices)
     gmask = (1 << n) - 1
     if not ends:
         owner = _pack(n, trees, start, cands)
         if isinstance(owner, tuple):
             return _refuted(sl, j, *owner), None
-        return _orientation(sl, ends), owner
+        return ends, owner
     owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
     if owner is not None:
-        return _orientation(sl, ends), owner
+        return ends, owner
     flow = _StepFlow(n, trees, cands, gmask, ends)
     outcome = _orient_by_cuts(sl, j, flow, start)
     if outcome is None:
@@ -180,6 +178,7 @@ def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
             for k, e in enumerate(e for e in sl.edges if not e.is_loop()):
                 if outcome.direction[e.id][0] != sl.vertices[flow.ends[k][0]]:
                     flow.flip(k)
+            outcome = flow.ends
     if isinstance(outcome, SubpartitionCertificate):
         return outcome, None
     owner = _first_fit(flow.cands, trees, start, gmask) if flow.flips else None
@@ -190,8 +189,8 @@ def _orient_and_pack(g, dec, j, roots, slices=None, bounds=DEFAULT_BOUNDS):
     return outcome, owner
 
 
-def _orient_by_cuts(sl, j: int, flow, start) -> Orientation | SubpartitionCertificate | None:
-    """A covering orientation or a certificate found with the cut oracle alone, or None.
+def _orient_by_cuts(sl, j: int, flow, start) -> list | SubpartitionCertificate | None:
+    """A covering orientation's ends or a certificate found with the cut oracle alone, or None.
 
     The vertices w are checked in order, each by one flow of ``flow``,
     the atom's oracle with its edges as they point now, from the trees'
@@ -216,19 +215,14 @@ def _orient_by_cuts(sl, j: int, flow, start) -> Orientation | SubpartitionCertif
             if not _reverse_a_path(flow, x & ((1 << n) - 1), w, start):
                 return None
             x = flow.cut(1 << w, start)
-    return _orientation(sl, flow.ends)
+    return flow.ends
 
 
 def _orientation(sl, ends) -> Orientation:
     """The slice's edges turned as ``ends`` says, its loops as stored."""
-    direction = {}
-    oriented = iter(ends)
-    for e in sl.edges:
-        if e.is_loop():
-            direction[e.id] = (e.u, e.v)
-        else:
-            t, h = next(oriented)
-            direction[e.id] = (sl.vertices[t], sl.vertices[h])
+    direction = {e.id: (e.u, e.v) for e in sl.edges}
+    for e, (t, h) in zip((e for e in sl.edges if not e.is_loop()), ends):
+        direction[e.id] = sl.vertices[t], sl.vertices[h]
     return Orientation(direction)
 
 
@@ -249,46 +243,41 @@ def _refuted(sl, j: int, xmask: int, deficit: int) -> SubpartitionCertificate:
     return SubpartitionCertificate(j, (frozenset(part),), deficit)
 
 
-def _start_state(sl, entering, dec: AtomDecomposition, j: int, roots):
-    """The trees, their footholds, the arc candidates and the edges' starting ends.
+def _start_state(sl, dec: AtomDecomposition, j: int, roots):
+    """The trees, their footholds and the edges' starting ends, from the atom's slice.
 
-    Vertex k of the atom's slice has bit k.  The candidates are
-    ``(tail bit, head bit, hit)`` per non-loop arc into the atom, in
-    slice order (``packing._arc_candidates``).  ``ends`` holds the
-    (tail, head) vertex indices of each non-loop edge, in slice order:
-    edges point away from the atom's roots (from the heads of its
-    entering arcs when no root lies inside), by breadth-first distance
-    over its edges and arcs.
+    ``ends`` holds the (tail, head) vertex indices of each non-loop edge,
+    in slice order: edges point away from the atom's roots (from the
+    heads of its entering arcs when no root lies inside), by
+    breadth-first distance over its edges and arcs.
     """
-    vertices, edges, arcs, _crossing = sl
-    gamma = dec.atoms[j]
-    at = {v: k for k, v in enumerate(vertices)}
-    n = len(vertices)
     trees = sorted(dec.atom_roots[j])
-    start = {i: 1 << at[roots[i]] if roots[i] in gamma else 0 for i in trees}
-    pairs = [(at[u], at[v]) for _eid, u, v in edges if u != v]
-
-    ends = []
-    if pairs:
-        near = [[] for _ in range(n)]
-        for u, v in pairs:
-            near[u].append(v)
-            near[v].append(u)
-        for _aid, tail, head in arcs:
-            if tail in gamma:
-                near[at[tail]].append(at[head])
-        sources = [at[roots[i]] for i in trees if roots[i] in gamma]
-        dist = dict.fromkeys(sources or [at[a.head] for a in entering], 0)
-        queue = list(dist)
-        for u in queue:
-            for v in near[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        ends = [(v, u) if dist.get(v, n) < dist.get(u, n) else (u, v) for u, v in pairs]
-
-    cands = _arc_candidates(arcs, {v: 1 << k for v, k in at.items()}, trees, dec.reach)
-    return trees, start, [c[:3] for c in cands], ends
+    start, sources = {}, []
+    for i in trees:
+        jr, k = sl.at.get(roots[i], (None, 0))
+        if jr == j:
+            sources.append(k)
+        start[i] = 1 << k if jr == j else 0
+    if not sl.pairs:
+        return trees, start, []
+    n = len(sl.vertices)
+    near = [[] for _ in range(n)]
+    for u, v in sl.pairs:
+        near[u].append(v)
+        near[v].append(u)
+    for tb, hb, _hit in sl.cands:
+        if tb >> n == 0:
+            near[tb.bit_length() - 1].append(hb.bit_length() - 1)
+    queue = sources or list(sl.heads)
+    dist = [n] * n
+    for u in queue:
+        dist[u] = 0
+    for u in queue:
+        for v in near[u]:
+            if dist[v] == n:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return trees, start, [(v, u) if dist[v] < dist[u] else (u, v) for u, v in sl.pairs]
 
 
 def _reverse_a_path(flow, y: int, w: int, start) -> bool:

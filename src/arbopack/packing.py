@@ -82,8 +82,8 @@ def pack_reachability(d: DirectedView, roots: Sequence[str]):
             i: frozenset((roots[i],)) if roots[i] in gamma else dec.reach[i] - gamma
             for i in sorted(atom_roots[j])
         }
-        vertices, _edges, arcs, _crossing = slices[j]
-        result = pack_atom_branchings(d, gamma, demands, vertices, arcs)
+        sl = slices[j]
+        result = pack_atom_branchings(d, gamma, demands, sl.vertices, sl.arcs)
         if isinstance(result, frozenset):
             return _lift_witness(d, result, gamma)
         for i, taken in result.items():

@@ -35,7 +35,7 @@ from .graph_core import (
     lexicographic_orientation,
     mixed_reachable_set,
 )
-from .orientation import SubpartitionCertificate, _orient_and_pack
+from .orientation import SubpartitionCertificate, _orient_and_pack, _orientation
 
 
 class EdgeUse(NamedTuple):
@@ -171,7 +171,7 @@ def verify_certificate(
 
 
 def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds):
-    """Each atom's slice, covering orientation and owner list, in atom order.
+    """Each atom's slice, edge ends and owner list, in atom order.
 
     Each atom is oriented and packed in one call
     (``orientation._orient_and_pack``); its owner list names the tree
@@ -209,8 +209,8 @@ def covering_orientation(
     if isinstance(oriented, BiSetFamilyCertificate):
         return oriented
     direction: dict[str, tuple[str, str]] = {}
-    for _sl, outcome, _owner in oriented:
-        direction.update(outcome.direction)
+    for sl, ends, _owner in oriented:
+        direction.update(_orientation(sl, ends).direction)
     leftover = [e.id for e in g.edges if e.id not in direction]
     direction.update(lexicographic_orientation(g, leftover).direction)
     return Orientation(direction)
@@ -224,30 +224,31 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     be oriented.  Atoms are oriented in order, and each is packed as soon
     as it is oriented, on the cut oracle that oriented it when first fit
     could not pack it from its starting directions (see
-    ``orientation._orient_and_pack``).  The trees are then assembled,
-    each with its arcs and edges in declaration order.
+    ``orientation._orient_and_pack``).  Owners go into arrays indexed by
+    position in ``g.arcs`` and ``g.edges``, so one scan of each gives
+    every tree its arcs and edges in declaration order.
     """
     roots = tuple(roots)
     oriented = _orient_atoms(g, roots, bounds)
     if isinstance(oriented, BiSetFamilyCertificate):
         return oriented
-    arc_tree: dict[str, int] = {}
-    edge_use: dict[str, tuple[int, EdgeUse]] = {}
-    for sl, outcome, owner in oriented:
-        arcs = [a for a in sl.arcs if not a.is_loop()]
-        edges = [e for e in sl.edges if not e.is_loop()]
-        arc_tree.update((a.id, i) for a, i in zip(arcs, owner) if i is not None)
-        for e, i in zip(edges, owner[len(arcs) :]):
+    arc_owner: list[int | None] = [None] * len(g.arcs)
+    edge_use: list[tuple[int, str, str] | None] = [None] * len(g.edges)
+    for sl, ends, owner in oriented:
+        for pos, i in zip(sl.arc_pos, owner):
+            arc_owner[pos] = i
+        vertices = sl.vertices
+        for pos, (t, h), i in zip(sl.edge_pos, ends, owner[len(sl.arc_pos) :]):
             if i is not None:
-                edge_use[e.id] = i, EdgeUse(e.id, *outcome.direction[e.id])
+                edge_use[pos] = i, vertices[t], vertices[h]
     tree_arcs: list[list[str]] = [[] for _ in roots]
     tree_edges: list[list[EdgeUse]] = [[] for _ in roots]
-    for a in g.arcs:
-        if a.id in arc_tree:
-            tree_arcs[arc_tree[a.id]].append(a.id)
-    for e in g.edges:
-        if e.id in edge_use:
-            tree_edges[edge_use[e.id][0]].append(edge_use[e.id][1])
+    for a, i in zip(g.arcs, arc_owner):
+        if i is not None:
+            tree_arcs[i].append(a.id)
+    for e, use in zip(g.edges, edge_use):
+        if use is not None:
+            tree_edges[use[0]].append(EdgeUse(e.id, use[1], use[2]))
     return MixedPacking(tuple(
         MixedTree(i, r, tuple(tree_arcs[i]), tuple(tree_edges[i])) for i, r in enumerate(roots)
     ))

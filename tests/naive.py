@@ -9,8 +9,9 @@ section holds the cut, cover and certificate helpers that only the tests
 call; the solver itself never needs them.  The two sections before it
 keep the slower forms the solver's code must match exactly: the
 certificate search and edge fixing; and the frozenset-keyed atom
-decomposition, the auxiliary graph built from whole-graph scans, with
-the packing step check as a requirement sweep.
+decomposition, the auxiliary graph and an atom's starting state built
+from whole-graph scans, with the packing step check as a requirement
+sweep.
 """
 
 from __future__ import annotations
@@ -482,8 +483,8 @@ def reference_fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
-# reference forms of the atom decomposition, the auxiliary graph and the
-# packing step check
+# reference forms of the atom decomposition, the auxiliary graph, an
+# atom's starting state and the packing step check
 
 
 def reference_decompose(graph, roots: Sequence[str]) -> AtomDecomposition:
@@ -549,6 +550,68 @@ def reference_build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> 
     )
     graph = MixedGraph(vertices, edges, arcs)
     return AuxiliaryGraph(atom_index=j, graph=graph, gamma=gamma, terminal_origin=origin)
+
+
+def reference_start_state(g: MixedGraph, dec: AtomDecomposition, j: int, roots: Sequence[str]):
+    """Atom ``j``'s trees, footholds, arc candidates and starting edge ends, string-keyed.
+
+    Scans the whole graph for the atom's vertices, edges and arcs, keys
+    each vertex's bit by its name, and takes an entering arc's ``hit``
+    from the trees' reach sets.  Raises for an edge crossing the atom's
+    boundary, then for a vertex with the name of one of its terminals.
+    ``ends`` points each non-loop edge away from the atom's roots (from
+    the heads of its entering arcs when no root lies inside), by
+    breadth-first distance over its edges and arcs.
+    """
+    gamma = dec.atoms[j]
+    for e in g.edges:
+        if (e.u in gamma) != (e.v in gamma):
+            raise InvariantError(
+                f"edge {e.id!r} crosses the atom boundary; atoms cannot share edges"
+            )
+    vertices = [v for v in g.vertices if v in gamma]
+    arcs = [a for a in g.arcs if a.head in gamma]
+    entering = [a for a in arcs if a.tail not in gamma]
+    for a in entering:
+        t = f"{RESERVED_TERMINAL_PREFIX}{a.id}"
+        if t in g.vertex_set:
+            raise ValueError(
+                f"vertex {t!r} uses the {RESERVED_TERMINAL_PREFIX!r} prefix "
+                "reserved for terminal ids"
+            )
+    at = {v: k for k, v in enumerate(vertices)}
+    n = len(vertices)
+    trees = sorted(dec.atom_roots[j])
+    start = {i: 1 << at[roots[i]] if roots[i] in gamma else 0 for i in trees}
+    pairs = [(at[e.u], at[e.v]) for e in g.edges if e.u in gamma and not e.is_loop()]
+    ends = []
+    if pairs:
+        near = [[] for _ in range(n)]
+        for u, v in pairs:
+            near[u].append(v)
+            near[v].append(u)
+        for a in arcs:
+            if a.tail in gamma:
+                near[at[a.tail]].append(at[a.head])
+        sources = [at[roots[i]] for i in trees if roots[i] in gamma]
+        dist = dict.fromkeys(sources or [at[a.head] for a in entering], 0)
+        queue = list(dist)
+        for u in queue:
+            for v in near[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        ends = [(v, u) if dist.get(v, n) < dist.get(u, n) else (u, v) for u, v in pairs]
+    cands = []
+    for a in arcs:
+        if a.is_loop():
+            continue
+        if a.tail in gamma:
+            cands.append((1 << at[a.tail], 1 << at[a.head], 0))
+        else:
+            hit = sum(1 << i for i in trees if a.tail in dec.reach[i])
+            cands.append((1 << n + len(cands), 1 << at[a.head], hit))
+    return trees, start, cands, ends
 
 
 def reference_step_check(gmask, footholds, atom_arcs, term_arcs, wbit: int) -> bool:

@@ -229,7 +229,7 @@ class TestAuxiliaryGraph:
     def test_root_atom_aux_has_no_terminals(self, two_root_dec):
         g, roots, dec = two_root_dec
         aux = build_auxiliary(g, dec, atom_index_of(dec, ["r1", "v1", "v2", "v5"]))
-        assert aux.terminals == ()
+        assert aux.terminal_origin == {}
         assert sorted(e.id for e in aux.graph.edges) == ["e1", "e2", "e3", "e6"]
         assert list(aux.graph.arcs) == []
 
@@ -243,7 +243,7 @@ class TestAuxiliaryGraph:
     def test_terminal_in_degree_zero_single_out(self, two_root_dec):
         g, roots, dec = two_root_dec
         aux = build_auxiliary(g, dec, atom_index_of(dec, ["v3", "v4"]))
-        for t in aux.terminals:
+        for t in aux.terminal_origin:
             assert sum(1 for a in aux.graph.arcs if a.head == t) == 0
             outs = [a for a in aux.graph.arcs if a.tail == t]
             assert len(outs) == 1
@@ -313,7 +313,7 @@ class TestAuxiliaryReference:
             aux = build(*args)
         except (InvariantError, ValueError) as exc:
             return type(exc), str(exc)
-        fields = (aux.atom_index, aux.gamma, aux.terminal_origin, aux.terminals)
+        fields = (aux.atom_index, aux.gamma, aux.terminal_origin, tuple(aux.terminal_origin))
         return ("built",) + fields + (aux.graph.vertices, aux.graph.edges, aux.graph.arcs)
 
     def assert_matches(self, g, dec):

@@ -23,11 +23,12 @@ from arbopack import (
     verify_certificate,
 )
 from arbopack import orientation, packing
-from arbopack.decomposition import _atom_slices, _entering_arcs, _worst_completion
+from arbopack.decomposition import _atom_slices, _worst_completion
 from arbopack.orientation import (
     _extract_certificate,
     _fix_edges,
     _orient_by_cuts,
+    _orientation,
     _reduced_table,
     _start_state,
     orient_atom,
@@ -331,9 +332,9 @@ class TestCapacity:
 
 def start_oracle(g, roots, dec, j, sl):
     """Atom ``j``'s cut oracle, with its edges in the starting orientation, and the footholds."""
-    trees, start, cands, ends = _start_state(sl, _entering_arcs(g, dec.atoms[j], sl), dec, j, roots)
+    trees, start, ends = _start_state(sl, dec, j, roots)
     n = len(sl.vertices)
-    return _StepFlow(n, trees, cands, (1 << n) - 1, ends), start
+    return _StepFlow(n, trees, sl.cands, (1 << n) - 1, ends), start
 
 
 def atom_oracles(rng, count, **kw):
@@ -413,7 +414,8 @@ class TestFastPath:
     @staticmethod
     def fast(g, roots, dec, j, slices):
         sl = slices[j]
-        return _orient_by_cuts(sl, j, *start_oracle(g, roots, dec, j, sl))
+        outcome = _orient_by_cuts(sl, j, *start_oracle(g, roots, dec, j, sl))
+        return _orientation(sl, outcome) if isinstance(outcome, list) else outcome
 
     def test_fast_orientations_cover(self):
         # Each orientation the fast path returns covers its atom, and each

@@ -339,8 +339,8 @@ class TestPackAtomBranchings:
                     for i in sorted(dec.atom_roots[j])
                 }
                 whole = pack_atom_branchings(d, gamma, demands)
-                vertices, _edges, arcs, _crossing = slices[j]
-                sliced = pack_atom_branchings(d, gamma, demands, vertices, arcs)
+                sl = slices[j]
+                sliced = pack_atom_branchings(d, gamma, demands, sl.vertices, sl.arcs)
                 assert sliced == whole
                 infeasible[isinstance(whole, frozenset)] += 1
         assert min(infeasible) > 30, infeasible

@@ -10,6 +10,7 @@ import pytest
 from arbopack import (
     Arborescence,
     Arc,
+    AtomDecomposition,
     BiSet,
     BiSetFamilyCertificate,
     DEFAULT_BOUNDS,
@@ -36,12 +37,11 @@ from arbopack import (
 )
 import arbopack
 from arbopack import graph_core, orientation, packing, pipeline
-from arbopack.decomposition import _atom_slices, _entering_arcs, biset_in_degree, lift_biset, p_value
+from arbopack.decomposition import _atom_slices, _check_atom, biset_in_degree, lift_biset, p_value
 from arbopack.errors import InvariantError
 from arbopack.orientation import (
     SubpartitionCertificate,
     _orient_by_cuts,
-    _orientation,
     _start_state,
 )
 from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow, reachable_in_view
@@ -62,6 +62,7 @@ from naive import (
     make_subpartition_certificate,
     naive_orientation_covers,
     naive_rho_view,
+    reference_start_state,
     subpartitions,
 )
 
@@ -885,8 +886,9 @@ class TestFirstFit:
         for g, roots in cases:
             dec = compute_atoms(g, roots)
             for j, sl in enumerate(_atom_slices(g, dec)):
-                entering = _entering_arcs(g, dec.atoms[j], sl)
-                trees, start, cands, ends = _start_state(sl, entering, dec, j, roots)
+                _check_atom(sl)
+                trees, start, ends = _start_state(sl, dec, j, roots)
+                cands = sl.cands
                 gmask = (1 << len(sl.vertices)) - 1
                 owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
                 seen[owner is not None, bool(ends)] += 1
@@ -894,7 +896,7 @@ class TestFirstFit:
                     continue
                 flips.clear()
                 flow = _StepFlow(len(sl.vertices), trees, cands, gmask, ends)
-                assert _orient_by_cuts(sl, j, flow, start) == _orientation(sl, ends)
+                assert _orient_by_cuts(sl, j, flow, start) == ends
                 assert not flips
                 assert _grow(flow.cands, trees, dict(start), gmask, flow) == owner
         assert min(seen.values()) > 200, seen
@@ -1011,4 +1013,116 @@ class TestEdgelessAtoms:
         assert len(scans) == 1
         assert solve(g, roots) == BiSetFamilyCertificate(
             2, (BiSet(frozenset({"c"}), frozenset({"c"})),), 1, 2
+        )
+
+
+def with_terminal_names(rng, g, roots):
+    """``g`` and ``roots`` with some vertices renamed ``t:<arc-id>`` after arcs of ``g``."""
+    ids = [a.id for a in g.arcs]
+    rng.shuffle(ids)
+    names = {v: f"t:{aid}" for v, aid in zip(g.vertices, ids) if rng.random() < 0.6}
+    rename = lambda v: names.get(v, v)
+    renamed = MixedGraph(
+        tuple(map(rename, g.vertices)),
+        tuple(Edge(e.id, rename(e.u), rename(e.v)) for e in g.edges),
+        tuple(Arc(a.id, rename(a.tail), rename(a.head)) for a in g.arcs),
+    )
+    return renamed, [rename(r) for r in roots]
+
+
+class TestStartState:
+    """The one pass sets every atom up as the string-keyed derivation does."""
+
+    @staticmethod
+    def outcome(derive):
+        try:
+            trees, start, cands, ends = derive()
+        except (InvariantError, ValueError) as exc:
+            return type(exc), str(exc)
+        return trees, tuple(start.items()), cands, ends
+
+    def assert_matches(self, g, roots, dec, seen):
+        for j, sl in enumerate(_atom_slices(g, dec)):
+
+            def one_pass():
+                _check_atom(sl)
+                trees, start, ends = _start_state(sl, dec, j, roots)
+                return trees, start, sl.cands, ends
+
+            got = self.outcome(one_pass)
+            assert got == self.outcome(lambda: reference_start_state(g, dec, j, roots))
+            gamma = dec.atoms[j]
+            arcs = [a for a in sl.arcs if not a.is_loop()]
+            edges = [e for e in sl.edges if not e.is_loop()]
+            assert [g.arcs[pos] for pos in sl.arc_pos] == arcs
+            assert [g.edges[pos] for pos in sl.edge_pos] == edges
+            assert [(sl.vertices[u], sl.vertices[v]) for u, v in sl.pairs] == [e[1:] for e in edges]
+            assert sl.heads == [sl.at[a.head][1] for a in arcs if a.tail not in gamma]
+            seen[got[0] if isinstance(got[0], type) else bool(got[2] and got[3])] += 1
+
+    def test_matches_the_reference(self):
+        seen = Counter()
+        cases = list(bench_instances(110))
+        rng = random.Random(2121)
+        cases += [random_mixed_instance(rng, max_v=8, max_e=10, max_a=10, max_k=4) for _ in range(1200)]
+        cases += [random_digraph_instance(rng, max_v=7, max_a=12) for _ in range(300)]
+        cases += [
+            with_terminal_names(rng, *random_mixed_instance(rng, max_v=7, max_e=6, max_a=10))
+            for _ in range(600)
+        ]
+        for g, roots in cases:
+            self.assert_matches(g, roots, compute_atoms(g, roots), seen)
+        assert seen[ValueError] > 50 and min(seen[True], seen[False]) > 1000, seen
+
+    def test_crossing_edges_raise_first(self):
+        # e2 joins atoms 1 and 2; arc a1 into atom 2 and arc a2 into atom
+        # 3 have the names of vertices in no atom
+        g = MixedGraph(
+            ("r", "u", "w", "x", "y", "t:a1", "t:a2"),
+            (Edge("e1", "u", "r"), Edge("e2", "w", "x")),
+            (Arc("a1", "r", "x"), Arc("a2", "r", "y")),
+        )
+        dec = AtomDecomposition(
+            reach=(frozenset(g.vertices),),
+            atoms=(frozenset("ru"), frozenset("w"), frozenset("x"), frozenset("y")),
+            atom_roots=(frozenset({0}),) * 4,
+        )
+        seen = Counter()
+        self.assert_matches(g, ["r"], dec, seen)
+        assert seen == Counter({InvariantError: 2, ValueError: 1, False: 1})
+
+
+class TestReservedTerminalNames:
+    """``solve`` raises for a vertex named as the terminal of an arc into an atom, and only then."""
+
+    def test_terminal_name_of_an_entering_arc(self):
+        g = MixedGraph(("r", "x", "t:a1"), (), (Arc("a1", "r", "x"),))
+        with pytest.raises(ValueError, match="reserved") as exc:
+            solve(g, ["r", "x"])
+        assert str(exc.value) == "vertex 't:a1' uses the 't:' prefix reserved for terminal ids"
+
+    def test_other_terminal_names_solve(self):
+        # t:a1 names an arc inside an atom, t:e1 an edge
+        g = MixedGraph(
+            ("r", "x", "y", "t:a1", "t:e1"),
+            (Edge("e1", "r", "x"), Edge("e2", "x", "r")),
+            (
+                Arc("a1", "x", "r"),
+                Arc("a2", "x", "y"),
+                Arc("a3", "y", "t:a1"),
+                Arc("a4", "y", "t:a1"),
+                Arc("a5", "t:e1", "y"),
+            ),
+        )
+        assert solve(g, ["r", "y"]) == MixedPacking((
+            MixedTree(0, "r", ("a2", "a3"), (EdgeUse("e1", "r", "x"),)),
+            MixedTree(1, "y", ("a4",), ()),
+        ))
+
+    def test_a_refuted_atom_comes_first(self):
+        # atom {r, x} is refuted before atom {z}, whose arc a9 has the
+        # name of vertex t:a9, is set up
+        g = MixedGraph(("r", "x", "z", "t:a9"), (Edge("e1", "r", "x"),), (Arc("a9", "x", "z"),))
+        assert solve(g, ["r", "r", "z"]) == BiSetFamilyCertificate(
+            0, (BiSet(frozenset({"x"}), frozenset({"x"})),), 1, 2
         )

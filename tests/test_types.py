@@ -198,7 +198,5 @@ def test_cached_property_computed_once():
     g = MixedGraph(["a", "b"], arcs=[Arc("a1", "a", "b")])
     assert g.arc_by_id is g.arc_by_id
     assert g.arc_by_id == {"a1": Arc("a1", "a", "b")}
-    aux = AuxiliaryGraph(*SAMPLES[AuxiliaryGraph])
-    assert aux.terminals is aux.terminals
     dec = AtomDecomposition(*SAMPLES[AtomDecomposition])
     assert dec.atom_of is dec.atom_of
