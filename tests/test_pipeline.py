@@ -1021,7 +1021,10 @@ def with_terminal_names(rng, g, roots):
     ids = [a.id for a in g.arcs]
     rng.shuffle(ids)
     names = {v: f"t:{aid}" for v, aid in zip(g.vertices, ids) if rng.random() < 0.6}
-    rename = lambda v: names.get(v, v)
+
+    def rename(v):
+        return names.get(v, v)
+
     renamed = MixedGraph(
         tuple(map(rename, g.vertices)),
         tuple(Edge(e.id, rename(e.u), rename(e.v)) for e in g.edges),
