@@ -12,13 +12,13 @@ from .errors import ArbopackError, CapacityError, InvariantError, ParseError
 from .graph_core import (
     Arc,
     CheckResult,
-    DirectedView,
     Edge,
+    EdgeUse,
     MixedGraph,
+    MixedPacking,
+    MixedTree,
     Orientation,
-    ViewArc,
     apply_orientation,
-    arcs_view,
     mixed_reachable_set,
     parse_mixed_graph,
 )
@@ -34,18 +34,9 @@ from .orientation import (
     SubpartitionCertificate,
     orient_covering,
 )
-from .packing import (
-    Arborescence,
-    DigraphPacking,
-    pack_atom_branchings,
-    pack_reachability,
-    validate_digraph_packing,
-)
+from .packing import pack_atom_branchings, pack_reachability
 from .pipeline import (
     BiSetFamilyCertificate,
-    EdgeUse,
-    MixedPacking,
-    MixedTree,
     certificate_from_subpartition,
     covering_orientation,
     solve,
@@ -57,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "Arborescence",
     "ArbopackError",
     "AtomDecomposition",
     "AuxiliaryGraph",
@@ -68,8 +58,6 @@ __all__ = [
     "CheckResult",
     "CoverRequirement",
     "DEFAULT_BOUNDS",
-    "DigraphPacking",
-    "DirectedView",
     "Edge",
     "EdgeUse",
     "InvariantError",
@@ -79,9 +67,7 @@ __all__ = [
     "Orientation",
     "ParseError",
     "SubpartitionCertificate",
-    "ViewArc",
     "apply_orientation",
-    "arcs_view",
     "build_auxiliary",
     "certificate_from_subpartition",
     "covering_orientation",
@@ -92,7 +78,6 @@ __all__ = [
     "pack_reachability",
     "parse_mixed_graph",
     "solve",
-    "validate_digraph_packing",
     "validate_mixed_packing",
     "verify_certificate",
 ]

@@ -15,18 +15,17 @@ from typing import Sequence
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import BiSet, compute_atoms
 from .errors import ArbopackError, CapacityError, InvariantError, ParseError
-from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, arcs_view, parse_mixed_graph
-from .orientation import SubpartitionCertificate, orient_atom
-from .packing import DigraphPacking, pack_reachability
-from .pipeline import (
-    BiSetFamilyCertificate,
+from .graph_core import (
+    RESERVED_TERMINAL_PREFIX,
     EdgeUse,
+    MixedGraph,
     MixedPacking,
     MixedTree,
-    solve,
-    validate_mixed_packing,
-    verify_certificate,
+    parse_mixed_graph,
 )
+from .orientation import SubpartitionCertificate, orient_atom
+from .packing import pack_reachability
+from .pipeline import BiSetFamilyCertificate, solve, validate_mixed_packing, verify_certificate
 
 GRAMMAR = """\
 input grammar (one declaration per line, '#' starts a comment):
@@ -261,8 +260,8 @@ def _cmd_pack_digraph(args) -> int:
     g, roots = _load_graph(args.file)
     if g.edges:
         raise ParseError("pack-digraph accepts arcs only; the input declares edges")
-    result = pack_reachability(arcs_view(g), roots)
-    if not isinstance(result, DigraphPacking):
+    result = pack_reachability(g, roots)
+    if not isinstance(result, MixedPacking):
         order = g.vertex_index
         _emit(
             {
@@ -273,8 +272,9 @@ def _cmd_pack_digraph(args) -> int:
         )
         return 2
     for tree in result.trees:
-        print(f"tree {tree.root_index + 1} root {roots[tree.root_index]}")
-        for a in tree.arcs:
+        print(f"tree {tree.root_index + 1} root {tree.root}")
+        for aid in tree.arcs:
+            a = g.arc_by_id[aid]
             print(f"{a.id} {a.tail} {a.head}")
     return 0
 

@@ -24,16 +24,7 @@ from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CapacityError, InvariantError
-from .graph_core import (
-    RESERVED_TERMINAL_PREFIX,
-    Arc,
-    DirectedView,
-    Edge,
-    MixedGraph,
-    ViewArc,
-    _reachable,
-    _Value,
-)
+from .graph_core import RESERVED_TERMINAL_PREFIX, Arc, Edge, MixedGraph, _reachable, _Value
 
 
 class BiSet(_Value):
@@ -79,6 +70,7 @@ class AtomDecomposition(_Value):
 
     @cached_property
     def atom_of(self) -> Mapping[str, int]:
+        """Each atom vertex's atom; :func:`compute_atoms` files it as it groups them."""
         out: dict[str, int] = {}
         for j, members in enumerate(self.atoms):
             for v in members:
@@ -87,12 +79,7 @@ class AtomDecomposition(_Value):
 
 
 def compute_atoms(g: MixedGraph, roots: Sequence[str]) -> AtomDecomposition:
-    """Atoms of ``g`` with respect to the given (possibly repeated) roots."""
-    return _decompose(g, roots)
-
-
-def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDecomposition:
-    """Atoms of a mixed graph or a directed view.
+    """Atoms of ``g`` with respect to the given (possibly repeated) roots.
 
     Vertices are grouped by their nonempty reaching-root sets; atom order
     follows the first appearance of each root set in the vertex order.
@@ -101,12 +88,12 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
     into root indices once.
     """
     for r in roots:
-        if r not in graph.vertex_set:
+        if r not in g.vertex_set:
             raise ValueError(f"unknown root {r!r}")
     indices: dict[str, list[int]] = {}
     for i, r in enumerate(roots):
         indices.setdefault(r, []).append(i)
-    reach_of = {r: _reachable(graph._successors, r) for r in indices}
+    reach_of = {r: _reachable(g._successors, r) for r in indices}
     # bit d of a vertex's key: the d-th distinct root reaches it
     key_of: dict[str, int] = {}
     for d, r in enumerate(indices):
@@ -115,7 +102,8 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
     members: list[list[str]] = []
     keys: list[int] = []
     where: dict[int, int] = {}
-    for v in graph.vertices:
+    atom_of: dict[str, int] = {}
+    for v in g.vertices:
         key = key_of.get(v)
         if key is None:
             continue
@@ -126,10 +114,11 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
             members.append([])
             keys.append(key)
         members[j].append(v)
+        atom_of[v] = j
     # reachability only grows along an arc, so root sets must be nested;
-    # an Arc or ViewArc holds (id, tail, head, ...), read by index, which
-    # is faster than by field
-    for a in graph.arcs:
+    # an Arc holds (id, tail, head), read by index, which is faster than
+    # by field
+    for a in g.arcs:
         key = key_of.get(a[1])
         if key is not None and key & ~key_of.get(a[2], 0):
             raise InvariantError(
@@ -144,18 +133,21 @@ def _decompose(graph: MixedGraph | DirectedView, roots: Sequence[str]) -> AtomDe
             idx += per_root[low.bit_length() - 1]
             key ^= low
         atom_roots.append(frozenset(idx))
-    return AtomDecomposition(
+    dec = AtomDecomposition(
         reach=tuple(reach_of[r] for r in roots),
         atoms=tuple(frozenset(m) for m in members),
         atom_roots=tuple(atom_roots),
     )
+    # atom_of is a cached property: the dict built above is its value
+    object.__setattr__(dec, "atom_of", atom_of)
+    return dec
 
 
-def biset_in_degree(d: MixedGraph | DirectedView, x: BiSet) -> int:
-    """Arcs (of a graph or a view) from outside the outer set into the inner set."""
+def biset_in_degree(g: MixedGraph, x: BiSet) -> int:
+    """Arcs of ``g`` from outside the outer set into the inner set."""
     outer, inner = x.outer, x.inner
-    d.require_vertices(outer)
-    return sum(1 for a in d.arcs if a[2] in inner and a[1] not in outer)
+    g.require_vertices(outer)
+    return sum(1 for a in g.arcs if a[2] in inner and a[1] not in outer)
 
 
 def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
@@ -217,7 +209,7 @@ class _AtomSlice(NamedTuple):
 
     vertices: list[str]
     edges: list[Edge]  # both ends in the atom
-    arcs: list[Arc | ViewArc]  # head in the atom
+    arcs: list[Arc]  # head in the atom
     crossing: Edge | None  # the first edge with exactly one end in the atom
     reserved: str | None  # the first terminal name of an entering arc that a vertex has
     pairs: list[tuple[int, int]]  # per non-loop edge, its ends' indices
@@ -228,10 +220,8 @@ class _AtomSlice(NamedTuple):
     at: Mapping[str, tuple[int, int]]  # every atom vertex's atom and index in it
 
 
-def _atom_slices(
-    graph: MixedGraph | DirectedView, dec: AtomDecomposition
-) -> list[_AtomSlice]:
-    """Every atom's slice of ``graph``, set up in one pass over it.
+def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
+    """Every atom's slice of ``g``, set up in one pass over it.
 
     Per-atom set-up then reads its atom only, in integers, so a solve
     costs the graph once plus the atoms, not atoms times the graph.  An
@@ -247,12 +237,12 @@ def _atom_slices(
     )
     crossing, reserved = [None] * count, [None] * count
     at: dict[str, tuple[int, int]] = {}
-    for v in graph.vertices:
+    for v in g.vertices:
         j = atom_of.get(v)
         if j is not None:
             at[v] = j, len(vertices[j])
             vertices[j].append(v)
-    for pos, e in enumerate(graph.edges if isinstance(graph, MixedGraph) else ()):
+    for pos, e in enumerate(g.edges):
         ju, u = at.get(e[1], (None, None))
         jv, v = at.get(e[2], (None, None))
         if ju != jv:
@@ -265,11 +255,11 @@ def _atom_slices(
                 pairs[ju].append((u, v))
                 edge_pos[ju].append(pos)
     rootmask = [sum(map((1).__lshift__, r)) for r in dec.atom_roots]
-    names = graph.vertex_set if any(
-        isinstance(v, str) and v.startswith(RESERVED_TERMINAL_PREFIX) for v in graph.vertices
+    names = g.vertex_set if any(
+        isinstance(v, str) and v.startswith(RESERVED_TERMINAL_PREFIX) for v in g.vertices
     ) else ()
-    # an Arc or ViewArc holds (id, tail, head, ...), read by index
-    for pos, a in enumerate(graph.arcs):
+    # an Arc holds (id, tail, head), read by index
+    for pos, a in enumerate(g.arcs):
         j, h = at.get(a[2], (None, None))
         if j is None:
             continue

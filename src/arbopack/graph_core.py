@@ -1,4 +1,4 @@
-"""Mixed multigraph model, parsing, orientations, and cut primitives.
+"""Mixed multigraph model, packings, parsing, orientations, and cut primitives.
 
 A mixed graph combines undirected edges and directed arcs over a shared
 vertex set.  Everything here is immutable after construction and every
@@ -97,24 +97,6 @@ class CheckResult(NamedTuple):
 OK_RESULT = CheckResult(True)
 
 
-def _require_vertices(graph, xs: Iterable[str]) -> frozenset[str]:
-    """``xs`` as a frozenset; ``ValueError`` if a member is not a vertex.
-
-    The error names the least stray string, so it does not depend on
-    string hashing; strays that are not strings (say, from JSON input)
-    come after every string and are ordered by type name and ``repr``.
-    """
-    xs = frozenset(xs)
-    stray = xs - graph.vertex_set
-    if stray:
-        first = min(
-            stray,
-            key=lambda v: (0, v) if isinstance(v, str) else (1, type(v).__name__, repr(v)),
-        )
-        raise ValueError(f"unknown vertex {first!r}")
-    return xs
-
-
 class MixedGraph(_Value):
     """Immutable mixed multigraph over named vertices.
 
@@ -189,7 +171,22 @@ class MixedGraph(_Value):
         except KeyError:
             raise ValueError(f"unknown vertex {v!r}") from None
 
-    require_vertices = _require_vertices
+    def require_vertices(self, xs: Iterable[str]) -> frozenset[str]:
+        """``xs`` as a frozenset; ``ValueError`` if a member is not a vertex.
+
+        The error names the least stray string, so it does not depend on
+        string hashing; strays that are not strings (say, from JSON input)
+        come after every string and are ordered by type name and ``repr``.
+        """
+        xs = frozenset(xs)
+        stray = xs - self.vertex_set
+        if stray:
+            first = min(
+                stray,
+                key=lambda v: (0, v) if isinstance(v, str) else (1, type(v).__name__, repr(v)),
+            )
+            raise ValueError(f"unknown vertex {first!r}")
+        return xs
 
 
 class Orientation(_Value):
@@ -203,55 +200,6 @@ class Orientation(_Value):
 
     def edge_ids(self) -> frozenset[str]:
         return frozenset(self.direction)
-
-
-class ViewArc(NamedTuple):
-    """Arc of a :class:`DirectedView`, tagged with where it came from."""
-
-    id: str
-    tail: str
-    head: str
-    origin: str  # "arc" for native arcs, "edge" for oriented edges
-
-    @property
-    def key(self) -> tuple[str, str]:
-        return (self.origin, self.id)
-
-    def is_loop(self) -> bool:
-        return self.tail == self.head
-
-
-class DirectedView(_Value):
-    """A fully directed picture of a mixed graph.
-
-    Combines native arcs with oriented edges; origin tags keep the two
-    populations apart so results can be mapped back.
-    """
-
-    _fields = ("vertices", "arcs")
-    vertices: tuple[str, ...]
-    arcs: tuple[ViewArc, ...]
-
-    def __init__(self, vertices: Iterable[str], arcs: Iterable[ViewArc]):
-        object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "arcs", tuple(arcs))
-
-    @cached_property
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self.vertices)
-
-    @cached_property
-    def arc_by_key(self) -> Mapping[tuple[str, str], ViewArc]:
-        return {a.key: a for a in self.arcs}
-
-    @cached_property
-    def _successors(self) -> Mapping[str, list[str]]:
-        succ: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for a in self.arcs:
-            succ[a.tail].append(a.head)
-        return succ
-
-    require_vertices = _require_vertices
 
 
 class Subpartition(_Value):
@@ -270,6 +218,50 @@ class Subpartition(_Value):
                 raise ValueError("subpartition parts overlap")
             seen |= p
         object.__setattr__(self, "parts", parts)
+
+
+class EdgeUse(NamedTuple):
+    """An undirected edge consumed by a tree, with its chosen direction."""
+
+    id: str
+    tail: str
+    head: str
+
+
+class MixedTree(NamedTuple):
+    """One mixed arborescence: native arcs plus directed edge usages."""
+
+    root_index: int
+    root: str
+    arcs: tuple[str, ...]
+    edges: tuple[EdgeUse, ...]
+
+
+class MixedPacking(NamedTuple):
+    trees: tuple[MixedTree, ...]
+
+
+def _packing_from_owners(
+    g: MixedGraph, roots: Sequence[str], arc_owner, edge_use
+) -> MixedPacking:
+    """The packing whose trees take ``g``'s arcs and edges as two position-indexed arrays say.
+
+    ``arc_owner[pos]`` is the tree owning ``g.arcs[pos]``, and
+    ``edge_use[pos]`` is ``(tree, tail, head)`` for ``g.edges[pos]``, or
+    None when no tree takes it.  One scan of each gives every tree its
+    arcs and edges in declaration order.
+    """
+    tree_arcs: list[list[str]] = [[] for _ in roots]
+    tree_edges: list[list[EdgeUse]] = [[] for _ in roots]
+    for a, i in zip(g.arcs, arc_owner):
+        if i is not None:
+            tree_arcs[i].append(a.id)
+    for e, use in zip(g.edges, edge_use):
+        if use is not None:
+            tree_edges[use[0]].append(EdgeUse(e.id, use[1], use[2]))
+    return MixedPacking(tuple(
+        MixedTree(i, r, tuple(tree_arcs[i]), tuple(tree_edges[i])) for i, r in enumerate(roots)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -442,8 +434,12 @@ def crossing_edge_count(g: MixedGraph, p: Subpartition) -> int:
     return n
 
 
-def apply_orientation(g: MixedGraph, o: Orientation) -> DirectedView:
-    """Replace every edge by an arc in the direction chosen by ``o``."""
+def apply_orientation(g: MixedGraph, o: Orientation) -> MixedGraph:
+    """The digraph of ``g`` with every edge turned as ``o`` says.
+
+    It has no edges: ``g``'s arcs, then one arc per edge, with the edge's
+    id.  An edge id that is also an arc id raises ``ValueError``.
+    """
     edge_ids = frozenset(e.id for e in g.edges)
     if o.edge_ids() != edge_ids:
         missing = sorted(edge_ids - o.edge_ids())
@@ -451,22 +447,15 @@ def apply_orientation(g: MixedGraph, o: Orientation) -> DirectedView:
         raise ValueError(
             f"orientation domain mismatch (missing {missing}, extra {extra})"
         )
-    arcs = [ViewArc(a.id, a.tail, a.head, "arc") for a in g.arcs]
+    arcs = list(g.arcs)
     for e in g.edges:
         t, h = o.direction[e.id]
         if frozenset((t, h)) != e.ends:
             raise ValueError(
                 f"orientation of edge {e.id!r} does not match its endpoints"
             )
-        arcs.append(ViewArc(e.id, t, h, "edge"))
-    return DirectedView(g.vertices, tuple(arcs))
-
-
-def arcs_view(g: MixedGraph) -> DirectedView:
-    """Directed view of the native arcs alone (edges ignored)."""
-    return DirectedView(
-        g.vertices, tuple(ViewArc(aid, tail, head, "arc") for aid, tail, head in g.arcs)
-    )
+        arcs.append(Arc(e.id, t, h))
+    return MixedGraph(g.vertices, (), arcs)
 
 
 def lexicographic_orientation(g: MixedGraph, edge_ids: Iterable[str] | None = None) -> Orientation:

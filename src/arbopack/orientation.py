@@ -60,7 +60,7 @@ from .decomposition import (
 )
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation, _Value
-from .packing import _edge_cands, _first_fit, _grow, _pack, _StepFlow
+from .packing import _edge_cands, _first_fit, _footholds, _grow, _pack, _StepFlow
 
 
 class CoverRequirement(_Value):
@@ -244,20 +244,14 @@ def _refuted(sl, j: int, xmask: int, deficit: int) -> SubpartitionCertificate:
 
 
 def _start_state(sl, dec: AtomDecomposition, j: int, roots):
-    """The trees, their footholds and the edges' starting ends, from the atom's slice.
+    """The trees, their footholds (``packing._footholds``) and the edges' starting ends.
 
     ``ends`` holds the (tail, head) vertex indices of each non-loop edge,
     in slice order: edges point away from the atom's roots (from the
     heads of its entering arcs when no root lies inside), by
     breadth-first distance over its edges and arcs.
     """
-    trees = sorted(dec.atom_roots[j])
-    start, sources = {}, []
-    for i in trees:
-        jr, k = sl.at.get(roots[i], (None, 0))
-        if jr == j:
-            sources.append(k)
-        start[i] = 1 << k if jr == j else 0
+    trees, start = _footholds(sl, dec, j, roots)
     if not sl.pairs:
         return trees, start, []
     n = len(sl.vertices)
@@ -268,7 +262,7 @@ def _start_state(sl, dec: AtomDecomposition, j: int, roots):
     for tb, hb, _hit in sl.cands:
         if tb >> n == 0:
             near[tb.bit_length() - 1].append(hb.bit_length() - 1)
-    queue = sources or list(sl.heads)
+    queue = [f.bit_length() - 1 for f in start.values() if f] or list(sl.heads)
     dist = [n] * n
     for u in queue:
         dist[u] = 0

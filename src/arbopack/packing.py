@@ -21,85 +21,86 @@ new oracle (:func:`_pack`), except in an atom of a mixed graph, which
 they are oriented.  Only an infeasible atom gets a checked tree stuck;
 its untouched atom is then checked from each vertex, and the first
 short cut, lifted to the whole digraph, is the violated set returned.
+A digraph is a mixed graph with no edges, and its packing is a
+``MixedPacking`` whose trees use no edge.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .decomposition import _atom_slices, _decompose
+from .decomposition import _atom_slices, compute_atoms
 from .errors import InvariantError
-from .graph_core import (
-    CheckResult,
-    DirectedView,
-    OK_RESULT,
-    ViewArc,
-    _check_arborescence,
-    _reachable,
-)
+from .graph_core import Arc, MixedGraph, MixedPacking, _packing_from_owners, _reachable
 
 
-class Arborescence(NamedTuple):
-    """One tree of a packing: a root index and the arcs it uses."""
-
-    root_index: int
-    arcs: tuple[ViewArc, ...]
-
-
-class DigraphPacking(NamedTuple):
-    """Arc-disjoint trees, one per root index, spanning their reach sets."""
-
-    trees: tuple[Arborescence, ...]
+def _require_digraph(g: MixedGraph) -> None:
+    """Raise ``ValueError`` naming the first edge of ``g``, if it has one."""
+    if g.edges:
+        raise ValueError(f"expected a digraph, but {g.edges[0].id!r} is an edge")
 
 
-def reachable_in_view(d: DirectedView, s: str) -> frozenset[str]:
-    """Vertices reachable from ``s`` along the view's arcs."""
-    if s not in d.vertex_set:
-        raise ValueError(f"unknown vertex {s!r}")
-    return _reachable(d._successors, s)
+def pack_reachability(g: MixedGraph, roots: Sequence[str]) -> MixedPacking | frozenset[str]:
+    """A packing of reachability arborescences in the digraph ``g``, or a violated vertex set.
 
-
-def pack_reachability(d: DirectedView, roots: Sequence[str]):
-    """A packing of reachability arborescences, or a violated vertex set.
-
-    Atoms are processed in topological order of their root-set lattice;
-    within each atom tree i starts from its root (when the root lies
-    inside) or from the arcs entering the atom out of U_i.  The view is
-    sliced by atom once, and each atom is packed on its own slice.
+    ``g`` is sliced by atom once.  The atoms are packed in topological
+    order of their root-set lattice (by root count, then index), each
+    from its slice's candidates (:func:`_pack`): tree i starts from its
+    root when the root lies inside, and otherwise from the arcs entering
+    the atom out of U_i.  The first atom that cannot be packed gives its
+    short set, lifted to a violated vertex set of ``g``
+    (:func:`_lift_witness`).  Raises ``ValueError`` when ``g`` has edges.
     """
-    dec = _decompose(d, roots)
-    atoms, atom_roots = dec.atoms, dec.atom_roots
-    slices = _atom_slices(d, dec)
-
-    order = sorted(range(len(atoms)), key=lambda j: (len(atom_roots[j]), j))
-    tree_arcs: dict[int, list[tuple[int, ViewArc]]] = {i: [] for i in range(len(roots))}
-    arc_pos = {a.key: pos for pos, a in enumerate(d.arcs)}
-
-    for j in order:
-        gamma = atoms[j]
-        demands = {
-            i: frozenset((roots[i],)) if roots[i] in gamma else dec.reach[i] - gamma
-            for i in sorted(atom_roots[j])
-        }
+    _require_digraph(g)
+    roots = tuple(roots)
+    dec = compute_atoms(g, roots)
+    slices = _atom_slices(g, dec)
+    arc_owner: list[int | None] = [None] * len(g.arcs)
+    for j in sorted(range(len(slices)), key=lambda j: (len(dec.atom_roots[j]), j)):
         sl = slices[j]
-        result = pack_atom_branchings(d, gamma, demands, sl.vertices, sl.arcs)
-        if isinstance(result, frozenset):
-            return _lift_witness(d, result, gamma)
-        for i, taken in result.items():
-            tree_arcs[i].extend((arc_pos[a.key], a) for a in taken)
+        owner = _pack_slice(g, sl, dec, j, roots)
+        if isinstance(owner, frozenset):
+            return _lift_witness(g, owner, dec.atoms[j])
+        for pos, i in zip(sl.arc_pos, owner):
+            arc_owner[pos] = i
+    return _packing_from_owners(g, roots, arc_owner, ())
 
-    trees = tuple(
-        Arborescence(i, tuple(a for _pos, a in sorted(tree_arcs[i], key=lambda x: x[0])))
-        for i in range(len(roots))
+
+def _pack_slice(
+    g: MixedGraph, sl, dec, j: int, roots: Sequence[str]
+) -> list[int | None] | frozenset[str]:
+    """Atom ``j``'s owner list, one per candidate of its slice ``sl``, or its deficient set.
+
+    The set is what :func:`pack_atom_branchings` returns: the atom part
+    of the short set :func:`_pack` found, plus the tails of the entering
+    arcs whose bits it holds.
+    """
+    trees, start = _footholds(sl, dec, j, roots)
+    n = len(sl.vertices)
+    owner = _pack(n, trees, start, sl.cands)
+    if isinstance(owner, list):
+        return owner
+    xmask = owner[0]
+    return frozenset(v for k, v in enumerate(sl.vertices) if xmask >> k & 1) | frozenset(
+        g.arcs[pos].tail
+        for (tb, _hb, _hit), pos in zip(sl.cands, sl.arc_pos)
+        if tb >> n and tb & xmask
     )
-    return DigraphPacking(trees)
 
 
-def _lift_witness(
-    d: DirectedView, witness: frozenset[str], gamma: frozenset[str]
-) -> frozenset[str]:
-    """Lift an atom's deficient set to a violated vertex set of ``d``.
+def _footholds(sl, dec, j: int, roots: Sequence[str]) -> tuple[list[int], dict[int, int]]:
+    """Atom ``j``'s trees, and each one's foothold: its root's bit in the slice ``sl``, else 0."""
+    trees = sorted(dec.atom_roots[j])
+    start = {}
+    for i in trees:
+        jr, k = sl.at.get(roots[i], (None, 0))
+        start[i] = 1 << k if jr == j else 0
+    return trees, start
+
+
+def _lift_witness(g: MixedGraph, witness: frozenset[str], gamma: frozenset[str]) -> frozenset[str]:
+    """Lift an atom's deficient set to a violated vertex set of ``g``.
 
     ``witness`` is an atom part Y plus the tails of a set T of entering
     arcs that the atom check found short.  Each tail is replaced by every
@@ -109,8 +110,8 @@ def _lift_witness(
     starts at an added vertex.  So the only arcs entering the lifted set
     are the ones the check counted, and there are too few of them.
     """
-    pred: dict[str, list[str]] = {v: [] for v in d.vertices}
-    for a in d.arcs:
+    pred: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for a in g.arcs:
         pred[a.head].append(a.tail)
     lifted = set(witness & gamma)
     for v in witness - gamma:
@@ -119,45 +120,33 @@ def _lift_witness(
 
 
 def pack_atom_branchings(
-    view: DirectedView,
-    gamma: frozenset[str],
-    demands: Mapping[int, frozenset[str]],
-    vertices: Sequence[str] | None = None,
-    arcs: Sequence[ViewArc] | None = None,
-) -> dict[int, tuple[ViewArc, ...]] | frozenset[str]:
-    """Arc-disjoint branchings covering ``gamma``, one per demanded tree.
+    g: MixedGraph, gamma: frozenset[str], demands: Mapping[int, frozenset[str]]
+) -> dict[int, tuple[Arc, ...]] | frozenset[str]:
+    """Arc-disjoint branchings covering ``gamma``, one per demanded tree, in the digraph ``g``.
 
     ``demands[i]`` is what tree i already spans: its root inside
-    ``gamma``, or vertices outside it.  An arc of ``view`` entering
+    ``gamma``, or vertices outside it.  An arc of ``g`` entering
     ``gamma`` can serve tree i when its tail is in ``demands[i]``, and
     serves at most one tree; arcs whose head is outside ``gamma`` are
     ignored.  When no such packing exists, returns a deficient vertex set
-    of ``view`` instead: an atom part Y plus the tails of a set T of
+    of ``g`` instead: an atom part Y plus the tails of a set T of
     entering arcs, where the trees with no foothold in Y and no arc in T
-    outnumber the arcs entering the set.
+    outnumber the arcs entering the set.  Raises ``ValueError`` when
+    ``g`` has edges.
 
-    ``vertices`` and ``arcs`` default to the whole view.  A caller may
-    pass just the atom's vertices and the arcs into it instead, each in
-    view order, as ``decomposition._atom_slices`` gives them: the result
-    is the same, and the set-up reads the atom, not the view.
-
-    The trees grow greedily, by first fit when it packs the atom, and
-    otherwise checked on the atom's cut oracle (:func:`_pack`).  A
-    checked tree gets stuck only on an infeasible atom; the first vertex
-    of the untouched atom whose check fails then gives the deficient set.
+    The candidates are derived here from the vertex names, where
+    :func:`pack_reachability` reads them off each atom's slice
+    (:func:`_pack_slice`); both pack them with :func:`_pack`.
     """
-    view.require_vertices(gamma)
-    if vertices is None:
-        vertices = view.vertices
-    if arcs is None:
-        arcs = view.arcs
-    bit = {v: 1 << k for k, v in enumerate(v for v in vertices if v in gamma)}
+    _require_digraph(g)
+    g.require_vertices(gamma)
+    bit = {v: 1 << k for k, v in enumerate(v for v in g.vertices if v in gamma)}
     gmask = (1 << len(bit)) - 1
 
     trees = sorted(demands)
-    entry = {i: view.require_vertices(demands[i]) for i in trees}
+    entry = {i: g.require_vertices(demands[i]) for i in trees}
     start = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
-    cands = _arc_candidates(arcs, bit, trees, entry)
+    cands = _arc_candidates(g.arcs, bit, trees, entry)
     owner = _pack(len(bit), trees, start, [c[:3] for c in cands])
     if isinstance(owner, tuple):
         xmask = owner[0]
@@ -484,44 +473,3 @@ def _min_cut(
             cap[e ^ 1] += push
         flow += push
     return [], flow
-
-
-def validate_digraph_packing(
-    d: DirectedView, roots: Sequence[str], packing: DigraphPacking
-) -> CheckResult:
-    """Check shape, spanning sets, and arc-disjointness of a packing."""
-    if len(packing.trees) != len(roots):
-        return CheckResult(
-            False, f"expected {len(roots)} trees, got {len(packing.trees)}"
-        )
-    used: dict[tuple[str, str], int] = {}
-    for tree in packing.trees:
-        for a in tree.arcs:
-            known = d.arc_by_key.get(a.key)
-            if known is None:
-                return CheckResult(
-                    False,
-                    f"tree {tree.root_index + 1} uses unknown arc {a.id!r}",
-                )
-            kind = "edge" if a.origin == "edge" else "arc"
-            if (a.tail, a.head) != (known.tail, known.head):
-                return CheckResult(
-                    False,
-                    f"{kind} {a.id} used as {a.tail}->{a.head}, "
-                    f"not {known.tail}->{known.head}",
-                )
-            if a.key in used:
-                return CheckResult(False, f"{kind} {a.id} used twice")
-            used[a.key] = tree.root_index
-    reach: dict[str, frozenset[str]] = {}  # searched once per distinct root
-    for i, tree in enumerate(packing.trees):
-        if tree.root_index != i:
-            return CheckResult(False, f"tree {i + 1} carries root index {tree.root_index + 1}")
-        r = roots[i]
-        hops = [(a.tail, a.head) for a in tree.arcs]
-        if r not in reach:
-            reach[r] = reachable_in_view(d, r)
-        verdict = _check_arborescence(hops, r, reach[r], i)
-        if not verdict:
-            return verdict
-    return OK_RESULT

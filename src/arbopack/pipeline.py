@@ -27,36 +27,17 @@ from .errors import InvariantError
 from .graph_core import (
     CheckResult,
     MixedGraph,
+    MixedPacking,
     OK_RESULT,
     Orientation,
     Subpartition,
     _check_arborescence,
+    _packing_from_owners,
     crossing_edge_count,
     lexicographic_orientation,
     mixed_reachable_set,
 )
 from .orientation import SubpartitionCertificate, _orient_and_pack, _orientation
-
-
-class EdgeUse(NamedTuple):
-    """An undirected edge consumed by a tree, with its chosen direction."""
-
-    id: str
-    tail: str
-    head: str
-
-
-class MixedTree(NamedTuple):
-    """One mixed arborescence: native arcs plus directed edge usages."""
-
-    root_index: int
-    root: str
-    arcs: tuple[str, ...]
-    edges: tuple[EdgeUse, ...]
-
-
-class MixedPacking(NamedTuple):
-    trees: tuple[MixedTree, ...]
 
 
 class BiSetFamilyCertificate(NamedTuple):
@@ -226,7 +207,8 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     could not pack it from its starting directions (see
     ``orientation._orient_and_pack``).  Owners go into arrays indexed by
     position in ``g.arcs`` and ``g.edges``, so one scan of each gives
-    every tree its arcs and edges in declaration order.
+    every tree its arcs and edges in declaration order
+    (``graph_core._packing_from_owners``).
     """
     roots = tuple(roots)
     oriented = _orient_atoms(g, roots, bounds)
@@ -241,17 +223,7 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
         for pos, (t, h), i in zip(sl.edge_pos, ends, owner[len(sl.arc_pos) :]):
             if i is not None:
                 edge_use[pos] = i, vertices[t], vertices[h]
-    tree_arcs: list[list[str]] = [[] for _ in roots]
-    tree_edges: list[list[EdgeUse]] = [[] for _ in roots]
-    for a, i in zip(g.arcs, arc_owner):
-        if i is not None:
-            tree_arcs[i].append(a.id)
-    for e, use in zip(g.edges, edge_use):
-        if use is not None:
-            tree_edges[use[0]].append(EdgeUse(e.id, use[1], use[2]))
-    return MixedPacking(tuple(
-        MixedTree(i, r, tuple(tree_arcs[i]), tuple(tree_edges[i])) for i, r in enumerate(roots)
-    ))
+    return _packing_from_owners(g, roots, arc_owner, edge_use)
 
 
 def validate_mixed_packing(

@@ -11,7 +11,7 @@ import random
 import sys
 from pathlib import Path
 
-from arbopack import Arc, DirectedView, Edge, MixedGraph, Orientation, ViewArc
+from arbopack import Arc, Edge, MixedGraph, Orientation
 
 
 def random_mixed_instance(
@@ -77,16 +77,6 @@ def random_orientation(rng: random.Random, g: MixedGraph) -> Orientation:
     for e in g.edges:
         direction[e.id] = (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u)
     return Orientation(direction)
-
-
-def random_view(rng: random.Random, max_v: int = 6, max_a: int = 12) -> DirectedView:
-    n = rng.randint(1, max_v)
-    vs = [f"n{i}" for i in range(n)]
-    arcs = tuple(
-        ViewArc(f"a{i}", rng.choice(vs), rng.choice(vs), "arc")
-        for i in range(rng.randint(0, max_a))
-    )
-    return DirectedView(tuple(vs), arcs)
 
 
 def repeated_root_all_reachable(

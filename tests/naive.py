@@ -28,7 +28,6 @@ from arbopack import (
     Bounds,
     CapacityError,
     CoverRequirement,
-    DirectedView,
     InvariantError,
     MixedGraph,
     Orientation,
@@ -38,7 +37,6 @@ from arbopack import (
 from arbopack.decomposition import AtomContext, _requirements, lift_biset, p_value
 from arbopack.graph_core import RESERVED_TERMINAL_PREFIX, _reachable
 from arbopack.orientation import _oriented
-from arbopack.packing import reachable_in_view
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
 MAX_SUBPARTITION_GROUND = 10
@@ -88,8 +86,8 @@ def naive_pj(aux, dec, roots, xs) -> int:
     return naive_p(dec, roots, outer, inner)
 
 
-def naive_rho_view(d: DirectedView, outer, inner=None) -> int:
-    """Arcs entering a set, or a bi-set when ``inner`` is given."""
+def naive_rho_view(d: MixedGraph, outer, inner=None) -> int:
+    """Arcs of ``d`` entering a set, or a bi-set when ``inner`` is given; edges are not counted."""
     outer = frozenset(outer)
     inner = outer if inner is None else frozenset(inner)
     return sum(1 for a in d.arcs if a.head in inner and a.tail not in outer)
@@ -199,8 +197,8 @@ def enumerate_biset_family(g: MixedGraph, dec: AtomDecomposition):
                 yield BiSet(outer=inner | frozenset(extra), inner=inner)
 
 
-def set_condition_holds(d: DirectedView, roots, reach) -> bool:
-    """Cut condition over every vertex subset, reach sets given."""
+def set_condition_holds(d: MixedGraph, roots, reach) -> bool:
+    """Cut condition of the digraph ``d`` over every vertex subset, reach sets given."""
     for combo in subsets(d.vertices):
         xs = frozenset(combo)
         if not xs:
@@ -213,16 +211,16 @@ def set_condition_holds(d: DirectedView, roots, reach) -> bool:
     return True
 
 
-def cut_deficit(d: DirectedView, roots, xs) -> int:
-    """Roots outside ``xs`` whose reach set meets it, minus arcs entering it."""
+def cut_deficit(d: MixedGraph, roots, xs) -> int:
+    """Roots outside ``xs`` whose reach set in the digraph ``d`` meets it, less arcs entering it."""
     xs = frozenset(xs)
     need = sum(
-        1 for r in roots if r not in xs and reachable_in_view(d, r) & xs
+        1 for r in roots if r not in xs and mixed_reachable_set(d, r) & xs
     )
     return need - naive_rho_view(d, xs)
 
 
-def biset_condition_holds(d: DirectedView, g: MixedGraph, dec, roots) -> bool:
+def biset_condition_holds(d: MixedGraph, g: MixedGraph, dec, roots) -> bool:
     for b in enumerate_biset_family(g, dec):
         if naive_rho_view(d, b.outer, b.inner) < p_value(dec, roots, b):
             return False
@@ -628,8 +626,8 @@ def reference_step_check(gmask, footholds, atom_arcs, term_arcs, wbit: int) -> b
 # cut, cover and certificate helpers used only by the tests
 
 
-def in_degree(d: DirectedView, x: Iterable[str]) -> int:
-    """Number of arcs entering ``x``: head inside, tail outside."""
+def in_degree(d: MixedGraph, x: Iterable[str]) -> int:
+    """Number of arcs entering ``x``: head inside, tail outside; edges are not counted."""
     xs = d.require_vertices(x)
     return sum(1 for a in d.arcs if a.head in xs and a.tail not in xs)
 
@@ -685,9 +683,9 @@ def p_j_value(
 
 
 def verify_cut_condition(
-    d: DirectedView, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
+    d: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS
 ) -> frozenset[str] | None:
-    """First vertex set violating the cut condition, or ``None``.
+    """First vertex set violating the cut condition of the digraph ``d``, or ``None``.
 
     Checks, for every subset X, that the arcs entering X are at least as
     many as the roots outside X whose reach set meets X.  Subsets are
@@ -705,7 +703,7 @@ def verify_cut_condition(
     reach_masks = []
     root_bits = []
     for r in roots:
-        u = reachable_in_view(d, r)
+        u = mixed_reachable_set(d, r)
         reach_masks.append(sum(1 << bit[v] for v in u))
         root_bits.append(1 << bit[r])
     arcs = [

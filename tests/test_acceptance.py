@@ -20,7 +20,6 @@ from arbopack import (
     MixedPacking,
     Orientation,
     apply_orientation,
-    arcs_view,
     build_auxiliary,
     compute_atoms,
     mixed_reachable_set,
@@ -162,7 +161,7 @@ def test_criterion_3_set_vs_biset_condition(capsys):
             roots = [rng.choice(vs) for _ in range(rng.randint(1, 3))]
             dec = compute_atoms(g, roots)
             keep = tuple(a for a in g.arcs if rng.random() < 0.5)
-            sub = arcs_view(MixedGraph(g.vertices, (), keep))
+            sub = MixedGraph(g.vertices, (), keep)
             set_ok = True
             for combo in subsets(vs):
                 xs = frozenset(combo)

@@ -17,9 +17,7 @@ import random
 
 from arbopack import (
     BiSetFamilyCertificate,
-    DigraphPacking,
     MixedPacking,
-    arcs_view,
     pack_reachability,
     parse_mixed_graph,
     solve,
@@ -40,11 +38,14 @@ VERDICTS_SHA256 = "e2b24f7c0879b55ca1d793f3e84194d36c57d560113b885795f982bc74b07
 MIXED_PACKINGS_SHA256 = "a81acdc6c2309910be2136ccfb11c47884ba843e5f6f9b1c0db3cd6a202977b7"
 
 
-def canonical(result) -> str:
-    """An answer as a string that is equal exactly when the answers are."""
-    if isinstance(result, DigraphPacking):
+def canonical(result, digraph=None) -> str:
+    """An answer as a string that is equal exactly when the answers are.
+
+    A packing of ``digraph`` lists each tree's arcs with their ends.
+    """
+    if digraph is not None and isinstance(result, MixedPacking):
         body = [
-            [t.root_index, [[a.id, a.tail, a.head, a.origin] for a in t.arcs]]
+            [t.root_index, [[*digraph.arc_by_id[aid], "arc"] for aid in t.arcs]]
             for t in result.trees
         ]
         return json.dumps({"feasible": True, "trees": body})
@@ -83,26 +84,26 @@ def random_corpus_digest() -> str:
 
 
 def digraph_answers():
-    """Each answer of ``pack_reachability`` on the seed-4343 digraph corpus."""
+    """Each digraph and the answer of ``pack_reachability`` on it, on the seed-4343 corpus."""
     rng = random.Random(4343)
     for _ in range(3000):
         g, roots = random_digraph_instance(rng, max_v=8, max_a=14, max_k=4)
-        yield pack_reachability(arcs_view(g), roots)
+        yield g, pack_reachability(g, roots)
 
 
 def sparse_answers():
-    """Each answer of ``pack_reachability`` on the seed-8080 sparse fuzz."""
+    """Each digraph and the answer of ``pack_reachability`` on it, on the seed-8080 sparse fuzz."""
     rng = random.Random(8080)
     for _ in range(1000):
         g, roots = sparse_digraph_instance(rng)
-        yield pack_reachability(arcs_view(g), roots)
+        yield g, pack_reachability(g, roots)
 
 
 def digraph_digest() -> str:
     # Pins each arc the greedy picks in every atom, and each violated set.
     h = hashlib.sha256()
-    for result in digraph_answers():
-        h.update(canonical(result).encode() + b"\n")
+    for g, result in digraph_answers():
+        h.update(canonical(result, g).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -111,11 +112,11 @@ def digraph_packings_digest() -> str:
     # violated set an infeasible instance returns.
     h = hashlib.sha256()
     for answers in (digraph_answers(), sparse_answers()):
-        for result in answers:
+        for g, result in answers:
             if isinstance(result, frozenset):
                 result = json.dumps({"feasible": False})
             else:
-                result = canonical(result)
+                result = canonical(result, g)
             h.update(result.encode() + b"\n")
     return h.hexdigest()
 

@@ -11,7 +11,6 @@ from arbopack import (
     Edge,
     InvariantError,
     MixedGraph,
-    arcs_view,
     build_auxiliary,
     compute_atoms,
     mixed_reachable_set,
@@ -20,7 +19,6 @@ from arbopack import (
 from arbopack.decomposition import (
     AtomContext,
     _atom_slices,
-    _decompose,
     biset_in_degree,
     lift_biset,
     p_value,
@@ -117,15 +115,13 @@ class TestAtoms:
 class TestBiSetPrimitives:
     def test_biset_in_degree_example(self, two_root_dec):
         g, roots, dec = two_root_dec
-        d = arcs_view(g)
-        assert biset_in_degree(d, BiSet({"v1", "v3"}, {"v3"})) == 2
+        assert biset_in_degree(g, BiSet({"v1", "v3"}, {"v3"})) == 2
 
     def test_biset_degenerate_cases(self, two_root_dec):
         g, roots, dec = two_root_dec
-        d = arcs_view(g)
         for xs in ({"v3"}, {"v3", "v4"}, {"r1"}):
-            assert biset_in_degree(d, BiSet(xs, xs)) == in_degree(d, xs)
-        assert biset_in_degree(d, BiSet({"v1"}, set())) == 0
+            assert biset_in_degree(g, BiSet(xs, xs)) == in_degree(g, xs)
+        assert biset_in_degree(g, BiSet({"v1"}, set())) == 0
 
     def test_inner_must_be_nested(self):
         with pytest.raises(ValueError):
@@ -294,14 +290,17 @@ class TestReferenceForms:
 
     def test_decompose_matches_reference(self):
         for g, roots in self.instances():
-            for graph in (g, arcs_view(g)):
-                dec = _decompose(graph, roots)
+            digraph = MixedGraph(g.vertices, (), g.arcs)
+            for graph in (g, digraph):
+                dec = compute_atoms(graph, roots)
                 ref = reference_decompose(graph, roots)
                 assert (dec.reach, dec.atoms, dec.atom_roots) == (
                     ref.reach,
                     ref.atoms,
                     ref.atom_roots,
                 )
+                # the atoms filed as they were grouped, as the atoms list them
+                assert dec.atom_of == ref.atom_of
 
 
 class TestAuxiliaryReference:
@@ -520,10 +519,9 @@ class TestConditionEquivalences:
             dec = compute_atoms(g, roots)
             keep = [a for a in g.arcs if rng.random() < 0.5]
             sub = MixedGraph(g.vertices, (), tuple(keep))
-            d = arcs_view(sub)
             reach = dec.reach
-            lhs = set_condition_holds(d, roots, reach)
-            rhs = biset_condition_holds(d, g, dec, roots)
+            lhs = set_condition_holds(sub, roots, reach)
+            rhs = biset_condition_holds(sub, g, dec, roots)
             assert lhs == rhs
             if lhs:
                 for v in g.vertices:

@@ -11,7 +11,6 @@ from arbopack import (
     Orientation,
     ParseError,
     apply_orientation,
-    arcs_view,
     mixed_reachable_set,
     parse_mixed_graph,
 )
@@ -108,19 +107,16 @@ class TestReachability:
         for _ in range(60):
             g, roots = random_mixed_instance(rng, max_v=6, max_e=5, max_a=5)
             d = apply_orientation(g, random_orientation(rng, g))
-            from arbopack.packing import reachable_in_view
-
             for r in roots:
-                assert reachable_in_view(d, r) <= mixed_reachable_set(g, r)
+                assert mixed_reachable_set(d, r) <= mixed_reachable_set(g, r)
 
 
 class TestCutPrimitives:
     def test_in_degree_examples(self, two_root):
         g, _ = two_root
-        d = arcs_view(g)
-        assert in_degree(d, {"v3"}) == 3
-        assert in_degree(d, set()) == 0
-        assert in_degree(d, set(g.vertices)) == 0
+        assert in_degree(g, {"v3"}) == 3
+        assert in_degree(g, set()) == 0
+        assert in_degree(g, set(g.vertices)) == 0
 
     def test_entering_arcs_examples(self, two_root):
         g, _ = two_root
@@ -167,10 +163,9 @@ class TestCutPrimitives:
         rng = random.Random(777)
         for _ in range(25):
             g, _ = random_mixed_instance(rng, max_v=5, max_e=3, max_a=6)
-            d = arcs_view(g)
             for combo in subsets(g.vertices):
                 xs = frozenset(combo)
-                entering = in_degree(d, xs)
+                entering = in_degree(g, xs)
                 within = sum(1 for a in g.arcs if a.tail in xs and a.head in xs)
                 leaving = sum(1 for a in g.arcs if a.tail in xs and a.head not in xs)
                 touching = sum(
@@ -182,14 +177,22 @@ class TestCutPrimitives:
 class TestOrientation:
     def test_apply_orientation_counts(self, two_root):
         g, _ = two_root
-        d = apply_orientation(g, lexicographic_orientation(g))
-        assert len(d.arcs) == 11
-        assert sum(1 for a in d.arcs if a.origin == "edge") == 6
+        o = lexicographic_orientation(g)
+        d = apply_orientation(g, o)
+        assert len(d.arcs) == 11 and d.edges == () and d.vertices == g.vertices
+        # the input's arcs, then one arc per edge, turned and named as it
+        assert d.arcs[:5] == g.arcs
+        assert d.arcs[5:] == tuple(Arc(e.id, *o.direction[e.id]) for e in g.edges)
 
     def test_no_edges(self):
         g = MixedGraph(("a", "b"), (), (Arc("a1", "a", "b"),))
         d = apply_orientation(g, Orientation({}))
-        assert [a.key for a in d.arcs] == [("arc", "a1")]
+        assert d == g
+
+    def test_edge_and_arc_sharing_an_id_rejected(self):
+        g = MixedGraph(("a", "b"), (Edge("x", "a", "b"),), (Arc("x", "b", "a"),))
+        with pytest.raises(ValueError, match="^duplicate arc id 'x'$"):
+            apply_orientation(g, Orientation({"x": ("a", "b")}))
 
     def test_missing_edge_rejected(self, two_root):
         g, _ = two_root
@@ -214,8 +217,7 @@ class TestSelfLoops:
 
     def test_loops_never_cross_or_count(self):
         g, _ = parse_mixed_graph("vertex a\nvertex b\nedge a a\narc b b\narc a b\n")
-        d = arcs_view(g)
-        assert in_degree(d, {"b"}) == 1
+        assert in_degree(g, {"b"}) == 1
         p = Subpartition((frozenset(["a"]), frozenset(["b"])))
         assert crossing_edge_count(g, p) == 0
         assert mixed_reachable_set(g, "a") == frozenset(["a", "b"])
@@ -241,7 +243,7 @@ class TestGraphValidation:
 
 
 class TestRequireVertices:
-    @pytest.mark.parametrize("make", [lambda g: g, arcs_view], ids=["mixed", "view"])
+    @pytest.mark.parametrize("make", [lambda g: g], ids=["mixed"])
     def test_names_one_stray_of_any_type(self, make):
         graph = make(MixedGraph(("a", "b")))
         assert graph.require_vertices(["b", "a"]) == frozenset({"a", "b"})

@@ -7,23 +7,25 @@ import pytest
 
 from arbopack import (
     DEFAULT_BOUNDS,
-    Arborescence,
-    DigraphPacking,
-    DirectedView,
+    Arc,
+    Edge,
     InvariantError,
+    MixedGraph,
+    MixedPacking,
+    MixedTree,
     Orientation,
-    ViewArc,
     apply_orientation,
-    arcs_view,
     compute_atoms,
+    mixed_reachable_set,
     pack_atom_branchings,
     pack_reachability,
     parse_mixed_graph,
-    validate_digraph_packing,
+    solve,
+    validate_mixed_packing,
 )
-from arbopack import decomposition, packing
-from arbopack.decomposition import _atom_slices, _decompose
-from arbopack.packing import _StepFlow, reachable_in_view
+from arbopack import decomposition, packing, pipeline
+from arbopack.decomposition import _atom_slices
+from arbopack.packing import _StepFlow, _pack_slice
 from instance_gen import (
     deep_atom_text,
     doubled_cycle_text,
@@ -36,7 +38,12 @@ from instance_gen import (
 from naive import cut_deficit, reference_step_check, verify_cut_condition
 
 
-def canonical_view(two_root) -> tuple[DirectedView, list[str]]:
+def digraph(vertices, *arcs) -> MixedGraph:
+    """A digraph, a mixed graph with no edges, from ``(id, tail, head)`` triples."""
+    return MixedGraph(vertices, (), [Arc(*a) for a in arcs])
+
+
+def canonical_digraph(two_root) -> tuple[MixedGraph, list[str]]:
     g, roots = two_root
     o = Orientation(
         {
@@ -51,88 +58,78 @@ def canonical_view(two_root) -> tuple[DirectedView, list[str]]:
     return apply_orientation(g, o), roots
 
 
+def digraph_corpora():
+    """The seed-4343 digraph corpus and the seed-8080 sparse fuzz of ``tests/test_answers.py``."""
+    rng = random.Random(4343)
+    for _ in range(3000):
+        yield random_digraph_instance(rng, max_v=8, max_a=14, max_k=4)
+    rng = random.Random(8080)
+    for _ in range(1000):
+        yield sparse_digraph_instance(rng)
+
+
 class TestVerifyCutCondition:
     def test_canonical_orientation_ok(self, two_root):
-        d, roots = canonical_view(two_root)
+        d, roots = canonical_digraph(two_root)
         assert verify_cut_condition(d, roots) is None
 
     def test_single_arc_two_roots_ok(self):
-        d = DirectedView(("r1", "r2", "v"), (ViewArc("a1", "r1", "v", "arc"),))
+        d = digraph(("r1", "r2", "v"), ("a1", "r1", "v"))
         assert verify_cut_condition(d, ["r1", "r2"]) is None
 
     def test_shared_vertex_short_one_arc(self):
         # both roots reach v but only one arc enters it
-        d = DirectedView(
-            ("r1", "r2", "v"),
-            (ViewArc("a1", "r1", "r2", "arc"), ViewArc("a2", "r2", "v", "arc")),
-        )
+        d = digraph(("r1", "r2", "v"), ("a1", "r1", "r2"), ("a2", "r2", "v"))
         assert verify_cut_condition(d, ["r1", "r2"]) == frozenset(["v"])
 
     def test_first_violator_in_mask_order(self):
         # both tree indices need x and y, but each has only one entering arc
-        d = DirectedView(
-            ("r", "x", "y"),
-            (ViewArc("a1", "r", "x", "arc"), ViewArc("a2", "x", "y", "arc")),
-        )
+        d = digraph(("r", "x", "y"), ("a1", "r", "x"), ("a2", "x", "y"))
         viol = verify_cut_condition(d, ["r", "r"])
         assert viol == frozenset(["x"])
 
     def test_capacity(self):
         from arbopack import Bounds, CapacityError
 
-        d = DirectedView(tuple(f"n{i}" for i in range(5)), ())
+        d = digraph(tuple(f"n{i}" for i in range(5)))
         with pytest.raises(CapacityError, match="max_enum_vertices"):
             verify_cut_condition(d, ["n0"], Bounds(max_enum_vertices=4))
 
 
 class TestPackReachability:
     def test_canonical_packing(self, two_root):
-        d, roots = canonical_view(two_root)
+        d, roots = canonical_digraph(two_root)
         packing = pack_reachability(d, roots)
-        assert isinstance(packing, DigraphPacking)
-        assert validate_digraph_packing(d, roots, packing)
-        keys = [sorted(a.key for a in t.arcs) for t in packing.trees]
-        assert keys[0] == [
-            ("arc", "a1"),
-            ("arc", "a2"),
-            ("edge", "e1"),
-            ("edge", "e2"),
-            ("edge", "e3"),
+        assert isinstance(packing, MixedPacking)
+        assert validate_mixed_packing(d, roots, packing)
+        # the oriented edges are arcs of d, after the input's own arcs
+        assert [t.arcs for t in packing.trees] == [
+            ("a1", "a2", "e1", "e2", "e3"),
+            ("a3", "a4", "e4", "e5"),
         ]
-        assert keys[1] == [
-            ("arc", "a3"),
-            ("arc", "a4"),
-            ("edge", "e4"),
-            ("edge", "e5"),
-        ]
+        assert [t.edges for t in packing.trees] == [(), ()]
 
     def test_single_root_arborescence_returned(self):
-        d = DirectedView(
-            ("r", "x", "y"),
-            (ViewArc("a1", "r", "x", "arc"), ViewArc("a2", "x", "y", "arc")),
-        )
+        d = digraph(("r", "x", "y"), ("a1", "r", "x"), ("a2", "x", "y"))
         packing = pack_reachability(d, ["r"])
-        assert isinstance(packing, DigraphPacking)
-        assert {a.key for a in packing.trees[0].arcs} == {("arc", "a1"), ("arc", "a2")}
+        assert isinstance(packing, MixedPacking)
+        assert packing.trees == (MixedTree(0, "r", ("a1", "a2"), ()),)
 
     def test_infeasible_returns_violated_set(self):
-        d = DirectedView(
-            ("r1", "r2", "v"),
-            (ViewArc("a1", "r1", "r2", "arc"), ViewArc("a2", "r2", "v", "arc")),
-        )
+        d = digraph(("r1", "r2", "v"), ("a1", "r1", "r2"), ("a2", "r2", "v"))
         assert pack_reachability(d, ["r1", "r2"]) == frozenset(["v"])
 
     def test_arcs_stay_inside_reach_sets(self):
         rng = random.Random(31415)
         for _ in range(60):
             g, roots = random_digraph_instance(rng, max_v=6, max_a=10)
-            d = arcs_view(g)
-            packing = pack_reachability(d, roots)
-            if not isinstance(packing, DigraphPacking):
+            packing = pack_reachability(g, roots)
+            if not isinstance(packing, MixedPacking):
                 continue
             for tree in packing.trees:
-                span = reachable_in_view(d, roots[tree.root_index])
-                for a in tree.arcs:
+                span = mixed_reachable_set(g, tree.root)
+                for aid in tree.arcs:
+                    a = g.arc_by_id[aid]
                     assert a.tail in span and a.head in span
 
     def test_packing_iff_cut_condition_random(self):
@@ -140,29 +137,26 @@ class TestPackReachability:
         feasible = infeasible = 0
         for _ in range(150):
             g, roots = random_digraph_instance(rng, max_v=7, max_a=14)
-            d = arcs_view(g)
-            packing = pack_reachability(d, roots)
-            ok = verify_cut_condition(d, roots) is None
-            if isinstance(packing, DigraphPacking):
+            packing = pack_reachability(g, roots)
+            ok = verify_cut_condition(g, roots) is None
+            if isinstance(packing, MixedPacking):
                 assert ok
-                assert validate_digraph_packing(d, roots, packing)
+                assert validate_mixed_packing(g, roots, packing)
                 feasible += 1
             else:
                 assert not ok
-                assert cut_deficit(d, roots, packing) > 0
+                assert cut_deficit(g, roots, packing) > 0
                 infeasible += 1
         assert feasible and infeasible
 
     def test_failed_atom_answers_beyond_sweep_size(self):
         # The failed atom has two vertices; twenty isolated vertices put
         # the graph past the size of any whole-graph subset sweep.
-        d = DirectedView(
+        d = digraph(
             ("r1", "r2", "m", "c") + tuple(f"z{i}" for i in range(20)),
-            (
-                ViewArc("a1", "r1", "m", "arc"),
-                ViewArc("a2", "r2", "m", "arc"),
-                ViewArc("a3", "m", "c", "arc"),
-            ),
+            ("a1", "r1", "m"),
+            ("a2", "r2", "m"),
+            ("a3", "m", "c"),
         )
         assert pack_reachability(d, ["r1", "r2"]) == frozenset({"c"})
 
@@ -171,14 +165,12 @@ class TestPackReachability:
         # arcs from u, which only tree 3 spans, so the violated set grows
         # by everything that reaches u.  Trees 1 and 2 then share the one
         # arc from r1 into it.
-        d = DirectedView(
+        d = digraph(
             ("r1", "r2", "u", "v"),
-            (
-                ViewArc("a1", "r2", "u", "arc"),
-                ViewArc("a2", "u", "v", "arc"),
-                ViewArc("a3", "u", "v", "arc"),
-                ViewArc("a4", "r1", "v", "arc"),
-            ),
+            ("a1", "r2", "u"),
+            ("a2", "u", "v"),
+            ("a3", "u", "v"),
+            ("a4", "r1", "v"),
         )
         roots = ["r1", "r1", "r2"]
         violated = pack_reachability(d, roots)
@@ -194,13 +186,12 @@ class TestPackReachability:
         outcomes = {"packed": 0, "violated": 0}
         for _ in range(1000):
             g, roots = sparse_digraph_instance(rng)
-            d = arcs_view(g)
-            result = pack_reachability(d, roots)
-            if isinstance(result, DigraphPacking):
-                assert validate_digraph_packing(d, roots, result)
+            result = pack_reachability(g, roots)
+            if isinstance(result, MixedPacking):
+                assert validate_mixed_packing(g, roots, result)
                 outcomes["packed"] += 1
             else:
-                assert cut_deficit(d, roots, result) > 0
+                assert cut_deficit(g, roots, result) > 0
                 outcomes["violated"] += 1
         assert outcomes["packed"] > 300 and outcomes["violated"] > 300, outcomes
 
@@ -212,91 +203,99 @@ class TestPackReachability:
         rng = random.Random(8080)
         for _ in range(470):
             g, roots = sparse_digraph_instance(rng)
-        d = arcs_view(g)
         assert max(len(atom) for atom in compute_atoms(g, roots).atoms) == 14
-        violated = pack_reachability(d, roots)
+        violated = pack_reachability(g, roots)
         assert isinstance(violated, frozenset)
-        assert cut_deficit(d, roots, violated) > 0
+        assert cut_deficit(g, roots, violated) > 0
 
     def test_doubled_cycle_past_the_vertex_bound(self):
         # One 200-vertex atom, ten times the default max_enum_vertices,
         # which gates only the orientation sweep.
         g, roots = parse_mixed_graph(doubled_cycle_text(200, 2))
-        d = arcs_view(g)
-        assert len(d.vertices) > DEFAULT_BOUNDS.max_enum_vertices
-        packing = pack_reachability(d, roots)
-        assert isinstance(packing, DigraphPacking)
-        assert validate_digraph_packing(d, roots, packing)
+        assert len(g.vertices) > DEFAULT_BOUNDS.max_enum_vertices
+        packing = pack_reachability(g, roots)
+        assert isinstance(packing, MixedPacking)
+        assert validate_mixed_packing(g, roots, packing)
 
         g, roots = parse_mixed_graph(doubled_cycle_text(200, 3))
-        d = arcs_view(g)
-        violated = pack_reachability(d, roots)
+        violated = pack_reachability(g, roots)
         assert isinstance(violated, frozenset)
-        assert cut_deficit(d, roots, violated) > 0
+        assert cut_deficit(g, roots, violated) > 0
 
     def test_deep_atom(self):
         # 520 trees take 1,040 arcs in one atom, one arc at a time.
         g, roots = parse_mixed_graph(deep_atom_text())
-        d = arcs_view(g)
-        packing = pack_reachability(d, roots)
-        assert isinstance(packing, DigraphPacking)
-        assert validate_digraph_packing(d, roots, packing)
+        packing = pack_reachability(g, roots)
+        assert isinstance(packing, MixedPacking)
+        assert validate_mixed_packing(g, roots, packing)
 
     def test_vertex_named_like_a_terminal(self):
         # "t:a:x" is an ordinary vertex that both roots reach; each tree
         # enters it through its own arc.
-        d = DirectedView(
-            ("r", "w", "t:a:x"),
-            (ViewArc("x", "r", "t:a:x", "arc"), ViewArc("y", "w", "t:a:x", "arc")),
-        )
+        d = digraph(("r", "w", "t:a:x"), ("x", "r", "t:a:x"), ("y", "w", "t:a:x"))
         roots = ["r", "w"]
         packing = pack_reachability(d, roots)
-        assert isinstance(packing, DigraphPacking)
-        assert validate_digraph_packing(d, roots, packing)
+        assert isinstance(packing, MixedPacking)
+        assert validate_mixed_packing(d, roots, packing)
+
+    def test_same_packing_as_solve(self):
+        # A digraph is a mixed graph with no edges, so where a packing
+        # exists, solve's is the same one.
+        packed = infeasible = 0
+        for g, roots in digraph_corpora():
+            result = pack_reachability(g, roots)
+            if isinstance(result, frozenset):
+                assert not isinstance(solve(g, roots), MixedPacking)
+                infeasible += 1
+            else:
+                assert result == solve(g, roots), (g, roots)
+                packed += 1
+        assert packed > 2500 and infeasible > 1000, (packed, infeasible)
+
+    def test_rejects_edges(self):
+        g = MixedGraph(("r", "x"), (Edge("e1", "r", "x"), Edge("e2", "x", "r")))
+        with pytest.raises(ValueError, match="^expected a digraph, but 'e1' is an edge$"):
+            pack_reachability(g, ["r"])
+        with pytest.raises(ValueError, match="'e1' is an edge"):
+            pack_atom_branchings(g, frozenset({"x"}), {0: frozenset({"r"})})
 
 
 class TestPackAtomBranchings:
-    def shared_atom_view(self):
-        verts = ("v3", "v4", "t:a:a1", "t:a:a2", "t:a:a3", "t:a:a5")
-        arcs = (
-            ViewArc("a4", "v4", "v3", "arc"),
-            ViewArc("a1", "t:a:a1", "v3", "arc"),
-            ViewArc("a2", "t:a:a2", "v4", "arc"),
-            ViewArc("a3", "t:a:a3", "v4", "arc"),
-            ViewArc("a5", "t:a:a5", "v3", "arc"),
+    def shared_atom_digraph(self):
+        return digraph(
+            ("v3", "v4", "t:a:a1", "t:a:a2", "t:a:a3", "t:a:a5"),
+            ("a4", "v4", "v3"),
+            ("a1", "t:a:a1", "v3"),
+            ("a2", "t:a:a2", "v4"),
+            ("a3", "t:a:a3", "v4"),
+            ("a5", "t:a:a5", "v3"),
         )
-        return DirectedView(verts, arcs)
 
     def test_canonical_shared_atom(self):
-        view = self.shared_atom_view()
+        g = self.shared_atom_digraph()
         demands = {
             0: frozenset({"t:a:a1", "t:a:a2", "t:a:a5"}),
             1: frozenset({"t:a:a3"}),
         }
-        result = pack_atom_branchings(view, frozenset({"v3", "v4"}), demands)
+        result = pack_atom_branchings(g, frozenset({"v3", "v4"}), demands)
         assert result is not None
         assert {a.id for a in result[0]} == {"a1", "a2"}
         assert {a.id for a in result[1]} == {"a3", "a4"}
 
     def test_single_vertex_atom(self):
-        view = DirectedView(("v",), ())
-        result = pack_atom_branchings(view, frozenset({"v"}), {0: frozenset({"v"})})
+        g = digraph(("v",))
+        result = pack_atom_branchings(g, frozenset({"v"}), {0: frozenset({"v"})})
         assert result == {0: ()}
 
     def test_two_trees_one_terminal_fails(self):
-        view = DirectedView(("v", "t:a:a1"), (ViewArc("a1", "t:a:a1", "v", "arc"),))
+        g = digraph(("v", "t:a:a1"), ("a1", "t:a:a1", "v"))
         demands = {0: frozenset({"t:a:a1"}), 1: frozenset({"t:a:a1"})}
         # both trees need v; taking the terminal in would block them both
-        assert pack_atom_branchings(view, frozenset({"v"}), demands) == frozenset({"v"})
+        assert pack_atom_branchings(g, frozenset({"v"}), demands) == frozenset({"v"})
 
     def test_disallowed_terminal_never_used(self):
-        view = DirectedView(
-            ("v", "t:a:a1", "t:a:a2"),
-            (ViewArc("a1", "t:a:a1", "v", "arc"), ViewArc("a2", "t:a:a2", "v", "arc")),
-        )
-        result = pack_atom_branchings(
-            view, frozenset({"v"}), {0: frozenset({"t:a:a2"})}
-        )
+        g = digraph(("v", "t:a:a1", "t:a:a2"), ("a1", "t:a:a1", "v"), ("a2", "t:a:a2", "v"))
+        result = pack_atom_branchings(g, frozenset({"v"}), {0: frozenset({"t:a:a2"})})
         assert result is not None
         assert [a.id for a in result[0]] == ["a2"]
 
@@ -304,43 +303,47 @@ class TestPackAtomBranchings:
         # Trees 1 and 2 both span r and u.  a1 and a6 have their heads
         # outside the atom, so they are ignored; a2 and a3 both enter
         # from u, and each serves one tree.
-        view = DirectedView(
+        g = digraph(
             ("r", "u", "v", "w"),
-            (
-                ViewArc("a1", "r", "u", "arc"),
-                ViewArc("a2", "u", "v", "arc"),
-                ViewArc("a3", "u", "v", "arc"),
-                ViewArc("a4", "v", "w", "arc"),
-                ViewArc("a5", "u", "w", "arc"),
-                ViewArc("a6", "w", "r", "arc"),
-            ),
+            ("a1", "r", "u"),
+            ("a2", "u", "v"),
+            ("a3", "u", "v"),
+            ("a4", "v", "w"),
+            ("a5", "u", "w"),
+            ("a6", "w", "r"),
         )
         spans = frozenset({"r", "u"})
-        result = pack_atom_branchings(view, frozenset({"v", "w"}), {0: spans, 1: spans})
-        _, a2, a3, a4, a5, _ = view.arcs
+        result = pack_atom_branchings(g, frozenset({"v", "w"}), {0: spans, 1: spans})
+        _, a2, a3, a4, a5, _ = g.arcs
         assert result == {0: (a2, a4), 1: (a3, a5)}
 
     def test_atom_slice_matches_whole_view(self):
+        # Each atom as pack_reachability packs it, from its slice's
+        # candidates, against the candidates taken from the vertex names.
         rng = random.Random(7171)
-        views = []
+        graphs = []
         for _ in range(300):
-            g, roots = random_digraph_instance(rng, max_v=7, max_a=14, max_k=4)
-            views.append((arcs_view(g), roots))
+            graphs.append(random_digraph_instance(rng, max_v=7, max_a=14, max_k=4))
         for _ in range(100):
             g, roots = random_mixed_instance(rng, max_v=7, max_e=8, max_a=8, max_k=4)
-            views.append((apply_orientation(g, random_orientation(rng, g)), roots))
+            graphs.append((apply_orientation(g, random_orientation(rng, g)), roots))
         infeasible = [0, 0]
-        for d, roots in views:
-            dec = _decompose(d, roots)
-            slices = _atom_slices(d, dec)
+        for g, roots in graphs:
+            dec = compute_atoms(g, roots)
+            slices = _atom_slices(g, dec)
             for j, gamma in enumerate(dec.atoms):
                 demands = {
                     i: frozenset((roots[i],)) if roots[i] in gamma else dec.reach[i] - gamma
                     for i in sorted(dec.atom_roots[j])
                 }
-                whole = pack_atom_branchings(d, gamma, demands)
+                whole = pack_atom_branchings(g, gamma, demands)
                 sl = slices[j]
-                sliced = pack_atom_branchings(d, gamma, demands, sl.vertices, sl.arcs)
+                sliced = _pack_slice(g, sl, dec, j, roots)
+                if isinstance(sliced, list):
+                    sliced = {
+                        i: tuple(g.arcs[pos] for pos, o in zip(sl.arc_pos, sliced) if o == i)
+                        for i in demands
+                    }
                 assert sliced == whole
                 infeasible[isinstance(whole, frozenset)] += 1
         assert min(infeasible) > 30, infeasible
@@ -570,30 +573,28 @@ class TestStepFlow:
 
     def test_no_requirement_sweep(self, monkeypatch, two_root):
         calls = {"sweep": 0, "atom": 0}
-        sweep, pack_atom = decomposition._requirements, packing.pack_atom_branchings
+        sweep, pack = decomposition._requirements, packing._pack
 
         def counted_sweep(*args):
             calls["sweep"] += 1
             return sweep(*args)
 
-        def counted_pack_atom(*args):
+        def counted_pack(*args):
             calls["atom"] += 1
-            return pack_atom(*args)
+            return pack(*args)
 
         assert not hasattr(packing, "_requirements")
         monkeypatch.setattr(decomposition, "_requirements", counted_sweep)
-        monkeypatch.setattr(packing, "pack_atom_branchings", counted_pack_atom)
+        monkeypatch.setattr(packing, "_pack", counted_pack)
         rng = random.Random(5150)
-        cases = [canonical_view(two_root)]
-        g, roots = parse_mixed_graph(deep_atom_text(6))
-        cases.append((arcs_view(g), roots))
+        cases = [canonical_digraph(two_root)]
+        cases.append(parse_mixed_graph(deep_atom_text(6)))
         for _ in range(40):
-            g, roots = random_digraph_instance(rng, max_v=6, max_a=12)
-            cases.append((arcs_view(g), roots))
+            cases.append(random_digraph_instance(rng, max_v=6, max_a=12))
         outcomes = set()
         for d, roots in cases:
             outcomes.add(type(pack_reachability(d, roots)))
-        assert outcomes == {DigraphPacking, frozenset}
+        assert outcomes == {MixedPacking, frozenset}
         assert calls["sweep"] == 0 and calls["atom"] > 40
 
     def test_lost_capacity_raises_instead_of_a_bogus_set(self, monkeypatch):
@@ -606,7 +607,6 @@ class TestStepFlow:
             self.cap[self.cand_edge[k]] -= 2 * used
 
         g, roots = parse_mixed_graph(first_fit_stuck_text())
-        d = arcs_view(g)
         stuck = []
         grow = packing._grow
 
@@ -616,95 +616,78 @@ class TestStepFlow:
             return owner
 
         monkeypatch.setattr(packing, "_grow", first_fit)
-        assert isinstance(pack_reachability(d, roots), DigraphPacking)
+        assert isinstance(pack_reachability(g, roots), MixedPacking)
         assert stuck == [(True, True), (False, False)]
         monkeypatch.setattr(_StepFlow, "take", take_twice)
         with pytest.raises(InvariantError, match="untouched atom passes"):
-            pack_reachability(d, roots)
+            pack_reachability(g, roots)
 
 
 class TestValidateDigraphPacking:
+    """``validate_mixed_packing`` on digraph packings."""
+
     def test_one_search_per_distinct_root(self, monkeypatch, two_root):
         calls = []
-        search = packing.reachable_in_view
+        search = pipeline.mixed_reachable_set
 
-        def counted(d, r):
+        def counted(g, r):
             calls.append(r)
-            return search(d, r)
+            return search(g, r)
 
-        g, roots = parse_mixed_graph(deep_atom_text(260))
-        cases = [(arcs_view(g), roots), canonical_view(two_root)]
+        cases = [parse_mixed_graph(deep_atom_text(260)), canonical_digraph(two_root)]
         results = [pack_reachability(d, roots) for d, roots in cases]
-        monkeypatch.setattr(packing, "reachable_in_view", counted)
+        monkeypatch.setattr(pipeline, "mixed_reachable_set", counted)
         for (d, roots), result in zip(cases, results):
             calls.clear()
-            assert validate_digraph_packing(d, roots, result)
+            assert validate_mixed_packing(d, roots, result)
             assert calls == list(dict.fromkeys(roots))
 
     def test_canonical_ok(self, two_root):
-        d, roots = canonical_view(two_root)
+        d, roots = canonical_digraph(two_root)
         packing = pack_reachability(d, roots)
-        assert validate_digraph_packing(d, roots, packing)
+        assert validate_mixed_packing(d, roots, packing)
 
     def test_moved_arc_breaks_span(self, two_root):
-        d, roots = canonical_view(two_root)
+        d, roots = canonical_digraph(two_root)
         packing = pack_reachability(d, roots)
         t0, t1 = packing.trees
-        moved = next(a for a in t1.arcs if a.id == "a4")
-        bad = DigraphPacking(
+        bad = MixedPacking(
             (
-                Arborescence(0, t0.arcs + (moved,)),
-                Arborescence(1, tuple(a for a in t1.arcs if a.id != "a4")),
+                t0._replace(arcs=t0.arcs + ("a4",)),
+                t1._replace(arcs=tuple(a for a in t1.arcs if a != "a4")),
             )
         )
-        verdict = validate_digraph_packing(d, roots, bad)
+        verdict = validate_mixed_packing(d, roots, bad)
         assert not verdict
         assert "tree" in verdict.reason
 
     def test_shared_arc_detected(self, two_root):
-        d, roots = canonical_view(two_root)
+        d, roots = canonical_digraph(two_root)
         packing = pack_reachability(d, roots)
         t0, t1 = packing.trees
-        shared = t0.arcs[0]
-        bad = DigraphPacking((t0, Arborescence(1, t1.arcs + (shared,))))
-        verdict = validate_digraph_packing(d, roots, bad)
+        bad = MixedPacking((t0, t1._replace(arcs=t1.arcs + t0.arcs[:1])))
+        verdict = validate_mixed_packing(d, roots, bad)
         assert not verdict
         assert "used twice" in verdict.reason
 
     def test_wrong_tree_count(self, two_root):
-        d, roots = canonical_view(two_root)
+        d, roots = canonical_digraph(two_root)
         packing = pack_reachability(d, roots)
-        verdict = validate_digraph_packing(d, roots, DigraphPacking(packing.trees[:1]))
+        verdict = validate_mixed_packing(d, roots, MixedPacking(packing.trees[:1]))
         assert not verdict and "expected 2 trees" in verdict.reason
 
     def test_root_with_incoming_arc(self):
-        d = DirectedView(
-            ("r", "x"),
-            (ViewArc("a1", "r", "x", "arc"), ViewArc("a2", "x", "r", "arc")),
-        )
-        bad = DigraphPacking(
-            (Arborescence(0, (d.arcs[0], d.arcs[1])),)
-        )
-        verdict = validate_digraph_packing(d, ["r"], bad)
+        d = digraph(("r", "x"), ("a1", "r", "x"), ("a2", "x", "r"))
+        bad = MixedPacking((MixedTree(0, "r", ("a1", "a2"), ()),))
+        verdict = validate_mixed_packing(d, ["r"], bad)
         assert not verdict and "incoming" in verdict.reason
 
     def test_arc_with_other_endpoints_rejected(self):
-        # The tree claims y and z as r->a and r->b; they run r->b and a->b.
-        d = DirectedView(
-            ("r", "a", "b"),
-            (
-                ViewArc("x", "r", "a", "arc"),
-                ViewArc("y", "r", "b", "arc"),
-                ViewArc("z", "a", "b", "arc"),
-            ),
-        )
-        forged = DigraphPacking(
-            (
-                Arborescence(
-                    0, (ViewArc("y", "r", "a", "arc"), ViewArc("z", "r", "b", "arc"))
-                ),
-            )
-        )
-        verdict = validate_digraph_packing(d, ["r"], forged)
+        # The tree means y and z as r->a and r->b, but a tree names its
+        # arcs by id, and the validator reads their ends off the graph:
+        # r->b and a->b, two arcs into b.
+        d = digraph(("r", "a", "b"), ("x", "r", "a"), ("y", "r", "b"), ("z", "a", "b"))
+        forged = MixedPacking((MixedTree(0, "r", ("y", "z"), ()),))
+        verdict = validate_mixed_packing(d, ["r"], forged)
         assert not verdict
-        assert verdict.reason == "arc y used as r->a, not r->b"
+        assert verdict.reason == "tree 1: vertex b has in-degree 2"

@@ -8,13 +8,11 @@ from collections import Counter
 import pytest
 
 from arbopack import (
-    Arborescence,
     Arc,
     AtomDecomposition,
     BiSet,
     BiSetFamilyCertificate,
     DEFAULT_BOUNDS,
-    DigraphPacking,
     Edge,
     EdgeUse,
     MixedGraph,
@@ -22,7 +20,6 @@ from arbopack import (
     MixedTree,
     Orientation,
     apply_orientation,
-    arcs_view,
     build_auxiliary,
     certificate_from_subpartition,
     compute_atoms,
@@ -31,7 +28,6 @@ from arbopack import (
     pack_reachability,
     parse_mixed_graph,
     solve,
-    validate_digraph_packing,
     validate_mixed_packing,
     verify_certificate,
 )
@@ -44,7 +40,7 @@ from arbopack.orientation import (
     _orient_by_cuts,
     _start_state,
 )
-from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow, reachable_in_view
+from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
@@ -273,7 +269,7 @@ class TestCertificates:
         b = BiSet({"v1", "v3"}, {"v3"})
         assert lift_biset(g, dec.atoms[j], {"v3", "t:a5"}) == b
         assert p_value(dec, roots, b) == 1
-        assert biset_in_degree(arcs_view(g), b) == biset_in_degree(g, b) == 2
+        assert biset_in_degree(MixedGraph(g.vertices, (), g.arcs), b) == biset_in_degree(g, b) == 2
 
     def test_verify_rejects_shrunken_family(self, infeasible3):
         g, roots = infeasible3
@@ -345,12 +341,7 @@ def test_tree_shape_reasons_agree(tree_arcs, reason):
             Arc("x5", "b", "a"),
         ),
     )
-    d = arcs_view(g)
-    digraph = DigraphPacking(
-        (Arborescence(0, tuple(d.arc_by_key[("arc", aid)] for aid in tree_arcs)),)
-    )
     mixed = MixedPacking((MixedTree(0, "r", tree_arcs, ()),))
-    assert validate_digraph_packing(d, ["r"], digraph).reason == reason
     assert validate_mixed_packing(g, ["r"], mixed).reason == reason
 
 
@@ -401,7 +392,7 @@ class TestSpanningPackingCondition:
             for parts in subpartitions([v for v in g.vertices if v != r]):
                 if not parts:
                     continue
-                rho = sum(naive_rho_view(arcs_view(g), p) for p in parts)
+                rho = sum(naive_rho_view(g, p) for p in parts)
                 from naive import naive_crossing_edges
 
                 if naive_crossing_edges(g.edges, parts) + rho < k * len(parts):
@@ -545,7 +536,7 @@ class TestEndToEndProperties:
                 view_vec = frozenset(
                     i
                     for i, r in enumerate(roots)
-                    if v in reachable_in_view(d, r)
+                    if v in mixed_reachable_set(d, r)
                 )
                 assert mixed_vec == view_vec
             seen += 1
@@ -607,10 +598,10 @@ class TestAtomCountIndependence:
             g, roots = self.components(n)
             d = apply_orientation(g, covering_orientation(g, roots))
             result = []
-            counts.append(
-                _iterations(d, ("vertices", "arcs"), lambda: result.append(pack_reachability(d, roots)))
-            )
-            assert isinstance(result[0], DigraphPacking)
+            counts.append(_iterations(
+                d, ("vertices", "edges", "arcs"), lambda: result.append(pack_reachability(d, roots))
+            ))
+            assert isinstance(result[0], MixedPacking)
         assert counts[0] == counts[1]
 
 
@@ -624,15 +615,15 @@ def two_stage(g, roots):
     outcome = covering_orientation(g, roots)
     if isinstance(outcome, BiSetFamilyCertificate):
         return outcome
-    packing_ = pack_reachability(apply_orientation(g, outcome), roots)
-    assert isinstance(packing_, DigraphPacking)
+    d = apply_orientation(g, outcome)
+    packing_ = pack_reachability(d, roots)
+    assert isinstance(packing_, MixedPacking)
+    # an id of one of g's edges names that edge, oriented as an arc of d
     return MixedPacking(
         tuple(
-            MixedTree(
-                t.root_index,
-                roots[t.root_index],
-                tuple(a.id for a in t.arcs if a.origin == "arc"),
-                tuple(EdgeUse(a.id, a.tail, a.head) for a in t.arcs if a.origin == "edge"),
+            t._replace(
+                arcs=tuple(aid for aid in t.arcs if aid in g.arc_by_id),
+                edges=tuple(EdgeUse(*d.arc_by_id[aid]) for aid in t.arcs if aid in g.edge_by_id),
             )
             for t in packing_.trees
         )
@@ -927,7 +918,7 @@ class TestFirstFit:
             kinds[type(solve(g, roots))] += 1
         for _ in range(400):
             g, roots = random_digraph_instance(rng, max_v=7, max_a=14)
-            kinds[type(pack_reachability(arcs_view(g), roots))] += 1
+            kinds["digraph", type(pack_reachability(g, roots))] += 1
         assert gated[True] > 1000 and gated[False] > 100, gated
         assert len(kinds) == 4 and min(kinds.values()) > 50, kinds
 
@@ -949,8 +940,7 @@ class TestFirstFit:
         g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", n=200, k=2)]))
         assert validate_mixed_packing(g, roots, solve(g, roots))
         g, roots = parse_mixed_graph(doubled_cycle_text(400, 2))
-        d = arcs_view(g)
-        assert validate_digraph_packing(d, roots, pack_reachability(d, roots))
+        assert validate_mixed_packing(g, roots, pack_reachability(g, roots))
         assert not built and not flows
 
         g, roots = parse_mixed_graph(

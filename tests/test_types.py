@@ -15,7 +15,6 @@ import pytest
 
 from arbopack import (
     DEFAULT_BOUNDS,
-    Arborescence,
     Arc,
     AtomDecomposition,
     AuxiliaryGraph,
@@ -24,8 +23,6 @@ from arbopack import (
     Bounds,
     CheckResult,
     CoverRequirement,
-    DigraphPacking,
-    DirectedView,
     Edge,
     EdgeUse,
     MixedGraph,
@@ -33,7 +30,6 @@ from arbopack import (
     MixedTree,
     Orientation,
     SubpartitionCertificate,
-    ViewArc,
     build_auxiliary,
     compute_atoms,
 )
@@ -47,7 +43,6 @@ def _samples() -> dict[type, tuple]:
     g = MixedGraph(("r", "a", "b"), (edge,), (arc,))
     dec = compute_atoms(g, ["r"])
     aux = build_auxiliary(g, dec, 0)
-    view_arc = ViewArc("a1", "r", "a", "arc")
     use = EdgeUse("e1", "a", "b")
     tree = MixedTree(0, "r", ("a1",), (use,))
     biset = BiSet(frozenset({"a", "r"}), frozenset({"a"}))
@@ -57,8 +52,6 @@ def _samples() -> dict[type, tuple]:
         CheckResult: (False, "why"),
         MixedGraph: (g.vertices, g.edges, g.arcs),
         Orientation: ({"e1": ("a", "b")},),
-        ViewArc: tuple(view_arc),
-        DirectedView: (("r", "a"), (view_arc,)),
         Subpartition: ((frozenset({"a"}), frozenset({"b"})),),
         BiSet: (biset.outer, biset.inner),
         AtomDecomposition: (dec.reach, dec.atoms, dec.atom_roots),
@@ -67,8 +60,6 @@ def _samples() -> dict[type, tuple]:
         Bounds: (7,),
         CoverRequirement: (aux, dec, ("r",), Bounds(7)),
         SubpartitionCertificate: (0, (frozenset({"a"}),), 1),
-        Arborescence: (0, (view_arc,)),
-        DigraphPacking: ((Arborescence(0, (view_arc,)),),),
         EdgeUse: tuple(use),
         MixedTree: tuple(tree),
         MixedPacking: ((tree,),),
@@ -92,7 +83,7 @@ def test_every_exported_type_is_covered():
     exported = {getattr(arbopack, name) for name in arbopack.__all__}
     exported = {x for x in exported if isinstance(x, type) and not issubclass(x, Exception)}
     assert exported <= set(TYPES), exported - set(TYPES)
-    assert len(RECORDS) == 12 and len(VALUES) == 9
+    assert len(RECORDS) == 9 and len(VALUES) == 8
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
@@ -190,7 +181,6 @@ def test_coercion_still_happens():
     o = Orientation(source)
     source["e1"] = ("b", "a")
     assert o.direction == {"e1": ("a", "b")}
-    assert type(DirectedView(["a"], []).vertices) is tuple
     assert CoverRequirement(*SAMPLES[CoverRequirement][:2], ["r"]).roots == ("r",)
 
 
