@@ -22,18 +22,8 @@ from .graph_core import (
     mixed_reachable_set,
     parse_mixed_graph,
 )
-from .decomposition import (
-    AtomDecomposition,
-    AuxiliaryGraph,
-    BiSet,
-    build_auxiliary,
-    compute_atoms,
-)
-from .orientation import (
-    CoverRequirement,
-    SubpartitionCertificate,
-    orient_covering,
-)
+from .decomposition import AtomDecomposition, BiSet, compute_atoms
+from .orientation import SubpartitionCertificate
 from .packing import pack_atom_branchings, pack_reachability
 from .pipeline import (
     BiSetFamilyCertificate,
@@ -45,6 +35,21 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
+
+# The exact orientation fallback runs only on an atom the fast path
+# stalls on, so its module is compiled on first use of one of its names
+# (PEP 562), not at import.
+_EXHAUSTIVE = ("AuxiliaryGraph", "CoverRequirement", "build_auxiliary", "orient_covering")
+
+
+def __getattr__(name: str):
+    if name not in _EXHAUSTIVE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import exhaustive
+
+    value = globals()[name] = getattr(exhaustive, name)
+    return value
+
 
 __all__ = [
     "Arc",

@@ -1,11 +1,11 @@
 """The configurable limit for orientation's exhaustive requirement sweep.
 
-Only the exact orientation fallback enumerates: it sweeps every subset
-of the atom and, per subset, every submask of the trees its terminals
-can give a foothold.  The sweep raises
-:class:`~arbopack.errors.CapacityError` naming the bound instead of
-attempting an infeasible amount of work.  The fallback runs only on the
-atoms the fast orientation path stalls on.  The fast path, the
+Only the exact orientation fallback (``arbopack.exhaustive``)
+enumerates: it sweeps every subset of the atom and, per subset, every
+submask of the trees its terminals can give a foothold.  The sweep
+raises :class:`~arbopack.errors.CapacityError` naming the bound instead
+of attempting an infeasible amount of work.  The fallback runs only on
+the atoms the fast orientation path stalls on.  The fast path, the
 certificate of an atom it refutes, and packing are not bounded.
 """
 

@@ -87,26 +87,26 @@ def _packing_json_full(
     return payload
 
 
-def _certificate_json(g: MixedGraph, cert: BiSetFamilyCertificate) -> dict:
+def _certificate_json(g: MixedGraph, cert: BiSetFamilyCertificate, seed: int | None) -> dict:
     order = g.vertex_index
 
     def ordered(xs) -> list[str]:
         return sorted(xs, key=order.__getitem__)
 
-    return {
-        "format": 1,
-        "feasible": False,
-        "certificate": {
-            "atom_index": cert.atom_index + 1,
-            "bisets": [
-                {"outer": ordered(b.outer), "inner": ordered(b.inner)}
-                for b in cert.bisets
-            ],
-            "lhs": cert.lhs,
-            "rhs": cert.rhs,
-            "deficit": cert.deficit,
-        },
+    payload = {"format": 1, "feasible": False}
+    if seed is not None:
+        payload["seed"] = seed
+    payload["certificate"] = {
+        "atom_index": cert.atom_index + 1,
+        "bisets": [
+            {"outer": ordered(b.outer), "inner": ordered(b.inner)}
+            for b in cert.bisets
+        ],
+        "lhs": cert.lhs,
+        "rhs": cert.rhs,
+        "deficit": cert.deficit,
     }
+    return payload
 
 
 def _vertex_names(value) -> frozenset[str]:
@@ -171,7 +171,7 @@ def _cmd_solve(args) -> int:
     if isinstance(result, MixedPacking):
         _emit(_packing_json_full(g, result, roots, args.seed))
         return 0
-    _emit(_certificate_json(g, result))
+    _emit(_certificate_json(g, result, args.seed))
     return 2
 
 

@@ -1,4 +1,4 @@
-"""Reachability structure: atoms, bi-sets, demand counts, auxiliary graphs.
+"""Reachability structure: atoms, bi-sets, demand counts, atom slices.
 
 Each root reaches a vertex set U_i.  Vertices with the same nonempty set
 of reaching roots form an *atom*; vertices reached by nobody belong to no
@@ -6,24 +6,21 @@ atom and to no tree.  Demands are expressed through bi-sets: nested pairs
 (outer, inner) of vertex sets.  The demand of a bi-set counts the roots
 whose tree is forced to enter the inner set across the outer "wall".
 
-Per atom, an *auxiliary graph*, which only the exact orientation
-fallback builds, replaces every arc entering the atom by a fresh
-terminal vertex ``t:<arc-id>`` with a single outgoing arc to the
-original head.  Subsets of the auxiliary vertex set that contain the
-head of every chosen terminal ("consistent" sets) carry the demand
-function down to plain set functions, one independent subproblem per
-atom; :func:`lift_biset` lifts one by arc id, on the input graph.  One
-indexed pass over the graph sets up every atom, so an atom's set-up
-reads its own part of the graph, in integers, not the whole of it.
+An atom's certificate names each arc entering it that a part holds as
+the terminal ``t:<arc-id>``; :func:`lift_biset` lifts such a part by arc
+id, on the input graph.  One indexed pass over the graph sets up every
+atom, so an atom's set-up reads its own part of the graph, in integers,
+not the whole of it.  The auxiliary graphs and the requirement sweep of
+the exact orientation fallback are in ``arbopack.exhaustive``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import CapacityError, InvariantError
+from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, Arc, Edge, MixedGraph, _reachable, _Value
 
 
@@ -170,34 +167,7 @@ def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# auxiliary graphs
-
-
-class AuxiliaryGraph(_Value):
-    """Atom-local mixed graph with one terminal per entering arc.
-
-    Terminal ``t:<arc-id>`` has in-degree 0 and a single arc (keeping the
-    original arc id) to the original head; ``terminal_origin`` maps it
-    back to the entering arc and its original tail.
-    """
-
-    _fields = ("atom_index", "graph", "gamma", "terminal_origin")
-    atom_index: int
-    graph: MixedGraph
-    gamma: frozenset[str]
-    terminal_origin: Mapping[str, tuple[str, str]]
-
-    def __init__(
-        self,
-        atom_index: int,
-        graph: MixedGraph,
-        gamma: Iterable[str],
-        terminal_origin: Mapping[str, tuple[str, str]],
-    ):
-        object.__setattr__(self, "atom_index", atom_index)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "gamma", frozenset(gamma))
-        object.__setattr__(self, "terminal_origin", dict(terminal_origin))
+# atom slices
 
 
 class _AtomSlice(NamedTuple):
@@ -294,37 +264,6 @@ def _check_atom(sl: _AtomSlice) -> None:
         )
 
 
-def build_auxiliary(
-    g: MixedGraph,
-    dec: AtomDecomposition,
-    j: int,
-    slices: Sequence[_AtomSlice] | None = None,
-) -> AuxiliaryGraph:
-    """Auxiliary graph of atom ``j`` (0-based).
-
-    ``slices`` are ``_atom_slices(g, dec)``, computed here when not given;
-    a caller building every atom's graph computes them once.
-    """
-    if not 0 <= j < len(dec.atoms):
-        raise ValueError(f"atom index {j} out of range")
-    gamma = dec.atoms[j]
-    if slices is None:
-        slices = _atom_slices(g, dec)
-    sl = slices[j]
-    _check_atom(sl)
-    vertices, edges, arcs = sl.vertices, sl.edges, sl.arcs
-    entering = [a for a in arcs if a.tail not in gamma]
-    internal = [a for a in arcs if a.tail in gamma]
-    terminals = [f"{RESERVED_TERMINAL_PREFIX}{a.id}" for a in entering]
-    origin = {t: (a.id, a.tail) for t, a in zip(terminals, entering)}
-    graph = MixedGraph(
-        tuple(vertices) + tuple(terminals),
-        tuple(edges),
-        tuple(internal) + tuple(Arc(a.id, t, a.head) for t, a in zip(terminals, entering)),
-    )
-    return AuxiliaryGraph(atom_index=j, graph=graph, gamma=gamma, terminal_origin=origin)
-
-
 def lift_biset(g: MixedGraph, gamma: frozenset[str], part: Iterable[str]) -> BiSet:
     """Bi-set over ``g`` of a certificate part of the atom ``gamma``.
 
@@ -346,181 +285,3 @@ def lift_biset(g: MixedGraph, gamma: frozenset[str], part: Iterable[str]) -> BiS
             raise ValueError(f"terminal {t!r} is in the part but its head {a.head!r} is not")
         outer.add(a.tail)
     return BiSet(outer=outer, inner=inner)
-
-
-def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
-    """Worst terminal completion of one inner set, over bit-indexed trees.
-
-    ``nq`` trees lack a foothold in the set and ``hits[k]`` is the mask of
-    those trees that terminal ``k`` would disqualify.  For each tree subset
-    ``d`` the terminals whose hits lie inside ``d`` are included; the value
-    is the trees left untouched minus the terminal arcs still entering.
-    Returns the best value and the first ``d`` attaining it.  Every
-    terminal subset is dominated by one of these, so the maximum is exact.
-    The value depends on ``d`` only through its trees that some terminal
-    hits, so ``d`` runs over the submasks of their union, ascending; the
-    first best ``d`` is the same as in an ascending scan of every subset
-    of the ``nq`` trees, whichever bits stand for them.
-    """
-    hit = 0
-    for hq in hits:
-        hit |= hq
-    best = best_d = None
-    d = 0
-    while True:
-        union = 0
-        chosen = 0
-        for hq in hits:
-            if hq & ~d == 0:
-                union |= hq
-                chosen += 1
-        val = nq - union.bit_count() - (len(hits) - chosen)
-        if best is None or val > best:
-            best, best_d = val, d
-        if d == hit:
-            return best, best_d
-        d = (d - hit) & hit
-
-
-def _requirements(
-    gmask: int,
-    footholds: Mapping[int, int],
-    arcs: Sequence[tuple[int, int]],
-    terminals: Sequence[tuple[int, int, int]],
-    max_enum_vertices: int,
-    atom: int | None = None,
-) -> Iterator[tuple[int, int, int]]:
-    """Inner sets of an atom that still need arcs, in descending mask order.
-
-    ``footholds[i]`` is the atom part tree i already holds (its root, or
-    what it spans so far), ``arcs`` the ``(tail, head)`` masks of the
-    atom's own arcs, and ``terminals`` one ``(bit, head bit, hit)`` per
-    terminal, where ``hit`` has bit i set when the terminal would give
-    tree i a foothold.  The need of a nonempty ``Y`` inside ``gmask`` is
-    the worst case, over the terminal completions of ``Y``, of the trees
-    with a foothold in neither ``Y`` nor the completion, minus the arcs
-    entering both.  Yields ``(Y, need, Y plus that completion)`` for
-    every need >= 1.
-
-    The sweep enumerates the subsets of the atom and, per set, the
-    submasks of the trees some terminal hits; their bits together are
-    gated by ``max_enum_vertices``, and the error names ``atom``.
-    """
-    hit_any = 0
-    for _bit, _head, hit in terminals:
-        hit_any |= hit
-    n = gmask.bit_count() + hit_any.bit_count()
-    if n > max_enum_vertices:
-        raise CapacityError(
-            f"|V_j| = {n} exceeds max_enum_vertices = {max_enum_vertices}",
-            limit=max_enum_vertices,
-            observed=n,
-            atom=atom,
-        )
-    y = gmask
-    while y:
-        free = nq = 0
-        for i, foothold in footholds.items():
-            if not foothold & y:
-                free |= 1 << i
-                nq += 1
-        if nq:
-            rho = sum(1 for t, h in arcs if h & y and not t & y)
-            entering = [(bit, hit & free) for bit, head, hit in terminals if head & y]
-            best, d = _worst_completion(nq, [hq for _bit, hq in entering])
-            if best > rho:
-                xmask = y
-                for bit, hq in entering:
-                    if hq & ~d == 0:
-                        xmask |= bit
-                yield y, best - rho, xmask
-        y = (y - 1) & gmask
-
-
-# ---------------------------------------------------------------------------
-# bit-indexed evaluation context
-
-
-class AtomContext(NamedTuple):
-    """Bitmask evaluation context for one auxiliary graph.
-
-    Bit i corresponds to ``order[i]``; atom members come first, then
-    terminals, so subsets of the atom occupy the low bits.  All demand
-    and in-degree evaluations used by the exhaustive code paths go
-    through this context.
-    """
-
-    aux: AuxiliaryGraph
-    order: tuple[str, ...]
-    bit_of: Mapping[str, int]
-    gamma_mask: int
-    full_mask: int
-    tree_indices: tuple[int, ...]
-    root_bits: Mapping[int, int]  # root index -> singleton mask inside gamma (0 if outside)
-    internal_arcs: tuple[tuple[int, int], ...]  # (tail mask, head mask), loops dropped
-    # (bit, head bit, hit) per terminal; hit has bit i set when the
-    # original tail lies in U_i
-    terminals: tuple[tuple[int, int, int], ...]
-    edge_bits: tuple[tuple[str, int, int], ...]  # (edge id, bit u, bit v), loops dropped
-    loop_edge_ids: tuple[str, ...]
-
-    @classmethod
-    def build(
-        cls, aux: AuxiliaryGraph, dec: AtomDecomposition, roots: Sequence[str]
-    ) -> "AtomContext":
-        g = aux.graph
-        order = tuple(v for v in g.vertices if v in aux.gamma) + tuple(
-            v for v in g.vertices if v not in aux.gamma
-        )
-        bit_of = {v: i for i, v in enumerate(order)}
-        gamma_mask = sum(1 << bit_of[v] for v in aux.gamma)
-        full_mask = (1 << len(order)) - 1
-        R = tuple(sorted(dec.atom_roots[aux.atom_index]))
-        root_bits = {
-            i: (1 << bit_of[roots[i]]) if roots[i] in aux.gamma else 0 for i in R
-        }
-        internal = []
-        terms = []
-        for a in g.arcs:
-            if a.tail in aux.terminal_origin:
-                _arc_id, tail0 = aux.terminal_origin[a.tail]
-                hit = sum(1 << i for i in R if tail0 in dec.reach[i])
-                terms.append((1 << bit_of[a.tail], 1 << bit_of[a.head], hit))
-            elif not a.is_loop():
-                internal.append((1 << bit_of[a.tail], 1 << bit_of[a.head]))
-        edge_bits = [(e.id, 1 << bit_of[e.u], 1 << bit_of[e.v]) for e in g.edges if not e.is_loop()]
-        loop_ids = [e.id for e in g.edges if e.is_loop()]
-        return cls(
-            aux=aux,
-            order=order,
-            bit_of=bit_of,
-            gamma_mask=gamma_mask,
-            full_mask=full_mask,
-            tree_indices=R,
-            root_bits=root_bits,
-            internal_arcs=tuple(internal),
-            terminals=tuple(terms),
-            edge_bits=tuple(edge_bits),
-            loop_edge_ids=tuple(loop_ids),
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
-
-    def to_vertices(self, mask: int) -> frozenset[str]:
-        return frozenset(v for i, v in enumerate(self.order) if mask >> i & 1)
-
-    def p_of(self, mask: int) -> int:
-        """Demand of a family member given as a mask."""
-        disq = 0
-        for bit, _head, hit in self.terminals:
-            if mask & bit:
-                disq |= hit
-        return sum(1 for i in self.tree_indices if not (self.root_bits[i] & mask or disq >> i & 1))
-
-    def rho_static(self, mask: int) -> int:
-        """In-degree from the atom's own arcs (terminal arcs included)."""
-        return sum(1 for tail, head in self.internal_arcs if head & mask and not tail & mask) + sum(
-            1 for bit, head, _hit in self.terminals if head & mask and not bit & mask
-        )

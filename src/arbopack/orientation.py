@@ -18,29 +18,17 @@ the checked greedy or refuted by its first failing check
 (``packing._pack``).  No auxiliary graph and no table is built on
 either path, and no oracle outlives its atom.
 
-The requirement is the function ``p_j - rho_static`` over the atom's
-consistent-set family on its auxiliary graph.  By Frank's orientation
-theorem for intersecting supermodular requirements, no orientation
-covers the atom exactly when some subpartition of the auxiliary vertex
-set has summed demands exceeding what edges plus fixed arcs can deliver.
-
+By Frank's orientation theorem, no orientation covers an atom exactly
+when some subpartition of it, its parts holding entering arcs as
+terminals, asks for more than its edges and fixed arcs can deliver.
 The fast path refutes an atom when it finds a set X short even with
 every edge counted both ways.  X is then a one-part subpartition of
 positive deficit, and it is the atom's certificate, naming each entering
 arc it holds ``t:<arc-id>`` from the atom's slice.  Only an atom the
-fast path stalls on builds its auxiliary graph, for the exact fallback,
-:func:`orient_covering`.  It searches for the subpartition of maximum
-deficit, with the fewest parts, then lexicographically least
-(:func:`_extract_certificate`).  When there is none, the edges are fixed
-one at a time, each in a direction that keeps the remaining requirement
-certificate-free (:func:`_fix_edges`).
-
-The fallback's violation checks run over a reduced family: for every
-inner set only the terminal completions that maximise the deficit can
-be binding, and there is one such completion per subset of the atom's
-trees.  The reduction is exact, and it keeps only the inner sets that
-need at least one edge.  Only this table is bounded by
-``Bounds.max_enum_vertices``, so only a stalled atom can exceed it.
+fast path stalls on goes to the exact fallback, ``arbopack.exhaustive``,
+which this module imports only then: it builds the atom's auxiliary
+graph and returns the subpartition of maximum deficit or a covering
+orientation, and only its table is bounded by ``Bounds.max_enum_vertices``.
 """
 
 from __future__ import annotations
@@ -48,57 +36,10 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import (
-    AtomContext,
-    AtomDecomposition,
-    AuxiliaryGraph,
-    _AtomSlice,
-    _atom_slices,
-    _check_atom,
-    _requirements,
-    build_auxiliary,
-)
+from .decomposition import AtomDecomposition, _AtomSlice, _atom_slices, _check_atom
 from .errors import InvariantError
-from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation, _Value
+from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
 from .packing import _edge_cands, _first_fit, _footholds, _grow, _pack, _StepFlow
-
-
-class CoverRequirement(_Value):
-    """One atom's orientation subproblem.
-
-    Carries the auxiliary graph plus everything needed to evaluate the
-    demand function on the fly, its :class:`AtomContext` as ``context``.
-    The total set carries zero requirement; that is asserted at
-    construction because the solver relies on it.
-    """
-
-    _fields = ("aux", "dec", "roots", "bounds")
-    aux: AuxiliaryGraph
-    dec: AtomDecomposition
-    roots: tuple[str, ...]
-    bounds: Bounds
-    context: AtomContext
-
-    def __init__(
-        self,
-        aux: AuxiliaryGraph,
-        dec: AtomDecomposition,
-        roots: Sequence[str],
-        bounds: Bounds = DEFAULT_BOUNDS,
-    ):
-        roots = tuple(roots)
-        object.__setattr__(self, "aux", aux)
-        object.__setattr__(self, "dec", dec)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "context", AtomContext.build(aux, dec, roots))
-        if self.h_of(self.context.full_mask) != 0:
-            raise InvariantError("total auxiliary set carries nonzero requirement")
-
-    def h_of(self, mask: int) -> int:
-        """Requirement of one family member: demand minus fixed in-degree."""
-        ctx = self.context
-        return ctx.p_of(mask) - ctx.rho_static(mask)
 
 
 class SubpartitionCertificate(NamedTuple):
@@ -130,8 +71,8 @@ def orient_atom(
     them.  Otherwise the fast path (:func:`_orient_by_cuts`) orients the
     atom from its slice of ``g``.  An atom it refutes gets the one-part
     certificate it found; only an atom it stalls on builds its auxiliary
-    graph, for :func:`orient_covering`.  An atom with no edge to orient
-    skips the fast path.  The atom is packed as ``solve`` packs it, and
+    graph, for ``exhaustive.orient_covering``.  An atom with no edge to
+    orient skips the fast path.  The atom is packed as ``solve`` packs it, and
     the trees are dropped (:func:`_orient_and_pack`).  ``slices`` are
     ``_atom_slices(g, dec)``, computed here when not given.
     """
@@ -151,9 +92,10 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
     ways is the same flow, so it refutes the atom with the set
     :func:`_orient_by_cuts` would.  Any other atom is oriented on its cut
     oracle, which is turned to the fallback's directions when the fast
-    path stalled (the only time the auxiliary graph is built), and then
-    packed on it: by first fit again when an edge was flipped (with none,
-    it would get stuck as before), otherwise by the checked greedy.
+    path stalled (the only time ``arbopack.exhaustive`` is imported and
+    the auxiliary graph is built), and then packed on it: by first fit
+    again when an edge was flipped (with none, it would get stuck as
+    before), otherwise by the checked greedy.
     """
     sl = slices[j]
     _check_atom(sl)
@@ -171,6 +113,8 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
     flow = _StepFlow(n, trees, cands, gmask, ends)
     outcome = _orient_by_cuts(sl, j, flow, start)
     if outcome is None:
+        from .exhaustive import CoverRequirement, build_auxiliary, orient_covering
+
         outcome = orient_covering(
             CoverRequirement(build_auxiliary(g, dec, j, slices), dec, roots, bounds)
         )
@@ -304,162 +248,3 @@ def _reverse_a_path(flow, y: int, w: int, start) -> bool:
                     flow.flip(k)
                 return True
     return False
-
-
-def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
-    """Per inner set that needs edges: its worst-case need and a set with it.
-
-    Maps each nonempty ``Y`` inside the atom whose maximum of
-    ``p - rho_static`` over all consistent completions ``Y + terminals``
-    is at least 1 to ``(need, xmask)``, where ``xmask`` attains it.  An
-    orientation covers the whole family iff it sends at least ``need``
-    edges into every ``Y`` in the table.
-    """
-    ctx = req.context
-    return {
-        y: (need, xmask)
-        for y, need, xmask in _requirements(
-            ctx.gamma_mask,
-            ctx.root_bits,
-            ctx.internal_arcs,
-            ctx.terminals,
-            req.bounds.max_enum_vertices,
-            ctx.aux.atom_index,
-        )
-    }
-
-
-def orient_covering(req: CoverRequirement):
-    """Orientation of the atom's edges covering its demands, or a certificate.
-
-    Returns the atom's maximum-deficit :class:`SubpartitionCertificate`
-    when it has one.  Otherwise an orientation exists, and the edges are
-    fixed one by one into an :class:`Orientation` over exactly the atom's
-    edge ids.
-    """
-    table = _reduced_table(req)
-    cert = _extract_certificate(req, table)
-    if cert is not None:
-        return cert
-    return _fix_edges(req, table)
-
-
-def _oriented(ctx, dirs: Sequence[int]) -> Orientation:
-    """The atom's orientation for per-edge direction bits; loops as stored."""
-    direction = {}
-    for (eid, bu, bv), d in zip(ctx.edge_bits, dirs):
-        u = ctx.order[bu.bit_length() - 1]
-        v = ctx.order[bv.bit_length() - 1]
-        direction[eid] = (u, v) if d == 0 else (v, u)
-    for eid in ctx.loop_edge_ids:
-        e = ctx.aux.graph.edge_by_id[eid]
-        direction[eid] = (e.u, e.v)
-    return Orientation(direction)
-
-
-def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orientation:
-    """Covering orientation of an atom whose table has no certificate.
-
-    Edges are fixed in declaration order.  Each takes the first direction
-    after which the table, less what the fixed edges already send in,
-    still has no certificate over the edges left.  The certificate search
-    is exact, so one of the two directions always qualifies, and after
-    the last edge every need is met.  The table less the fixed edges is
-    kept, so each trial subtracts only the new edge's crossing.
-    """
-    ctx = req.context
-    dirs: list[int] = []
-    rest = table
-    for pos, (_eid, bu, bv) in enumerate(ctx.edge_bits):
-        for d, (tail, head) in enumerate(((bu, bv), (bv, bu))):
-            trial = {
-                y: (need - 1, xm) if head & y and not tail & y else (need, xm)
-                for y, (need, xm) in rest.items()
-            }
-            if _extract_certificate(req, trial, ctx.edge_bits[pos + 1 :]) is None:
-                dirs.append(d)
-                rest = trial
-                break
-        else:
-            raise InvariantError(
-                "no covering orientation exists, yet no subpartition has positive deficit"
-            )
-    return _oriented(ctx, dirs)
-
-
-def _extract_certificate(
-    req: CoverRequirement,
-    table: dict[int, tuple[int, int]] | None = None,
-    edges: Sequence[tuple[str, int, int]] | None = None,
-) -> SubpartitionCertificate | None:
-    """Maximum-deficit subpartition; fewest parts, lexicographic tie-break.
-
-    Only parts with positive requirement can help (dropping a
-    nonpositive part never lowers the deficit), so the search runs over
-    the reduced table.  ``edges`` defaults to all of the atom's edges.
-    Returns ``None`` when every subpartition has deficit <= 0.
-
-    A subpartition is an exact cover of its union by table sets, so the
-    union ``w`` runs over the submasks of the union of the deficient
-    sets, ascending, and the part holding the lowest bit of ``w`` over
-    that bit plus each submask of the rest: about 3^|union| steps.
-    Covers compare on value and part count first; the sorted parts are
-    built only for those that tie the best, to break the tie.
-    """
-    ctx = req.context
-    if table is None:
-        table = _reduced_table(req)
-    if edges is None:
-        edges = ctx.edge_bits
-    # Y -> (need plus the edges inside Y, completion)
-    pool = {
-        y: (need + sum(1 for _eid, bu, bv in edges if bu & y and bv & y), xm)
-        for y, (need, xm) in table.items()
-        if need >= 1
-    }
-    if not pool:
-        return None
-    union = 0
-    for y in pool:
-        union |= y
-
-    # best[w]: least (-value, part count, sorted parts) over exact disjoint
-    # covers of w.  The parts determine w, so keys never tie across w.
-    best: dict[int, tuple[int, int, tuple[int, ...]]] = {0: (0, 0, ())}
-    w = 0
-    while w != union:
-        w = (w - union) & union
-        low = w & -w
-        rest = w ^ low
-        key = None
-        ties: list[tuple[tuple[int, ...], int]] = []
-        s = rest
-        while True:
-            part = pool.get(low | s)
-            if part is not None:
-                prev = best.get(rest ^ s)
-                if prev is not None:
-                    cand = (prev[0] - part[0], prev[1] + 1)
-                    if key is None or cand < key:
-                        key, ties = cand, [(prev[2], part[1])]
-                    elif cand == key:
-                        ties.append((prev[2], part[1]))
-            if not s:
-                break
-            s = (s - 1) & rest
-        if key is not None:
-            best[w] = key + (min(tuple(sorted(parts + (xm,))) for parts, xm in ties),)
-
-    winner = min(
-        (negvalue + sum(1 for _eid, bu, bv in edges if (bu | bv) & w), count, parts)
-        for w, (negvalue, count, parts) in best.items()
-        if parts
-    )
-    if winner[0] > -1:
-        return None
-    negdeficit, _count, parts = winner
-    return SubpartitionCertificate(
-        atom_index=ctx.aux.atom_index,
-        parts=tuple(ctx.to_vertices(p) for p in parts),
-        deficit=-negdeficit,
-    )

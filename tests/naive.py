@@ -34,9 +34,9 @@ from arbopack import (
     SubpartitionCertificate,
     mixed_reachable_set,
 )
-from arbopack.decomposition import AtomContext, _requirements, lift_biset, p_value
+from arbopack.decomposition import lift_biset, p_value
+from arbopack.exhaustive import AtomContext, _oriented, _requirements
 from arbopack.graph_core import RESERVED_TERMINAL_PREFIX, _reachable
-from arbopack.orientation import _oriented
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
 MAX_SUBPARTITION_GROUND = 10

@@ -28,8 +28,8 @@ from arbopack import (
     verify_certificate,
 )
 from arbopack.cli import main as cli_main
-from arbopack.decomposition import AtomContext, p_value
-from arbopack.orientation import _extract_certificate, _reduced_table, orient_covering
+from arbopack.decomposition import p_value
+from arbopack.exhaustive import AtomContext, _extract_certificate, _reduced_table, orient_covering
 from instance_gen import (
     random_mixed_instance,
     random_orientation,

@@ -74,6 +74,16 @@ class TestSolve:
         _, out2, _ = run(capsys, "solve", two_root_path, "--seed", "7")
         assert out1 == out2
 
+    def test_seed_recorded_in_a_certificate(self, capsys, infeasible_path):
+        code, out, _ = run(capsys, "solve", infeasible_path, "--seed", "7")
+        payload = json.loads(out)
+        assert code == 2 and payload["feasible"] is False
+        assert list(payload) == ["format", "feasible", "seed", "certificate"]
+        assert payload["seed"] == 7
+        _, plain, _ = run(capsys, "solve", infeasible_path)
+        del payload["seed"]
+        assert payload == json.loads(plain)
+
     def test_jobs_flag(self, capsys, two_root_path):
         _, out1, _ = run(capsys, "solve", two_root_path)
         _, out2, _ = run(capsys, "solve", two_root_path, "--jobs", "3")

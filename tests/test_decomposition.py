@@ -16,13 +16,8 @@ from arbopack import (
     mixed_reachable_set,
     parse_mixed_graph,
 )
-from arbopack.decomposition import (
-    AtomContext,
-    _atom_slices,
-    biset_in_degree,
-    lift_biset,
-    p_value,
-)
+from arbopack.decomposition import _atom_slices, biset_in_degree, lift_biset, p_value
+from arbopack.exhaustive import AtomContext
 from instance_gen import (
     bench_workloads,
     deep_atom_text,

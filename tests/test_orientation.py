@@ -22,17 +22,10 @@ from arbopack import (
     validate_mixed_packing,
     verify_certificate,
 )
-from arbopack import orientation, packing
-from arbopack.decomposition import _atom_slices, _worst_completion
-from arbopack.orientation import (
-    _extract_certificate,
-    _fix_edges,
-    _orient_by_cuts,
-    _orientation,
-    _reduced_table,
-    _start_state,
-    orient_atom,
-)
+from arbopack import exhaustive, orientation, packing
+from arbopack.decomposition import _atom_slices
+from arbopack.exhaustive import _extract_certificate, _fix_edges, _reduced_table, _worst_completion
+from arbopack.orientation import _orient_by_cuts, _orientation, _start_state, orient_atom
 from arbopack.packing import _StepFlow
 from instance_gen import bench_workloads, random_mixed_instance
 from naive import (
@@ -533,11 +526,11 @@ class TestFastPath:
         min_cut = packing._min_cut
         monkeypatch.setattr(packing, "_min_cut", lambda *a: flows.append(a) or min_cut(*a))
 
-        def exhaustive(*_args):
+        def fallback(*_args):
             raise AssertionError("a refuted atom reached the exact fallback")
 
-        monkeypatch.setattr(orientation, "_requirements", exhaustive)
-        monkeypatch.setattr(orientation, "_extract_certificate", exhaustive)
+        monkeypatch.setattr(exhaustive, "_requirements", fallback)
+        monkeypatch.setattr(exhaustive, "_extract_certificate", fallback)
         wl = bench_workloads()
         for seed in range(10):
             rng = random.Random(seed)

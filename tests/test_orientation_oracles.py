@@ -25,7 +25,7 @@ from arbopack import (
     solve,
     verify_certificate,
 )
-from arbopack.orientation import _extract_certificate, _reduced_table
+from arbopack.exhaustive import _extract_certificate, _reduced_table
 from instance_gen import bench_workloads, random_mixed_instance
 from naive import _ref_cross_into, _ref_edge_ends, reference_certificate
 

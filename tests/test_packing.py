@@ -23,7 +23,7 @@ from arbopack import (
     solve,
     validate_mixed_packing,
 )
-from arbopack import decomposition, packing, pipeline
+from arbopack import exhaustive, packing, pipeline
 from arbopack.decomposition import _atom_slices
 from arbopack.packing import _StepFlow, _pack_slice
 from instance_gen import (
@@ -573,7 +573,7 @@ class TestStepFlow:
 
     def test_no_requirement_sweep(self, monkeypatch, two_root):
         calls = {"sweep": 0, "atom": 0}
-        sweep, pack = decomposition._requirements, packing._pack
+        sweep, pack = exhaustive._requirements, packing._pack
 
         def counted_sweep(*args):
             calls["sweep"] += 1
@@ -584,7 +584,7 @@ class TestStepFlow:
             return pack(*args)
 
         assert not hasattr(packing, "_requirements")
-        monkeypatch.setattr(decomposition, "_requirements", counted_sweep)
+        monkeypatch.setattr(exhaustive, "_requirements", counted_sweep)
         monkeypatch.setattr(packing, "_pack", counted_pack)
         rng = random.Random(5150)
         cases = [canonical_digraph(two_root)]

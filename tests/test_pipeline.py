@@ -32,7 +32,7 @@ from arbopack import (
     verify_certificate,
 )
 import arbopack
-from arbopack import graph_core, orientation, packing, pipeline
+from arbopack import exhaustive, graph_core, orientation, packing, pipeline
 from arbopack.decomposition import _atom_slices, _check_atom, biset_in_degree, lift_biset, p_value
 from arbopack.errors import InvariantError
 from arbopack.orientation import (
@@ -642,10 +642,13 @@ class TestPackOnTheOrientingOracle:
 
     def test_same_trees_as_the_two_stage_path(self, monkeypatch):
         fallbacks = []
-        orient = orientation.orient_covering
-        monkeypatch.setattr(
-            orientation, "orient_covering", lambda req: fallbacks.append(orient(req)) or fallbacks[-1]
-        )
+        orient = exhaustive.orient_covering
+
+        def counted(req):
+            fallbacks.append(orient(req))
+            return fallbacks[-1]
+
+        monkeypatch.setattr(exhaustive, "orient_covering", counted)
         cases = list(bench_instances(110))
         rng = random.Random(4242)
         cases += [random_mixed_instance(rng, max_v=9, max_e=12, max_a=8) for _ in range(1000)]
@@ -823,7 +826,7 @@ class TestAuxiliaryGraph:
         # once per atom the fast path stalls on, and for no other atom.
         built, stalled, refuted = [], [], []
         build, by_cuts, refute = (
-            orientation.build_auxiliary,
+            exhaustive.build_auxiliary,
             orientation._orient_by_cuts,
             orientation._refuted,
         )
@@ -841,7 +844,7 @@ class TestAuxiliaryGraph:
             refuted.append(args[1])
             return refute(*args)
 
-        for module in (arbopack, arbopack.decomposition, orientation):
+        for module in (arbopack, exhaustive):
             monkeypatch.setattr(module, "build_auxiliary", counted_build)
         monkeypatch.setattr(orientation, "_orient_by_cuts", counted_by_cuts)
         monkeypatch.setattr(orientation, "_refuted", counted_refute)

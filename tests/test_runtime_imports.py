@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import arbopack
 
 PROBE = """
@@ -17,15 +19,42 @@ import arbopack, arbopack.cli
 print(json.dumps(sorted(sys.modules)))
 """
 
+# whether solving the file named by argv[2] loaded the fallback, before and after
+SOLVE_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from arbopack import parse_mixed_graph, solve
+g, roots = parse_mixed_graph(open(sys.argv[2]).read())
+before = "arbopack.exhaustive" in sys.modules
+solve(g, roots)
+print(json.dumps([before, "arbopack.exhaustive" in sys.modules]))
+"""
 
-def _loaded_by_import() -> list[str]:
+# the names a star import binds
+STAR_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+names = {}
+exec("from arbopack import *", names)
+print(json.dumps(sorted(set(names) - {"__builtins__"})))
+"""
+
+DATA = Path(__file__).with_name("data")
+EXHAUSTIVE_NAMES = ("AuxiliaryGraph", "CoverRequirement", "build_auxiliary", "orient_covering")
+
+
+def _probe(code: str, *args: str):
     # -S skips site-packages and their start-up hooks, so every module
     # loaded is one the interpreter or the package asked for.
     src = str(Path(arbopack.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-S", "-c", PROBE, src], capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, src, *args], capture_output=True, text=True, check=True
     ).stdout
     return json.loads(out)
+
+
+def _loaded_by_import() -> list[str]:
+    return _probe(PROBE)
 
 
 def test_zero_runtime_dependencies():
@@ -51,6 +80,44 @@ def test_start_up_loads_no_class_generators():
     assert not {"dataclasses", "inspect"} & set(loaded)
 
 
+def test_start_up_loads_no_exhaustive_fallback():
+    # The fallback runs only on an atom the fast path stalls on, so the
+    # CLI and the package start without compiling it.
+    loaded = _loaded_by_import()
+    assert "arbopack.cli" in loaded
+    assert "arbopack.exhaustive" not in loaded
+
+
+@pytest.mark.parametrize(
+    "name, stalls",
+    [
+        ("three_vertex_infeasible.mg", True),
+        ("two_root_mixed.mg", False),
+        ("arcs_only_infeasible.mg", False),
+    ],
+)
+def test_only_a_stalled_atom_loads_the_fallback(name, stalls):
+    # The three-vertex atom has two edges and no set short with both
+    # counted both ways, so the fast path stalls and the fallback refutes it.
+    assert _probe(SOLVE_PROBE, str(DATA / name)) == [False, stalls]
+
+
+def test_lazy_names_are_the_fallback_modules_own():
+    from arbopack import exhaustive
+
+    for name in EXHAUSTIVE_NAMES:
+        assert name in arbopack.__all__
+        assert getattr(arbopack, name) is getattr(exhaustive, name)
+    with pytest.raises(AttributeError, match="no attribute 'orient'"):
+        arbopack.orient
+
+
+def test_star_import_binds_every_exported_name():
+    # In a fresh interpreter, so the lazy names are resolved by the import.
+    names = _probe(STAR_PROBE)
+    assert names == sorted(arbopack.__all__) and len(names) == 33
+
+
 def test_pipeline_imports_nothing_from_packing():
     # ``orientation`` packs each atom as soon as it is oriented, so
     # ``solve`` has no packing stage of its own to import for.
@@ -72,7 +139,7 @@ def test_pipeline_imports_nothing_from_packing():
 
 def test_solve_and_the_cli_build_no_auxiliary_graph():
     # Certificates are lifted by arc id on the input graph; only the exact
-    # fallback in ``orientation`` builds an auxiliary graph.
+    # fallback in ``exhaustive`` builds an auxiliary graph.
     names = {"build_auxiliary", "AuxiliaryGraph"}
     for module in ("pipeline.py", "cli.py"):
         tree = ast.parse(Path(arbopack.__file__).with_name(module).read_text())

@@ -33,7 +33,7 @@ from arbopack import (
     build_auxiliary,
     compute_atoms,
 )
-from arbopack.decomposition import AtomContext
+from arbopack.exhaustive import AtomContext
 from arbopack.graph_core import Subpartition, _Value
 
 
