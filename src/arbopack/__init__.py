@@ -24,11 +24,12 @@ from .graph_core import (
 )
 from .decomposition import AtomDecomposition, BiSet, compute_atoms
 from .orientation import SubpartitionCertificate
-from .packing import pack_atom_branchings, pack_reachability
+from .packing import pack_atom_branchings
 from .pipeline import (
     BiSetFamilyCertificate,
     certificate_from_subpartition,
     covering_orientation,
+    pack_reachability,
     solve,
     validate_mixed_packing,
     verify_certificate,

@@ -24,8 +24,9 @@ from .graph_core import (
     parse_mixed_graph,
 )
 from .orientation import SubpartitionCertificate, orient_atom
-from .packing import pack_reachability
-from .pipeline import BiSetFamilyCertificate, solve, validate_mixed_packing, verify_certificate
+from .pipeline import (
+    BiSetFamilyCertificate, pack_reachability, solve, validate_mixed_packing, verify_certificate
+)
 
 GRAMMAR = """\
 input grammar (one declaration per line, '#' starts a comment):

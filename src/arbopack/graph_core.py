@@ -189,6 +189,12 @@ class MixedGraph(_Value):
         return xs
 
 
+def _require_digraph(g: MixedGraph) -> None:
+    """Raise ``ValueError`` naming the first edge of ``g``, if it has one."""
+    if g.edges:
+        raise ValueError(f"expected a digraph, but {g.edges[0].id!r} is an edge")
+
+
 class Orientation(_Value):
     """Total orientation of an edge set: edge-id -> (tail, head)."""
 
@@ -239,29 +245,6 @@ class MixedTree(NamedTuple):
 
 class MixedPacking(NamedTuple):
     trees: tuple[MixedTree, ...]
-
-
-def _packing_from_owners(
-    g: MixedGraph, roots: Sequence[str], arc_owner, edge_use
-) -> MixedPacking:
-    """The packing whose trees take ``g``'s arcs and edges as two position-indexed arrays say.
-
-    ``arc_owner[pos]`` is the tree owning ``g.arcs[pos]``, and
-    ``edge_use[pos]`` is ``(tree, tail, head)`` for ``g.edges[pos]``, or
-    None when no tree takes it.  One scan of each gives every tree its
-    arcs and edges in declaration order.
-    """
-    tree_arcs: list[list[str]] = [[] for _ in roots]
-    tree_edges: list[list[EdgeUse]] = [[] for _ in roots]
-    for a, i in zip(g.arcs, arc_owner):
-        if i is not None:
-            tree_arcs[i].append(a.id)
-    for e, use in zip(g.edges, edge_use):
-        if use is not None:
-            tree_edges[use[0]].append(EdgeUse(e.id, use[1], use[2]))
-    return MixedPacking(tuple(
-        MixedTree(i, r, tuple(tree_arcs[i]), tuple(tree_edges[i])) for i, r in enumerate(roots)
-    ))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import AtomDecomposition, _AtomSlice, _atom_slices, _check_atom
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
-from .packing import _edge_cands, _first_fit, _footholds, _grow, _pack, _StepFlow
+from .packing import _edge_cands, _first_fit, _grow, _pack, _StepFlow
 
 
 class SubpartitionCertificate(NamedTuple):
@@ -187,8 +187,18 @@ def _refuted(sl, j: int, xmask: int, deficit: int) -> SubpartitionCertificate:
     return SubpartitionCertificate(j, (frozenset(part),), deficit)
 
 
+def _footholds(sl, dec, j: int, roots: Sequence[str]) -> tuple[list[int], dict[int, int]]:
+    """Atom ``j``'s trees, and each one's foothold: its root's bit in the slice ``sl``, else 0."""
+    trees = sorted(dec.atom_roots[j])
+    start = {}
+    for i in trees:
+        jr, k = sl.at.get(roots[i], (None, 0))
+        start[i] = 1 << k if jr == j else 0
+    return trees, start
+
+
 def _start_state(sl, dec: AtomDecomposition, j: int, roots):
-    """The trees, their footholds (``packing._footholds``) and the edges' starting ends.
+    """The trees, their footholds (:func:`_footholds`) and the edges' starting ends.
 
     ``ends`` holds the (tail, head) vertex indices of each non-loop edge,
     in slice order: edges point away from the atom's roots (from the

@@ -1,4 +1,4 @@
-"""Pack reachability arborescences atom by atom on each atom's cut oracle.
+"""Pack one atom's reachability arborescences on its cut oracle.
 
 Feasibility is the cut condition: every vertex set must admit at least as
 many entering arcs as there are roots outside it whose reachability set
@@ -15,14 +15,14 @@ one max-flow from w.  First comes first fit, the same greedy with no
 check: when it finishes, every check would have passed, so it packs
 with the same trees and no oracle is built.  It is tried only on an
 atom with at least as many candidate arcs as steps its trees need; any
-other atom cannot be packed.  Otherwise the greedy runs checked on a
-new oracle (:func:`_pack`), except in an atom of a mixed graph, which
-``orientation`` packs on the oracle that oriented its edges as soon as
-they are oriented.  Only an infeasible atom gets a checked tree stuck;
-its untouched atom is then checked from each vertex, and the first
-short cut, lifted to the whole digraph, is the violated set returned.
-A digraph is a mixed graph with no edges, and its packing is a
-``MixedPacking`` whose trees use no edge.
+other atom cannot be packed.  Otherwise the greedy runs checked: on a
+new oracle for an atom with no edge (:func:`_pack`), and on the oracle
+that oriented the edges of any other (``orientation``).  Only an
+infeasible atom gets a checked tree stuck; its untouched atom is then
+checked from each vertex, and the first short cut is its deficient set.
+``pipeline`` drives the atoms for ``solve`` and ``pack_reachability``
+alike, a digraph being a mixed graph with no edges;
+:func:`pack_atom_branchings` packs one atom of a digraph by vertex name.
 """
 
 from __future__ import annotations
@@ -30,93 +30,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .decomposition import _atom_slices, compute_atoms
 from .errors import InvariantError
-from .graph_core import Arc, MixedGraph, MixedPacking, _packing_from_owners, _reachable
-
-
-def _require_digraph(g: MixedGraph) -> None:
-    """Raise ``ValueError`` naming the first edge of ``g``, if it has one."""
-    if g.edges:
-        raise ValueError(f"expected a digraph, but {g.edges[0].id!r} is an edge")
-
-
-def pack_reachability(g: MixedGraph, roots: Sequence[str]) -> MixedPacking | frozenset[str]:
-    """A packing of reachability arborescences in the digraph ``g``, or a violated vertex set.
-
-    ``g`` is sliced by atom once.  The atoms are packed in topological
-    order of their root-set lattice (by root count, then index), each
-    from its slice's candidates (:func:`_pack`): tree i starts from its
-    root when the root lies inside, and otherwise from the arcs entering
-    the atom out of U_i.  The first atom that cannot be packed gives its
-    short set, lifted to a violated vertex set of ``g``
-    (:func:`_lift_witness`).  Raises ``ValueError`` when ``g`` has edges.
-    """
-    _require_digraph(g)
-    roots = tuple(roots)
-    dec = compute_atoms(g, roots)
-    slices = _atom_slices(g, dec)
-    arc_owner: list[int | None] = [None] * len(g.arcs)
-    for j in sorted(range(len(slices)), key=lambda j: (len(dec.atom_roots[j]), j)):
-        sl = slices[j]
-        owner = _pack_slice(g, sl, dec, j, roots)
-        if isinstance(owner, frozenset):
-            return _lift_witness(g, owner, dec.atoms[j])
-        for pos, i in zip(sl.arc_pos, owner):
-            arc_owner[pos] = i
-    return _packing_from_owners(g, roots, arc_owner, ())
-
-
-def _pack_slice(
-    g: MixedGraph, sl, dec, j: int, roots: Sequence[str]
-) -> list[int | None] | frozenset[str]:
-    """Atom ``j``'s owner list, one per candidate of its slice ``sl``, or its deficient set.
-
-    The set is what :func:`pack_atom_branchings` returns: the atom part
-    of the short set :func:`_pack` found, plus the tails of the entering
-    arcs whose bits it holds.
-    """
-    trees, start = _footholds(sl, dec, j, roots)
-    n = len(sl.vertices)
-    owner = _pack(n, trees, start, sl.cands)
-    if isinstance(owner, list):
-        return owner
-    xmask = owner[0]
-    return frozenset(v for k, v in enumerate(sl.vertices) if xmask >> k & 1) | frozenset(
-        g.arcs[pos].tail
-        for (tb, _hb, _hit), pos in zip(sl.cands, sl.arc_pos)
-        if tb >> n and tb & xmask
-    )
-
-
-def _footholds(sl, dec, j: int, roots: Sequence[str]) -> tuple[list[int], dict[int, int]]:
-    """Atom ``j``'s trees, and each one's foothold: its root's bit in the slice ``sl``, else 0."""
-    trees = sorted(dec.atom_roots[j])
-    start = {}
-    for i in trees:
-        jr, k = sl.at.get(roots[i], (None, 0))
-        start[i] = 1 << k if jr == j else 0
-    return trees, start
-
-
-def _lift_witness(g: MixedGraph, witness: frozenset[str], gamma: frozenset[str]) -> frozenset[str]:
-    """Lift an atom's deficient set to a violated vertex set of ``g``.
-
-    ``witness`` is an atom part Y plus the tails of a set T of entering
-    arcs that the atom check found short.  Each tail is replaced by every
-    vertex that reaches it.  A tree the atom check counted spans an
-    out-closed set that misses those tails, so it misses every added
-    vertex and still needs an arc into Y.  An arc into an added vertex
-    starts at an added vertex.  So the only arcs entering the lifted set
-    are the ones the check counted, and there are too few of them.
-    """
-    pred: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for a in g.arcs:
-        pred[a.head].append(a.tail)
-    lifted = set(witness & gamma)
-    for v in witness - gamma:
-        lifted |= _reachable(pred, v)
-    return frozenset(lifted)
+from .graph_core import Arc, MixedGraph, _require_digraph
 
 
 def pack_atom_branchings(
@@ -135,8 +50,8 @@ def pack_atom_branchings(
     ``g`` has edges.
 
     The candidates are derived here from the vertex names, where
-    :func:`pack_reachability` reads them off each atom's slice
-    (:func:`_pack_slice`); both pack them with :func:`_pack`.
+    ``pipeline.pack_reachability`` reads them off each atom's slice; both
+    pack them with :func:`_pack`.
     """
     _require_digraph(g)
     g.require_vertices(gamma)

@@ -7,6 +7,8 @@ packs the atom from its starting directions, and otherwise on the cut
 oracle that oriented it.  When some atom cannot be oriented, the atom-level
 subpartition certificate is lifted to a bi-set family over the original
 graph, which any third party can re-check against the input alone.
+``pack_reachability`` runs the same per-atom driver on a digraph (a mixed
+graph with no edges), and ``covering_orientation`` keeps its directions.
 """
 
 from __future__ import annotations
@@ -26,13 +28,16 @@ from .decomposition import (
 from .errors import InvariantError
 from .graph_core import (
     CheckResult,
+    EdgeUse,
     MixedGraph,
     MixedPacking,
+    MixedTree,
     OK_RESULT,
     Orientation,
     Subpartition,
     _check_arborescence,
-    _packing_from_owners,
+    _reachable,
+    _require_digraph,
     crossing_edge_count,
     lexicographic_orientation,
     mixed_reachable_set,
@@ -151,24 +156,60 @@ def verify_certificate(
 # the solver
 
 
-def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds):
-    """Each atom's slice, edge ends and owner list, in atom order.
+def _orient_atoms(g: MixedGraph, roots: tuple[str, ...], bounds: Bounds, order):
+    """Each atom's slice, edge ends and owner list, in the order ``order(dec)`` lists the atoms.
 
-    Each atom is oriented and packed in one call
-    (``orientation._orient_and_pack``); its owner list names the tree
-    that takes each of its arcs, then each of its edges.  Stops at the
-    lowest-index atom that cannot be oriented, and returns its lifted
-    certificate instead.
+    This is the one per-atom loop.  Each atom is oriented and packed in
+    one call (``orientation._orient_and_pack``); its owner list names
+    the tree that takes each of its arcs, then each of its edges.  Stops
+    at the first atom in that order that cannot be oriented, and returns
+    its lifted certificate instead.
     """
     dec = compute_atoms(g, roots)
     slices = _atom_slices(g, dec)
     oriented = []
-    for j, sl in enumerate(slices):
+    for j in order(dec):
         outcome, owner = _orient_and_pack(g, dec, j, roots, slices, bounds)
         if isinstance(outcome, SubpartitionCertificate):
             return certificate_from_subpartition(outcome, dec, g, roots)
-        oriented.append((sl, outcome, owner))
+        oriented.append((slices[j], outcome, owner))
     return oriented
+
+
+def _by_index(dec: AtomDecomposition) -> range:
+    return range(len(dec.atoms))
+
+
+def _by_root_count(dec: AtomDecomposition) -> list[int]:
+    return sorted(range(len(dec.atoms)), key=lambda j: (len(dec.atom_roots[j]), j))
+
+
+def _packing_from_owners(g: MixedGraph, roots: tuple[str, ...], oriented) -> MixedPacking:
+    """The packing whose trees take the arcs and edges the atoms' owner lists give them.
+
+    Owners go into arrays indexed by position in ``g.arcs`` and
+    ``g.edges``, so one scan of each gives every tree its arcs and edges
+    in declaration order.
+    """
+    arc_owner: list[int | None] = [None] * len(g.arcs)
+    edge_use: list[tuple[int, EdgeUse] | None] = [None] * len(g.edges)
+    for sl, ends, owner in oriented:
+        for pos, i in zip(sl.arc_pos, owner):
+            arc_owner[pos] = i
+        for pos, (t, h), i in zip(sl.edge_pos, ends, owner[len(sl.arc_pos) :]):
+            if i is not None:
+                edge_use[pos] = i, EdgeUse(g.edges[pos].id, sl.vertices[t], sl.vertices[h])
+    tree_arcs: list[list[str]] = [[] for _ in roots]
+    tree_edges: list[list[EdgeUse]] = [[] for _ in roots]
+    for a, i in zip(g.arcs, arc_owner):
+        if i is not None:
+            tree_arcs[i].append(a.id)
+    for use in edge_use:
+        if use is not None:
+            tree_edges[use[0]].append(use[1])
+    return MixedPacking(tuple(
+        MixedTree(i, r, tuple(tree_arcs[i]), tuple(tree_edges[i])) for i, r in enumerate(roots)
+    ))
 
 
 def covering_orientation(
@@ -186,7 +227,7 @@ def covering_orientation(
     packed too, as in :func:`solve`, so an orientation its trees cannot
     use raises :class:`InvariantError`; the trees are dropped.
     """
-    oriented = _orient_atoms(g, tuple(roots), bounds)
+    oriented = _orient_atoms(g, tuple(roots), bounds, _by_index)
     if isinstance(oriented, BiSetFamilyCertificate):
         return oriented
     direction: dict[str, tuple[str, str]] = {}
@@ -205,25 +246,52 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     be oriented.  Atoms are oriented in order, and each is packed as soon
     as it is oriented, on the cut oracle that oriented it when first fit
     could not pack it from its starting directions (see
-    ``orientation._orient_and_pack``).  Owners go into arrays indexed by
-    position in ``g.arcs`` and ``g.edges``, so one scan of each gives
-    every tree its arcs and edges in declaration order
-    (``graph_core._packing_from_owners``).
+    ``orientation._orient_and_pack``).  The trees are filed in
+    declaration order (:func:`_packing_from_owners`).
     """
     roots = tuple(roots)
-    oriented = _orient_atoms(g, roots, bounds)
+    oriented = _orient_atoms(g, roots, bounds, _by_index)
     if isinstance(oriented, BiSetFamilyCertificate):
         return oriented
-    arc_owner: list[int | None] = [None] * len(g.arcs)
-    edge_use: list[tuple[int, str, str] | None] = [None] * len(g.edges)
-    for sl, ends, owner in oriented:
-        for pos, i in zip(sl.arc_pos, owner):
-            arc_owner[pos] = i
-        vertices = sl.vertices
-        for pos, (t, h), i in zip(sl.edge_pos, ends, owner[len(sl.arc_pos) :]):
-            if i is not None:
-                edge_use[pos] = i, vertices[t], vertices[h]
-    return _packing_from_owners(g, roots, arc_owner, edge_use)
+    return _packing_from_owners(g, roots, oriented)
+
+
+def pack_reachability(g: MixedGraph, roots: Sequence[str]) -> MixedPacking | frozenset[str]:
+    """A packing of reachability arborescences in the digraph ``g``, or a violated vertex set.
+
+    A digraph is a mixed graph with no edges, so this is :func:`solve`'s
+    driver with the atoms in topological order of their root-set lattice
+    (by root count, then index).  The first atom that cannot be packed
+    gives a one-part certificate, and its bi-set is lifted to a violated
+    vertex set of ``g`` (:func:`_lift_witness`).  Raises ``ValueError``
+    when ``g`` has edges, and, as :func:`solve` does, when a vertex is
+    named ``t:<arc-id>`` after an arc that enters an atom.
+    """
+    _require_digraph(g)
+    roots = tuple(roots)
+    oriented = _orient_atoms(g, roots, DEFAULT_BOUNDS, _by_root_count)
+    if isinstance(oriented, BiSetFamilyCertificate):
+        (b,) = oriented.bisets
+        return _lift_witness(g, b)
+    return _packing_from_owners(g, roots, oriented)
+
+
+def _lift_witness(g: MixedGraph, b: BiSet) -> frozenset[str]:
+    """A refuted digraph atom's bi-set as a violated set: the inner set and all that reaches the wall.
+
+    The wall holds the tails of the entering arcs that the atom check
+    found short.  A tree it counted spans an out-closed set that misses
+    them, so it misses every added vertex and still needs an arc into
+    the inner set.  An arc into an added vertex starts at one, so only
+    the arcs the check counted enter the lifted set, too few of them.
+    """
+    pred: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for a in g.arcs:
+        pred[a.head].append(a.tail)
+    lifted = set(b.inner)
+    for v in b.wall():
+        lifted |= _reachable(pred, v)
+    return frozenset(lifted)
 
 
 def validate_mixed_packing(

@@ -23,9 +23,9 @@ from arbopack import (
     solve,
     validate_mixed_packing,
 )
-from arbopack import exhaustive, packing, pipeline
-from arbopack.decomposition import _atom_slices
-from arbopack.packing import _StepFlow, _pack_slice
+from arbopack import exhaustive, orientation, packing, pipeline
+from arbopack.decomposition import _atom_slices, lift_biset
+from arbopack.packing import _StepFlow
 from instance_gen import (
     deep_atom_text,
     doubled_cycle_text,
@@ -318,8 +318,11 @@ class TestPackAtomBranchings:
         assert result == {0: (a2, a4), 1: (a3, a5)}
 
     def test_atom_slice_matches_whole_view(self):
-        # Each atom as pack_reachability packs it, from its slice's
-        # candidates, against the candidates taken from the vertex names.
+        # Each edgeless atom as pack_reachability packs it, from its
+        # slice's candidates (``orientation._orient_and_pack``), against
+        # the candidates taken from the vertex names.  A refuted atom's
+        # part names each entering arc's terminal, and its lifted outer
+        # set holds that arc's tail in its place.
         rng = random.Random(7171)
         graphs = []
         for _ in range(300):
@@ -338,10 +341,16 @@ class TestPackAtomBranchings:
                 }
                 whole = pack_atom_branchings(g, gamma, demands)
                 sl = slices[j]
-                sliced = _pack_slice(g, sl, dec, j, roots)
-                if isinstance(sliced, list):
+                outcome, owner = orientation._orient_and_pack(
+                    g, dec, j, roots, slices, DEFAULT_BOUNDS
+                )
+                if owner is None:
+                    (part,) = outcome.parts
+                    sliced = lift_biset(g, gamma, part).outer
+                else:
+                    assert outcome == []
                     sliced = {
-                        i: tuple(g.arcs[pos] for pos, o in zip(sl.arc_pos, sliced) if o == i)
+                        i: tuple(g.arcs[pos] for pos, o in zip(sl.arc_pos, owner) if o == i)
                         for i in demands
                     }
                 assert sliced == whole
@@ -573,7 +582,7 @@ class TestStepFlow:
 
     def test_no_requirement_sweep(self, monkeypatch, two_root):
         calls = {"sweep": 0, "atom": 0}
-        sweep, pack = exhaustive._requirements, packing._pack
+        sweep, pack = exhaustive._requirements, orientation._pack
 
         def counted_sweep(*args):
             calls["sweep"] += 1
@@ -585,7 +594,7 @@ class TestStepFlow:
 
         assert not hasattr(packing, "_requirements")
         monkeypatch.setattr(exhaustive, "_requirements", counted_sweep)
-        monkeypatch.setattr(packing, "_pack", counted_pack)
+        monkeypatch.setattr(orientation, "_pack", counted_pack)
         rng = random.Random(5150)
         cases = [canonical_digraph(two_root)]
         cases.append(parse_mixed_graph(deep_atom_text(6)))

@@ -1089,13 +1089,27 @@ class TestStartState:
 
 
 class TestReservedTerminalNames:
-    """``solve`` raises for a vertex named as the terminal of an arc into an atom, and only then."""
+    """Raises for a vertex named as the terminal of an arc into an atom, and only then.
+
+    ``solve`` and ``pack_reachability`` apply the one rule.
+    """
 
     def test_terminal_name_of_an_entering_arc(self):
         g = MixedGraph(("r", "x", "t:a1"), (), (Arc("a1", "r", "x"),))
         with pytest.raises(ValueError, match="reserved") as exc:
             solve(g, ["r", "x"])
         assert str(exc.value) == "vertex 't:a1' uses the 't:' prefix reserved for terminal ids"
+
+    def test_pack_reachability_raises_as_solve_does(self):
+        # A digraph is packed by solve's own per-atom driver, so both
+        # entry points apply the one rule, to the atom of t:x.
+        g = MixedGraph(("r", "w", "t:x"), (), (Arc("x", "r", "t:x"), Arc("y", "w", "t:x")))
+        messages = []
+        for run in (solve, pack_reachability):
+            with pytest.raises(ValueError, match="reserved") as exc:
+                run(g, ["r", "w"])
+            messages.append(str(exc.value))
+        assert messages == ["vertex 't:x' uses the 't:' prefix reserved for terminal ids"] * 2
 
     def test_other_terminal_names_solve(self):
         # t:a1 names an arc inside an atom, t:e1 an edge

@@ -30,6 +30,24 @@ solve(g, roots)
 print(json.dumps([before, "arbopack.exhaustive" in sys.modules]))
 """
 
+# pack_reachability's answer kinds over the seed-8080 sparse fuzz of
+# instance_gen (its directory is argv[2]), and whether the fallback loaded
+DIGRAPH_PROBE = """
+import collections, json, random, sys
+sys.path[:0] = sys.argv[1:3]
+from arbopack import CapacityError, pack_reachability
+from instance_gen import sparse_digraph_instance
+rng = random.Random(8080)
+kinds = collections.Counter()
+for _ in range(1000):
+    g, roots = sparse_digraph_instance(rng)
+    try:
+        kinds[type(pack_reachability(g, roots)).__name__] += 1
+    except CapacityError:
+        kinds["CapacityError"] += 1
+print(json.dumps([kinds, "arbopack.exhaustive" in sys.modules]))
+"""
+
 # the names a star import binds
 STAR_PROBE = """
 import json, sys
@@ -100,6 +118,14 @@ def test_only_a_stalled_atom_loads_the_fallback(name, stalls):
     # The three-vertex atom has two edges and no set short with both
     # counted both ways, so the fast path stalls and the fallback refutes it.
     assert _probe(SOLVE_PROBE, str(DATA / name)) == [False, stalls]
+
+
+def test_digraph_packing_never_loads_the_fallback():
+    # A digraph atom has no edge to orient, so the fast path never
+    # stalls on it: it is packed or refuted without the exact fallback,
+    # and never raises CapacityError.
+    kinds, loaded = _probe(DIGRAPH_PROBE, str(Path(__file__).parent))
+    assert kinds == {"MixedPacking": 643, "frozenset": 357} and not loaded
 
 
 def test_lazy_names_are_the_fallback_modules_own():
