@@ -140,13 +140,6 @@ def compute_atoms(g: MixedGraph, roots: Sequence[str]) -> AtomDecomposition:
     return dec
 
 
-def biset_in_degree(g: MixedGraph, x: BiSet) -> int:
-    """Arcs of ``g`` from outside the outer set into the inner set."""
-    outer, inner = x.outer, x.inner
-    g.require_vertices(outer)
-    return sum(1 for a in g.arcs if a[2] in inner and a[1] not in outer)
-
-
 def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
     """Demand of a bi-set: root indices forced to enter ``x.inner``.
 
@@ -198,8 +191,8 @@ def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
     entering arc's tail gets bit n + k, for atom size n and candidate k,
     and its ``hit`` has bit i set when tree i spans its tail: the tail
     lies in one atom, whose root mask meets the atom's in those trees,
-    or in none.  Terminal names are looked up only when some vertex name
-    starts with ``t:``.  Nothing is cached.
+    or in none.  Each entering arc's ``t:<arc-id>`` is looked up among
+    the vertex names, until its atom has one.  Nothing is cached.
     """
     atom_of, count = dec.atom_of, len(dec.atoms)
     vertices, edges, arcs, pairs, edge_pos, cands, arc_pos, heads = (
@@ -225,9 +218,7 @@ def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
                 pairs[ju].append((u, v))
                 edge_pos[ju].append(pos)
     rootmask = [sum(map((1).__lshift__, r)) for r in dec.atom_roots]
-    names = g.vertex_set if any(
-        isinstance(v, str) and v.startswith(RESERVED_TERMINAL_PREFIX) for v in g.vertices
-    ) else ()
+    names = g.vertex_set
     # an Arc holds (id, tail, head), read by index
     for pos, a in enumerate(g.arcs):
         j, h = at.get(a[2], (None, None))
@@ -239,9 +230,8 @@ def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
             hit = 0 if jt is None else rootmask[jt] & rootmask[j]
             cands[j].append((1 << len(vertices[j]) + len(cands[j]), 1 << h, hit))
             heads[j].append(h)
-            if names and reserved[j] is None:
-                name = f"{RESERVED_TERMINAL_PREFIX}{a[0]}"
-                reserved[j] = name if name in names else None
+            if reserved[j] is None and (name := f"{RESERVED_TERMINAL_PREFIX}{a[0]}") in names:
+                reserved[j] = name
         elif t != h:
             cands[j].append((1 << t, 1 << h, 0))
         else:

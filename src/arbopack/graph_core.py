@@ -1,4 +1,4 @@
-"""Mixed multigraph model, packings, parsing, orientations, and cut primitives.
+"""Mixed multigraph model, packings, parsing, reachability, and orientations.
 
 A mixed graph combines undirected edges and directed arcs over a shared
 vertex set.  Everything here is immutable after construction and every
@@ -165,12 +165,6 @@ class MixedGraph(_Value):
             succ[e.v].append(e.u)
         return succ
 
-    def index(self, v: str) -> int:
-        try:
-            return self.vertex_index[v]
-        except KeyError:
-            raise ValueError(f"unknown vertex {v!r}") from None
-
     def require_vertices(self, xs: Iterable[str]) -> frozenset[str]:
         """``xs`` as a frozenset; ``ValueError`` if a member is not a vertex.
 
@@ -206,24 +200,6 @@ class Orientation(_Value):
 
     def edge_ids(self) -> frozenset[str]:
         return frozenset(self.direction)
-
-
-class Subpartition(_Value):
-    """Pairwise-disjoint nonempty vertex subsets."""
-
-    _fields = ("parts",)
-    parts: tuple[frozenset[str], ...]
-
-    def __init__(self, parts: Iterable[Iterable[str]]):
-        parts = tuple(frozenset(p) for p in parts)
-        seen: set[str] = set()
-        for p in parts:
-            if not p:
-                raise ValueError("subpartition contains an empty part")
-            if p & seen:
-                raise ValueError("subpartition parts overlap")
-            seen |= p
-        object.__setattr__(self, "parts", parts)
 
 
 class EdgeUse(NamedTuple):
@@ -335,7 +311,7 @@ def parse_mixed_graph(text: str) -> tuple[MixedGraph, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# reachability and cut primitives
+# reachability, arborescences and orientations
 
 
 def mixed_reachable_set(g: MixedGraph, s: str) -> frozenset[str]:
@@ -392,29 +368,6 @@ def _check_arborescence(
     if verts != span:
         return CheckResult(False, f"tree {i + 1} does not span U_{i + 1}")
     return OK_RESULT
-
-
-def crossing_edge_count(g: MixedGraph, p: Subpartition) -> int:
-    """Edges joining distinct parts of ``p``, or a part and the outside.
-
-    An edge counts when at least one endpoint lies in some part and no
-    single part contains both endpoints.  Self-loops never count.
-    """
-    for part in p.parts:
-        g.require_vertices(part)
-    part_of: dict[str, int] = {}
-    for i, part in enumerate(p.parts):
-        for v in part:
-            part_of[v] = i
-    n = 0
-    for _eid, u, v in g.edges:
-        if u == v:
-            continue
-        pu = part_of.get(u)
-        pv = part_of.get(v)
-        if (pu is not None or pv is not None) and pu != pv:
-            n += 1
-    return n
 
 
 def apply_orientation(g: MixedGraph, o: Orientation) -> MixedGraph:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import AtomDecomposition, _AtomSlice, _atom_slices, _check_atom
+from .decomposition import AtomDecomposition, _atom_slices, _check_atom
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
 from .packing import _edge_cands, _first_fit, _grow, _pack, _StepFlow
@@ -62,7 +62,6 @@ def orient_atom(
     dec: AtomDecomposition,
     j: int,
     roots: Sequence[str],
-    slices: Sequence[_AtomSlice] | None = None,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Orientation | SubpartitionCertificate:
     """Atom ``j``'s covering orientation or certificate.
@@ -73,10 +72,9 @@ def orient_atom(
     certificate it found; only an atom it stalls on builds its auxiliary
     graph, for ``exhaustive.orient_covering``.  An atom with no edge to
     orient skips the fast path.  The atom is packed as ``solve`` packs it, and
-    the trees are dropped (:func:`_orient_and_pack`).  ``slices`` are
-    ``_atom_slices(g, dec)``, computed here when not given.
+    the trees are dropped (:func:`_orient_and_pack`).
     """
-    slices = _atom_slices(g, dec) if slices is None else slices
+    slices = _atom_slices(g, dec)
     outcome = _orient_and_pack(g, dec, j, roots, slices, bounds)[0]
     return _orientation(slices[j], outcome) if isinstance(outcome, list) else outcome
 

@@ -20,7 +20,6 @@ from .decomposition import (
     AtomDecomposition,
     BiSet,
     _atom_slices,
-    biset_in_degree,
     compute_atoms,
     lift_biset,
     p_value,
@@ -34,11 +33,9 @@ from .graph_core import (
     MixedTree,
     OK_RESULT,
     Orientation,
-    Subpartition,
     _check_arborescence,
     _reachable,
     _require_digraph,
-    crossing_edge_count,
     lexicographic_orientation,
     mixed_reachable_set,
 )
@@ -69,8 +66,22 @@ def _certificate_sides(
     dec: AtomDecomposition,
     bisets: Sequence[BiSet],
 ) -> tuple[int, int]:
-    inners = Subpartition(tuple(b.inner for b in bisets))
-    lhs = crossing_edge_count(g, inners) + sum(biset_in_degree(g, b) for b in bisets)
+    """A bi-set family's two sides over ``g``, in one pass over its edges and one over its arcs.
+
+    ``lhs`` counts each edge whose ends lie in two different inner sets,
+    or in one inner set and in none (so never a loop), plus, per bi-set,
+    each arc into its inner set from outside its outer set.  ``rhs`` is
+    the summed demand (:func:`p_value`).  The vertices must be ``g``'s;
+    overlapping inner sets raise ``ValueError``.
+    """
+    part_of = {v: i for i, b in enumerate(bisets) for v in b.inner}
+    if len(part_of) < sum(len(b.inner) for b in bisets):
+        raise ValueError("subpartition parts overlap")
+    part = part_of.get
+    # edges and arcs are unpacked: a tuple's items read faster than its fields
+    lhs = sum(part(u, -1) != part(v, -1) for _id, u, v in g.edges)
+    outers = [b.outer for b in bisets]
+    lhs += sum(1 for _id, t, h in g.arcs if h in part_of and t not in outers[part_of[h]])
     rhs = sum(p_value(dec, roots, b) for b in bisets)
     return lhs, rhs
 

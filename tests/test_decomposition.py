@@ -16,8 +16,9 @@ from arbopack import (
     mixed_reachable_set,
     parse_mixed_graph,
 )
-from arbopack.decomposition import _atom_slices, biset_in_degree, lift_biset, p_value
+from arbopack.decomposition import _atom_slices, lift_biset, p_value
 from arbopack.exhaustive import AtomContext
+from arbopack.pipeline import _certificate_sides
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
@@ -107,16 +108,23 @@ class TestAtoms:
                 assert (dec.atom_roots[j] if j is not None else frozenset()) == vec
 
 
+def arcs_entering(g, roots, dec, x: BiSet) -> int:
+    """The arcs a certificate's ``lhs`` counts for the bi-set ``x``: ``g``'s edges are dropped."""
+    return _certificate_sides(MixedGraph(g.vertices, (), g.arcs), roots, dec, [x])[0]
+
+
 class TestBiSetPrimitives:
     def test_biset_in_degree_example(self, two_root_dec):
         g, roots, dec = two_root_dec
-        assert biset_in_degree(g, BiSet({"v1", "v3"}, {"v3"})) == 2
+        assert arcs_entering(g, roots, dec, BiSet({"v1", "v3"}, {"v3"})) == 2
 
     def test_biset_degenerate_cases(self, two_root_dec):
         g, roots, dec = two_root_dec
         for xs in ({"v3"}, {"v3", "v4"}, {"r1"}):
-            assert biset_in_degree(g, BiSet(xs, xs)) == in_degree(g, xs)
-        assert biset_in_degree(g, BiSet({"v1"}, set())) == 0
+            assert arcs_entering(g, roots, dec, BiSet(xs, xs)) == in_degree(g, xs)
+        # an empty inner set is no certificate's bi-set: it has no demand
+        with pytest.raises(ValueError, match="inner set is empty"):
+            arcs_entering(g, roots, dec, BiSet({"v1"}, set()))
 
     def test_inner_must_be_nested(self):
         with pytest.raises(ValueError):

@@ -6,21 +6,27 @@ import pytest
 
 from arbopack import (
     Arc,
+    BiSet,
     Edge,
     MixedGraph,
     Orientation,
     ParseError,
     apply_orientation,
+    compute_atoms,
     mixed_reachable_set,
     parse_mixed_graph,
 )
-from arbopack.graph_core import (
-    Subpartition,
-    crossing_edge_count,
-    lexicographic_orientation,
-)
+from arbopack.graph_core import lexicographic_orientation
+from arbopack.pipeline import _certificate_sides
 from instance_gen import random_mixed_instance, random_orientation
 from naive import entering_arcs, in_degree, induced, subsets
+
+
+def crossing_edges(g, roots, parts) -> int:
+    """The edges a certificate's ``lhs`` counts for inner sets ``parts``: its arcs are dropped."""
+    edges_only = MixedGraph(g.vertices, g.edges)
+    dec = compute_atoms(edges_only, roots)
+    return _certificate_sides(edges_only, roots, dec, [BiSet(p, p) for p in parts])[0]
 
 
 class TestParse:
@@ -131,20 +137,18 @@ class TestCutPrimitives:
         assert induced(g, set()) == ([], [])
 
     def test_crossing_edge_count_examples(self, two_root):
-        g, _ = two_root
-        p = Subpartition((frozenset(["v1"]), frozenset(["v2", "v5"])))
-        assert crossing_edge_count(g, p) == 3
-        assert crossing_edge_count(g, Subpartition((frozenset(g.vertices),))) == 0
+        g, roots = two_root
+        assert crossing_edges(g, roots, [{"v1"}, {"v2", "v5"}]) == 3
+        assert crossing_edges(g, roots, [g.vertices]) == 0
 
     def test_crossing_edges_between_singletons(self, infeasible3):
-        g, _ = infeasible3
-        p = Subpartition(tuple(frozenset([v]) for v in ("r1", "r2", "x")))
-        assert crossing_edge_count(g, p) == 2
+        g, roots = infeasible3
+        assert crossing_edges(g, roots, [{"r1"}, {"r2"}, {"x"}]) == 2
 
     def test_single_part_equals_boundary(self):
         rng = random.Random(2112)
         for _ in range(40):
-            g, _ = random_mixed_instance(rng, max_v=6, max_e=6, max_a=3)
+            g, roots = random_mixed_instance(rng, max_v=6, max_e=6, max_a=3)
             xs = frozenset(v for v in g.vertices if rng.random() < 0.5)
             if not xs:
                 continue
@@ -153,11 +157,11 @@ class TestCutPrimitives:
                 for e in g.edges
                 if not e.is_loop() and (e.u in xs) != (e.v in xs)
             )
-            assert crossing_edge_count(g, Subpartition((xs,))) == boundary
+            assert crossing_edges(g, roots, [xs]) == boundary
 
     def test_overlapping_parts_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            Subpartition((frozenset(["a"]), frozenset(["a", "b"])))
+            crossing_edges(MixedGraph(("a", "b")), [], [{"a"}, {"a", "b"}])
 
     def test_conservation(self):
         rng = random.Random(777)
@@ -218,8 +222,7 @@ class TestSelfLoops:
     def test_loops_never_cross_or_count(self):
         g, _ = parse_mixed_graph("vertex a\nvertex b\nedge a a\narc b b\narc a b\n")
         assert in_degree(g, {"b"}) == 1
-        p = Subpartition((frozenset(["a"]), frozenset(["b"])))
-        assert crossing_edge_count(g, p) == 0
+        assert crossing_edges(g, [], [{"a"}, {"b"}]) == 0
         assert mixed_reachable_set(g, "a") == frozenset(["a", "b"])
 
     def test_loop_edges_still_need_orienting(self):

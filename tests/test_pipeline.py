@@ -33,7 +33,7 @@ from arbopack import (
 )
 import arbopack
 from arbopack import exhaustive, graph_core, orientation, packing, pipeline
-from arbopack.decomposition import _atom_slices, _check_atom, biset_in_degree, lift_biset, p_value
+from arbopack.decomposition import _atom_slices, _check_atom, lift_biset, p_value
 from arbopack.errors import InvariantError
 from arbopack.orientation import (
     SubpartitionCertificate,
@@ -41,6 +41,7 @@ from arbopack.orientation import (
     _start_state,
 )
 from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow
+from arbopack.pipeline import _certificate_sides
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
@@ -56,7 +57,9 @@ from naive import (
     check_spanning_packing_condition,
     enumerate_biset_family,
     make_subpartition_certificate,
+    naive_crossing_edges,
     naive_orientation_covers,
+    naive_p,
     naive_rho_view,
     reference_start_state,
     subpartitions,
@@ -269,7 +272,36 @@ class TestCertificates:
         b = BiSet({"v1", "v3"}, {"v3"})
         assert lift_biset(g, dec.atoms[j], {"v3", "t:a5"}) == b
         assert p_value(dec, roots, b) == 1
-        assert biset_in_degree(MixedGraph(g.vertices, (), g.arcs), b) == biset_in_degree(g, b) == 2
+        assert _certificate_sides(MixedGraph(g.vertices, (), g.arcs), roots, dec, (b,)) == (2, 1)
+
+    def test_certificate_sides_match_naive_counts(self):
+        # Random disjoint bi-set families on random mixed graphs, loops
+        # included: lhs is the crossing edges plus each bi-set's entering
+        # arcs, rhs the summed demands, each counted by the naive oracles.
+        rng = random.Random(2626)
+        for _ in range(300):
+            g, roots = random_mixed_instance(rng, max_v=7, max_e=8, max_a=8)
+            dec = compute_atoms(g, roots)
+            vs = list(g.vertices)
+            rng.shuffle(vs)
+            inners, taken = [], 0
+            while taken < len(vs) and rng.random() < 0.7:
+                size = rng.randint(1, len(vs) - taken)
+                inners.append(frozenset(vs[taken : taken + size]))
+                taken += size
+            bisets = [
+                BiSet(inner | {v for v in g.vertices if rng.random() < 0.3}, inner)
+                for inner in inners
+            ]
+            lhs = naive_crossing_edges(g.edges, inners) + sum(
+                naive_rho_view(g, b.outer, b.inner) for b in bisets
+            )
+            rhs = sum(naive_p(dec, roots, b.outer, b.inner) for b in bisets)
+            assert _certificate_sides(g, roots, dec, bisets) == (lhs, rhs)
+            if inners:
+                v = rng.choice(sorted(inners[-1]))
+                with pytest.raises(ValueError, match="subpartition parts overlap"):
+                    _certificate_sides(g, roots, dec, bisets + [BiSet({v}, {v})])
 
     def test_verify_rejects_shrunken_family(self, infeasible3):
         g, roots = infeasible3

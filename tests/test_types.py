@@ -34,7 +34,7 @@ from arbopack import (
     compute_atoms,
 )
 from arbopack.exhaustive import AtomContext
-from arbopack.graph_core import Subpartition, _Value
+from arbopack.graph_core import _Value
 
 
 def _samples() -> dict[type, tuple]:
@@ -52,7 +52,6 @@ def _samples() -> dict[type, tuple]:
         CheckResult: (False, "why"),
         MixedGraph: (g.vertices, g.edges, g.arcs),
         Orientation: ({"e1": ("a", "b")},),
-        Subpartition: ((frozenset({"a"}), frozenset({"b"})),),
         BiSet: (biset.outer, biset.inner),
         AtomDecomposition: (dec.reach, dec.atoms, dec.atom_roots),
         AuxiliaryGraph: (aux.atom_index, aux.graph, aux.gamma, aux.terminal_origin),
@@ -83,7 +82,7 @@ def test_every_exported_type_is_covered():
     exported = {getattr(arbopack, name) for name in arbopack.__all__}
     exported = {x for x in exported if isinstance(x, type) and not issubclass(x, Exception)}
     assert exported <= set(TYPES), exported - set(TYPES)
-    assert len(RECORDS) == 9 and len(VALUES) == 8
+    assert len(RECORDS) == 9 and len(VALUES) == 7
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
@@ -167,8 +166,6 @@ def test_validation_still_raises():
         MixedGraph(["a"], [Edge("e1", "a", "c")])
     with pytest.raises(ValueError, match="inner set must be contained in the outer set"):
         BiSet(outer={"a"}, inner={"a", "b"})
-    with pytest.raises(ValueError, match="parts overlap"):
-        Subpartition(({"a", "b"}, {"b"}))
 
 
 def test_coercion_still_happens():
