@@ -146,8 +146,6 @@ def _packing_from_json(payload: dict) -> MixedPacking:
                     edges.append(EdgeUse(a["id"], a["tail"], a["head"]))
                 else:
                     arcs.append(a["id"])
-            for u in t.get("edges", ()):
-                edges.append(EdgeUse(u["id"], u["tail"], u["head"]))
             # the validator hashes ids and endpoints
             for name in (*arcs, *(x for use in edges for x in (use.id, use.tail, use.head))):
                 if not isinstance(name, str):

@@ -27,18 +27,22 @@ only the terminal completions that maximise the deficit can be binding,
 and there is one such completion per subset of the atom's trees.  The
 reduction is exact, and it keeps only the inner sets that need at least
 one edge.  Only this table is bounded by ``Bounds.max_enum_vertices``,
-so only a stalled atom can exceed it.
+so only a stalled atom can exceed it.  The table, the certificate search
+and the edge fixing read the auxiliary graph in the integers that
+``decomposition._atom_slices`` gives the fast path
+(:class:`CoverRequirement`), and name a mask's vertices and terminals as
+the fast path's certificate does.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import AtomDecomposition, _AtomSlice, _atom_slices, _check_atom
 from .errors import CapacityError, InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, Arc, MixedGraph, Orientation, _Value
-from .orientation import SubpartitionCertificate
+from .orientation import SubpartitionCertificate, _footholds, _orientation, _part
 
 # ---------------------------------------------------------------------------
 # auxiliary graphs
@@ -192,105 +196,21 @@ def _requirements(
 
 
 # ---------------------------------------------------------------------------
-# bit-indexed evaluation context
-
-
-class AtomContext(NamedTuple):
-    """Bitmask evaluation context for one auxiliary graph.
-
-    Bit i corresponds to ``order[i]``; atom members come first, then
-    terminals, so subsets of the atom occupy the low bits.  All demand
-    and in-degree evaluations used by the exhaustive code paths go
-    through this context.
-    """
-
-    aux: AuxiliaryGraph
-    order: tuple[str, ...]
-    bit_of: Mapping[str, int]
-    gamma_mask: int
-    full_mask: int
-    tree_indices: tuple[int, ...]
-    root_bits: Mapping[int, int]  # root index -> singleton mask inside gamma (0 if outside)
-    internal_arcs: tuple[tuple[int, int], ...]  # (tail mask, head mask), loops dropped
-    # (bit, head bit, hit) per terminal; hit has bit i set when the
-    # original tail lies in U_i
-    terminals: tuple[tuple[int, int, int], ...]
-    edge_bits: tuple[tuple[str, int, int], ...]  # (edge id, bit u, bit v), loops dropped
-    loop_edge_ids: tuple[str, ...]
-
-    @classmethod
-    def build(
-        cls, aux: AuxiliaryGraph, dec: AtomDecomposition, roots: Sequence[str]
-    ) -> "AtomContext":
-        g = aux.graph
-        order = tuple(v for v in g.vertices if v in aux.gamma) + tuple(
-            v for v in g.vertices if v not in aux.gamma
-        )
-        bit_of = {v: i for i, v in enumerate(order)}
-        gamma_mask = sum(1 << bit_of[v] for v in aux.gamma)
-        full_mask = (1 << len(order)) - 1
-        R = tuple(sorted(dec.atom_roots[aux.atom_index]))
-        root_bits = {
-            i: (1 << bit_of[roots[i]]) if roots[i] in aux.gamma else 0 for i in R
-        }
-        internal = []
-        terms = []
-        for a in g.arcs:
-            if a.tail in aux.terminal_origin:
-                _arc_id, tail0 = aux.terminal_origin[a.tail]
-                hit = sum(1 << i for i in R if tail0 in dec.reach[i])
-                terms.append((1 << bit_of[a.tail], 1 << bit_of[a.head], hit))
-            elif not a.is_loop():
-                internal.append((1 << bit_of[a.tail], 1 << bit_of[a.head]))
-        edge_bits = [(e.id, 1 << bit_of[e.u], 1 << bit_of[e.v]) for e in g.edges if not e.is_loop()]
-        loop_ids = [e.id for e in g.edges if e.is_loop()]
-        return cls(
-            aux=aux,
-            order=order,
-            bit_of=bit_of,
-            gamma_mask=gamma_mask,
-            full_mask=full_mask,
-            tree_indices=R,
-            root_bits=root_bits,
-            internal_arcs=tuple(internal),
-            terminals=tuple(terms),
-            edge_bits=tuple(edge_bits),
-            loop_edge_ids=tuple(loop_ids),
-        )
-
-    @property
-    def size(self) -> int:
-        return len(self.order)
-
-    def to_vertices(self, mask: int) -> frozenset[str]:
-        return frozenset(v for i, v in enumerate(self.order) if mask >> i & 1)
-
-    def p_of(self, mask: int) -> int:
-        """Demand of a family member given as a mask."""
-        disq = 0
-        for bit, _head, hit in self.terminals:
-            if mask & bit:
-                disq |= hit
-        return sum(1 for i in self.tree_indices if not (self.root_bits[i] & mask or disq >> i & 1))
-
-    def rho_static(self, mask: int) -> int:
-        """In-degree from the atom's own arcs (terminal arcs included)."""
-        return sum(1 for tail, head in self.internal_arcs if head & mask and not tail & mask) + sum(
-            1 for bit, head, _hit in self.terminals if head & mask and not bit & mask
-        )
-
-
-# ---------------------------------------------------------------------------
 # the orientation subproblem and its exact solver
 
 
 class CoverRequirement(_Value):
     """One atom's orientation subproblem.
 
-    Carries the auxiliary graph plus everything needed to evaluate the
-    demand function on the fly, its :class:`AtomContext` as ``context``.
-    The total set carries zero requirement; that is asserted at
-    construction because the solver relies on it.
+    The auxiliary graph is read in integers by ``_atom_slices``, the
+    encoder the fast path uses, with the atom as class 0 and each
+    terminal a class of its own whose trees are those spanning its
+    original tail.  An atom vertex then has its slice bit, a terminal
+    ``n`` plus its arc's candidate index, and a terminal's ``hit`` marks
+    the atom's trees that span its tail.  The total set carries zero
+    requirement, that is, every tree has a foothold or a terminal that
+    hits it; that is asserted at construction because the solver relies
+    on it.
     """
 
     _fields = ("aux", "dec", "roots", "bounds")
@@ -298,7 +218,6 @@ class CoverRequirement(_Value):
     dec: AtomDecomposition
     roots: tuple[str, ...]
     bounds: Bounds
-    context: AtomContext
 
     def __init__(
         self,
@@ -312,14 +231,22 @@ class CoverRequirement(_Value):
         object.__setattr__(self, "dec", dec)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "context", AtomContext.build(aux, dec, roots))
-        if self.h_of(self.context.full_mask) != 0:
+        atoms, atom_roots = [aux.gamma], [dec.atom_roots[aux.atom_index]]
+        for t, (_arc_id, tail) in aux.terminal_origin.items():
+            jt = dec.atom_of.get(tail)
+            atoms.append(frozenset((t,)))
+            atom_roots.append(frozenset() if jt is None else dec.atom_roots[jt])
+        classes = AtomDecomposition(dec.reach, tuple(atoms), tuple(atom_roots))
+        # the terminals carry their reserved names, so the slice is not checked
+        sl = _atom_slices(aux.graph, classes)[0]
+        _trees, start = _footholds(sl, classes, 0, roots)
+        hit_any = 0
+        for _bit, _head, hit in sl.cands:
+            hit_any |= hit
+        if any(not f and not hit_any >> i & 1 for i, f in start.items()):
             raise InvariantError("total auxiliary set carries nonzero requirement")
-
-    def h_of(self, mask: int) -> int:
-        """Requirement of one family member: demand minus fixed in-degree."""
-        ctx = self.context
-        return ctx.p_of(mask) - ctx.rho_static(mask)
+        object.__setattr__(self, "_slice", sl)
+        object.__setattr__(self, "_start", start)
 
 
 def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
@@ -331,16 +258,17 @@ def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
     orientation covers the whole family iff it sends at least ``need``
     edges into every ``Y`` in the table.
     """
-    ctx = req.context
+    sl = req._slice
+    gmask = (1 << len(sl.vertices)) - 1
     return {
         y: (need, xmask)
         for y, need, xmask in _requirements(
-            ctx.gamma_mask,
-            ctx.root_bits,
-            ctx.internal_arcs,
-            ctx.terminals,
+            gmask,
+            req._start,
+            [(tb, hb) for tb, hb, _hit in sl.cands if tb & gmask],
+            [c for c in sl.cands if not c[0] & gmask],
             req.bounds.max_enum_vertices,
-            ctx.aux.atom_index,
+            req.aux.atom_index,
         )
     }
 
@@ -360,19 +288,6 @@ def orient_covering(req: CoverRequirement):
     return _fix_edges(req, table)
 
 
-def _oriented(ctx, dirs: Sequence[int]) -> Orientation:
-    """The atom's orientation for per-edge direction bits; loops as stored."""
-    direction = {}
-    for (eid, bu, bv), d in zip(ctx.edge_bits, dirs):
-        u = ctx.order[bu.bit_length() - 1]
-        v = ctx.order[bv.bit_length() - 1]
-        direction[eid] = (u, v) if d == 0 else (v, u)
-    for eid in ctx.loop_edge_ids:
-        e = ctx.aux.graph.edge_by_id[eid]
-        direction[eid] = (e.u, e.v)
-    return Orientation(direction)
-
-
 def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orientation:
     """Covering orientation of an atom whose table has no certificate.
 
@@ -383,37 +298,39 @@ def _fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orie
     the last edge every need is met.  The table less the fixed edges is
     kept, so each trial subtracts only the new edge's crossing.
     """
-    ctx = req.context
-    dirs: list[int] = []
+    sl = req._slice
+    edges = [(1 << u, 1 << v) for u, v in sl.pairs]
+    ends: list[tuple[int, int]] = []
     rest = table
-    for pos, (_eid, bu, bv) in enumerate(ctx.edge_bits):
-        for d, (tail, head) in enumerate(((bu, bv), (bv, bu))):
+    for pos, (u, v) in enumerate(sl.pairs):
+        for tail, head in ((u, v), (v, u)):
             trial = {
-                y: (need - 1, xm) if head & y and not tail & y else (need, xm)
+                y: (need - 1, xm) if y >> head & 1 and not y >> tail & 1 else (need, xm)
                 for y, (need, xm) in rest.items()
             }
-            if _extract_certificate(req, trial, ctx.edge_bits[pos + 1 :]) is None:
-                dirs.append(d)
+            if _extract_certificate(req, trial, edges[pos + 1 :]) is None:
+                ends.append((tail, head))
                 rest = trial
                 break
         else:
             raise InvariantError(
                 "no covering orientation exists, yet no subpartition has positive deficit"
             )
-    return _oriented(ctx, dirs)
+    return _orientation(sl, ends)
 
 
 def _extract_certificate(
     req: CoverRequirement,
-    table: dict[int, tuple[int, int]] | None = None,
-    edges: Sequence[tuple[str, int, int]] | None = None,
+    table: dict[int, tuple[int, int]],
+    edges: Sequence[tuple[int, int]] | None = None,
 ) -> SubpartitionCertificate | None:
     """Maximum-deficit subpartition; fewest parts, lexicographic tie-break.
 
     Only parts with positive requirement can help (dropping a
     nonpositive part never lowers the deficit), so the search runs over
-    the reduced table.  ``edges`` defaults to all of the atom's edges.
-    Returns ``None`` when every subpartition has deficit <= 0.
+    the reduced table.  ``edges`` are ``(u bit, v bit)`` pairs and
+    default to all of the atom's non-loop edges.  Returns ``None`` when
+    every subpartition has deficit <= 0.
 
     A subpartition is an exact cover of its union by table sets, so the
     union ``w`` runs over the submasks of the union of the deficient
@@ -422,14 +339,12 @@ def _extract_certificate(
     Covers compare on value and part count first; the sorted parts are
     built only for those that tie the best, to break the tie.
     """
-    ctx = req.context
-    if table is None:
-        table = _reduced_table(req)
+    sl = req._slice
     if edges is None:
-        edges = ctx.edge_bits
+        edges = [(1 << u, 1 << v) for u, v in sl.pairs]
     # Y -> (need plus the edges inside Y, completion)
     pool = {
-        y: (need + sum(1 for _eid, bu, bv in edges if bu & y and bv & y), xm)
+        y: (need + sum(1 for bu, bv in edges if bu & y and bv & y), xm)
         for y, (need, xm) in table.items()
         if need >= 1
     }
@@ -467,7 +382,7 @@ def _extract_certificate(
             best[w] = key + (min(tuple(sorted(parts + (xm,))) for parts, xm in ties),)
 
     winner = min(
-        (negvalue + sum(1 for _eid, bu, bv in edges if (bu | bv) & w), count, parts)
+        (negvalue + sum(1 for bu, bv in edges if (bu | bv) & w), count, parts)
         for w, (negvalue, count, parts) in best.items()
         if parts
     )
@@ -475,7 +390,7 @@ def _extract_certificate(
         return None
     negdeficit, _count, parts = winner
     return SubpartitionCertificate(
-        atom_index=ctx.aux.atom_index,
-        parts=tuple(ctx.to_vertices(p) for p in parts),
+        atom_index=req.aux.atom_index,
+        parts=tuple(_part(sl, p) for p in parts),
         deficit=-negdeficit,
     )

@@ -174,15 +174,20 @@ def _refuted(sl, j: int, xmask: int, deficit: int) -> SubpartitionCertificate:
     ``xmask`` is the oracle's Y plus the tail bits of T, and ``deficit``
     its shortfall.  Counted both ways, the edges supply exactly the
     boundary of Y, so the shortfall is the part's requirement less its
-    crossing edges.  Each entering arc in T becomes its terminal.
+    crossing edges.
     """
+    return SubpartitionCertificate(j, (_part(sl, xmask),), deficit)
+
+
+def _part(sl, xmask: int) -> frozenset[str]:
+    """A slice mask's names: its atom vertices, and ``t:<arc-id>`` per entering arc's tail bit."""
     n = len(sl.vertices)
     part = {v for k, v in enumerate(sl.vertices) if xmask >> k & 1}
     cands = (a for a in sl.arcs if not a.is_loop())
     part.update(
         f"{RESERVED_TERMINAL_PREFIX}{a.id}" for k, a in enumerate(cands) if xmask >> n + k & 1
     )
-    return SubpartitionCertificate(j, (frozenset(part),), deficit)
+    return frozenset(part)
 
 
 def _footholds(sl, dec, j: int, roots: Sequence[str]) -> tuple[list[int], dict[int, int]]:

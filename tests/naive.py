@@ -6,18 +6,20 @@ optimized code.  ``brute_force_feasible`` and
 ``check_spanning_packing_condition`` enumerate orientations and
 subpartitions over vertex bitmasks and never call the solver.  The last
 section holds the cut, cover and certificate helpers that only the tests
-call; the solver itself never needs them.  The two sections before it
-keep the slower forms the solver's code must match exactly: the
-certificate search and edge fixing; and the frozenset-keyed atom
-decomposition, the auxiliary graph and an atom's starting state built
-from whole-graph scans, with the packing step check as a requirement
-sweep.
+call; the solver itself never needs them.  They evaluate demands through
+the reference encoder, ``AtomContext``, which gives an auxiliary graph's
+vertices bits by name.  The two sections before it keep the slower forms
+the solver's code must match exactly: that encoder, the certificate
+search and edge fixing; and the frozenset-keyed atom decomposition, the
+auxiliary graph and an atom's starting state built from whole-graph
+scans, with the packing step check as a requirement sweep.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from arbopack import (
     DEFAULT_BOUNDS,
@@ -35,8 +37,9 @@ from arbopack import (
     mixed_reachable_set,
 )
 from arbopack.decomposition import lift_biset, p_value
-from arbopack.exhaustive import AtomContext, _oriented, _requirements
+from arbopack.exhaustive import _requirements
 from arbopack.graph_core import RESERVED_TERMINAL_PREFIX, _reachable
+from arbopack.orientation import _part
 
 #: largest ground-set size ``check_spanning_packing_condition`` enumerates
 MAX_SUBPARTITION_GROUND = 10
@@ -386,7 +389,128 @@ def check_spanning_packing_condition(g: MixedGraph, r: str, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reference forms of the certificate search and the edge fixing
+# the reference encoder, and reference forms of the certificate search and
+# the edge fixing
+
+
+class AtomContext(NamedTuple):
+    """Bitmask evaluation context for one auxiliary graph, built from names.
+
+    Bit i corresponds to ``order[i]``; atom members come first, then
+    terminals, so subsets of the atom occupy the low bits.  A terminal's
+    bit is its place among the terminals, not its arc's candidate index
+    as in the solver's slice, and its ``hit`` is read from the trees'
+    reach sets; the helpers below evaluate demands through it.
+    """
+
+    aux: AuxiliaryGraph
+    order: tuple[str, ...]
+    bit_of: Mapping[str, int]
+    gamma_mask: int
+    full_mask: int
+    tree_indices: tuple[int, ...]
+    root_bits: Mapping[int, int]  # root index -> singleton mask inside gamma (0 if outside)
+    internal_arcs: tuple[tuple[int, int], ...]  # (tail mask, head mask), loops dropped
+    # (bit, head bit, hit) per terminal; hit has bit i set when the
+    # original tail lies in U_i
+    terminals: tuple[tuple[int, int, int], ...]
+    edge_bits: tuple[tuple[str, int, int], ...]  # (edge id, bit u, bit v), loops dropped
+    loop_edge_ids: tuple[str, ...]
+
+    @classmethod
+    def build(
+        cls, aux: AuxiliaryGraph, dec: AtomDecomposition, roots: Sequence[str]
+    ) -> "AtomContext":
+        g = aux.graph
+        order = tuple(v for v in g.vertices if v in aux.gamma) + tuple(
+            v for v in g.vertices if v not in aux.gamma
+        )
+        bit_of = {v: i for i, v in enumerate(order)}
+        gamma_mask = sum(1 << bit_of[v] for v in aux.gamma)
+        full_mask = (1 << len(order)) - 1
+        R = tuple(sorted(dec.atom_roots[aux.atom_index]))
+        root_bits = {
+            i: (1 << bit_of[roots[i]]) if roots[i] in aux.gamma else 0 for i in R
+        }
+        internal = []
+        terms = []
+        for a in g.arcs:
+            if a.tail in aux.terminal_origin:
+                _arc_id, tail0 = aux.terminal_origin[a.tail]
+                hit = sum(1 << i for i in R if tail0 in dec.reach[i])
+                terms.append((1 << bit_of[a.tail], 1 << bit_of[a.head], hit))
+            elif not a.is_loop():
+                internal.append((1 << bit_of[a.tail], 1 << bit_of[a.head]))
+        edge_bits = [(e.id, 1 << bit_of[e.u], 1 << bit_of[e.v]) for e in g.edges if not e.is_loop()]
+        loop_ids = [e.id for e in g.edges if e.is_loop()]
+        return cls(
+            aux=aux,
+            order=order,
+            bit_of=bit_of,
+            gamma_mask=gamma_mask,
+            full_mask=full_mask,
+            tree_indices=R,
+            root_bits=root_bits,
+            internal_arcs=tuple(internal),
+            terminals=tuple(terms),
+            edge_bits=tuple(edge_bits),
+            loop_edge_ids=tuple(loop_ids),
+        )
+
+    @property
+    def size(self) -> int:
+        return len(self.order)
+
+    @property
+    def edge_pairs(self) -> list[tuple[int, int]]:
+        """The ``(u bit, v bit)`` of each non-loop edge, as the certificate search takes them."""
+        return [(bu, bv) for _eid, bu, bv in self.edge_bits]
+
+    def to_vertices(self, mask: int) -> frozenset[str]:
+        return frozenset(v for i, v in enumerate(self.order) if mask >> i & 1)
+
+    def p_of(self, mask: int) -> int:
+        """Demand of a family member given as a mask."""
+        disq = 0
+        for bit, _head, hit in self.terminals:
+            if mask & bit:
+                disq |= hit
+        return sum(1 for i in self.tree_indices if not (self.root_bits[i] & mask or disq >> i & 1))
+
+    def rho_static(self, mask: int) -> int:
+        """In-degree from the atom's own arcs (terminal arcs included)."""
+        return sum(1 for tail, head in self.internal_arcs if head & mask and not tail & mask) + sum(
+            1 for bit, head, _hit in self.terminals if head & mask and not bit & mask
+        )
+
+    def h_of(self, mask: int) -> int:
+        """Requirement of one family member: demand minus fixed in-degree."""
+        return self.p_of(mask) - self.rho_static(mask)
+
+
+def reference_context(req: CoverRequirement) -> AtomContext:
+    return AtomContext.build(req.aux, req.dec, req.roots)
+
+
+def reference_table(ctx: AtomContext, max_enum_vertices: int = 64) -> dict[int, tuple[int, int]]:
+    """The requirement table swept over the reference context's bits."""
+    sweep = _requirements(
+        ctx.gamma_mask, ctx.root_bits, ctx.internal_arcs, ctx.terminals, max_enum_vertices
+    )
+    return {y: (need, xmask) for y, need, xmask in sweep}
+
+
+def _oriented(ctx: AtomContext, dirs) -> Orientation:
+    """The atom's orientation for per-edge direction bits; loops as stored."""
+    direction = {}
+    for (eid, bu, bv), d in zip(ctx.edge_bits, dirs):
+        u = ctx.order[bu.bit_length() - 1]
+        v = ctx.order[bv.bit_length() - 1]
+        direction[eid] = (u, v) if d == 0 else (v, u)
+    for eid in ctx.loop_edge_ids:
+        e = ctx.aux.graph.edge_by_id[eid]
+        direction[eid] = (e.u, e.v)
+    return Orientation(direction)
 
 
 def _ref_edge_ends(ctx: AtomContext, dirs) -> list[tuple[int, int]]:
@@ -403,21 +527,29 @@ def _neg_lex(parts: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def reference_certificate(
-    req: CoverRequirement, table: dict[int, tuple[int, int]], edges=None
+    req: CoverRequirement, table: dict[int, tuple[int, int]], edges=None, names=None
 ) -> SubpartitionCertificate | None:
-    """The certificate search with a max over negated part tuples."""
-    ctx = req.context
+    """The certificate search with a max over negated part tuples.
+
+    ``edges`` are ``(u bit, v bit)`` pairs, all of the atom's non-loop
+    edges by default.  ``names`` turns a table's completion mask into its
+    vertex names; by default it reads the bits ``_reduced_table`` uses,
+    those of the solver's slice of the auxiliary graph.
+    """
+    ctx = reference_context(req)
+    if names is None:
+        names = partial(_part, req._slice)
     pool = {y: (need, xm) for y, (need, xm) in table.items() if need >= 1}
     if not pool:
         return None
     if edges is None:
-        edges = ctx.edge_bits
+        edges = ctx.edge_pairs
 
     def in_edges(y: int) -> int:
-        return sum(1 for _eid, bu, bv in edges if bu & y and bv & y)
+        return sum(1 for bu, bv in edges if bu & y and bv & y)
 
     def touch(w: int) -> int:
-        return sum(1 for _eid, bu, bv in edges if (bu | bv) & w)
+        return sum(1 for bu, bv in edges if (bu | bv) & w)
 
     best: dict[int, tuple[int, int, tuple[int, ...]]] = {0: (0, 0, ())}
     pool_items = sorted(pool.items())
@@ -457,14 +589,19 @@ def reference_certificate(
     _key, parts, deficit = winner
     return SubpartitionCertificate(
         atom_index=ctx.aux.atom_index,
-        parts=tuple(ctx.to_vertices(p) for p in parts),
+        parts=tuple(names(p) for p in parts),
         deficit=deficit,
     )
 
 
-def reference_fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]) -> Orientation:
-    """The edge-fixing fallback that recounts every fixed edge on each trial."""
-    ctx = req.context
+def reference_fix_edges(
+    req: CoverRequirement, table: dict[int, tuple[int, int]], names=None
+) -> Orientation:
+    """The edge-fixing fallback that recounts every fixed edge on each trial.
+
+    ``names`` is passed on to :func:`reference_certificate`.
+    """
+    ctx = reference_context(req)
     dirs: list[int] = []
     for pos in range(len(ctx.edge_bits)):
         for d in (0, 1):
@@ -472,7 +609,7 @@ def reference_fix_edges(req: CoverRequirement, table: dict[int, tuple[int, int]]
             rest = {
                 y: (need - _ref_cross_into(ends, y), xm) for y, (need, xm) in table.items()
             }
-            if reference_certificate(req, rest, ctx.edge_bits[pos + 1 :]) is None:
+            if reference_certificate(req, rest, ctx.edge_pairs[pos + 1 :], names) is None:
                 dirs.append(d)
                 break
         else:
@@ -753,7 +890,7 @@ def check_cover(req: CoverRequirement, o: Orientation) -> frozenset[str] | None:
     This is the literal full-family sweep; the solver's internal checks
     use the reduced table instead.
     """
-    ctx = req.context
+    ctx = reference_context(req)
     if ctx.size > req.bounds.max_enum_vertices:
         raise CapacityError(
             f"|V_j| = {ctx.size} exceeds max_enum_vertices = "
@@ -775,7 +912,7 @@ def check_cover(req: CoverRequirement, o: Orientation) -> frozenset[str] | None:
 
 def subpartition_deficit(req: CoverRequirement, parts: Iterable[Iterable[str]]) -> int:
     """Summed requirement of the parts minus the crossing-edge supply."""
-    ctx = req.context
+    ctx = reference_context(req)
     masks = []
     seen = 0
     for part in parts:
@@ -786,7 +923,7 @@ def subpartition_deficit(req: CoverRequirement, parts: Iterable[Iterable[str]]) 
             raise ValueError("subpartition parts overlap")
         seen |= m
         masks.append(m)
-    total = sum(req.h_of(m) for m in masks)
+    total = sum(ctx.h_of(m) for m in masks)
     crossing = 0
     for _eid, bu, bv in ctx.edge_bits:
         pu = next((i for i, m in enumerate(masks) if bu & m), None)

@@ -29,18 +29,20 @@ from arbopack import (
 )
 from arbopack.cli import main as cli_main
 from arbopack.decomposition import p_value
-from arbopack.exhaustive import AtomContext, _extract_certificate, _reduced_table, orient_covering
+from arbopack.exhaustive import _extract_certificate, _reduced_table, orient_covering
 from instance_gen import (
     random_mixed_instance,
     random_orientation,
     repeated_root_all_reachable,
 )
 from naive import (
+    AtomContext,
     brute_force_feasible,
     check_spanning_packing_condition,
     enumerate_biset_family,
     iter_family,
     naive_rho_view,
+    reference_context,
     subsets,
 )
 
@@ -283,15 +285,14 @@ def test_criterion_6_orientation_minmax(capsys):
             for j in range(len(dec.atoms)):
                 aux = build_auxiliary(g, dec, j)
                 req = CoverRequirement(aux, dec, tuple(roots))
-                ctx = req.context
                 table = _reduced_table(req)
                 cands = [(y, v[0]) for y, v in table.items() if v[0] >= 1]
-                plain = list(ctx.edge_bits)
+                plain = reference_context(req).edge_pairs
                 exists = False
                 for flips in product((0, 1), repeat=len(plain)):
                     ends = [
                         (bu, bv) if f == 0 else (bv, bu)
-                        for (_eid, bu, bv), f in zip(plain, flips)
+                        for (bu, bv), f in zip(plain, flips)
                     ]
                     if all(
                         sum(1 for t, h in ends if h & y and not t & y) >= need

@@ -134,6 +134,23 @@ class TestRoundTrips:
         code, out2, _ = run(capsys, "check", two_root_path, str(packing))
         assert code == 2 and "invalid" in out2
 
+    def test_check_ignores_a_separate_edges_list(self, capsys, tmp_path, two_root_path):
+        # Only "arcs" entries with "origin": "edge" carry a tree's edges; the
+        # same uses moved to an "edges" list are not read.
+        code, out, _ = run(capsys, "solve", two_root_path)
+        payload = json.loads(out)
+        moved = 0
+        for tree in payload["trees"]:
+            uses = [a for a in tree["arcs"] if a["origin"] == "edge"]
+            tree["arcs"] = [a for a in tree["arcs"] if a["origin"] != "edge"]
+            tree["edges"] = [{k: u[k] for k in ("id", "tail", "head")} for u in uses]
+            moved += len(uses)
+        assert moved
+        packing = tmp_path / "packing.json"
+        packing.write_text(json.dumps(payload))
+        code, out2, _ = run(capsys, "check", two_root_path, str(packing))
+        assert code == 2 and out2.startswith("packing invalid")
+
     def test_solve_then_certify(self, capsys, tmp_path, infeasible_path):
         code, out, _ = run(capsys, "solve", infeasible_path)
         assert code == 2

@@ -17,7 +17,6 @@ from arbopack import (
     parse_mixed_graph,
 )
 from arbopack.decomposition import _atom_slices, lift_biset, p_value
-from arbopack.exhaustive import AtomContext
 from arbopack.pipeline import _certificate_sides
 from instance_gen import (
     bench_workloads,
@@ -26,6 +25,7 @@ from instance_gen import (
     random_mixed_instance,
 )
 from naive import (
+    AtomContext,
     biset_condition_holds,
     biset_intersection,
     biset_union,

@@ -6,10 +6,13 @@ from collections import Counter
 import pytest
 
 from arbopack import (
+    AuxiliaryGraph,
     BiSetFamilyCertificate,
     Bounds,
     CapacityError,
     CoverRequirement,
+    InvariantError,
+    MixedGraph,
     MixedPacking,
     Orientation,
     SubpartitionCertificate,
@@ -25,7 +28,7 @@ from arbopack import (
 from arbopack import exhaustive, orientation, packing
 from arbopack.decomposition import _atom_slices
 from arbopack.exhaustive import _extract_certificate, _fix_edges, _reduced_table, _worst_completion
-from arbopack.orientation import _orient_by_cuts, _orientation, _start_state, orient_atom
+from arbopack.orientation import _orient_by_cuts, _orientation, _part, _start_state, orient_atom
 from arbopack.packing import _StepFlow
 from instance_gen import bench_workloads, random_mixed_instance
 from naive import (
@@ -38,10 +41,12 @@ from naive import (
     naive_orientation_exists,
     naive_pj,
     iter_family,
+    reference_certificate,
+    reference_context,
     reference_fix_edges,
+    reference_table,
     subpartition_deficit,
     subsets,
-    to_mask,
 )
 
 
@@ -110,8 +115,8 @@ class TestTwoRootAtoms:
         g, roots = two_root
         for members in (["r1", "v1", "v2", "v5"], ["v3", "v4"], ["r2", "v6", "v7"]):
             req = requirement_for(g, roots, members)
-            ctx = req.context
-            assert req.h_of(ctx.full_mask) == 0
+            ctx = reference_context(req)
+            assert ctx.h_of(ctx.full_mask) == 0
 
 
 class TestInfeasibleTriangle:
@@ -168,7 +173,6 @@ class TestReducedTable:
                 if len(aux.graph.vertices) > 9:
                     continue
                 req = CoverRequirement(aux, dec, tuple(roots))
-                ctx = req.context
                 table = _reduced_table(req)
                 static = [
                     (a.tail, a.head) for a in aux.graph.arcs if not a.is_loop()
@@ -182,14 +186,15 @@ class TestReducedTable:
                     if key not in best_by_inner or val > best_by_inner[key]:
                         best_by_inner[key] = val
                 for y, (need, xmask) in table.items():
-                    inner = ctx.to_vertices(y)
+                    inner = _part(req._slice, y)
                     assert best_by_inner[inner] == need
-                    xs = ctx.to_vertices(xmask)
+                    xs = _part(req._slice, xmask)
                     rho = sum(1 for t, h in static if h in xs and t not in xs)
                     assert naive_pj(aux, dec, roots, xs) - rho == need
                 # the table keeps exactly the inner sets that need an edge
+                kept = {_part(req._slice, y) for y in table}
                 for inner, best in best_by_inner.items():
-                    if to_mask(ctx, inner) not in table:
+                    if inner not in kept:
                         assert best <= 0
 
 
@@ -214,6 +219,108 @@ class TestWorstCompletion:
             assert got == best, (nq, hits)
             assert value(completion(d)) == best
             assert all(value(completion(e)) < best for e in range(d))
+
+
+def mixed_atoms(rng, count):
+    """The requirement of every atom of ``count`` random instances of at most 8 vertices.
+
+    Arcs outnumber vertices, so loops, parallel arcs and two arcs entering
+    an atom from one tail are common.
+    """
+    for _ in range(count):
+        g, roots = random_mixed_instance(rng, max_v=8, max_e=6, max_a=12)
+        dec = compute_atoms(g, roots)
+        for j in range(len(dec.atoms)):
+            yield CoverRequirement(build_auxiliary(g, dec, j), dec, tuple(roots))
+
+
+def encoding_features(aux) -> set[str]:
+    """Which of loops, parallel arcs and entering arcs sharing a tail the auxiliary graph has."""
+    tail_of = {t: tail for t, (_arc_id, tail) in aux.terminal_origin.items()}
+    found = set()
+    if any(x.is_loop() for x in (*aux.graph.edges, *aux.graph.arcs)):
+        found.add("loop")
+    ends = Counter((tail_of.get(a.tail, a.tail), a.head) for a in aux.graph.arcs)
+    if max(ends.values(), default=0) > 1:
+        found.add("parallel arcs")
+    if max(Counter(tail_of.values()).values(), default=0) > 1:
+        found.add("shared tail")
+    return found
+
+
+class TestSliceEncoding:
+    """The fallback's slice of the auxiliary graph against the reference encoder's bits.
+
+    The slice gives a terminal bit ``n`` plus its arc's candidate index,
+    the reference ``n`` plus its place among the terminals, so masks
+    differ and are compared by the names they decode to.
+    """
+
+    def test_orient_covering_matches_the_reference_pipeline(self):
+        rng = random.Random(31337)
+        seen = Counter()
+        for req in mixed_atoms(rng, 500):
+            ctx = reference_context(req)
+            table = reference_table(ctx)
+            expected = reference_certificate(req, table, names=ctx.to_vertices)
+            if expected is None:
+                expected = reference_fix_edges(req, table, names=ctx.to_vertices)
+            assert orient_covering(req) == expected
+            seen[type(expected).__name__] += 1
+            if isinstance(expected, SubpartitionCertificate):
+                seen["terminal in a part"] += any(p - req.aux.gamma for p in expected.parts)
+            seen.update(encoding_features(req.aux))
+        kinds = ("Orientation", "SubpartitionCertificate", "terminal in a part")
+        assert all(seen[k] >= 20 for k in kinds + ("loop", "parallel arcs", "shared tail")), seen
+
+    def test_reduced_table_matches_the_reference_table(self):
+        rng = random.Random(27027)
+        seen = Counter()
+        for req in mixed_atoms(rng, 500):
+            ctx = reference_context(req)
+            sl = req._slice
+            got = {
+                _part(sl, y): (need, _part(sl, xmask))
+                for y, (need, xmask) in _reduced_table(req).items()
+            }
+            want = {
+                ctx.to_vertices(y): (need, ctx.to_vertices(xmask))
+                for y, (need, xmask) in reference_table(ctx).items()
+            }
+            assert got == want
+            seen["terminal in a completion"] += any(xs - inner for inner, (_n, xs) in got.items())
+            seen["hit"] += any(hit for _bit, _head, hit in ctx.terminals)
+            seen.update(encoding_features(req.aux))
+        assert all(seen[k] >= 20 for k in ("terminal in a completion", "hit")), seen
+        assert all(seen[k] >= 20 for k in ("loop", "parallel arcs", "shared tail")), seen
+
+    def test_terminal_bits_name_the_auxiliary_vertices(self):
+        # Every atom bit and every terminal's bit, n plus its arc's
+        # candidate index, names back to its auxiliary vertex.
+        rng = random.Random(4242)
+        terminals = 0
+        for req in mixed_atoms(rng, 200):
+            sl = req._slice
+            n = len(sl.vertices)
+            bits = [tb for tb, _hb, _hit in sl.cands if tb >> n]
+            assert _part(sl, (1 << n) - 1 | sum(bits)) == req.aux.graph.vertex_set
+            for tb in bits:
+                (name,) = _part(sl, tb)
+                assert name in req.aux.terminal_origin
+            terminals += len(bits)
+        assert terminals >= 100
+
+    def test_tree_without_foothold_or_terminal_is_rejected(self):
+        # Tree 0 enters the atom {a}, tree 1's root, through the arc r->a;
+        # an auxiliary graph that drops that arc's terminal leaves tree 0
+        # no way into the atom.
+        g, roots = parse_mixed_graph("vertex r\nvertex a\narc r a\nroot r\nroot a\n")
+        dec = compute_atoms(g, roots)
+        j = dec.atoms.index(frozenset({"a"}))
+        CoverRequirement(build_auxiliary(g, dec, j), dec, roots)
+        bare = AuxiliaryGraph(j, MixedGraph(("a",)), {"a"}, {})
+        with pytest.raises(InvariantError, match="nonzero requirement"):
+            CoverRequirement(bare, dec, roots)
 
 
 class TestSolverProperties:
@@ -270,7 +377,7 @@ class TestSolverProperties:
         for g, roots, dec, aux in self._atom_requirements(rng, 40, max_vj=8):
             req = CoverRequirement(aux, dec, tuple(roots))
             naive_best = naive_max_deficit(aux, dec, roots)
-            cert = _extract_certificate(req)
+            cert = _extract_certificate(req, _reduced_table(req))
             if naive_best <= 0:
                 assert cert is None
             else:
@@ -310,7 +417,7 @@ class TestCapacity:
         dec = compute_atoms(g, roots)
         req = CoverRequirement(build_auxiliary(g, dec, 0), dec, tuple(roots))
         cert = orient_covering(req)
-        assert cert == _extract_certificate(req)
+        assert cert == _extract_certificate(req, _reduced_table(req))
         assert cert.deficit == 1
         result = solve(g, roots)
         assert isinstance(result, BiSetFamilyCertificate)
@@ -356,8 +463,8 @@ class TestCutOracle:
         rng = random.Random(8128)
         seen = Counter()
         for req, flow, start in atom_oracles(rng, 1500, max_v=7, max_e=9, max_a=8):
-            ctx = req.context
-            spans = [bu | bv for _eid, bu, bv in ctx.edge_bits]
+            ctx = reference_context(req)
+            spans = [bu | bv for bu, bv in ctx.edge_pairs]
             assert spans == [(1 << t) | (1 << h) for t, h in flow.ends]
             bits = flip_at_random(rng, flow)
             table = _reduced_table(req)
@@ -385,7 +492,7 @@ class TestCutOracle:
         rng = random.Random(1618)
         seen = Counter()
         for req, flow, start in atom_oracles(rng, 400, max_v=6, max_e=8, max_a=6):
-            ctx = req.context
+            ctx = reference_context(req)
             if ctx.size > 10:
                 continue
             bits = flip_at_random(rng, flow)
@@ -489,6 +596,23 @@ class TestFastPath:
             assert isinstance(mp, MixedPacking), (seed, i)
             assert validate_mixed_packing(g, roots, mp)
 
+    def test_stalled_cycle_certified_by_the_exact_path(self, monkeypatch):
+        # One edge per link of a 7-cycle cannot carry two trees from v0; the
+        # fast path stalls on the cycle, so the fallback certifies it with
+        # its maximum-deficit subpartition, every vertex but v0 alone.
+        calls = []
+        orient = exhaustive.orient_covering
+        monkeypatch.setattr(
+            exhaustive, "orient_covering", lambda req: calls.append(req) or orient(req)
+        )
+        lines = [f"vertex v{i}" for i in range(7)] + [f"edge v{i} v{(i + 1) % 7}" for i in range(7)]
+        g, roots = parse_mixed_graph("\n".join(lines + ["root v0"] * 2) + "\n")
+        result = solve(g, roots)
+        assert len(calls) == 1
+        assert isinstance(result, BiSetFamilyCertificate)
+        assert sorted(b.inner for b in result.bisets) == [frozenset({f"v{i}"}) for i in range(1, 7)]
+        assert verify_certificate(g, roots, result)
+
     def test_refuted_atom_certificate_against_the_oracles(self):
         # The set the fast path refutes an atom with is one part whose
         # deficit is the naive one, at most the best subpartition's.
@@ -512,7 +636,7 @@ class TestFastPath:
                 if len(aux.graph.vertices) <= 6:
                     assert cert.deficit <= naive_max_deficit(aux, dec, roots)
                 else:
-                    assert cert.deficit <= _extract_certificate(req).deficit
+                    assert cert.deficit <= _extract_certificate(req, _reduced_table(req)).deficit
                 lifted = certificate_from_subpartition(cert, dec, g, roots)
                 assert verify_certificate(g, roots, lifted)
                 refuted += 1

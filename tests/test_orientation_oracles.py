@@ -27,7 +27,7 @@ from arbopack import (
 )
 from arbopack.exhaustive import _extract_certificate, _reduced_table
 from instance_gen import bench_workloads, random_mixed_instance
-from naive import _ref_cross_into, _ref_edge_ends, reference_certificate
+from naive import _ref_cross_into, _ref_edge_ends, reference_certificate, reference_context
 
 
 def _requirements_of(g, roots, max_vertices):
@@ -40,16 +40,16 @@ def _requirements_of(g, roots, max_vertices):
 
 def _compare(req, rng, seen):
     """Check one atom's certificate, whole and after a random fixed prefix."""
-    ctx = req.context
+    ctx = reference_context(req)
     table = _reduced_table(req)
-    m = len(ctx.edge_bits)
+    m = len(ctx.edge_pairs)
     cert = _extract_certificate(req, table)
     assert cert == reference_certificate(req, table)
     seen["certified"] += cert is not None
     for pos in rng.sample(range(m), min(m, 2)):
         ends = _ref_edge_ends(ctx, [rng.randint(0, 1) for _ in range(pos + 1)])
         rest = {y: (need - _ref_cross_into(ends, y), xm) for y, (need, xm) in table.items()}
-        edges = ctx.edge_bits[pos + 1 :]
+        edges = ctx.edge_pairs[pos + 1 :]
         cert = _extract_certificate(req, rest, edges)
         assert cert == reference_certificate(req, rest, edges)
         seen["fixed_certified"] += cert is not None
@@ -91,7 +91,7 @@ def test_synthetic_tables_match_reference():
     rng = random.Random(7170)
     g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", 6, 2)]))
     (req,) = _requirements_of(g, roots, max_vertices=6)
-    ctx = req.context
+    ctx = reference_context(req)
     multi_part = 0
     for _ in range(300):
         table = {
@@ -99,7 +99,7 @@ def test_synthetic_tables_match_reference():
             for y in range(1, ctx.gamma_mask + 1)
             if rng.random() < 0.3
         }
-        edges = [e for e in ctx.edge_bits if rng.random() < 0.5]
+        edges = [e for e in ctx.edge_pairs if rng.random() < 0.5]
         cert = _extract_certificate(req, table, edges)
         assert cert == reference_certificate(req, table, edges)
         multi_part += cert is not None and len(cert.parts) > 1
@@ -120,8 +120,8 @@ def _exact_covers(sets, w):
 
 def _cover_deficit(table, edges, parts):
     """Summed needs of disjoint ``parts`` less the edges between or out of them."""
-    within = sum(1 for _eid, bu, bv in edges for y in parts if bu & y and bv & y)
-    touching = sum(1 for _eid, bu, bv in edges if (bu | bv) & sum(parts))
+    within = sum(1 for bu, bv in edges for y in parts if bu & y and bv & y)
+    touching = sum(1 for bu, bv in edges if (bu | bv) & sum(parts))
     return sum(table[y][0] for y in parts) + within - touching
 
 
@@ -135,7 +135,7 @@ def test_synthetic_tables_on_part_of_the_atom_match_reference():
     rng = random.Random(8180)
     g, roots = parse_mixed_graph(wl._render(rng, [wl.cycle_copies(rng, "", 6, 2)]))
     (req,) = _requirements_of(g, roots, max_vertices=6)
-    ctx = req.context
+    ctx = reference_context(req)
     partial = multi_part_ties = 0
     for _ in range(300):
         inside = rng.randint(1, ctx.gamma_mask - 1)
@@ -145,7 +145,7 @@ def test_synthetic_tables_on_part_of_the_atom_match_reference():
             if not y & ~inside and rng.random() < 0.5
         }
         # few edges, so that parts rarely lose deficit to edges between them
-        edges = [e for e in ctx.edge_bits if rng.random() < 0.25]
+        edges = [e for e in ctx.edge_pairs if rng.random() < 0.25]
         cert = _extract_certificate(req, table, edges)
         assert cert == reference_certificate(req, table, edges)
         pool = [y for y, (need, _xm) in table.items() if need >= 1]

@@ -33,7 +33,6 @@ from arbopack import (
     build_auxiliary,
     compute_atoms,
 )
-from arbopack.exhaustive import AtomContext
 from arbopack.graph_core import _Value
 
 
@@ -55,7 +54,6 @@ def _samples() -> dict[type, tuple]:
         BiSet: (biset.outer, biset.inner),
         AtomDecomposition: (dec.reach, dec.atoms, dec.atom_roots),
         AuxiliaryGraph: (aux.atom_index, aux.graph, aux.gamma, aux.terminal_origin),
-        AtomContext: tuple(AtomContext.build(aux, dec, ("r",))),
         Bounds: (7,),
         CoverRequirement: (aux, dec, ("r",), Bounds(7)),
         SubpartitionCertificate: (0, (frozenset({"a"}),), 1),
@@ -82,7 +80,7 @@ def test_every_exported_type_is_covered():
     exported = {getattr(arbopack, name) for name in arbopack.__all__}
     exported = {x for x in exported if isinstance(x, type) and not issubclass(x, Exception)}
     assert exported <= set(TYPES), exported - set(TYPES)
-    assert len(RECORDS) == 9 and len(VALUES) == 7
+    assert len(RECORDS) == 8 and len(VALUES) == 7
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
