@@ -18,37 +18,40 @@ from .graph_core import (
     MixedPacking,
     MixedTree,
     Orientation,
-    apply_orientation,
     mixed_reachable_set,
     parse_mixed_graph,
 )
 from .decomposition import AtomDecomposition, BiSet, compute_atoms
 from .orientation import SubpartitionCertificate
-from .packing import pack_atom_branchings
-from .pipeline import (
-    BiSetFamilyCertificate,
-    certificate_from_subpartition,
-    covering_orientation,
-    pack_reachability,
-    solve,
-    validate_mixed_packing,
-    verify_certificate,
-)
+from .pipeline import BiSetFamilyCertificate, certificate_from_subpartition, solve
 
 __version__ = "0.1.0"
 
-# The exact orientation fallback runs only on an atom the fast path
-# stalls on, so its module is compiled on first use of one of its names
-# (PEP 562), not at import.
-_EXHAUSTIVE = ("AuxiliaryGraph", "CoverRequirement", "build_auxiliary", "orient_covering")
+# The names ``solve`` never reaches are bound on first use (PEP 562), so
+# their modules are not compiled at import: the exact orientation
+# fallback, which only an atom the fast path stalls on loads; the
+# validators; and the two-stage route.
+_LAZY = {
+    "AuxiliaryGraph": "exhaustive",
+    "CoverRequirement": "exhaustive",
+    "build_auxiliary": "exhaustive",
+    "orient_covering": "exhaustive",
+    "validate_mixed_packing": "checks",
+    "verify_certificate": "checks",
+    "apply_orientation": "two_stage",
+    "covering_orientation": "two_stage",
+    "pack_atom_branchings": "two_stage",
+    "pack_reachability": "two_stage",
+}
 
 
 def __getattr__(name: str):
-    if name not in _EXHAUSTIVE:
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import exhaustive
+    from importlib import import_module
 
-    value = globals()[name] = getattr(exhaustive, name)
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
     return value
 
 

@@ -26,3 +26,10 @@ class Bounds(_Value):
 
 
 DEFAULT_BOUNDS = Bounds()
+
+
+def _bounds_from(max_enum_vertices: int | None) -> Bounds:
+    """The bounds a command line asks for: the defaults when it gives no limit."""
+    if max_enum_vertices is None:
+        return DEFAULT_BOUNDS
+    return Bounds(max_enum_vertices=max_enum_vertices)

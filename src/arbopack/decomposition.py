@@ -8,10 +8,12 @@ whose tree is forced to enter the inner set across the outer "wall".
 
 An atom's certificate names each arc entering it that a part holds as
 the terminal ``t:<arc-id>``; :func:`lift_biset` lifts such a part by arc
-id, on the input graph.  One indexed pass over the graph sets up every
-atom, so an atom's set-up reads its own part of the graph, in integers,
-not the whole of it.  The auxiliary graphs and the requirement sweep of
-the exact orientation fallback are in ``arbopack.exhaustive``.
+id, on the input graph, and :func:`_certificate_sides` counts a lifted
+family's two sides, for the solver and the checker alike.  One indexed
+pass over the graph sets up every atom, so an atom's set-up reads its
+own part of the graph, in integers, not the whole of it.  The auxiliary
+graphs and the requirement sweep of the exact orientation fallback are
+in ``arbopack.exhaustive``.
 """
 
 from __future__ import annotations
@@ -157,6 +159,32 @@ def p_value(dec: AtomDecomposition, roots: Sequence[str], x: BiSet) -> int:
         if x.inner <= u and r not in x.inner and not (wall & u):
             n += 1
     return n
+
+
+def _certificate_sides(
+    g: MixedGraph,
+    roots: Sequence[str],
+    dec: AtomDecomposition,
+    bisets: Sequence[BiSet],
+) -> tuple[int, int]:
+    """A bi-set family's two sides over ``g``, in one pass over its edges and one over its arcs.
+
+    ``lhs`` counts each edge whose ends lie in two different inner sets,
+    or in one inner set and in none (so never a loop), plus, per bi-set,
+    each arc into its inner set from outside its outer set.  ``rhs`` is
+    the summed demand (:func:`p_value`).  The vertices must be ``g``'s;
+    overlapping inner sets raise ``ValueError``.
+    """
+    part_of = {v: i for i, b in enumerate(bisets) for v in b.inner}
+    if len(part_of) < sum(len(b.inner) for b in bisets):
+        raise ValueError("subpartition parts overlap")
+    part = part_of.get
+    # edges and arcs are unpacked: a tuple's items read faster than its fields
+    lhs = sum(part(u, -1) != part(v, -1) for _id, u, v in g.edges)
+    outers = [b.outer for b in bisets]
+    lhs += sum(1 for _id, t, h in g.arcs if h in part_of and t not in outers[part_of[h]])
+    rhs = sum(p_value(dec, roots, b) for b in bisets)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mixed multigraph model, packings, parsing, reachability, and orientations.
+"""Mixed multigraph model, packings, parsing, and reachability.
 
 A mixed graph combines undirected edges and directed arcs over a shared
 vertex set.  Everything here is immutable after construction and every
@@ -8,7 +8,9 @@ threads.
 Vertex ids are arbitrary whitespace-free tokens.  Internal indices follow
 first-appearance order, and any "deterministic order" promised by this
 package means ascending internal index (for edges and arcs: declaration
-order).
+order).  A packing is checked against its graph in ``arbopack.checks``,
+and a graph turned into the digraph of an orientation in
+``arbopack.two_stage``.
 """
 
 from __future__ import annotations
@@ -183,12 +185,6 @@ class MixedGraph(_Value):
         return xs
 
 
-def _require_digraph(g: MixedGraph) -> None:
-    """Raise ``ValueError`` naming the first edge of ``g``, if it has one."""
-    if g.edges:
-        raise ValueError(f"expected a digraph, but {g.edges[0].id!r} is an edge")
-
-
 class Orientation(_Value):
     """Total orientation of an edge set: edge-id -> (tail, head)."""
 
@@ -311,7 +307,7 @@ def parse_mixed_graph(text: str) -> tuple[MixedGraph, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# reachability, arborescences and orientations
+# reachability
 
 
 def mixed_reachable_set(g: MixedGraph, s: str) -> frozenset[str]:
@@ -335,73 +331,3 @@ def _reachable(succ: Mapping[str, Sequence[str]], s: str) -> frozenset[str]:
                 seen.add(w)
                 queue.append(w)
     return frozenset(seen)
-
-
-def _check_arborescence(
-    hops: Sequence[tuple[str, str]], root: str, span: frozenset[str], i: int
-) -> CheckResult:
-    """Verdict on tree ``i``, given as ``(tail, head)`` hops.
-
-    The hops must form an arborescence rooted at ``root`` that spans
-    exactly ``span``.
-    """
-    # first-appearance order, so the vertex a reason names does not
-    # depend on string hashing
-    verts = dict.fromkeys([root, *(v for hop in hops for v in hop)]).keys()
-    indeg: dict[str, int] = {}
-    for _t, h in hops:
-        indeg[h] = indeg.get(h, 0) + 1
-    if indeg.get(root, 0) != 0:
-        return CheckResult(False, f"tree {i + 1}: root {root} has an incoming arc")
-    for v in verts:
-        if v != root and indeg.get(v, 0) != 1:
-            return CheckResult(
-                False, f"tree {i + 1}: vertex {v} has in-degree {indeg.get(v, 0)}"
-            )
-    succ: dict[str, list[str]] = {v: [] for v in verts}
-    for t, h in hops:
-        succ[t].append(h)
-    if _reachable(succ, root) != verts:
-        return CheckResult(
-            False, f"tree {i + 1} is not an arborescence rooted at {root}"
-        )
-    if verts != span:
-        return CheckResult(False, f"tree {i + 1} does not span U_{i + 1}")
-    return OK_RESULT
-
-
-def apply_orientation(g: MixedGraph, o: Orientation) -> MixedGraph:
-    """The digraph of ``g`` with every edge turned as ``o`` says.
-
-    It has no edges: ``g``'s arcs, then one arc per edge, with the edge's
-    id.  An edge id that is also an arc id raises ``ValueError``.
-    """
-    edge_ids = frozenset(e.id for e in g.edges)
-    if o.edge_ids() != edge_ids:
-        missing = sorted(edge_ids - o.edge_ids())
-        extra = sorted(o.edge_ids() - edge_ids)
-        raise ValueError(
-            f"orientation domain mismatch (missing {missing}, extra {extra})"
-        )
-    arcs = list(g.arcs)
-    for e in g.edges:
-        t, h = o.direction[e.id]
-        if frozenset((t, h)) != e.ends:
-            raise ValueError(
-                f"orientation of edge {e.id!r} does not match its endpoints"
-            )
-        arcs.append(Arc(e.id, t, h))
-    return MixedGraph(g.vertices, (), arcs)
-
-
-def lexicographic_orientation(g: MixedGraph, edge_ids: Iterable[str] | None = None) -> Orientation:
-    """Orient each edge from its smaller to its larger internal index."""
-    idx = g.vertex_index
-    chosen = g.edges if edge_ids is None else [g.edge_by_id[i] for i in edge_ids]
-    direction = {}
-    for e in chosen:
-        if idx[e.u] <= idx[e.v]:
-            direction[e.id] = (e.u, e.v)
-        else:
-            direction[e.id] = (e.v, e.u)
-    return Orientation(direction)

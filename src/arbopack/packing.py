@@ -20,9 +20,10 @@ new oracle for an atom with no edge (:func:`_pack`), and on the oracle
 that oriented the edges of any other (``orientation``).  Only an
 infeasible atom gets a checked tree stuck; its untouched atom is then
 checked from each vertex, and the first short cut is its deficient set.
-``pipeline`` drives the atoms for ``solve`` and ``pack_reachability``
-alike, a digraph being a mixed graph with no edges;
-:func:`pack_atom_branchings` packs one atom of a digraph by vertex name.
+``pipeline`` drives the atoms for ``solve`` and for
+``two_stage.pack_reachability`` alike, a digraph being a mixed graph
+with no edges; ``two_stage.pack_atom_branchings`` packs one atom of a
+digraph by vertex name with :func:`_pack`.
 """
 
 from __future__ import annotations
@@ -31,46 +32,6 @@ import math
 from typing import Mapping, Sequence
 
 from .errors import InvariantError
-from .graph_core import Arc, MixedGraph, _require_digraph
-
-
-def pack_atom_branchings(
-    g: MixedGraph, gamma: frozenset[str], demands: Mapping[int, frozenset[str]]
-) -> dict[int, tuple[Arc, ...]] | frozenset[str]:
-    """Arc-disjoint branchings covering ``gamma``, one per demanded tree, in the digraph ``g``.
-
-    ``demands[i]`` is what tree i already spans: its root inside
-    ``gamma``, or vertices outside it.  An arc of ``g`` entering
-    ``gamma`` can serve tree i when its tail is in ``demands[i]``, and
-    serves at most one tree; arcs whose head is outside ``gamma`` are
-    ignored.  When no such packing exists, returns a deficient vertex set
-    of ``g`` instead: an atom part Y plus the tails of a set T of
-    entering arcs, where the trees with no foothold in Y and no arc in T
-    outnumber the arcs entering the set.  Raises ``ValueError`` when
-    ``g`` has edges.
-
-    The candidates are derived here from the vertex names, where
-    ``pipeline.pack_reachability`` reads them off each atom's slice; both
-    pack them with :func:`_pack`.
-    """
-    _require_digraph(g)
-    g.require_vertices(gamma)
-    bit = {v: 1 << k for k, v in enumerate(v for v in g.vertices if v in gamma)}
-    gmask = (1 << len(bit)) - 1
-
-    trees = sorted(demands)
-    entry = {i: g.require_vertices(demands[i]) for i in trees}
-    start = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
-    cands = _arc_candidates(g.arcs, bit, trees, entry)
-    owner = _pack(len(bit), trees, start, [c[:3] for c in cands])
-    if isinstance(owner, tuple):
-        xmask = owner[0]
-        return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
-            a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
-        )
-    return {
-        i: tuple(a for (_t, _h, _hit, a), o in zip(cands, owner) if o == i) for i in trees
-    }
 
 
 def _pack(n: int, trees, start: Mapping[int, int], cands) -> list[int | None] | tuple[int, int]:
@@ -101,21 +62,6 @@ def _first_short(flow: _StepFlow, n: int, start: Mapping[int, int], stuck: int) 
         if xmask is not None:
             return xmask, flow.shortfall
     raise InvariantError(f"tree {stuck + 1} is stuck, but the untouched atom passes")
-
-
-def _arc_candidates(arcs, bit: Mapping[str, int], trees, reach) -> list[tuple]:
-    """``(tail bit, head bit, hit, arc)`` per non-loop arc into the atom, in order."""
-    cands = []
-    for a in arcs:
-        hb = bit.get(a.head)
-        if hb is None or a.is_loop():
-            continue
-        tb, hit = bit.get(a.tail), 0
-        if tb is None:
-            tb = 1 << (len(bit) + len(cands))
-            hit = sum(1 << i for i in trees if a.tail in reach[i])
-        cands.append((tb, hb, hit, a))
-    return cands
 
 
 def _edge_cands(ends) -> list[tuple[int, int, int]]:

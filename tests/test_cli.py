@@ -7,7 +7,8 @@ from collections import Counter
 import pytest
 
 from arbopack import build_auxiliary, compute_atoms, parse_mixed_graph
-from arbopack.cli import _part_order, main
+from arbopack.cli import main
+from arbopack.commands import _part_order
 from arbopack.orientation import SubpartitionCertificate, orient_atom
 from instance_gen import deep_atom_text, doubled_cycle_text, random_mixed_instance
 
@@ -362,6 +363,34 @@ class TestExportDot:
         )
         assert code == 0
         assert "color=crimson" in dot and "color=royalblue" in dot
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            ({"id": "e1", "tail": "r2", "head": "v7"}, "edge 'e1' with endpoints not its own"),
+            ({"id": "e9", "tail": "r1", "head": "v1"}, "unknown edge 'e9'"),
+            ({"id": "a9", "origin": "arc"}, "unknown arc 'a9'"),
+        ],
+        ids=["foreign-ends", "unknown-edge", "unknown-arc"],
+    )
+    def test_packing_not_of_the_graph_rejected(
+        self, capsys, tmp_path, two_root_path, tamper, message
+    ):
+        # Each tree's entry for e1 (r1-v1), or a new arc entry, is tampered
+        # with; the drawing must not show an edge or arc the graph lacks.
+        _, out, _ = run(capsys, "solve", two_root_path)
+        payload = json.loads(out)
+        arcs = payload["trees"][0]["arcs"]
+        if tamper.get("origin") == "arc":
+            arcs.append(tamper)
+        else:
+            (entry,) = [a for a in arcs if a["id"] == "e1"]
+            entry.update(tamper)
+        packing = tmp_path / "packing.json"
+        packing.write_text(json.dumps(payload))
+        code, dot, err = run(capsys, "export-dot", two_root_path, "--packing", str(packing))
+        assert (code, dot) == (1, "")
+        assert message in err
 
     def test_deterministic(self, capsys, two_root_path):
         _, a, _ = run(capsys, "export-dot", two_root_path)

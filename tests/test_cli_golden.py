@@ -2,7 +2,9 @@
 
 For every ``*.mg`` file, the stdout and exit code of ``solve``, ``atoms``
 (text and JSON), ``orient`` (every atom, text and JSON), ``pack-digraph``
-and ``export-dot`` are recorded in ``data/cli_golden.json``.  A change
+and ``export-dot`` are recorded in ``data/cli_golden.json``, and so are
+those of ``check``, ``certify`` and ``export-dot --packing`` fed the JSON
+that ``solve`` prints for the same file (``@solve`` in a case).  A change
 that alters a byte of that output fails here, naming the command and the
 file.  To record the goldens again, on purpose::
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from arbopack.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden.json"
+SOLVED = "@solve"
 
 
 def cases() -> list[list[str]]:
@@ -36,14 +40,21 @@ def cases() -> list[list[str]]:
             for fmt in ("text", "json"):
                 out.append(["orient", f, "--atom", str(k), "--format", fmt])
         out += [["pack-digraph", f], ["export-dot", f]]
+        out += [["check", f, SOLVED], ["certify", f, SOLVED]]
+        out.append(["export-dot", f, "--packing", SOLVED])
     return out
 
 
 def run(argv: list[str]) -> dict:
     command, name, *rest = argv
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, str(DATA / name), *rest])
+    with tempfile.TemporaryDirectory() as tmp:
+        solved = Path(tmp) / "solve.json"
+        if SOLVED in rest:
+            solved.write_text(run(["solve", name])["stdout"])
+        rest = [str(solved) if arg == SOLVED else arg for arg in rest]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, str(DATA / name), *rest])
     return {"exit": code, "stdout": out.getvalue()}
 
 

@@ -16,8 +16,7 @@ from arbopack import (
     mixed_reachable_set,
     parse_mixed_graph,
 )
-from arbopack.decomposition import _atom_slices, lift_biset, p_value
-from arbopack.pipeline import _certificate_sides
+from arbopack.decomposition import _atom_slices, _certificate_sides, lift_biset, p_value
 from instance_gen import (
     bench_workloads,
     deep_atom_text,

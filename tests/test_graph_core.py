@@ -16,8 +16,8 @@ from arbopack import (
     mixed_reachable_set,
     parse_mixed_graph,
 )
-from arbopack.graph_core import lexicographic_orientation
-from arbopack.pipeline import _certificate_sides
+from arbopack.decomposition import _certificate_sides
+from arbopack.two_stage import lexicographic_orientation
 from instance_gen import random_mixed_instance, random_orientation
 from naive import entering_arcs, in_degree, induced, subsets
 

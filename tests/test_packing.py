@@ -23,7 +23,7 @@ from arbopack import (
     solve,
     validate_mixed_packing,
 )
-from arbopack import exhaustive, orientation, packing, pipeline
+from arbopack import checks, exhaustive, orientation, packing
 from arbopack.decomposition import _atom_slices, lift_biset
 from arbopack.packing import _StepFlow
 from instance_gen import (
@@ -637,7 +637,7 @@ class TestValidateDigraphPacking:
 
     def test_one_search_per_distinct_root(self, monkeypatch, two_root):
         calls = []
-        search = pipeline.mixed_reachable_set
+        search = checks.mixed_reachable_set
 
         def counted(g, r):
             calls.append(r)
@@ -645,7 +645,7 @@ class TestValidateDigraphPacking:
 
         cases = [parse_mixed_graph(deep_atom_text(260)), canonical_digraph(two_root)]
         results = [pack_reachability(d, roots) for d, roots in cases]
-        monkeypatch.setattr(pipeline, "mixed_reachable_set", counted)
+        monkeypatch.setattr(checks, "mixed_reachable_set", counted)
         for (d, roots), result in zip(cases, results):
             calls.clear()
             assert validate_mixed_packing(d, roots, result)

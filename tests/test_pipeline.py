@@ -32,8 +32,15 @@ from arbopack import (
     verify_certificate,
 )
 import arbopack
-from arbopack import exhaustive, graph_core, orientation, packing, pipeline
-from arbopack.decomposition import _atom_slices, _check_atom, lift_biset, p_value
+import arbopack.two_stage
+from arbopack import checks, exhaustive, orientation, packing
+from arbopack.decomposition import (
+    _atom_slices,
+    _certificate_sides,
+    _check_atom,
+    lift_biset,
+    p_value,
+)
 from arbopack.errors import InvariantError
 from arbopack.orientation import (
     SubpartitionCertificate,
@@ -41,7 +48,6 @@ from arbopack.orientation import (
     _start_state,
 )
 from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow
-from arbopack.pipeline import _certificate_sides
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
@@ -180,7 +186,7 @@ class TestValidateMixedPacking:
 
         cases = [parse_mixed_graph(deep_atom_text(260)), two_root]
         results = [solve(g, roots) for g, roots in cases]
-        monkeypatch.setattr(pipeline, "mixed_reachable_set", counted)
+        monkeypatch.setattr(checks, "mixed_reachable_set", counted)
         for (g, roots), mp in zip(cases, results):
             calls.clear()
             assert validate_mixed_packing(g, roots, mp)
@@ -724,10 +730,11 @@ class TestPackOnTheOrientingOracle:
         def forbidden(*args, **kwargs):
             raise AssertionError("solve ran the two-stage path")
 
+        # both names live in ``two_stage``; patching without raising=False
+        # fails if either moves, instead of guarding nothing
         for name in ("pack_reachability", "apply_orientation"):
-            for module in (arbopack, packing, graph_core):
-                monkeypatch.setattr(module, name, forbidden, raising=False)
-            monkeypatch.setattr(pipeline, name, forbidden, raising=False)
+            for module in (arbopack, arbopack.two_stage):
+                monkeypatch.setattr(module, name, forbidden)
         monkeypatch.setattr(_StepFlow, "__init__", counted)
         for module in (orientation, packing):
             monkeypatch.setattr(module, "_first_fit", recorded)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +50,14 @@ for _ in range(1000):
 print(json.dumps([kinds, "arbopack.exhaustive" in sys.modules]))
 """
 
+# the exported names ``import arbopack`` leaves unbound
+UNBOUND_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import arbopack
+print(json.dumps(sorted(set(arbopack.__all__) - set(vars(arbopack)))))
+"""
+
 # the names a star import binds
 STAR_PROBE = """
 import json, sys
@@ -58,7 +68,15 @@ print(json.dumps(sorted(set(names) - {"__builtins__"})))
 """
 
 DATA = Path(__file__).with_name("data")
-EXHAUSTIVE_NAMES = ("AuxiliaryGraph", "CoverRequirement", "build_auxiliary", "orient_covering")
+# the modules ``solve`` runs, and every lazily bound name with its module
+START_UP = {"bounds", "errors", "graph_core", "decomposition", "packing", "orientation", "pipeline"}
+LAZY_NAMES = {
+    "exhaustive": ("AuxiliaryGraph", "CoverRequirement", "build_auxiliary", "orient_covering"),
+    "checks": ("validate_mixed_packing", "verify_certificate"),
+    "two_stage": (
+        "apply_orientation", "covering_orientation", "pack_atom_branchings", "pack_reachability"
+    ),
+}
 
 
 def _probe(code: str, *args: str):
@@ -73,6 +91,10 @@ def _probe(code: str, *args: str):
 
 def _loaded_by_import() -> list[str]:
     return _probe(PROBE)
+
+
+def _ours(modules) -> set[str]:
+    return {name.split(".", 1)[1] for name in modules if name.startswith("arbopack.")}
 
 
 def test_zero_runtime_dependencies():
@@ -98,12 +120,30 @@ def test_start_up_loads_no_class_generators():
     assert not {"dataclasses", "inspect"} & set(loaded)
 
 
-def test_start_up_loads_no_exhaustive_fallback():
-    # The fallback runs only on an atom the fast path stalls on, so the
-    # CLI and the package start without compiling it.
-    loaded = _loaded_by_import()
-    assert "arbopack.cli" in loaded
-    assert "arbopack.exhaustive" not in loaded
+def test_start_up_loads_only_what_solve_runs():
+    # The exact fallback runs only on an atom the fast path stalls on, and
+    # the validators, the two-stage route and the other subcommands never
+    # run in ``solve``, so the CLI and the package start without compiling
+    # any of them.
+    assert _ours(_loaded_by_import()) == START_UP | {"cli"}
+
+
+def test_cli_solve_loads_no_lazy_module():
+    # The real ``python -m arbopack.cli`` process; -X importtime lists on
+    # stderr every module it imports, the package's own included.
+    src = str(Path(arbopack.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "arbopack.cli", "solve",
+         str(DATA / "two_root_mixed.mg")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    imported = [
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    ]
+    assert json.loads(proc.stdout)["feasible"] is True
+    assert _ours(imported) == START_UP
 
 
 @pytest.mark.parametrize(
@@ -129,11 +169,15 @@ def test_digraph_packing_never_loads_the_fallback():
 
 
 def test_lazy_names_are_the_fallback_modules_own():
-    from arbopack import exhaustive
-
-    for name in EXHAUSTIVE_NAMES:
-        assert name in arbopack.__all__
-        assert getattr(arbopack, name) is getattr(exhaustive, name)
+    # In a fresh interpreter, the exported names that import leaves unbound
+    # are exactly the lazy ones; each resolves to its own module's object.
+    unbound = _probe(UNBOUND_PROBE)
+    assert unbound == sorted(name for names in LAZY_NAMES.values() for name in names)
+    for module, names in LAZY_NAMES.items():
+        home = importlib.import_module(f"arbopack.{module}")
+        for name in names:
+            assert name in arbopack.__all__
+            assert getattr(arbopack, name) is getattr(home, name)
     with pytest.raises(AttributeError, match="no attribute 'orient'"):
         arbopack.orient
 
@@ -144,22 +188,35 @@ def test_star_import_binds_every_exported_name():
     assert names == sorted(arbopack.__all__) and len(names) == 33
 
 
-def test_pipeline_imports_nothing_from_packing():
-    # ``orientation`` packs each atom as soon as it is oriented, so
-    # ``solve`` has no packing stage of its own to import for.
-    tree = ast.parse(Path(arbopack.__file__).with_name("pipeline.py").read_text())
-    found = [
+def _imports_from(module: str, banned: set[str]) -> list[str]:
+    """The import statements of ``module`` that name one of the ``banned`` modules."""
+    tree = ast.parse(Path(arbopack.__file__).with_name(module).read_text())
+    return [
         ast.unparse(node)
         for node in ast.walk(tree)
         if (
             isinstance(node, ast.ImportFrom)
-            and (node.module or "").rsplit(".", 1)[-1] == "packing"
+            and (node.module or "").rsplit(".", 1)[-1] in banned
         )
         or (
             isinstance(node, ast.Import)
-            and any(alias.name.rsplit(".", 1)[-1] == "packing" for alias in node.names)
+            and any(alias.name.rsplit(".", 1)[-1] in banned for alias in node.names)
         )
     ]
+
+
+def test_pipeline_imports_nothing_from_packing():
+    # ``orientation`` packs each atom as soon as it is oriented, so
+    # ``solve`` has no packing stage of its own to import for.
+    found = _imports_from("pipeline.py", {"packing"})
+    assert not found, found
+
+
+def test_checks_import_nothing_of_the_solver():
+    # An answer is re-checked from the input alone, by code that did not
+    # produce it.
+    solver = {"pipeline", "orientation", "packing", "exhaustive", "two_stage"}
+    found = _imports_from("checks.py", solver)
     assert not found, found
 
 
@@ -167,7 +224,7 @@ def test_solve_and_the_cli_build_no_auxiliary_graph():
     # Certificates are lifted by arc id on the input graph; only the exact
     # fallback in ``exhaustive`` builds an auxiliary graph.
     names = {"build_auxiliary", "AuxiliaryGraph"}
-    for module in ("pipeline.py", "cli.py"):
+    for module in ("pipeline.py", "cli.py", "checks.py", "two_stage.py", "commands.py"):
         tree = ast.parse(Path(arbopack.__file__).with_name(module).read_text())
         found = [
             ast.unparse(node)
