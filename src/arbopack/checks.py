@@ -57,7 +57,7 @@ def verify_certificate(
     (j,) = atoms_hit
     if j != cert.atom_index:
         return CheckResult(
-            False, f"certificate names atom {cert.atom_index} but covers atom {j}"
+            False, f"certificate names atom {cert.atom_index + 1} but covers atom {j + 1}"
         )
     gamma = dec.atoms[j]
     for b in cert.bisets:

@@ -49,6 +49,13 @@ def _vertex_names(value) -> frozenset[str]:
     return frozenset(value)
 
 
+def _json_int(value) -> int:
+    """A JSON integer; ``int()`` would also read a float, a string or a bool as one."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _certificate_from_json(payload: dict) -> BiSetFamilyCertificate:
     try:
         body = payload.get("certificate", payload)
@@ -56,9 +63,11 @@ def _certificate_from_json(payload: dict) -> BiSetFamilyCertificate:
             BiSet(outer=_vertex_names(b["outer"]), inner=_vertex_names(b["inner"]))
             for b in body["bisets"]
         )
-        atom_index = int(body["atom_index"]) - 1
-        lhs = int(body["lhs"])
-        rhs = int(body["rhs"])
+        atom_index = _json_int(body["atom_index"]) - 1
+        lhs = _json_int(body["lhs"])
+        rhs = _json_int(body["rhs"])
+        if "deficit" in body and _json_int(body["deficit"]) != rhs - lhs:
+            raise ValueError(f"deficit {body['deficit']} is not rhs - lhs = {rhs - lhs}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate JSON: {exc}") from None
     return BiSetFamilyCertificate(atom_index=atom_index, bisets=bisets, lhs=lhs, rhs=rhs)
@@ -81,7 +90,7 @@ def _packing_from_json(payload: dict) -> MixedPacking:
                     raise TypeError(f"{name!r} is not a string")
             trees.append(
                 MixedTree(
-                    root_index=int(t["root_index"]) - 1,
+                    root_index=_json_int(t["root_index"]) - 1,
                     root=t["root"],
                     arcs=tuple(arcs),
                     edges=tuple(edges),

@@ -194,8 +194,9 @@ def _certificate_sides(
 class _AtomSlice(NamedTuple):
     """One atom's part of a graph, each list in declaration order.
 
-    Vertex k of the atom is ``vertices[k]``, with bit k.  The positions
-    index the graph's ``edges`` and ``arcs``.
+    Vertex k of the atom is ``vertices[k]``, with bit k; the candidates
+    with a tail bit of ``1 << n`` or more, for atom size n, are the arcs
+    entering it.  The positions index the graph's ``edges`` and ``arcs``.
     """
 
     vertices: list[str]
@@ -207,7 +208,6 @@ class _AtomSlice(NamedTuple):
     edge_pos: list[int]  # per non-loop edge, its position
     cands: list[tuple[int, int, int]]  # per non-loop arc, (tail bit, head bit, hit)
     arc_pos: list[int]  # per non-loop arc, its position
-    heads: list[int]  # the head index of each entering arc
     at: Mapping[str, tuple[int, int]]  # every atom vertex's atom and index in it
 
 
@@ -223,8 +223,8 @@ def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
     the vertex names, until its atom has one.  Nothing is cached.
     """
     atom_of, count = dec.atom_of, len(dec.atoms)
-    vertices, edges, arcs, pairs, edge_pos, cands, arc_pos, heads = (
-        [[] for _ in range(count)] for _ in range(8)
+    vertices, edges, arcs, pairs, edge_pos, cands, arc_pos = (
+        [[] for _ in range(count)] for _ in range(7)
     )
     crossing, reserved = [None] * count, [None] * count
     at: dict[str, tuple[int, int]] = {}
@@ -257,7 +257,6 @@ def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
         if jt != j:
             hit = 0 if jt is None else rootmask[jt] & rootmask[j]
             cands[j].append((1 << len(vertices[j]) + len(cands[j]), 1 << h, hit))
-            heads[j].append(h)
             if reserved[j] is None and (name := f"{RESERVED_TERMINAL_PREFIX}{a[0]}") in names:
                 reserved[j] = name
         elif t != h:
@@ -265,7 +264,7 @@ def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
         else:
             continue
         arc_pos[j].append(pos)
-    columns = (vertices, edges, arcs, crossing, reserved, pairs, edge_pos, cands, arc_pos, heads)
+    columns = (vertices, edges, arcs, crossing, reserved, pairs, edge_pos, cands, arc_pos)
     return list(map(_AtomSlice._make, zip(*columns, repeat(at))))
 
 

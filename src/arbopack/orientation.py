@@ -219,7 +219,9 @@ def _start_state(sl, dec: AtomDecomposition, j: int, roots):
     for tb, hb, _hit in sl.cands:
         if tb >> n == 0:
             near[tb.bit_length() - 1].append(hb.bit_length() - 1)
-    queue = [f.bit_length() - 1 for f in start.values() if f] or list(sl.heads)
+    # with no foothold, the heads of the entering arcs: tail bits n and up
+    queue = [f.bit_length() - 1 for f in start.values() if f]
+    queue = queue or [hb.bit_length() - 1 for tb, hb, _hit in sl.cands if tb >> n]
     dist = [n] * n
     for u in queue:
         dist[u] = 0

@@ -23,7 +23,7 @@ checked from each vertex, and the first short cut is its deficient set.
 ``pipeline`` drives the atoms for ``solve`` and for
 ``two_stage.pack_reachability`` alike, a digraph being a mixed graph
 with no edges; ``two_stage.pack_atom_branchings`` packs one atom of a
-digraph by vertex name with :func:`_pack`.
+digraph, read by the same ``decomposition._atom_slices``, with :func:`_pack`.
 """
 
 from __future__ import annotations

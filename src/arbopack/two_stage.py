@@ -5,9 +5,9 @@ driver (``pipeline._orient_atoms``) and keeps only the directions;
 :func:`apply_orientation` turns a mixed graph into the digraph of an
 orientation; :func:`pack_reachability` packs a digraph (a mixed graph
 with no edges) on the same driver, and :func:`pack_atom_branchings`
-packs one atom of a digraph by vertex name.  ``solve`` orients and packs
-each atom in one step and takes none of these, so ``import arbopack``
-loads this module on first use of one of them.
+packs one atom of a digraph, read by the same atom encoder.  ``solve``
+orients and packs each atom in one step and takes none of these, so
+``import arbopack`` loads this module on first use of one of them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import AtomDecomposition, BiSet
+from .decomposition import AtomDecomposition, BiSet, _atom_slices
 from .graph_core import Arc, MixedGraph, MixedPacking, Orientation, _reachable
 from .orientation import _orientation
 from .packing import _pack
@@ -146,42 +146,30 @@ def pack_atom_branchings(
     of ``g`` instead: an atom part Y plus the tails of a set T of
     entering arcs, where the trees with no foothold in Y and no arc in T
     outnumber the arcs entering the set.  Raises ``ValueError`` when
-    ``g`` has edges.
+    ``g`` has edges, or for a name in ``gamma`` or a demand that is no
+    vertex of ``g``.
 
-    The candidates are derived here from the vertex names, where
-    :func:`pack_reachability` reads them off each atom's slice; both
-    pack them with ``packing._pack``.
+    ``gamma`` is sliced as class 0 of ``decomposition._atom_slices``, each
+    vertex outside it that a demand names a class spanned by the trees
+    whose demand holds it.  The answer is decoded by position, not by
+    terminal name, so a vertex may be named ``t:<arc-id>``.
     """
     _require_digraph(g)
-    g.require_vertices(gamma)
-    bit = {v: 1 << k for k, v in enumerate(v for v in g.vertices if v in gamma)}
-    gmask = (1 << len(bit)) - 1
-
+    gamma = g.require_vertices(gamma)
     trees = sorted(demands)
     entry = {i: g.require_vertices(demands[i]) for i in trees}
-    start = {i: sum(bit[v] for v in entry[i] & gamma) for i in trees}
-    cands = _arc_candidates(g.arcs, bit, trees, entry)
-    owner = _pack(len(bit), trees, start, [c[:3] for c in cands])
-    if isinstance(owner, tuple):
-        xmask = owner[0]
-        return frozenset(v for v, b in bit.items() if b & xmask) | frozenset(
-            a.tail for tb, _hb, _hit, a in cands if tb & xmask & ~gmask
-        )
-    return {
-        i: tuple(a for (_t, _h, _hit, a), o in zip(cands, owner) if o == i) for i in trees
+    held = {
+        v: frozenset(i for i in trees if v in entry[i]) for i in trees for v in entry[i] - gamma
     }
-
-
-def _arc_candidates(arcs, bit: Mapping[str, int], trees, reach) -> list[tuple]:
-    """``(tail bit, head bit, hit, arc)`` per non-loop arc into the atom, in order."""
-    cands = []
-    for a in arcs:
-        hb = bit.get(a.head)
-        if hb is None or a.is_loop():
-            continue
-        tb, hit = bit.get(a.tail), 0
-        if tb is None:
-            tb = 1 << (len(bit) + len(cands))
-            hit = sum(1 << i for i in trees if a.tail in reach[i])
-        cands.append((tb, hb, hit, a))
-    return cands
+    atoms = (gamma, *(frozenset((v,)) for v in held))
+    sl = _atom_slices(g, AtomDecomposition((), atoms, (frozenset(trees), *held.values())))[0]
+    n = len(sl.vertices)
+    start = {i: sum(1 << sl.at[v][1] for v in entry[i] & gamma) for i in trees}
+    owner = _pack(n, trees, start, sl.cands)
+    if isinstance(owner, tuple):
+        # bit n + k of the set is the tail of candidate k, an entering arc
+        xmask = owner[0]
+        xs = [v for k, v in enumerate(sl.vertices) if xmask >> k & 1]
+        xs += (g.arcs[pos].tail for k, pos in enumerate(sl.arc_pos) if xmask >> n + k & 1)
+        return frozenset(xs)
+    return {i: tuple(g.arcs[pos] for pos, o in zip(sl.arc_pos, owner) if o == i) for i in trees}

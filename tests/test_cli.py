@@ -160,6 +160,15 @@ class TestRoundTrips:
         code, out2, _ = run(capsys, "certify", infeasible_path, str(cert))
         assert code == 0 and "valid" in out2
 
+    def test_certify_names_atoms_1_based(self, capsys, tmp_path, two_root_path):
+        # v1 lies in atom 1 of the instance, not in the atom 2 the file names
+        payload = _certificate({"outer": ["v1"], "inner": ["v1"]}) | {"atom_index": 2}
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "certify", two_root_path, str(cert))
+        assert code == 2
+        assert out == "certificate invalid: certificate names atom 2 but covers atom 1\n"
+
     def test_certify_rejects_tampered(self, capsys, tmp_path, infeasible_path):
         code, out, _ = run(capsys, "solve", infeasible_path)
         payload = json.loads(out)
@@ -204,6 +213,44 @@ class TestMalformedJson:
         code, out, err = run(capsys, command, two_root_path, str(bad))
         assert code == 1 and out == ""
         assert err.startswith(f"error: malformed {kind} JSON")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("atom_index", True),
+            ("atom_index", 1.0),
+            ("lhs", "2"),
+            ("lhs", 2.4),
+            ("rhs", 4.7),
+            ("rhs", "4"),
+            ("deficit", 7),
+            ("deficit", 2.0),
+        ],
+    )
+    def test_certificate_numbers_are_json_integers(
+        self, capsys, tmp_path, infeasible_path, field, value
+    ):
+        # solve's own certificate reads atom 1, lhs 2, rhs 4 and deficit 2;
+        # int() would read every value here back as the same number
+        code, out, _ = run(capsys, "solve", infeasible_path)
+        payload = json.loads(out)
+        payload["certificate"][field] = value
+        bad = tmp_path / "cert.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "certify", infeasible_path, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed certificate JSON")
+
+    @pytest.mark.parametrize("value", [True, 1.0, 1.6, "1"])
+    def test_root_index_is_a_json_integer(self, capsys, tmp_path, two_root_path, value):
+        code, out, _ = run(capsys, "solve", two_root_path)
+        payload = json.loads(out)
+        payload["trees"][0]["root_index"] = value
+        bad = tmp_path / "packing.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "check", two_root_path, str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed packing JSON")
 
 
 class TestAtoms:

@@ -69,6 +69,24 @@ class TestParse:
         with pytest.raises(ParseError, match="reserved"):
             parse_mixed_graph("vertex t:a1\n")
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("vertex a\nvertex\n", 2, "expected 'vertex <id>'"),
+            ("vertex a b\n", 1, "expected 'vertex <id>'"),
+            ("vertex a\n# a comment\nvertex a\n", 3, "duplicate vertex 'a'"),
+            ("vertex a\nvertex b\nedge a\n", 3, "expected 'edge <v> <v> [<id>]'"),
+            ("vertex a\nvertex b\narc a b x y\n", 3, "expected 'arc <v> <v> [<id>]'"),
+            ("vertex a\nroot\n", 2, "expected 'root <id>'"),
+            ("vertex a\nvertex b\nroot a b\n", 3, "expected 'root <id>'"),
+        ],
+    )
+    def test_arity_and_duplicate_errors(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_mixed_graph(text)
+        assert info.value.line == line
+        assert str(info.value) == f"line {line}: {message}"
+
     def test_comments_and_blanks_ignored(self):
         g, roots = parse_mixed_graph("# hi\n\nvertex a  # trailing\nroot a\n")
         assert g.vertices == ("a",)

@@ -299,6 +299,16 @@ class TestPackAtomBranchings:
         assert result is not None
         assert [a.id for a in result[0]] == ["a2"]
 
+    def test_vertex_named_as_an_entering_arc_terminal(self):
+        # "t:a1" is the terminal name of a1, which enters the atom; the
+        # answer is arcs and vertex sets, not names, so nothing clashes
+        g = digraph(("v", "t:a1", "u"), ("a1", "t:a1", "v"), ("a2", "u", "v"))
+        a1, a2 = g.arcs
+        demands = {0: frozenset({"t:a1"}), 1: frozenset({"t:a1"})}
+        assert pack_atom_branchings(g, frozenset({"v"}), demands) == frozenset({"v", "u"})
+        demands[1] = frozenset({"u"})
+        assert pack_atom_branchings(g, frozenset({"v"}), demands) == {0: (a1,), 1: (a2,)}
+
     def test_whole_digraph_as_view(self):
         # Trees 1 and 2 both span r and u.  a1 and a6 have their heads
         # outside the atom, so they are ignored; a2 and a3 both enter

@@ -218,6 +218,24 @@ class TestValidateMixedPacking:
         verdict = validate_mixed_packing(g, roots, bad)
         assert not verdict and verdict.reason == "arc a1 used twice"
 
+    @pytest.mark.parametrize(
+        "change, reason",
+        [
+            (lambda t: t._replace(arcs=t.arcs + ("a9",)), "unknown arc 'a9'"),
+            (
+                lambda t: t._replace(edges=t.edges + (EdgeUse("e9", "r1", "v1"),)),
+                "unknown edge 'e9'",
+            ),
+            (lambda t: t._replace(root_index=1), "tree 1 carries root index 2"),
+            (lambda t: t._replace(root="r2"), "tree 1 names root 'r2', not 'r1'"),
+        ],
+    )
+    def test_first_tree_rejected_with_its_reason(self, two_root, change, reason):
+        g, roots, mp = self._packing(two_root)
+        t0, t1 = mp.trees
+        verdict = validate_mixed_packing(g, roots, MixedPacking((change(t0), t1)))
+        assert not verdict and verdict.reason == reason
+
     def test_edge_with_foreign_endpoints(self, two_root):
         g, roots, mp = self._packing(two_root)
         t0, t1 = mp.trees
@@ -344,6 +362,28 @@ class TestCertificates:
         cert = BiSetFamilyCertificate(0, (BiSet({"v3", 1, "zz"}, {"v3"}),), 0, 1)
         verdict = verify_certificate(g, roots, cert)
         assert not verdict and verdict.reason == "unknown vertex 'zz'"
+
+    @pytest.mark.parametrize(
+        "atom_index, bisets, reason",
+        [
+            (2, (), "certificate has no bi-sets"),
+            (2, (BiSet({"v3"}, {"v3"}), BiSet({"r1"}, ())), "a bi-set has an empty inner set"),
+            (2, (BiSet({"v3", "z"}, {"v3", "z"}),), "an inner set leaves every atom"),
+            (
+                2,
+                (BiSet({"v3"}, {"v3"}), BiSet({"r1"}, {"r1"})),
+                "inner sets are not a subpartition of one atom",
+            ),
+            # 0-based in the library, 1-based in the reason, as in every output
+            (1, (BiSet({"v3"}, {"v3"}),), "certificate names atom 2 but covers atom 3"),
+        ],
+    )
+    def test_verify_rejects_bad_family_shapes(self, two_root, atom_index, bisets, reason):
+        g, roots = two_root
+        # z is reached by no root, so it lies in no atom
+        g = MixedGraph(g.vertices + ("z",), g.edges, g.arcs)
+        verdict = verify_certificate(g, roots, BiSetFamilyCertificate(atom_index, bisets, 0, 1))
+        assert not verdict and verdict.reason == reason
 
     def test_verify_rejects_wall_inside_atom(self, two_root):
         g, roots = two_root
@@ -1092,7 +1132,9 @@ class TestStartState:
             assert [g.arcs[pos] for pos in sl.arc_pos] == arcs
             assert [g.edges[pos] for pos in sl.edge_pos] == edges
             assert [(sl.vertices[u], sl.vertices[v]) for u, v in sl.pairs] == [e[1:] for e in edges]
-            assert sl.heads == [sl.at[a.head][1] for a in arcs if a.tail not in gamma]
+            n = len(sl.vertices)
+            heads = [hb.bit_length() - 1 for tb, hb, _hit in sl.cands if tb >> n]
+            assert heads == [sl.at[a.head][1] for a in arcs if a.tail not in gamma]
             seen[got[0] if isinstance(got[0], type) else bool(got[2] and got[3])] += 1
 
     def test_matches_the_reference(self):
