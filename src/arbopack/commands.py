@@ -73,21 +73,35 @@ def _certificate_from_json(payload: dict) -> BiSetFamilyCertificate:
     return BiSetFamilyCertificate(atom_index=atom_index, bisets=bisets, lhs=lhs, rhs=rhs)
 
 
-def _packing_from_json(payload: dict) -> MixedPacking:
+def _json_str(value) -> str:
+    """A JSON string; the validator hashes ids and endpoints."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
+def _packing_from_json(payload: dict, g: MixedGraph) -> MixedPacking:
+    """The trees of a packing JSON; an unknown arc id is left to the caller."""
     try:
         trees = []
         for t in payload["trees"]:
             arcs = []
             edges = []
             for a in t["arcs"]:
-                if a.get("origin", "arc") == "edge":
-                    edges.append(EdgeUse(a["id"], a["tail"], a["head"]))
-                else:
-                    arcs.append(a["id"])
-            # the validator hashes ids and endpoints
-            for name in (*arcs, *(x for use in edges for x in (use.id, use.tail, use.head))):
-                if not isinstance(name, str):
-                    raise TypeError(f"{name!r} is not a string")
+                origin = a.get("origin", "arc")
+                if origin == "edge":
+                    edges.append(EdgeUse(*(_json_str(a[k]) for k in ("id", "tail", "head"))))
+                    continue
+                if origin != "arc":
+                    raise ValueError(f"origin {origin!r} is neither 'arc' nor 'edge'")
+                arcs.append(_json_str(a["id"]))
+                arc = g.arc_by_id.get(arcs[-1])
+                ends = arc and (a.get("tail", arc.tail), a.get("head", arc.head))
+                if arc and ends != (arc.tail, arc.head):
+                    raise ValueError(
+                        f"arc {arc.id!r} runs {arc.tail!r} -> {arc.head!r},"
+                        f" not {ends[0]!r} -> {ends[1]!r}"
+                    )
             trees.append(
                 MixedTree(
                     root_index=_json_int(t["root_index"]) - 1,
@@ -101,40 +115,39 @@ def _packing_from_json(payload: dict) -> MixedPacking:
     return MixedPacking(tuple(trees))
 
 
-def _cmd_check(args, g: MixedGraph, roots: list[str]) -> int:
-    with open(args.packing, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    mp = _packing_from_json(payload)
-    verdict = validate_mixed_packing(g, roots, mp)
+def _load(path: str):
+    """The parsed JSON of an answer file."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _verdict(noun: str, verdict) -> int:
+    """Print ``<noun> valid`` and return 0, or ``<noun> invalid: <reason>`` and return 2."""
     if verdict:
-        print("packing valid")
+        print(f"{noun} valid")
         return 0
-    print(f"packing invalid: {verdict.reason}")
+    print(f"{noun} invalid: {verdict.reason}")
     return 2
+
+
+def _cmd_check(args, g: MixedGraph, roots: list[str]) -> int:
+    mp = _packing_from_json(_load(args.packing), g)
+    return _verdict("packing", validate_mixed_packing(g, roots, mp))
 
 
 def _cmd_atoms(args, g: MixedGraph, roots: list[str]) -> int:
     dec = compute_atoms(g, roots)
     order = g.vertex_index
+    rows = [
+        (j + 1, sorted(members, key=order.__getitem__), sorted(i + 1 for i in dec.atom_roots[j]))
+        for j, members in enumerate(dec.atoms)
+    ]
     if args.format == "json":
-        _emit(
-            {
-                "format": 1,
-                "atoms": [
-                    {
-                        "index": j + 1,
-                        "members": sorted(members, key=order.__getitem__),
-                        "roots": sorted(i + 1 for i in dec.atom_roots[j]),
-                    }
-                    for j, members in enumerate(dec.atoms)
-                ],
-            }
-        )
+        atoms = [{"index": j, "members": names, "roots": rs} for j, names, rs in rows]
+        _emit({"format": 1, "atoms": atoms})
     else:
-        for j, members in enumerate(dec.atoms):
-            names = " ".join(sorted(members, key=order.__getitem__))
-            rs = ",".join(str(i + 1) for i in sorted(dec.atom_roots[j]))
-            print(f"atom {j + 1}: {names} roots={rs}")
+        for j, names, rs in rows:
+            print(f"atom {j}: {' '.join(names)} roots={','.join(map(str, rs))}")
     return 0
 
 
@@ -202,15 +215,8 @@ def _cmd_pack_digraph(args, g: MixedGraph, roots: list[str]) -> int:
 
 
 def _cmd_certify(args, g: MixedGraph, roots: list[str]) -> int:
-    with open(args.certificate, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    cert = _certificate_from_json(payload)
-    verdict = verify_certificate(g, roots, cert)
-    if verdict:
-        print("certificate valid")
-        return 0
-    print(f"certificate invalid: {verdict.reason}")
-    return 2
+    cert = _certificate_from_json(_load(args.certificate))
+    return _verdict("certificate", verify_certificate(g, roots, cert))
 
 
 def _dot_quote(name: str) -> str:
@@ -223,12 +229,12 @@ def _cmd_export_dot(args, g: MixedGraph, roots: list[str]) -> int:
     tree_of_arc: dict[str, int] = {}
     edge_dir: dict[str, tuple[str, str]] = {}
     if args.packing:
-        with open(args.packing, encoding="utf-8") as fh:
-            mp = _packing_from_json(json.load(fh))
-        for tree in mp.trees:
+        for tree in _packing_from_json(_load(args.packing), g).trees:
             for aid in tree.arcs:
                 if aid not in g.arc_by_id:
                     raise ParseError(f"packing names unknown arc {aid!r}")
+                if aid in tree_of_arc:
+                    raise ParseError(f"packing uses arc {aid!r} twice")
                 tree_of_arc[aid] = tree.root_index
             for use in tree.edges:
                 e = g.edge_by_id.get(use.id)
@@ -236,6 +242,8 @@ def _cmd_export_dot(args, g: MixedGraph, roots: list[str]) -> int:
                     raise ParseError(f"packing names unknown edge {use.id!r}")
                 if frozenset((use.tail, use.head)) != e.ends:
                     raise ParseError(f"packing uses edge {use.id!r} with endpoints not its own")
+                if use.id in tree_of_edge:
+                    raise ParseError(f"packing uses edge {use.id!r} twice")
                 tree_of_edge[use.id] = tree.root_index
                 edge_dir[use.id] = (use.tail, use.head)
     lines = ["digraph mixed {"]

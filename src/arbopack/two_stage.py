@@ -12,7 +12,7 @@ orients and packs each atom in one step and takes none of these, so
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import AtomDecomposition, BiSet, _atom_slices
@@ -29,13 +29,14 @@ def covering_orientation(
 
     Returns an :class:`Orientation` over the whole edge set, or the
     lifted certificate of the lowest-index atom that cannot be oriented.
-    Edges incident to no atom get the lexicographic direction; they can
-    never matter.  The graph is sliced by atom once, and each atom is
-    oriented from its own vertices, edges and arcs as ``orient_atom``
-    does: an atom that first fit packs from the starting directions
-    keeps them, and only the others get a cut oracle.  Each atom is
-    packed too, as in ``solve``, so an orientation its trees cannot
-    use raises ``InvariantError``; the trees are dropped.
+    An edge incident to no atom runs from its end with the smaller
+    vertex index; it can never matter.  The graph is sliced by atom
+    once, and each atom is oriented from its own vertices, edges and
+    arcs as ``orient_atom`` does: an atom that first fit packs from the
+    starting directions keeps them, and only the others get a cut
+    oracle.  Each atom is packed too, as in ``solve``, so an orientation
+    its trees cannot use raises ``InvariantError``; the trees are
+    dropped.
     """
     oriented = _orient_atoms(g, tuple(roots), bounds, _by_index)
     if isinstance(oriented, BiSetFamilyCertificate):
@@ -43,21 +44,10 @@ def covering_orientation(
     direction: dict[str, tuple[str, str]] = {}
     for sl, ends, _owner in oriented:
         direction.update(_orientation(sl, ends).direction)
-    leftover = [e.id for e in g.edges if e.id not in direction]
-    direction.update(lexicographic_orientation(g, leftover).direction)
-    return Orientation(direction)
-
-
-def lexicographic_orientation(g: MixedGraph, edge_ids: Iterable[str] | None = None) -> Orientation:
-    """Orient each edge from its smaller to its larger internal index."""
     idx = g.vertex_index
-    chosen = g.edges if edge_ids is None else [g.edge_by_id[i] for i in edge_ids]
-    direction = {}
-    for e in chosen:
-        if idx[e.u] <= idx[e.v]:
-            direction[e.id] = (e.u, e.v)
-        else:
-            direction[e.id] = (e.v, e.u)
+    for e in g.edges:
+        if e.id not in direction:
+            direction[e.id] = (e.u, e.v) if idx[e.u] <= idx[e.v] else (e.v, e.u)
     return Orientation(direction)
 
 

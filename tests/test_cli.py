@@ -253,6 +253,67 @@ class TestMalformedJson:
         assert err.startswith("error: malformed packing JSON")
 
 
+#: r reaches x by arc a1 and by edge e1; solve gives tree 1 a1 and tree 2 e1
+TWICE_ROOTED = "vertex r\nvertex x\narc r x a1\nedge r x e1\nroot r\nroot r\n"
+
+CHECK = ("check",)
+EXPORT_DOT = ("export-dot", "--packing")
+
+
+class TestPackingEntries:
+    @pytest.fixture()
+    def solved(self, capsys, tmp_path):
+        inst = tmp_path / "twice.mg"
+        inst.write_text(TWICE_ROOTED)
+        _, out, _ = run(capsys, "solve", str(inst))
+        return str(inst), json.loads(out)
+
+    @staticmethod
+    def run_on(capsys, tmp_path, solved, command, payload):
+        packing = tmp_path / "packing.json"
+        packing.write_text(json.dumps(payload))
+        name, *flag = command
+        return run(capsys, name, solved[0], *flag, str(packing))
+
+    @pytest.mark.parametrize("command", [CHECK, EXPORT_DOT], ids=["check", "export-dot"])
+    @pytest.mark.parametrize(
+        "tree, tamper, message",
+        [
+            (0, {"tail": "x", "head": "r"}, "arc 'a1' runs 'r' -> 'x', not 'x' -> 'r'"),
+            (0, {"head": "r"}, "arc 'a1' runs 'r' -> 'x', not 'r' -> 'r'"),
+            (1, {"origin": "Edge"}, "origin 'Edge' is neither 'arc' nor 'edge'"),
+        ],
+        ids=["swapped-ends", "foreign-head", "unknown-origin"],
+    )
+    def test_malformed_entry(self, capsys, tmp_path, solved, command, tree, tamper, message):
+        payload = solved[1]
+        payload["trees"][tree]["arcs"][0].update(tamper)
+        code, out, err = self.run_on(capsys, tmp_path, solved, command, payload)
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed packing JSON: {message}\n"
+
+    def test_missing_origin_means_arc(self, capsys, tmp_path, solved):
+        payload = solved[1]
+        del payload["trees"][0]["arcs"][0]["origin"]
+        assert self.run_on(capsys, tmp_path, solved, CHECK, payload) == (0, "packing valid\n", "")
+
+    def test_unknown_arc_reaches_the_validator(self, capsys, tmp_path, solved):
+        payload = solved[1]
+        payload["trees"][0]["arcs"].append({"id": "a9", "tail": "x", "head": "r"})
+        code, out, _ = self.run_on(capsys, tmp_path, solved, CHECK, payload)
+        assert (code, out) == (2, "packing invalid: unknown arc 'a9'\n")
+
+    @pytest.mark.parametrize("tree, kind, taken", [(1, "arc", "a1"), (0, "edge", "e1")])
+    def test_export_dot_rejects_double_use(self, capsys, tmp_path, solved, tree, kind, taken):
+        # check says "<kind> <id> used twice"; the drawing would show one colour
+        payload = solved[1]
+        (entry,) = payload["trees"][1 - tree]["arcs"]
+        payload["trees"][tree]["arcs"].append(entry)
+        code, out, err = self.run_on(capsys, tmp_path, solved, EXPORT_DOT, payload)
+        assert (code, out) == (1, "")
+        assert err == f"error: packing uses {kind} {taken!r} twice\n"
+
+
 class TestAtoms:
     def test_text(self, capsys, two_root_path):
         code, out, _ = run(capsys, "atoms", two_root_path)

@@ -13,11 +13,11 @@ from arbopack import (
     ParseError,
     apply_orientation,
     compute_atoms,
+    covering_orientation,
     mixed_reachable_set,
     parse_mixed_graph,
 )
 from arbopack.decomposition import _certificate_sides
-from arbopack.two_stage import lexicographic_orientation
 from instance_gen import random_mixed_instance, random_orientation
 from naive import entering_arcs, in_degree, induced, subsets
 
@@ -199,7 +199,7 @@ class TestCutPrimitives:
 class TestOrientation:
     def test_apply_orientation_counts(self, two_root):
         g, _ = two_root
-        o = lexicographic_orientation(g)
+        o = Orientation({e.id: (e.u, e.v) for e in g.edges})
         d = apply_orientation(g, o)
         assert len(d.arcs) == 11 and d.edges == () and d.vertices == g.vertices
         # the input's arcs, then one arc per edge, turned and named as it
@@ -227,9 +227,10 @@ class TestOrientation:
             apply_orientation(g, Orientation({"e1": ("a", "c")}))
 
     def test_lexicographic_uses_declaration_order(self):
-        g = MixedGraph(("b", "a"), (Edge("e1", "a", "b"),))
-        o = lexicographic_orientation(g)
-        assert o.direction["e1"] == ("b", "a")
+        # e1 joins two vertices no root reaches, so it lies in no atom
+        g = MixedGraph(("r", "b", "a"), (Edge("e1", "a", "b"),))
+        o = covering_orientation(g, ["r"])
+        assert o.direction == {"e1": ("b", "a")}
 
 
 class TestSelfLoops:
@@ -245,7 +246,7 @@ class TestSelfLoops:
 
     def test_loop_edges_still_need_orienting(self):
         g, _ = parse_mixed_graph("vertex a\nedge a a\n")
-        d = apply_orientation(g, lexicographic_orientation(g))
+        d = apply_orientation(g, Orientation({e.id: (e.u, e.v) for e in g.edges}))
         assert len(d.arcs) == 1
 
 
