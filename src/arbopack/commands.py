@@ -5,9 +5,12 @@
 and calls its handler from :data:`COMMANDS` with the parsed arguments,
 the graph and its roots.  Here are the JSON readers of ``check``,
 ``certify`` and ``export-dot --packing``, and the writers of the other
-outputs.  This module does not import ``arbopack.cli``: under
-``python -m arbopack.cli`` that module runs as ``__main__``, and the
-import would run it a second time.
+outputs.  A handler re-checks nothing the library checks: ``export-dot
+--packing`` draws only a packing that ``validate_mixed_packing``
+accepts, and ``orient`` and ``pack-digraph`` leave the atom index and
+the edges to ``orient_atom`` and ``pack_reachability``.  This module
+does not import ``arbopack.cli``: under ``python -m arbopack.cli`` that
+module runs as ``__main__``, and the import would run it a second time.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ def _json_str(value) -> str:
 
 
 def _packing_from_json(payload: dict, g: MixedGraph) -> MixedPacking:
-    """The trees of a packing JSON; an unknown arc id is left to the caller."""
+    """The trees of a packing JSON; an unknown id is left to the validator."""
     try:
         trees = []
         for t in payload["trees"]:
@@ -160,10 +163,7 @@ def _part_order(g: MixedGraph) -> dict[str, int]:
 def _cmd_orient(args, g: MixedGraph, roots: list[str]) -> int:
     bounds = _bounds_from(args.max_enum_vertices)
     dec = compute_atoms(g, roots)
-    j = args.atom - 1
-    if not 0 <= j < len(dec.atoms):
-        raise ParseError(f"atom index {args.atom} out of range 1..{len(dec.atoms)}")
-    outcome = orient_atom(g, dec, j, roots, bounds=bounds)
+    outcome = orient_atom(g, dec, args.atom - 1, roots, bounds=bounds)
     if isinstance(outcome, SubpartitionCertificate):
         order = _part_order(g)
         _emit(
@@ -193,8 +193,6 @@ def _cmd_orient(args, g: MixedGraph, roots: list[str]) -> int:
 
 
 def _cmd_pack_digraph(args, g: MixedGraph, roots: list[str]) -> int:
-    if g.edges:
-        raise ParseError("pack-digraph accepts arcs only; the input declares edges")
     result = pack_reachability(g, roots)
     if not isinstance(result, MixedPacking):
         order = g.vertex_index
@@ -229,21 +227,14 @@ def _cmd_export_dot(args, g: MixedGraph, roots: list[str]) -> int:
     tree_of_arc: dict[str, int] = {}
     edge_dir: dict[str, tuple[str, str]] = {}
     if args.packing:
-        for tree in _packing_from_json(_load(args.packing), g).trees:
+        packing = _packing_from_json(_load(args.packing), g)
+        verdict = validate_mixed_packing(g, roots, packing)
+        if not verdict:
+            raise ParseError(f"packing invalid: {verdict.reason}")
+        for tree in packing.trees:
             for aid in tree.arcs:
-                if aid not in g.arc_by_id:
-                    raise ParseError(f"packing names unknown arc {aid!r}")
-                if aid in tree_of_arc:
-                    raise ParseError(f"packing uses arc {aid!r} twice")
                 tree_of_arc[aid] = tree.root_index
             for use in tree.edges:
-                e = g.edge_by_id.get(use.id)
-                if e is None:
-                    raise ParseError(f"packing names unknown edge {use.id!r}")
-                if frozenset((use.tail, use.head)) != e.ends:
-                    raise ParseError(f"packing uses edge {use.id!r} with endpoints not its own")
-                if use.id in tree_of_edge:
-                    raise ParseError(f"packing uses edge {use.id!r} twice")
                 tree_of_edge[use.id] = tree.root_index
                 edge_dir[use.id] = (use.tail, use.head)
     lines = ["digraph mixed {"]

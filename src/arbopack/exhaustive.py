@@ -36,7 +36,7 @@ the fast path's certificate does.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import AtomDecomposition, _AtomSlice, _atom_slices, _check_atom
@@ -140,61 +140,6 @@ def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
         d = (d - hit) & hit
 
 
-def _requirements(
-    gmask: int,
-    footholds: Mapping[int, int],
-    arcs: Sequence[tuple[int, int]],
-    terminals: Sequence[tuple[int, int, int]],
-    max_enum_vertices: int,
-    atom: int | None = None,
-) -> Iterator[tuple[int, int, int]]:
-    """Inner sets of an atom that still need arcs, in descending mask order.
-
-    ``footholds[i]`` is the atom part tree i already holds (its root, or
-    what it spans so far), ``arcs`` the ``(tail, head)`` masks of the
-    atom's own arcs, and ``terminals`` one ``(bit, head bit, hit)`` per
-    terminal, where ``hit`` has bit i set when the terminal would give
-    tree i a foothold.  The need of a nonempty ``Y`` inside ``gmask`` is
-    the worst case, over the terminal completions of ``Y``, of the trees
-    with a foothold in neither ``Y`` nor the completion, minus the arcs
-    entering both.  Yields ``(Y, need, Y plus that completion)`` for
-    every need >= 1.
-
-    The sweep enumerates the subsets of the atom and, per set, the
-    submasks of the trees some terminal hits; their bits together are
-    gated by ``max_enum_vertices``, and the error names ``atom``.
-    """
-    hit_any = 0
-    for _bit, _head, hit in terminals:
-        hit_any |= hit
-    n = gmask.bit_count() + hit_any.bit_count()
-    if n > max_enum_vertices:
-        raise CapacityError(
-            f"|V_j| = {n} exceeds max_enum_vertices = {max_enum_vertices}",
-            limit=max_enum_vertices,
-            observed=n,
-            atom=atom,
-        )
-    y = gmask
-    while y:
-        free = nq = 0
-        for i, foothold in footholds.items():
-            if not foothold & y:
-                free |= 1 << i
-                nq += 1
-        if nq:
-            rho = sum(1 for t, h in arcs if h & y and not t & y)
-            entering = [(bit, hit & free) for bit, head, hit in terminals if head & y]
-            best, d = _worst_completion(nq, [hq for _bit, hq in entering])
-            if best > rho:
-                xmask = y
-                for bit, hq in entering:
-                    if hq & ~d == 0:
-                        xmask |= bit
-                yield y, best - rho, xmask
-        y = (y - 1) & gmask
-
-
 # ---------------------------------------------------------------------------
 # the orientation subproblem and its exact solver
 
@@ -247,6 +192,7 @@ class CoverRequirement(_Value):
             raise InvariantError("total auxiliary set carries nonzero requirement")
         object.__setattr__(self, "_slice", sl)
         object.__setattr__(self, "_start", start)
+        object.__setattr__(self, "_hit_any", hit_any)
 
 
 def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
@@ -257,20 +203,48 @@ def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
     is at least 1 to ``(need, xmask)``, where ``xmask`` attains it.  An
     orientation covers the whole family iff it sends at least ``need``
     edges into every ``Y`` in the table.
+
+    The need of ``Y`` is the worst case, over the terminal completions of
+    ``Y``, of the trees with a foothold in neither ``Y`` nor the
+    completion, minus the arcs entering both (:func:`_worst_completion`).
+    The sweep enumerates the subsets of the atom, in descending mask
+    order, and per set the submasks of the trees some terminal hits;
+    their bits together are gated by ``max_enum_vertices``, and the error
+    names the atom.
     """
     sl = req._slice
     gmask = (1 << len(sl.vertices)) - 1
-    return {
-        y: (need, xmask)
-        for y, need, xmask in _requirements(
-            gmask,
-            req._start,
-            [(tb, hb) for tb, hb, _hit in sl.cands if tb & gmask],
-            [c for c in sl.cands if not c[0] & gmask],
-            req.bounds.max_enum_vertices,
-            req.aux.atom_index,
+    limit = req.bounds.max_enum_vertices
+    n = len(sl.vertices) + req._hit_any.bit_count()
+    if n > limit:
+        raise CapacityError(
+            f"|V_j| = {n} exceeds max_enum_vertices = {limit}",
+            limit=limit,
+            observed=n,
+            atom=req.aux.atom_index,
         )
-    }
+    arcs = [(tb, hb) for tb, hb, _hit in sl.cands if tb & gmask]
+    terminals = [c for c in sl.cands if not c[0] & gmask]
+    table = {}
+    y = gmask
+    while y:
+        free = nq = 0
+        for i, foothold in req._start.items():
+            if not foothold & y:
+                free |= 1 << i
+                nq += 1
+        if nq:
+            rho = sum(1 for t, h in arcs if h & y and not t & y)
+            entering = [(bit, hit & free) for bit, head, hit in terminals if head & y]
+            best, d = _worst_completion(nq, [hq for _bit, hq in entering])
+            if best > rho:
+                xmask = y
+                for bit, hq in entering:
+                    if hq & ~d == 0:
+                        xmask |= bit
+                table[y] = (best - rho, xmask)
+        y = (y - 1) & gmask
+    return table
 
 
 def orient_covering(req: CoverRequirement):

@@ -72,8 +72,12 @@ def orient_atom(
     certificate it found; only an atom it stalls on builds its auxiliary
     graph, for ``exhaustive.orient_covering``.  An atom with no edge to
     orient skips the fast path.  The atom is packed as ``solve`` packs it, and
-    the trees are dropped (:func:`_orient_and_pack`).
+    the trees are dropped (:func:`_orient_and_pack`).  Raises
+    ``ValueError`` for ``j`` outside ``0..len(dec.atoms) - 1``; the message
+    counts atoms from 1, as the CLI does.
     """
+    if not 0 <= j < len(dec.atoms):
+        raise ValueError(f"atom index {j + 1} out of range 1..{len(dec.atoms)}")
     slices = _atom_slices(g, dec)
     outcome = _orient_and_pack(g, dec, j, roots, slices, bounds)[0]
     return _orientation(slices[j], outcome) if isinstance(outcome, list) else outcome

@@ -37,7 +37,6 @@ from arbopack import (
     mixed_reachable_set,
 )
 from arbopack.decomposition import lift_biset, p_value
-from arbopack.exhaustive import _requirements
 from arbopack.graph_core import RESERVED_TERMINAL_PREFIX, _reachable
 from arbopack.orientation import _part
 
@@ -492,11 +491,46 @@ def reference_context(req: CoverRequirement) -> AtomContext:
     return AtomContext.build(req.aux, req.dec, req.roots)
 
 
-def reference_table(ctx: AtomContext, max_enum_vertices: int = 64) -> dict[int, tuple[int, int]]:
+def reference_sweep(gmask, footholds, arcs, terminals):
+    """Inner sets of an atom that still need arcs, as ``(Y, need, Y plus a completion)``.
+
+    ``footholds[i]`` is the atom part tree i already holds (its root, or
+    what it spans so far), ``arcs`` the ``(tail, head)`` masks of the
+    atom's own arcs, and ``terminals`` one ``(bit, head bit, hit)`` per
+    terminal, where ``hit`` has bit i set when the terminal would give
+    tree i a foothold.  The slow form of ``exhaustive._reduced_table``:
+    per nonempty ``Y`` inside ``gmask``, every subset ``d`` of the trees
+    with no foothold in ``Y`` is tried in ascending order, and takes in
+    the terminals entering ``Y`` whose hits lie inside it.  The value is
+    the trees left without a foothold minus the terminals left out; the
+    first best ``d`` gives the completion.
+    """
+    for y in range(1, gmask + 1):
+        if y & ~gmask:
+            continue
+        free = sum(1 << i for i, f in footholds.items() if not f & y)
+        if not free:
+            continue
+        rho = sum(1 for t, h in arcs if h & y and not t & y)
+        entering = [(bit, hit & free) for bit, head, hit in terminals if head & y]
+        best = None
+        for d in range(free + 1):
+            if d & ~free:
+                continue
+            chosen = [(bit, hq) for bit, hq in entering if not hq & ~d]
+            held = 0
+            for _bit, hq in chosen:
+                held |= hq
+            value = (free & ~held).bit_count() - (len(entering) - len(chosen))
+            if best is None or value > best[0]:
+                best = (value, y | sum(bit for bit, _hq in chosen))
+        if best[0] > rho:
+            yield y, best[0] - rho, best[1]
+
+
+def reference_table(ctx: AtomContext) -> dict[int, tuple[int, int]]:
     """The requirement table swept over the reference context's bits."""
-    sweep = _requirements(
-        ctx.gamma_mask, ctx.root_bits, ctx.internal_arcs, ctx.terminals, max_enum_vertices
-    )
+    sweep = reference_sweep(ctx.gamma_mask, ctx.root_bits, ctx.internal_arcs, ctx.terminals)
     return {y: (need, xmask) for y, need, xmask in sweep}
 
 
@@ -752,10 +786,10 @@ def reference_start_state(g: MixedGraph, dec: AtomDecomposition, j: int, roots: 
 def reference_step_check(gmask, footholds, atom_arcs, term_arcs, wbit: int) -> bool:
     """No inner set that still needs arcs contains ``wbit``.
 
-    The arguments are those of ``_requirements``: the footholds and the
-    unused atom and entering arcs after a packing step with head ``wbit``.
+    The arguments are those of :func:`reference_sweep`: the footholds and
+    the unused atom and entering arcs after a packing step with head ``wbit``.
     """
-    sweep = _requirements(gmask, footholds, atom_arcs, term_arcs, max_enum_vertices=64)
+    sweep = reference_sweep(gmask, footholds, atom_arcs, term_arcs)
     return not any(y & wbit for y, _need, _x in sweep)
 
 

@@ -36,6 +36,7 @@ BENCH_ANSWERS_SHA256 = "6a36fe78a0c4ba0886381e525d32a5641d35bfa7f2d4304a476c2054
 CERTIFY_ANSWERS_SHA256 = "ed7bfe1eaced02a7af44b0952562515c5628d4075dfffc1553b0f6e4cb42d83c"
 VERDICTS_SHA256 = "e2b24f7c0879b55ca1d793f3e84194d36c57d560113b885795f982bc74b072a9"
 MIXED_PACKINGS_SHA256 = "a81acdc6c2309910be2136ccfb11c47884ba843e5f6f9b1c0db3cd6a202977b7"
+VERDICT_ATOMS_SHA256 = "7837c865aacd051046fadbda9d0595705179dcaa504157f02e60a82a2986dbc6"
 
 
 def canonical(result, digraph=None) -> str:
@@ -190,6 +191,23 @@ def mixed_packings_digest() -> str:
     return h.hexdigest()
 
 
+def verdict_atoms_digest() -> str:
+    # Pins only what every exact method returns: the verdict of every
+    # instance behind ANSWERS_SHA256, BENCH_ANSWERS_SHA256 and
+    # CERTIFY_ANSWERS_SHA256, and a certificate's atom index, that of the
+    # lowest-index atom no orientation covers.  A change of method that
+    # picks other trees or other bi-sets leaves it as it is.
+    h = hashlib.sha256()
+    for answers in (random_corpus_answers(), bench_answers(), certify_answers()):
+        for result in answers:
+            if isinstance(result, MixedPacking):
+                result = {"feasible": True}
+            else:
+                result = {"feasible": False, "atom_index": result.atom_index}
+            h.update(json.dumps(result).encode() + b"\n")
+    return h.hexdigest()
+
+
 DIGESTS = {
     "ANSWERS_SHA256": random_corpus_digest,
     "DIGRAPH_ANSWERS_SHA256": digraph_digest,
@@ -198,6 +216,7 @@ DIGESTS = {
     "CERTIFY_ANSWERS_SHA256": certify_digest,
     "VERDICTS_SHA256": verdicts_digest,
     "MIXED_PACKINGS_SHA256": mixed_packings_digest,
+    "VERDICT_ATOMS_SHA256": verdict_atoms_digest,
 }
 
 
@@ -227,6 +246,10 @@ def test_verdicts_and_certificates_pinned():
 
 def test_mixed_packings_pinned():
     assert mixed_packings_digest() == MIXED_PACKINGS_SHA256
+
+
+def test_verdicts_and_atoms_pinned():
+    assert verdict_atoms_digest() == VERDICT_ATOMS_SHA256
 
 
 if __name__ == "__main__":

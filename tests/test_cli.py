@@ -305,13 +305,33 @@ class TestPackingEntries:
 
     @pytest.mark.parametrize("tree, kind, taken", [(1, "arc", "a1"), (0, "edge", "e1")])
     def test_export_dot_rejects_double_use(self, capsys, tmp_path, solved, tree, kind, taken):
-        # check says "<kind> <id> used twice"; the drawing would show one colour
+        # the drawing would show one colour
         payload = solved[1]
         (entry,) = payload["trees"][1 - tree]["arcs"]
         payload["trees"][tree]["arcs"].append(entry)
         code, out, err = self.run_on(capsys, tmp_path, solved, EXPORT_DOT, payload)
         assert (code, out) == (1, "")
-        assert err == f"error: packing uses {kind} {taken!r} twice\n"
+        assert err == f"error: packing invalid: {kind} {taken} used twice\n"
+
+    @pytest.mark.parametrize(
+        "tamper, reason",
+        [
+            (lambda trees: trees[1].update(root_index=9), "tree 2 carries root index 9"),
+            (lambda trees: trees.pop(1), "expected 2 trees, got 1"),
+            (lambda trees: trees[0]["arcs"].pop(0), "tree 1 does not span U_1"),
+        ],
+        ids=["root-index-9", "tree-dropped", "a1-dropped"],
+    )
+    def test_export_dot_draws_only_what_check_accepts(
+        self, capsys, tmp_path, solved, tamper, reason
+    ):
+        # root index 9 would draw tree 2 in tree 1's colour (8 mod 8 is 0);
+        # a1 is tree 1's only entry
+        payload = solved[1]
+        tamper(payload["trees"])
+        code, out, err = self.run_on(capsys, tmp_path, solved, EXPORT_DOT, payload)
+        assert (code, out) == (1, "")
+        assert err == f"error: packing invalid: {reason}\n"
 
 
 class TestAtoms:
@@ -413,9 +433,8 @@ class TestPackDigraph:
         assert any(line.startswith("x1 r2 a") for line in lines)
 
     def test_rejects_edges(self, capsys, two_root_path):
-        # the command's own parse error, before pack_reachability's ValueError
         assert run(capsys, "pack-digraph", two_root_path) == (
-            1, "", "error: pack-digraph accepts arcs only; the input declares edges\n"
+            1, "", "error: expected a digraph, but 'e1' is an edge\n"
         )
 
     def test_infeasible_digraph(self, capsys, tmp_path):
@@ -475,7 +494,7 @@ class TestExportDot:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            ({"id": "e1", "tail": "r2", "head": "v7"}, "edge 'e1' with endpoints not its own"),
+            ({"id": "e1", "tail": "r2", "head": "v7"}, "edge e1 used with endpoints not its own"),
             ({"id": "e9", "tail": "r1", "head": "v1"}, "unknown edge 'e9'"),
             ({"id": "a9", "origin": "arc"}, "unknown arc 'a9'"),
         ],

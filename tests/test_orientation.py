@@ -133,6 +133,16 @@ class TestInfeasibleTriangle:
         }
         assert subpartition_deficit(req, cert.parts) == cert.deficit
 
+    @pytest.mark.parametrize("j", [-1, 1])
+    def test_orient_atom_rejects_an_index_out_of_range(self, infeasible3, j):
+        # -1 would wrap round to the one atom, under a certificate naming atom -1
+        g, roots = infeasible3
+        dec = compute_atoms(g, roots)
+        assert len(dec.atoms) == 1
+        with pytest.raises(ValueError) as info:
+            orient_atom(g, dec, j, roots)
+        assert str(info.value) == f"atom index {j + 1} out of range 1..1"
+
     def test_deficit_examples(self, infeasible3):
         g, roots = infeasible3
         req = requirement_for(g, roots, ["r1", "r2", "x"])
@@ -653,7 +663,7 @@ class TestFastPath:
         def fallback(*_args):
             raise AssertionError("a refuted atom reached the exact fallback")
 
-        monkeypatch.setattr(exhaustive, "_requirements", fallback)
+        monkeypatch.setattr(exhaustive, "_reduced_table", fallback)
         monkeypatch.setattr(exhaustive, "_extract_certificate", fallback)
         wl = bench_workloads()
         for seed in range(10):

@@ -592,7 +592,7 @@ class TestStepFlow:
 
     def test_no_requirement_sweep(self, monkeypatch, two_root):
         calls = {"sweep": 0, "atom": 0}
-        sweep, pack = exhaustive._requirements, orientation._pack
+        sweep, pack = exhaustive._reduced_table, orientation._pack
 
         def counted_sweep(*args):
             calls["sweep"] += 1
@@ -602,8 +602,8 @@ class TestStepFlow:
             calls["atom"] += 1
             return pack(*args)
 
-        assert not hasattr(packing, "_requirements")
-        monkeypatch.setattr(exhaustive, "_requirements", counted_sweep)
+        assert not hasattr(packing, "_reduced_table")
+        monkeypatch.setattr(exhaustive, "_reduced_table", counted_sweep)
         monkeypatch.setattr(orientation, "_pack", counted_pack)
         rng = random.Random(5150)
         cases = [canonical_digraph(two_root)]
