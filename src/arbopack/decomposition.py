@@ -268,6 +268,13 @@ def _atom_slices(g: MixedGraph, dec: AtomDecomposition) -> list[_AtomSlice]:
     return list(map(_AtomSlice._make, zip(*columns, repeat(at))))
 
 
+def _check_atom_index(dec: AtomDecomposition, j: int) -> None:
+    """Raise ``ValueError`` unless ``j`` indexes an atom; the message counts atoms from 1."""
+    if not 0 <= j < len(dec.atoms):
+        where = f" 1..{len(dec.atoms)}" if dec.atoms else ": the instance has no atoms"
+        raise ValueError(f"atom index {j + 1} out of range{where}")
+
+
 def _check_atom(sl: _AtomSlice) -> None:
     """Raise for an edge crossing the atom's boundary, then for a vertex named as its terminal."""
     if sl.crossing is not None:

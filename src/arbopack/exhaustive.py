@@ -27,11 +27,12 @@ only the terminal completions that maximise the deficit can be binding,
 and there is one such completion per subset of the atom's trees.  The
 reduction is exact, and it keeps only the inner sets that need at least
 one edge.  Only this table is bounded by ``Bounds.max_enum_vertices``,
-so only a stalled atom can exceed it.  The table, the certificate search
-and the edge fixing read the auxiliary graph in the integers that
-``decomposition._atom_slices`` gives the fast path
-(:class:`CoverRequirement`), and name a mask's vertices and terminals as
-the fast path's certificate does.
+so only a stalled atom can exceed it.  The table, the certificate
+search and the edge fixing read the auxiliary graph off the slice the
+fast path holds (``decomposition._atom_slices``), each entering arc's
+tail bit standing for its terminal (:class:`CoverRequirement`), and name
+a mask's vertices and terminals as the fast path's certificate does.
+The solver never builds the graph by name (:func:`build_auxiliary`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import AtomDecomposition, _AtomSlice, _atom_slices, _check_atom
+from .decomposition import (
+    AtomDecomposition, _AtomSlice, _atom_slices, _check_atom, _check_atom_index
+)
 from .errors import CapacityError, InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, Arc, MixedGraph, Orientation, _Value
 from .orientation import SubpartitionCertificate, _footholds, _orientation, _part
@@ -75,23 +78,14 @@ class AuxiliaryGraph(_Value):
         object.__setattr__(self, "terminal_origin", dict(terminal_origin))
 
 
-def build_auxiliary(
-    g: MixedGraph,
-    dec: AtomDecomposition,
-    j: int,
-    slices: Sequence[_AtomSlice] | None = None,
-) -> AuxiliaryGraph:
-    """Auxiliary graph of atom ``j`` (0-based).
+def build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryGraph:
+    """Auxiliary graph of atom ``j`` (0-based), by name; the solver reads it off the slice.
 
-    ``slices`` are ``_atom_slices(g, dec)``, computed here when not given;
-    a caller building every atom's graph computes them once.
+    The atom index and the atom are checked as :class:`CoverRequirement` checks them.
     """
-    if not 0 <= j < len(dec.atoms):
-        raise ValueError(f"atom index {j} out of range")
+    _check_atom_index(dec, j)
     gamma = dec.atoms[j]
-    if slices is None:
-        slices = _atom_slices(g, dec)
-    sl = slices[j]
+    sl = _atom_slices(g, dec)[j]
     _check_atom(sl)
     vertices, edges, arcs = sl.vertices, sl.edges, sl.arcs
     entering = [a for a in arcs if a.tail not in gamma]
@@ -145,46 +139,44 @@ def _worst_completion(nq: int, hits: Sequence[int]) -> tuple[int, int]:
 
 
 class CoverRequirement(_Value):
-    """One atom's orientation subproblem.
+    """The orientation subproblem of atom ``atom_index``, read off its slice of ``graph``.
 
-    The auxiliary graph is read in integers by ``_atom_slices``, the
-    encoder the fast path uses, with the atom as class 0 and each
-    terminal a class of its own whose trees are those spanning its
-    original tail.  An atom vertex then has its slice bit, a terminal
-    ``n`` plus its arc's candidate index, and a terminal's ``hit`` marks
-    the atom's trees that span its tail.  The total set carries zero
-    requirement, that is, every tree has a foothold or a terminal that
-    hits it; that is asserted at construction because the solver relies
-    on it.
+    The auxiliary graph is the atom's slice, the encoding the fast path
+    orients: an atom vertex has its slice bit, the terminal of an
+    entering arc the arc's tail bit, ``n`` plus its candidate index, and
+    that candidate's ``hit`` marks the atom's trees that span its tail.
+    ``slices`` are ``_atom_slices(graph, dec)``, computed here when not
+    given; a caller with many atoms computes them once.  The total set
+    carries zero requirement, that is, every tree has a foothold or a
+    terminal that hits it, which the solver relies on.
     """
 
-    _fields = ("aux", "dec", "roots", "bounds")
-    aux: AuxiliaryGraph
+    _fields = ("graph", "dec", "atom_index", "roots", "bounds")
+    graph: MixedGraph
     dec: AtomDecomposition
+    atom_index: int
     roots: tuple[str, ...]
     bounds: Bounds
 
     def __init__(
         self,
-        aux: AuxiliaryGraph,
+        graph: MixedGraph,
         dec: AtomDecomposition,
+        atom_index: int,
         roots: Sequence[str],
         bounds: Bounds = DEFAULT_BOUNDS,
+        slices: Sequence[_AtomSlice] | None = None,
     ):
         roots = tuple(roots)
-        object.__setattr__(self, "aux", aux)
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "dec", dec)
+        object.__setattr__(self, "atom_index", atom_index)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "bounds", bounds)
-        atoms, atom_roots = [aux.gamma], [dec.atom_roots[aux.atom_index]]
-        for t, (_arc_id, tail) in aux.terminal_origin.items():
-            jt = dec.atom_of.get(tail)
-            atoms.append(frozenset((t,)))
-            atom_roots.append(frozenset() if jt is None else dec.atom_roots[jt])
-        classes = AtomDecomposition(dec.reach, tuple(atoms), tuple(atom_roots))
-        # the terminals carry their reserved names, so the slice is not checked
-        sl = _atom_slices(aux.graph, classes)[0]
-        _trees, start = _footholds(sl, classes, 0, roots)
+        _check_atom_index(dec, atom_index)
+        sl = (_atom_slices(graph, dec) if slices is None else slices)[atom_index]
+        _check_atom(sl)
+        _trees, start = _footholds(sl, dec, atom_index, roots)
         hit_any = 0
         for _bit, _head, hit in sl.cands:
             hit_any |= hit
@@ -221,7 +213,7 @@ def _reduced_table(req: CoverRequirement) -> dict[int, tuple[int, int]]:
             f"|V_j| = {n} exceeds max_enum_vertices = {limit}",
             limit=limit,
             observed=n,
-            atom=req.aux.atom_index,
+            atom=req.atom_index,
         )
     arcs = [(tb, hb) for tb, hb, _hit in sl.cands if tb & gmask]
     terminals = [c for c in sl.cands if not c[0] & gmask]
@@ -364,7 +356,7 @@ def _extract_certificate(
         return None
     negdeficit, _count, parts = winner
     return SubpartitionCertificate(
-        atom_index=req.aux.atom_index,
+        atom_index=req.atom_index,
         parts=tuple(_part(sl, p) for p in parts),
         deficit=-negdeficit,
     )

@@ -26,9 +26,10 @@ every edge counted both ways.  X is then a one-part subpartition of
 positive deficit, and it is the atom's certificate, naming each entering
 arc it holds ``t:<arc-id>`` from the atom's slice.  Only an atom the
 fast path stalls on goes to the exact fallback, ``arbopack.exhaustive``,
-which this module imports only then: it builds the atom's auxiliary
-graph and returns the subpartition of maximum deficit or a covering
-orientation, and only its table is bounded by ``Bounds.max_enum_vertices``.
+which this module imports only then: it reads the same slice, each
+entering arc's tail bit standing for its terminal, and returns the
+subpartition of maximum deficit or a covering orientation.  Only its
+table is bounded by ``Bounds.max_enum_vertices``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .bounds import DEFAULT_BOUNDS, Bounds
-from .decomposition import AtomDecomposition, _atom_slices, _check_atom
+from .decomposition import AtomDecomposition, _atom_slices, _check_atom, _check_atom_index
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
 from .packing import _edge_cands, _first_fit, _grow, _pack, _StepFlow
@@ -69,15 +70,14 @@ def orient_atom(
     An atom that first fit packs from the starting directions keeps
     them.  Otherwise the fast path (:func:`_orient_by_cuts`) orients the
     atom from its slice of ``g``.  An atom it refutes gets the one-part
-    certificate it found; only an atom it stalls on builds its auxiliary
-    graph, for ``exhaustive.orient_covering``.  An atom with no edge to
-    orient skips the fast path.  The atom is packed as ``solve`` packs it, and
-    the trees are dropped (:func:`_orient_and_pack`).  Raises
+    certificate it found; only an atom it stalls on goes to
+    ``exhaustive.orient_covering``, on the same slice.  An atom with no
+    edge to orient skips the fast path.  The atom is packed as ``solve``
+    packs it, and the trees are dropped (:func:`_orient_and_pack`).  Raises
     ``ValueError`` for ``j`` outside ``0..len(dec.atoms) - 1``; the message
     counts atoms from 1, as the CLI does.
     """
-    if not 0 <= j < len(dec.atoms):
-        raise ValueError(f"atom index {j + 1} out of range 1..{len(dec.atoms)}")
+    _check_atom_index(dec, j)
     slices = _atom_slices(g, dec)
     outcome = _orient_and_pack(g, dec, j, roots, slices, bounds)[0]
     return _orientation(slices[j], outcome) if isinstance(outcome, list) else outcome
@@ -94,10 +94,10 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
     ways is the same flow, so it refutes the atom with the set
     :func:`_orient_by_cuts` would.  Any other atom is oriented on its cut
     oracle, which is turned to the fallback's directions when the fast
-    path stalled (the only time ``arbopack.exhaustive`` is imported and
-    the auxiliary graph is built), and then packed on it: by first fit
-    again when an edge was flipped (with none, it would get stuck as
-    before), otherwise by the checked greedy.
+    path stalled (the only time ``arbopack.exhaustive`` is imported; it
+    reads the atom's slice from ``slices``), and then packed on it: by
+    first fit again when an edge was flipped (with none, it would get
+    stuck as before), otherwise by the checked greedy.
     """
     sl = slices[j]
     _check_atom(sl)
@@ -115,11 +115,9 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
     flow = _StepFlow(n, trees, cands, gmask, ends)
     outcome = _orient_by_cuts(sl, j, flow, start)
     if outcome is None:
-        from .exhaustive import CoverRequirement, build_auxiliary, orient_covering
+        from .exhaustive import CoverRequirement, orient_covering
 
-        outcome = orient_covering(
-            CoverRequirement(build_auxiliary(g, dec, j, slices), dec, roots, bounds)
-        )
+        outcome = orient_covering(CoverRequirement(g, dec, j, roots, bounds, slices))
         if isinstance(outcome, Orientation):
             for k, e in enumerate(e for e in sl.edges if not e.is_loop()):
                 if outcome.direction[e.id][0] != sl.vertices[flow.ends[k][0]]:

@@ -22,6 +22,7 @@ from .decomposition import (
     BiSet,
     _atom_slices,
     _certificate_sides,
+    _check_atom_index,
     compute_atoms,
     lift_biset,
 )
@@ -64,8 +65,7 @@ def certificate_from_subpartition(
     """
     if sc.deficit < 1:
         raise ValueError(f"subpartition deficit {sc.deficit} is not positive")
-    if not 0 <= sc.atom_index < len(dec.atoms):
-        raise ValueError(f"atom index {sc.atom_index} out of range")
+    _check_atom_index(dec, sc.atom_index)
     gamma = dec.atoms[sc.atom_index]
     bisets = tuple(lift_biset(g, gamma, part) for part in sc.parts)
     lhs, rhs = _certificate_sides(g, roots, dec, bisets)

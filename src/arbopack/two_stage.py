@@ -136,8 +136,8 @@ def pack_atom_branchings(
     of ``g`` instead: an atom part Y plus the tails of a set T of
     entering arcs, where the trees with no foothold in Y and no arc in T
     outnumber the arcs entering the set.  Raises ``ValueError`` when
-    ``g`` has edges, or for a name in ``gamma`` or a demand that is no
-    vertex of ``g``.
+    ``g`` has edges, for a demand key that is not an ``int`` of at least
+    0, or for a name in ``gamma`` or a demand that is no vertex of ``g``.
 
     ``gamma`` is sliced as class 0 of ``decomposition._atom_slices``, each
     vertex outside it that a demand names a class spanned by the trees
@@ -145,6 +145,8 @@ def pack_atom_branchings(
     terminal name, so a vertex may be named ``t:<arc-id>``.
     """
     _require_digraph(g)
+    if bad := [i for i in demands if type(i) is not int or i < 0]:
+        raise ValueError(f"demand key {bad[0]!r} is not a tree index (an int of at least 0)")
     gamma = g.require_vertices(gamma)
     trees = sorted(demands)
     entry = {i: g.require_vertices(demands[i]) for i in trees}

@@ -105,6 +105,21 @@ def repeated_root_all_reachable(
     return g, r, k
 
 
+def disjoint_copies(g: MixedGraph, roots, n: int) -> tuple[MixedGraph, list[str]]:
+    """``n`` disjoint copies of ``g`` and its roots, copy k's names prefixed ``c<k>_``.
+
+    No arc or edge joins two copies, so each keeps its own atoms.
+    """
+    vertices, edges, arcs, all_roots = [], [], [], []
+    for k in range(n):
+        p = f"c{k}_"
+        vertices += [p + v for v in g.vertices]
+        edges += [Edge(p + e.id, p + e.u, p + e.v) for e in g.edges]
+        arcs += [Arc(p + a.id, p + a.tail, p + a.head) for a in g.arcs]
+        all_roots += [p + r for r in roots]
+    return MixedGraph(tuple(vertices), tuple(edges), tuple(arcs)), all_roots
+
+
 def deep_atom_text(k: int = 520) -> str:
     """Arcs r->a and a->b, each k times, with root r repeated k times.
 

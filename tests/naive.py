@@ -34,6 +34,7 @@ from arbopack import (
     MixedGraph,
     Orientation,
     SubpartitionCertificate,
+    build_auxiliary,
     mixed_reachable_set,
 )
 from arbopack.decomposition import lift_biset, p_value
@@ -488,7 +489,8 @@ class AtomContext(NamedTuple):
 
 
 def reference_context(req: CoverRequirement) -> AtomContext:
-    return AtomContext.build(req.aux, req.dec, req.roots)
+    aux = build_auxiliary(req.graph, req.dec, req.atom_index)
+    return AtomContext.build(aux, req.dec, req.roots)
 
 
 def reference_sweep(gmask, footholds, arcs, terminals):
@@ -695,7 +697,8 @@ def reference_decompose(graph, roots: Sequence[str]) -> AtomDecomposition:
 def reference_build_auxiliary(g: MixedGraph, dec: AtomDecomposition, j: int) -> AuxiliaryGraph:
     """Auxiliary graph of atom ``j``, from scans of every edge and arc of ``g``."""
     if not 0 <= j < len(dec.atoms):
-        raise ValueError(f"atom index {j} out of range")
+        where = f" 1..{len(dec.atoms)}" if dec.atoms else ": the instance has no atoms"
+        raise ValueError(f"atom index {j + 1} out of range{where}")
     gamma = dec.atoms[j]
     for e in g.edges:
         if (e.u in gamma) != (e.v in gamma):
@@ -976,5 +979,5 @@ def make_subpartition_certificate(
     if deficit < 1:
         raise ValueError(f"subpartition has deficit {deficit}; not a certificate")
     return SubpartitionCertificate(
-        atom_index=req.aux.atom_index, parts=parts, deficit=deficit
+        atom_index=req.atom_index, parts=parts, deficit=deficit
     )

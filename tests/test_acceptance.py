@@ -283,8 +283,7 @@ def test_criterion_6_orientation_minmax(capsys):
         for seed, g, roots in criterion2_instances():
             dec = compute_atoms(g, roots)
             for j in range(len(dec.atoms)):
-                aux = build_auxiliary(g, dec, j)
-                req = CoverRequirement(aux, dec, tuple(roots))
+                req = CoverRequirement(g, dec, j, tuple(roots))
                 table = _reduced_table(req)
                 cands = [(y, v[0]) for y, v in table.items() if v[0] >= 1]
                 plain = reference_context(req).edge_pairs

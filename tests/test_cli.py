@@ -373,6 +373,13 @@ class TestOrient:
         code, _, err = run(capsys, "orient", two_root_path, "--atom", "9")
         assert code == 1 and "out of range" in err
 
+    def test_atom_of_an_instance_with_no_roots(self, capsys, tmp_path):
+        path = tmp_path / "rootless.mg"
+        path.write_text("vertex r\n")
+        code, _, err = run(capsys, "orient", str(path), "--atom", "1")
+        assert code == 1
+        assert err == "error: atom index 1 out of range: the instance has no atoms\n"
+
     def test_json_format(self, capsys, two_root_path):
         code, out, _ = run(
             capsys, "orient", two_root_path, "--atom", "1", "--format=json"

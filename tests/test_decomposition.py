@@ -8,12 +8,14 @@ from arbopack import (
     Arc,
     AtomDecomposition,
     BiSet,
+    CoverRequirement,
     Edge,
     InvariantError,
     MixedGraph,
     build_auxiliary,
     compute_atoms,
     mixed_reachable_set,
+    orient_covering,
     parse_mixed_graph,
 )
 from arbopack.decomposition import _atom_slices, _certificate_sides, lift_biset, p_value
@@ -273,11 +275,16 @@ class TestAuxiliaryGraph:
             atom_roots=(frozenset({0}),) * 3,
         )
         first = g.edges[1].id
+        assert build_auxiliary(g, dec, 0).graph.edges == (edges[0],)
+        for j in (1, 2):
+            with pytest.raises(InvariantError, match=f"edge '{first}' crosses"):
+                build_auxiliary(g, dec, j)
         for slices in (None, _atom_slices(g, dec)):
-            assert build_auxiliary(g, dec, 0, slices).graph.edges == (edges[0],)
+            req = CoverRequirement(g, dec, 0, ("r",), slices=slices)
+            assert set(orient_covering(req).direction) == {edges[0].id}
             for j in (1, 2):
                 with pytest.raises(InvariantError, match=f"edge '{first}' crosses"):
-                    build_auxiliary(g, dec, j, slices)
+                    CoverRequirement(g, dec, j, ("r",), slices=slices)
 
 
 class TestReferenceForms:
@@ -306,7 +313,11 @@ class TestReferenceForms:
 
 
 class TestAuxiliaryReference:
-    """``build_auxiliary`` equals the whole-graph reference, with or without slices."""
+    """``build_auxiliary`` equals the whole-graph reference.
+
+    Where the reference raises, the fallback's ``CoverRequirement``, on
+    the solve's slices, raises the same error.
+    """
 
     @staticmethod
     def outcome(build, *args):
@@ -317,18 +328,21 @@ class TestAuxiliaryReference:
         fields = (aux.atom_index, aux.gamma, aux.terminal_origin, tuple(aux.terminal_origin))
         return ("built",) + fields + (aux.graph.vertices, aux.graph.edges, aux.graph.arcs)
 
-    def assert_matches(self, g, dec):
+    def assert_matches(self, g, dec, roots):
         slices = _atom_slices(g, dec)
         for j in range(-1, len(dec.atoms) + 1):
             ref = self.outcome(reference_build_auxiliary, g, dec, j)
             assert self.outcome(build_auxiliary, g, dec, j) == ref
-            assert self.outcome(build_auxiliary, g, dec, j, slices) == ref
+            if ref[0] != "built":
+                with pytest.raises(ref[0]) as info:
+                    CoverRequirement(g, dec, j, roots, slices=slices)
+                assert str(info.value) == ref[1]
 
     def test_random_instances(self):
         rng = random.Random(6262)
         for _ in range(300):
             g, roots = random_mixed_instance(rng, max_v=9, max_e=10, max_a=10, max_k=5)
-            self.assert_matches(g, compute_atoms(g, roots))
+            self.assert_matches(g, compute_atoms(g, roots), roots)
 
     def test_bench_family_atoms(self):
         wl = bench_workloads()
@@ -348,7 +362,7 @@ class TestAuxiliaryReference:
         for text in graphs:
             g, roots = parse_mixed_graph(text)
             dec = compute_atoms(g, roots)
-            self.assert_matches(g, dec)
+            self.assert_matches(g, dec, roots)
             atoms += len(dec.atoms)
         assert atoms > 250
 
@@ -367,7 +381,7 @@ class TestAuxiliaryReference:
                 atoms=tuple(frozenset([a] if a.startswith("t:") else a) for a in atoms),
                 atom_roots=(frozenset({0}),) * len(atoms),
             )
-            self.assert_matches(g, dec)
+            self.assert_matches(g, dec, ("r",))
             for j in range(len(atoms)):
                 kinds.add(self.outcome(build_auxiliary, g, dec, j)[0])
         assert kinds == {"built", InvariantError, ValueError}

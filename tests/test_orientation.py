@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from arbopack import (
-    AuxiliaryGraph,
     BiSetFamilyCertificate,
     Bounds,
     CapacityError,
@@ -53,10 +52,23 @@ from naive import (
 def requirement_for(g, roots, members, bounds=None):
     dec = compute_atoms(g, roots)
     j = dec.atoms.index(frozenset(members))
-    aux = build_auxiliary(g, dec, j)
     if bounds is None:
-        return CoverRequirement(aux, dec, tuple(roots))
-    return CoverRequirement(aux, dec, tuple(roots), bounds)
+        return CoverRequirement(g, dec, j, tuple(roots))
+    return CoverRequirement(g, dec, j, tuple(roots), bounds)
+
+
+def _lift_atom(g, dec, j, roots):
+    sc = SubpartitionCertificate(j, (frozenset({"x"}),), 1)
+    return certificate_from_subpartition(sc, dec, g, roots)
+
+
+# every public entry that takes an atom index, as (g, dec, j, roots) -> anything
+INDEXED = [
+    pytest.param(orient_atom, id="orient_atom"),
+    pytest.param(lambda g, dec, j, roots: build_auxiliary(g, dec, j), id="build_auxiliary"),
+    pytest.param(CoverRequirement, id="CoverRequirement"),
+    pytest.param(_lift_atom, id="certificate_from_subpartition"),
+]
 
 
 class TestTwoRootAtoms:
@@ -133,15 +145,25 @@ class TestInfeasibleTriangle:
         }
         assert subpartition_deficit(req, cert.parts) == cert.deficit
 
+    @pytest.mark.parametrize("call", INDEXED)
     @pytest.mark.parametrize("j", [-1, 1])
-    def test_orient_atom_rejects_an_index_out_of_range(self, infeasible3, j):
+    def test_index_out_of_range_rejected_alike(self, infeasible3, call, j):
         # -1 would wrap round to the one atom, under a certificate naming atom -1
         g, roots = infeasible3
         dec = compute_atoms(g, roots)
         assert len(dec.atoms) == 1
         with pytest.raises(ValueError) as info:
-            orient_atom(g, dec, j, roots)
+            call(g, dec, j, roots)
         assert str(info.value) == f"atom index {j + 1} out of range 1..1"
+
+    @pytest.mark.parametrize("call", INDEXED)
+    def test_index_into_no_atoms_rejected_alike(self, call):
+        g, roots = parse_mixed_graph("vertex r\n")
+        dec = compute_atoms(g, roots)
+        assert dec.atoms == ()
+        with pytest.raises(ValueError) as info:
+            call(g, dec, 0, roots)
+        assert str(info.value) == "atom index 1 out of range: the instance has no atoms"
 
     def test_deficit_examples(self, infeasible3):
         g, roots = infeasible3
@@ -182,7 +204,7 @@ class TestReducedTable:
                 aux = build_auxiliary(g, dec, j)
                 if len(aux.graph.vertices) > 9:
                     continue
-                req = CoverRequirement(aux, dec, tuple(roots))
+                req = CoverRequirement(g, dec, j, tuple(roots))
                 table = _reduced_table(req)
                 static = [
                     (a.tail, a.head) for a in aux.graph.arcs if not a.is_loop()
@@ -231,6 +253,9 @@ class TestWorstCompletion:
             assert all(value(completion(e)) < best for e in range(d))
 
 
+ENCODINGS = ("loop", "parallel arcs", "shared tail", "entering before internal")
+
+
 def mixed_atoms(rng, count):
     """The requirement of every atom of ``count`` random instances of at most 8 vertices.
 
@@ -241,11 +266,17 @@ def mixed_atoms(rng, count):
         g, roots = random_mixed_instance(rng, max_v=8, max_e=6, max_a=12)
         dec = compute_atoms(g, roots)
         for j in range(len(dec.atoms)):
-            yield CoverRequirement(build_auxiliary(g, dec, j), dec, tuple(roots))
+            yield CoverRequirement(g, dec, j, tuple(roots))
 
 
-def encoding_features(aux) -> set[str]:
-    """Which of loops, parallel arcs and entering arcs sharing a tail the auxiliary graph has."""
+def encoding_features(req) -> set[str]:
+    """Which encodings the atom's auxiliary graph has that its bits could get wrong.
+
+    Loops, parallel arcs, entering arcs sharing a tail, and an arc
+    entering the atom declared before an internal one: the auxiliary
+    graph lists internal arcs first, the slice in declaration order.
+    """
+    aux = build_auxiliary(req.graph, req.dec, req.atom_index)
     tail_of = {t: tail for t, (_arc_id, tail) in aux.terminal_origin.items()}
     found = set()
     if any(x.is_loop() for x in (*aux.graph.edges, *aux.graph.arcs)):
@@ -255,6 +286,9 @@ def encoding_features(aux) -> set[str]:
         found.add("parallel arcs")
     if max(Counter(tail_of.values()).values(), default=0) > 1:
         found.add("shared tail")
+    into = [a.tail in aux.gamma for a in req.graph.arcs if a.head in aux.gamma and not a.is_loop()]
+    if False in into and True in into[into.index(False) :]:
+        found.add("entering before internal")
     return found
 
 
@@ -278,10 +312,11 @@ class TestSliceEncoding:
             assert orient_covering(req) == expected
             seen[type(expected).__name__] += 1
             if isinstance(expected, SubpartitionCertificate):
-                seen["terminal in a part"] += any(p - req.aux.gamma for p in expected.parts)
-            seen.update(encoding_features(req.aux))
-        kinds = ("Orientation", "SubpartitionCertificate", "terminal in a part")
-        assert all(seen[k] >= 20 for k in kinds + ("loop", "parallel arcs", "shared tail")), seen
+                gamma = req.dec.atoms[req.atom_index]
+                seen["terminal in a part"] += any(p - gamma for p in expected.parts)
+            seen.update(encoding_features(req))
+        kinds = ("Orientation", "SubpartitionCertificate", "terminal in a part") + ENCODINGS
+        assert all(seen[k] >= 20 for k in kinds), seen
 
     def test_reduced_table_matches_the_reference_table(self):
         rng = random.Random(27027)
@@ -300,9 +335,9 @@ class TestSliceEncoding:
             assert got == want
             seen["terminal in a completion"] += any(xs - inner for inner, (_n, xs) in got.items())
             seen["hit"] += any(hit for _bit, _head, hit in ctx.terminals)
-            seen.update(encoding_features(req.aux))
+            seen.update(encoding_features(req))
         assert all(seen[k] >= 20 for k in ("terminal in a completion", "hit")), seen
-        assert all(seen[k] >= 20 for k in ("loop", "parallel arcs", "shared tail")), seen
+        assert all(seen[k] >= 20 for k in ENCODINGS), seen
 
     def test_terminal_bits_name_the_auxiliary_vertices(self):
         # Every atom bit and every terminal's bit, n plus its arc's
@@ -310,27 +345,27 @@ class TestSliceEncoding:
         rng = random.Random(4242)
         terminals = 0
         for req in mixed_atoms(rng, 200):
+            aux = build_auxiliary(req.graph, req.dec, req.atom_index)
             sl = req._slice
             n = len(sl.vertices)
             bits = [tb for tb, _hb, _hit in sl.cands if tb >> n]
-            assert _part(sl, (1 << n) - 1 | sum(bits)) == req.aux.graph.vertex_set
+            assert _part(sl, (1 << n) - 1 | sum(bits)) == aux.graph.vertex_set
             for tb in bits:
                 (name,) = _part(sl, tb)
-                assert name in req.aux.terminal_origin
+                assert name in aux.terminal_origin
             terminals += len(bits)
         assert terminals >= 100
 
     def test_tree_without_foothold_or_terminal_is_rejected(self):
         # Tree 0 enters the atom {a}, tree 1's root, through the arc r->a;
-        # an auxiliary graph that drops that arc's terminal leaves tree 0
+        # a graph that drops that arc, and so its terminal, leaves tree 0
         # no way into the atom.
         g, roots = parse_mixed_graph("vertex r\nvertex a\narc r a\nroot r\nroot a\n")
         dec = compute_atoms(g, roots)
         j = dec.atoms.index(frozenset({"a"}))
-        CoverRequirement(build_auxiliary(g, dec, j), dec, roots)
-        bare = AuxiliaryGraph(j, MixedGraph(("a",)), {"a"}, {})
+        CoverRequirement(g, dec, j, roots)
         with pytest.raises(InvariantError, match="nonzero requirement"):
-            CoverRequirement(bare, dec, roots)
+            CoverRequirement(MixedGraph(g.vertices), dec, j, roots)
 
 
 class TestSolverProperties:
@@ -342,13 +377,12 @@ class TestSolverProperties:
                 aux = build_auxiliary(g, dec, j)
                 if len(aux.graph.vertices) > max_vj or len(aux.graph.edges) > max_ej:
                     continue
-                yield g, roots, dec, aux
+                yield CoverRequirement(g, dec, j, tuple(roots)), roots, dec, aux
 
     def test_success_iff_some_orientation_covers(self):
         rng = random.Random(40312)
         solved = failed = 0
-        for g, roots, dec, aux in self._atom_requirements(rng, 80):
-            req = CoverRequirement(aux, dec, tuple(roots))
+        for req, roots, dec, aux in self._atom_requirements(rng, 80):
             outcome = orient_covering(req)
             exists = naive_orientation_exists(aux, dec, roots)
             if isinstance(outcome, Orientation):
@@ -369,8 +403,7 @@ class TestSolverProperties:
         # certificate.
         rng = random.Random(60607)
         fixed = 0
-        for g, roots, dec, aux in self._atom_requirements(rng, 120, max_vj=8):
-            req = CoverRequirement(aux, dec, tuple(roots))
+        for req, roots, dec, aux in self._atom_requirements(rng, 120, max_vj=8):
             table = _reduced_table(req)
             if _extract_certificate(req, table) is not None:
                 continue
@@ -384,8 +417,7 @@ class TestSolverProperties:
     def test_minmax_certificate_agrees_with_naive(self):
         rng = random.Random(11209)
         seen_positive = False
-        for g, roots, dec, aux in self._atom_requirements(rng, 40, max_vj=8):
-            req = CoverRequirement(aux, dec, tuple(roots))
+        for req, roots, dec, aux in self._atom_requirements(rng, 40, max_vj=8):
             naive_best = naive_max_deficit(aux, dec, roots)
             cert = _extract_certificate(req, _reduced_table(req))
             if naive_best <= 0:
@@ -425,7 +457,7 @@ class TestCapacity:
         # orientation is enumerated, so no edge count bounds the work.
         g, roots = random_mixed_instance(random.Random(478))
         dec = compute_atoms(g, roots)
-        req = CoverRequirement(build_auxiliary(g, dec, 0), dec, tuple(roots))
+        req = CoverRequirement(g, dec, 0, tuple(roots))
         cert = orient_covering(req)
         assert cert == _extract_certificate(req, _reduced_table(req))
         assert cert.deficit == 1
@@ -454,7 +486,7 @@ def atom_oracles(rng, count, **kw):
         dec = compute_atoms(g, roots)
         slices = _atom_slices(g, dec)
         for j, sl in enumerate(slices):
-            req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
+            req = CoverRequirement(g, dec, j, tuple(roots), slices=slices)
             yield (req, *start_oracle(g, roots, dec, j, sl))
 
 
@@ -538,7 +570,7 @@ class TestFastPath:
             slices = _atom_slices(g, dec)
             for j in range(len(dec.atoms)):
                 fast = self.fast(g, roots, dec, j, slices)
-                req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
+                req = CoverRequirement(g, dec, j, tuple(roots), slices=slices)
                 exact = orient_covering(req)
                 if isinstance(fast, Orientation):
                     assert isinstance(exact, Orientation)
@@ -563,7 +595,7 @@ class TestFastPath:
             slices = _atom_slices(g, dec)
             for j in range(len(dec.atoms)):
                 fast = self.fast(g, roots, dec, j, slices)
-                req = CoverRequirement(build_auxiliary(g, dec, j, slices), dec, tuple(roots))
+                req = CoverRequirement(g, dec, j, tuple(roots), slices=slices)
                 assert fast is not None and check_cover(req, fast) is None
         assert len(reversals) >= 10
 
@@ -600,7 +632,7 @@ class TestFastPath:
             outcome = orient_atom(g, dec, 0, roots)
             assert isinstance(outcome, Orientation), (seed, i)
             aux = build_auxiliary(g, dec, 0)
-            assert check_cover(CoverRequirement(aux, dec, tuple(roots)), outcome) is None
+            assert check_cover(CoverRequirement(g, dec, 0, tuple(roots)), outcome) is None
             assert naive_orientation_covers(aux, dec, roots, dict(outcome.direction))
             mp = solve(g, roots)
             assert isinstance(mp, MixedPacking), (seed, i)
@@ -639,8 +671,8 @@ class TestFastPath:
                 cert = self.fast(g, roots, dec, j, slices)
                 if not isinstance(cert, SubpartitionCertificate):
                     continue
-                aux = build_auxiliary(g, dec, j, slices)
-                req = CoverRequirement(aux, dec, tuple(roots))
+                aux = build_auxiliary(g, dec, j)
+                req = CoverRequirement(g, dec, j, tuple(roots), slices=slices)
                 assert len(cert.parts) == 1
                 assert cert.deficit == subpartition_deficit(req, cert.parts) >= 1
                 if len(aux.graph.vertices) <= 6:

@@ -17,7 +17,6 @@ from collections import Counter
 
 from arbopack import (
     CoverRequirement,
-    build_auxiliary,
     certificate_from_subpartition,
     compute_atoms,
     orient_covering,
@@ -33,9 +32,8 @@ from naive import _ref_cross_into, _ref_edge_ends, reference_certificate, refere
 def _requirements_of(g, roots, max_vertices):
     dec = compute_atoms(g, roots)
     for j in range(len(dec.atoms)):
-        aux = build_auxiliary(g, dec, j)
-        if len(aux.gamma) <= max_vertices:
-            yield CoverRequirement(aux, dec, tuple(roots))
+        if len(dec.atoms[j]) <= max_vertices:
+            yield CoverRequirement(g, dec, j, tuple(roots))
 
 
 def _compare(req, rng, seen):
@@ -178,8 +176,7 @@ def test_doubled_path_certificate_beyond_oracle_scale():
     rng = random.Random(9190)
     g, roots = parse_mixed_graph(wl._render(rng, [wl.doubled_path(rng, "", 14)]))
     dec = compute_atoms(g, roots)
-    aux = build_auxiliary(g, dec, 0)
-    sc = orient_covering(CoverRequirement(aux, dec, tuple(roots)))
+    sc = orient_covering(CoverRequirement(g, dec, 0, tuple(roots)))
     assert len(sc.parts) == 13
     assert sc.deficit == 13
     cert = certificate_from_subpartition(sc, dec, g, roots)

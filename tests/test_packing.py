@@ -282,6 +282,20 @@ class TestPackAtomBranchings:
         assert {a.id for a in result[0]} == {"a1", "a2"}
         assert {a.id for a in result[1]} == {"a3", "a4"}
 
+    @pytest.mark.parametrize("key", [-1, "0", True, 1.0, None])
+    def test_rejects_a_key_that_is_no_tree_index(self, key):
+        # checked before the atom is sliced, where -1 would be a negative
+        # shift and a string would not sort among the other keys
+        g = digraph(("r", "x"), ("a1", "r", "x"))
+        demands = {0: frozenset({"r"}), key: frozenset({"r"})}
+        message = f"demand key {key!r} is not a tree index (an int of at least 0)"
+        with pytest.raises(ValueError) as info:
+            pack_atom_branchings(g, frozenset({"x"}), demands)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            pack_atom_branchings(g, frozenset({"x"}), {key: frozenset({"r"})})
+        assert str(info.value) == message
+
     def test_single_vertex_atom(self):
         g = digraph(("v",))
         result = pack_atom_branchings(g, frozenset({"v"}), {0: frozenset({"v"})})

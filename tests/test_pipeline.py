@@ -51,6 +51,7 @@ from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
+    disjoint_copies,
     doubled_cycle_text,
     first_fit_stuck_text,
     random_digraph_instance,
@@ -249,10 +250,9 @@ class TestCertificates:
     def test_lift_from_subpartition(self, infeasible3):
         g, roots = infeasible3
         dec = compute_atoms(g, roots)
-        aux = build_auxiliary(g, dec, 0)
         from arbopack import CoverRequirement
 
-        req = CoverRequirement(aux, dec, tuple(roots))
+        req = CoverRequirement(g, dec, 0, tuple(roots))
         sc = make_subpartition_certificate(req, [{"r1"}, {"r2"}, {"x"}])
         cert = certificate_from_subpartition(sc, dec, g, roots)
         assert cert.deficit == 2
@@ -670,6 +670,27 @@ class TestAtomCountIndependence:
         assert atoms[1] > 10 * atoms[0]
         assert counts[0] == counts[1]
 
+    def test_stalled_atoms(self, monkeypatch):
+        # Each copy's one atom stalls the fast path; the fallback reads
+        # the slices the solve already made, so no copy reslices the graph.
+        calls = []
+        cover = exhaustive.orient_covering
+        monkeypatch.setattr(
+            exhaustive, "orient_covering", lambda req: calls.append(req) or cover(req)
+        )
+        counts = []
+        for n in (2, 16):
+            g, roots = disjoint_copies(*stalled_instance(), n)
+            calls.clear()
+            result = []
+            counts.append(
+                _iterations(g, ("vertices", "edges", "arcs"), lambda: result.append(solve(g, roots)))
+            )
+            assert isinstance(result[0], MixedPacking)
+            assert validate_mixed_packing(g, roots, result[0])
+            assert len(calls) == n == len(compute_atoms(g, roots).atoms)
+        assert counts[0] == counts[1]
+
     def test_pack_reachability(self):
         counts = []
         for n in self.SIZES:
@@ -899,33 +920,37 @@ class TestPackOnTheOrientingOracle:
 
 
 class TestAuxiliaryGraph:
-    def test_only_a_stalled_atom_builds_one(self, monkeypatch):
+    def test_solve_builds_none(self, monkeypatch):
         # A refuted atom's certificate names its terminals by arc id and
-        # is lifted on the input graph, so the auxiliary graph is built
-        # once per atom the fast path stalls on, and for no other atom.
-        built, stalled, refuted = [], [], []
-        build, by_cuts, refute = (
-            exhaustive.build_auxiliary,
+        # is lifted on the input graph, and a stalled atom's fallback
+        # reads the slice the fast path holds, so no auxiliary graph is
+        # built, and the fallback runs once per atom the fast path stalls
+        # on, and for no other atom.
+        built, stalled, covered, refuted = [], [], [], []
+        by_cuts, cover, refute = (
             orientation._orient_by_cuts,
+            exhaustive.orient_covering,
             orientation._refuted,
         )
 
-        def counted_build(*args):
-            built.append(args[2])
-            return build(*args)
-
         def counted_by_cuts(*args):
             outcome = by_cuts(*args)
-            stalled.append(outcome is None)
+            if outcome is None:
+                stalled.append(args[1])
             return outcome
+
+        def counted_cover(req):
+            covered.append(req.atom_index)
+            return cover(req)
 
         def counted_refute(*args):
             refuted.append(args[1])
             return refute(*args)
 
         for module in (arbopack, exhaustive):
-            monkeypatch.setattr(module, "build_auxiliary", counted_build)
+            monkeypatch.setattr(module, "build_auxiliary", lambda *args: built.append(args))
         monkeypatch.setattr(orientation, "_orient_by_cuts", counted_by_cuts)
+        monkeypatch.setattr(exhaustive, "orient_covering", counted_cover)
         monkeypatch.setattr(orientation, "_refuted", counted_refute)
         cases = list(bench_instances(110))
         rng = random.Random(5150)
@@ -937,8 +962,8 @@ class TestAuxiliaryGraph:
             kinds[type(result)] += 1
             if isinstance(result, BiSetFamilyCertificate):
                 assert verify_certificate(g, roots, result)
-        assert len(built) == sum(stalled)
-        assert sum(stalled) > 50 and len(refuted) > 300, (sum(stalled), len(refuted))
+        assert built == [] and covered == stalled
+        assert len(stalled) > 50 and len(refuted) > 300, (len(stalled), len(refuted))
         assert min(kinds.values()) > 300, kinds
 
 

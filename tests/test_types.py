@@ -55,7 +55,7 @@ def _samples() -> dict[type, tuple]:
         AtomDecomposition: (dec.reach, dec.atoms, dec.atom_roots),
         AuxiliaryGraph: (aux.atom_index, aux.graph, aux.gamma, aux.terminal_origin),
         Bounds: (7,),
-        CoverRequirement: (aux, dec, ("r",), Bounds(7)),
+        CoverRequirement: (g, dec, 0, ("r",), Bounds(7)),
         SubpartitionCertificate: (0, (frozenset({"a"}),), 1),
         EdgeUse: tuple(use),
         MixedTree: tuple(tree),
@@ -147,8 +147,8 @@ def test_defaults():
     assert Bounds() == DEFAULT_BOUNDS and Bounds().max_enum_vertices == 20
     g = MixedGraph(vertices=("a",))
     assert g.edges == () and g.arcs == ()
-    aux, dec = SAMPLES[CoverRequirement][:2]
-    assert CoverRequirement(aux, dec, ["r"]).bounds is DEFAULT_BOUNDS
+    g, dec, j = SAMPLES[CoverRequirement][:3]
+    assert CoverRequirement(g, dec, j, ["r"]).bounds is DEFAULT_BOUNDS
 
 
 def test_truth_of_a_check_result():
@@ -176,7 +176,7 @@ def test_coercion_still_happens():
     o = Orientation(source)
     source["e1"] = ("b", "a")
     assert o.direction == {"e1": ("a", "b")}
-    assert CoverRequirement(*SAMPLES[CoverRequirement][:2], ["r"]).roots == ("r",)
+    assert CoverRequirement(*SAMPLES[CoverRequirement][:3], ["r"]).roots == ("r",)
 
 
 def test_cached_property_computed_once():
