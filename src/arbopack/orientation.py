@@ -4,16 +4,18 @@ An orientation covers an atom when every vertex set Y of it, with any
 set T of the arcs that enter the atom at Y, has in-degree at least the
 number of trees forced to enter Y + T.  :func:`orient_atom` orients one
 atom from the integers its slice holds (``decomposition._atom_slices``),
-and packs it as soon as it is oriented.  Edges start pointing away from
-the atom's roots, and first fit (``packing._first_fit``) gets the
-atom's arcs and edges in those directions: when it packs the atom, the
-starting directions are the answer.  Otherwise the fast path checks
-the condition on the atom's cut oracle (``packing._StepFlow``), where
-each edge is a pair of network edges whose capacities swap when it
-flips, and which is the one record of which way each edge points.  A
-path of oriented edges is reversed out of each short set found, when
-one flow shows that no set it takes an edge from falls short, and the
-atom is then packed on the oracle.  An atom with no edge is packed by
+and packs it as soon as it is oriented.  First fit
+(``packing._first_fit``) gets the atom's arcs, and its edges either
+way: a tree takes an edge from the end it has reached to the end it has
+not, so when first fit packs the atom, the ways its trees took the
+edges are the answer, and an edge no tree takes keeps its declared
+direction.  Otherwise the edges start pointing away from the atom's
+roots, and the fast path checks the condition on the atom's cut oracle
+(``packing._StepFlow``), where each edge is a pair of network edges
+whose capacities swap when it flips, and which is the one record of
+which way each edge points.  A path of oriented edges is reversed out
+of each short set found, when one flow shows that no set it takes an
+edge from falls short, and the atom is then packed on the oracle.  An atom with no edge is packed by
 the checked greedy or refuted by its first failing check
 (``packing._pack``).  No auxiliary graph and no table is built on
 either path, and no oracle outlives its atom.
@@ -40,7 +42,7 @@ from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import AtomDecomposition, _atom_slices, _check_atom, _check_atom_index
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
-from .packing import _edge_cands, _first_fit, _grow, _pack, _StepFlow
+from .packing import _either_way, _first_fit, _grow, _pack, _StepFlow, _taken_ends
 
 
 class SubpartitionCertificate(NamedTuple):
@@ -67,9 +69,9 @@ def orient_atom(
 ) -> Orientation | SubpartitionCertificate:
     """Atom ``j``'s covering orientation or certificate.
 
-    An atom that first fit packs from the starting directions keeps
-    them.  Otherwise the fast path (:func:`_orient_by_cuts`) orients the
-    atom from its slice of ``g``.  An atom it refutes gets the one-part
+    An atom that first fit packs keeps the directions its trees took
+    the edges in.  Otherwise the fast path (:func:`_orient_by_cuts`)
+    orients the atom from its slice of ``g``.  An atom it refutes gets the one-part
     certificate it found; only an atom it stalls on goes to
     ``exhaustive.orient_covering``, on the same slice.  An atom with no
     edge to orient skips the fast path.  The atom is packed as ``solve``
@@ -88,31 +90,34 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
 
     A refuted atom gives its certificate and None.  The candidates are
     the atom's non-loop arcs, then its non-loop edges, in slice order.
-    First fit (``packing._first_fit``) runs on the start orientation
-    before any oracle is built.  An atom with no edge is packed or
-    refuted by ``packing._pack``: with no edge, the check counted both
-    ways is the same flow, so it refutes the atom with the set
-    :func:`_orient_by_cuts` would.  Any other atom is oriented on its cut
-    oracle, which is turned to the fallback's directions when the fast
-    path stalled (the only time ``arbopack.exhaustive`` is imported; it
-    reads the atom's slice from ``slices``), and then packed on it: by
-    first fit again when an edge was flipped (with none, it would get
-    stuck as before), otherwise by the checked greedy.
+    An atom with no edge is packed or refuted by ``packing._pack``: with
+    no edge, the check counted both ways is the same flow, so it refutes
+    the atom with the set :func:`_orient_by_cuts` would.  Any other atom
+    goes to first fit with its edges unturned, before any oracle is
+    built: when it packs, each edge's ends are the way its tree took it,
+    or as declared when no tree took it.  Otherwise the atom
+    is oriented on its cut oracle, which starts from :func:`_start_ends`
+    and is turned to the fallback's directions when the fast path
+    stalled (the only time ``arbopack.exhaustive`` is imported; it reads
+    the atom's slice from ``slices``), and then packed on it: by first
+    fit again, now on the oracle's directions, and by the checked greedy
+    when that gets stuck.
     """
     sl = slices[j]
     _check_atom(sl)
-    trees, start, ends = _start_state(sl, dec, j, roots)
+    trees, start = _footholds(sl, dec, j, roots)
     cands, n = sl.cands, len(sl.vertices)
     gmask = (1 << n) - 1
-    if not ends:
+    if not sl.pairs:
         owner = _pack(n, trees, start, cands)
         if isinstance(owner, tuple):
             return _refuted(sl, j, *owner), None
-        return ends, owner
-    owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
+        return [], owner
+    fit = cands + _either_way(sl.pairs)
+    owner = _first_fit(fit, trees, start, gmask)
     if owner is not None:
-        return ends, owner
-    flow = _StepFlow(n, trees, cands, gmask, ends)
+        return _taken_ends(fit[len(cands) :], sl.pairs), owner
+    flow = _StepFlow(n, trees, cands, gmask, _start_ends(sl, start))
     outcome = _orient_by_cuts(sl, j, flow, start)
     if outcome is None:
         from .exhaustive import CoverRequirement, orient_covering
@@ -125,7 +130,7 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
             outcome = flow.ends
     if isinstance(outcome, SubpartitionCertificate):
         return outcome, None
-    owner = _first_fit(flow.cands, trees, start, gmask) if flow.flips else None
+    owner = _first_fit(flow.cands, trees, start, gmask)
     if owner is None:
         owner = _grow(flow.cands, trees, dict(start), gmask, flow)
     if isinstance(owner, int):
@@ -202,17 +207,13 @@ def _footholds(sl, dec, j: int, roots: Sequence[str]) -> tuple[list[int], dict[i
     return trees, start
 
 
-def _start_state(sl, dec: AtomDecomposition, j: int, roots):
-    """The trees, their footholds (:func:`_footholds`) and the edges' starting ends.
+def _start_ends(sl, start) -> list[tuple[int, int]]:
+    """The (tail, head) vertex indices of each non-loop edge, in slice order, that the oracle starts from.
 
-    ``ends`` holds the (tail, head) vertex indices of each non-loop edge,
-    in slice order: edges point away from the atom's roots (from the
-    heads of its entering arcs when no root lies inside), by
-    breadth-first distance over its edges and arcs.
+    Edges point away from the footholds ``start`` (from the heads of the
+    atom's entering arcs when no root lies inside), by breadth-first
+    distance over its edges and arcs.
     """
-    trees, start = _footholds(sl, dec, j, roots)
-    if not sl.pairs:
-        return trees, start, []
     n = len(sl.vertices)
     near = [[] for _ in range(n)]
     for u, v in sl.pairs:
@@ -232,7 +233,7 @@ def _start_state(sl, dec: AtomDecomposition, j: int, roots):
             if dist[v] == n:
                 dist[v] = dist[u] + 1
                 queue.append(v)
-    return trees, start, [(v, u) if dist[v] < dist[u] else (u, v) for u, v in sl.pairs]
+    return [(v, u) if dist[v] < dist[u] else (u, v) for u, v in sl.pairs]
 
 
 def _reverse_a_path(flow, y: int, w: int, start) -> bool:

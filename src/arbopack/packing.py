@@ -11,15 +11,20 @@ of Kamiyama-Katoh-Takizawa, as in Fujishige's note on disjoint
 arborescences) lets the trees grow one arc at a time with no search:
 each arc taken is the first one that keeps the check passing, and a
 step, which can only break the sets holding its head w, is checked by
-one max-flow from w.  First comes first fit, the same greedy with no
-check: when it finishes, every check would have passed, so it packs
-with the same trees and no oracle is built.  It is tried only on an
-atom with at least as many candidate arcs as steps its trees need; any
-other atom cannot be packed.  Otherwise the greedy runs checked: on a
-new oracle for an atom with no edge (:func:`_pack`), and on the oracle
-that oriented the edges of any other (``orientation``).  Only an
-infeasible atom gets a checked tree stuck; its untouched atom is then
-checked from each vertex, and the first short cut is its deficient set.
+one max-flow from w.  "First" is in one order, least shared first: the
+atom's arcs and edges, then the arcs entering it by how many trees
+could use them, ties in candidate order.  First comes first fit, the
+same greedy with no check: when it finishes, every check would have
+passed, so it packs with the same trees and no oracle is built.  In
+first fit an atom edge may be taken either way: a tree takes it from
+the end it covers to the end it does not, so first fit orients the
+atom as it packs it.  It is tried only on an atom with at least as
+many candidates as steps its trees need; any other atom cannot be
+packed.  Otherwise the greedy runs checked: on a new oracle for an atom
+with no edge (:func:`_pack`), and on the oracle that oriented the edges
+of any other (``orientation``).  Only an infeasible atom gets a checked
+tree stuck; its untouched atom is then checked from each vertex, and
+the first short cut is its deficient set.
 ``pipeline`` drives the atoms for ``solve`` and for
 ``two_stage.pack_reachability`` alike, a digraph being a mixed graph
 with no edges; ``two_stage.pack_atom_branchings`` packs one atom of a
@@ -69,13 +74,28 @@ def _edge_cands(ends) -> list[tuple[int, int, int]]:
     return [(1 << t, 1 << h, 0) for t, h in ends]
 
 
+def _either_way(pairs) -> list[tuple[int, int, int]]:
+    """``(ends, ends, 0)`` per atom edge of ``pairs``, its two end bits as tail and as head."""
+    return [(b, b, 0) for b in (1 << u | 1 << v for u, v in pairs)]
+
+
+def _taken_ends(cands, pairs) -> list[tuple[int, int]]:
+    """The (tail, head) of each edge candidate as :func:`_grow` turned it, else its ``pairs`` entry."""
+    return [
+        pair if tb == hb else (tb.bit_length() - 1, hb.bit_length() - 1)
+        for (tb, hb, _hit), pair in zip(cands, pairs)
+    ]
+
+
 def _first_fit(cands, trees, start: Mapping[int, int], gmask: int) -> list[int | None] | None:
     """The owner list of an unchecked :func:`_grow` from ``start``, or None.
 
     Each step covers one atom vertex for one tree with one candidate, so
     a packing takes one candidate per vertex outside each tree's start
     foothold.  With fewer candidates than that the atom cannot be packed,
-    and first fit is not tried.  None also when it gets stuck.
+    and first fit is not tried.  None also when it gets stuck.  An edge
+    given either way (:func:`_either_way`) is turned in ``cands`` as its
+    tree takes it (:func:`_taken_ends` reads the ends back).
     """
     if len(cands) < sum((gmask & ~start[i]).bit_count() for i in trees):
         return None
@@ -91,22 +111,32 @@ def _grow(
     ``covered`` holds each tree's foothold and grows in place.  A
     candidate is admissible for tree i when no tree owns it, its head is
     not yet covered, and its tail is covered or its hit mask holds i.
+    An edge given either way, with both end bits as tail and as head, is
+    then admissible when exactly one end is covered; the step that takes
+    it writes it back into ``cands`` turned from that end to the other.
+    Candidates are visited least shared first, by the number of trees
+    their hit mask holds (0 for an atom arc or edge), ties in list order.
     Each step takes the first admissible candidate (first fit), or, with
     ``flow`` and its candidates as ``cands``, the first after which the
     check from its head passes.  A first fit that finishes needs no
     check: each of its prefixes extends to the packing it found, so every
     check would have passed and the checked greedy takes the same
-    candidates.
+    candidates, in the same order, with each edge turned as first fit
+    took it.
     """
     owner: list[int | None] = [None] * len(cands)
+    order = sorted(enumerate(cands), key=_shared)
     for i in trees:
         while uncovered := gmask & ~covered[i]:
-            for k, (tb, hb, hit) in enumerate(cands):
+            for k, (tb, hb, hit) in order:
                 if owner[k] is not None or not hb & uncovered:
                     continue
                 if not (tb & covered[i] or hit >> i & 1):
                     continue
                 owner[k] = i
+                if tb == hb:
+                    # an edge, turned from the end the tree covers
+                    cands[k] = (tb & covered[i], hb & uncovered, 0)
                 covered[i] |= hb
                 if flow is None:
                     break
@@ -119,6 +149,11 @@ def _grow(
             else:
                 return i
     return owner
+
+
+def _shared(cand: tuple[int, tuple[int, int, int]]) -> int:
+    """How many trees could use an indexed candidate: 0 for an atom arc or edge."""
+    return cand[1][2].bit_count()
 
 
 class _StepFlow:

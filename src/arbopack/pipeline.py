@@ -1,9 +1,9 @@
 """End-to-end solver and its certificates.
 
 ``solve`` runs the full algorithm: build atoms, and orient each atom's
-edges to cover its demands and pack it at once, with the arcs into the
-atom before its edges, each in declaration order: by first fit when it
-packs the atom from its starting directions, and otherwise on the cut
+edges to cover its demands and pack it at once, least shared candidate
+first (``packing._grow``): by first fit, which turns each edge the way
+its tree reaches it, when that packs the atom, and otherwise on the cut
 oracle that oriented it.  When some atom cannot be oriented, the atom-level
 subpartition certificate is lifted to a bi-set family over the original
 graph, which any third party can re-check against the input alone
@@ -138,8 +138,8 @@ def solve(g: MixedGraph, roots: Sequence[str], bounds: Bounds = DEFAULT_BOUNDS):
     Returns a :class:`MixedPacking` or, when no packing exists, a
     :class:`BiSetFamilyCertificate` for the lowest-index atom that cannot
     be oriented.  Atoms are oriented in order, and each is packed as soon
-    as it is oriented, on the cut oracle that oriented it when first fit
-    could not pack it from its starting directions (see
+    as it is oriented, on the cut oracle that oriented it when first fit,
+    turning the edges as it goes, could not pack it (see
     ``orientation._orient_and_pack``).  The trees are filed in
     declaration order (:func:`_packing_from_owners`).
     """

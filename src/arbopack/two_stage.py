@@ -32,9 +32,9 @@ def covering_orientation(
     An edge incident to no atom runs from its end with the smaller
     vertex index; it can never matter.  The graph is sliced by atom
     once, and each atom is oriented from its own vertices, edges and
-    arcs as ``orient_atom`` does: an atom that first fit packs from the
-    starting directions keeps them, and only the others get a cut
-    oracle.  Each atom is packed too, as in ``solve``, so an orientation
+    arcs as ``orient_atom`` does: an atom that first fit packs keeps
+    the directions its trees took the edges in, and only the others get
+    a cut oracle.  Each atom is packed too, as in ``solve``, so an orientation
     its trees cannot use raises ``InvariantError``; the trees are
     dropped.
     """

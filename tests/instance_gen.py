@@ -50,6 +50,39 @@ def random_digraph_instance(
     return g, roots
 
 
+def tree_union_instance(
+    rng: random.Random, max_v: int = 6, max_k: int = 3, arc_p: float = 0.25
+) -> tuple[MixedGraph, list[str]]:
+    """The links of 2 to ``max_k`` random spanning trees of one vertex set, each with its own root.
+
+    Each link is an arc away from its tree's root with probability
+    ``arc_p``, else an edge joining the same ends in a random order; the
+    edges and the arcs are shuffled.  Turning each tree away from its
+    root packs the instance with no link to spare, so first fit gets
+    stuck on many of them and their atoms reach the cut oracle.
+    """
+    n = rng.randint(2, max_v)
+    vs = [f"n{i}" for i in range(n)]
+    roots, edges, arcs = [], [], []
+    for _ in range(rng.randint(2, max_k)):
+        order = rng.sample(vs, n)
+        roots.append(order[0])
+        for i in range(1, n):
+            t, h = rng.choice(order[:i]), order[i]
+            if rng.random() < arc_p:
+                arcs.append((t, h))
+            else:
+                edges.append((t, h) if rng.random() < 0.5 else (h, t))
+    rng.shuffle(edges)
+    rng.shuffle(arcs)
+    g = MixedGraph(
+        tuple(vs),
+        tuple(Edge(f"e{i}", u, v) for i, (u, v) in enumerate(edges)),
+        tuple(Arc(f"a{i}", t, h) for i, (t, h) in enumerate(arcs)),
+    )
+    return g, roots
+
+
 def sparse_digraph_instance(
     rng: random.Random, min_v: int = 30, max_v: int = 80, max_k: int = 6
 ) -> tuple[MixedGraph, list[str]]:

@@ -29,13 +29,13 @@ from instance_gen import (
     sparse_digraph_instance,
 )
 
-ANSWERS_SHA256 = "5ad2e70abd4ae34f82b3565dc849139a4b1a74be5fccbf7842b8c97b8d02b110"
-DIGRAPH_ANSWERS_SHA256 = "f9360f2ec847cfe716ff15e39b841b5199168ffe9461b98123c48e0465a809b4"
-DIGRAPH_PACKINGS_SHA256 = "ab59c4f5fc33046c569adf33dfb98cd2e5aeb238461fa81f432cf158757bcdb5"
-BENCH_ANSWERS_SHA256 = "6a36fe78a0c4ba0886381e525d32a5641d35bfa7f2d4304a476c20542e9961ec"
+ANSWERS_SHA256 = "44626992c6ffed489c8cf3691d979ee1a9bf23880ca4fa5caebd8e746254659f"
+DIGRAPH_ANSWERS_SHA256 = "5a22af0100f1ab8d2a96378bed8b50ac71a289f79afc13a32677f30150de3a82"
+DIGRAPH_PACKINGS_SHA256 = "8236b0bbfa407b731c1f5a5be1035a3de76dbea82023624edcdd37736e322da8"
+BENCH_ANSWERS_SHA256 = "977b4e8409c5dc5b7e58dfbc3b965c64802512f231a3767e35a36b49d7528f6e"
 CERTIFY_ANSWERS_SHA256 = "ed7bfe1eaced02a7af44b0952562515c5628d4075dfffc1553b0f6e4cb42d83c"
 VERDICTS_SHA256 = "e2b24f7c0879b55ca1d793f3e84194d36c57d560113b885795f982bc74b072a9"
-MIXED_PACKINGS_SHA256 = "a81acdc6c2309910be2136ccfb11c47884ba843e5f6f9b1c0db3cd6a202977b7"
+MIXED_PACKINGS_SHA256 = "e703de4787c1d4425835d3d694bd2c9397e5f30bb1568dce03305bd1149a9f74"
 VERDICT_ATOMS_SHA256 = "7837c865aacd051046fadbda9d0595705179dcaa504157f02e60a82a2986dbc6"
 
 

@@ -27,7 +27,14 @@ from arbopack import (
 from arbopack import exhaustive, orientation, packing
 from arbopack.decomposition import _atom_slices
 from arbopack.exhaustive import _extract_certificate, _fix_edges, _reduced_table, _worst_completion
-from arbopack.orientation import _orient_by_cuts, _orientation, _part, _start_state, orient_atom
+from arbopack.orientation import (
+    _footholds,
+    _orient_by_cuts,
+    _orientation,
+    _part,
+    _start_ends,
+    orient_atom,
+)
 from arbopack.packing import _StepFlow
 from instance_gen import bench_workloads, random_mixed_instance
 from naive import (
@@ -474,9 +481,9 @@ class TestCapacity:
 
 def start_oracle(g, roots, dec, j, sl):
     """Atom ``j``'s cut oracle, with its edges in the starting orientation, and the footholds."""
-    trees, start, ends = _start_state(sl, dec, j, roots)
+    trees, start = _footholds(sl, dec, j, roots)
     n = len(sl.vertices)
-    return _StepFlow(n, trees, sl.cands, (1 << n) - 1, ends), start
+    return _StepFlow(n, trees, sl.cands, (1 << n) - 1, _start_ends(sl, start)), start
 
 
 def atom_oracles(rng, count, **kw):

@@ -33,7 +33,7 @@ from arbopack import (
 )
 import arbopack
 import arbopack.two_stage
-from arbopack import checks, exhaustive, orientation, packing
+from arbopack import checks, exhaustive, orientation, packing, pipeline
 from arbopack.decomposition import (
     _atom_slices,
     _certificate_sides,
@@ -44,10 +44,11 @@ from arbopack.decomposition import (
 from arbopack.errors import InvariantError
 from arbopack.orientation import (
     SubpartitionCertificate,
+    _footholds,
     _orient_by_cuts,
-    _start_state,
+    _start_ends,
 )
-from arbopack.packing import _StepFlow, _edge_cands, _first_fit, _grow
+from arbopack.packing import _StepFlow, _edge_cands, _either_way, _first_fit, _grow, _taken_ends
 from instance_gen import (
     bench_workloads,
     deep_atom_text,
@@ -58,6 +59,7 @@ from instance_gen import (
     random_mixed_instance,
     random_orientation,
     repeated_root_all_reachable,
+    tree_union_instance,
 )
 from naive import (
     brute_force_feasible,
@@ -671,8 +673,9 @@ class TestAtomCountIndependence:
         assert counts[0] == counts[1]
 
     def test_stalled_atoms(self, monkeypatch):
-        # Each copy's one atom stalls the fast path; the fallback reads
-        # the slices the solve already made, so no copy reslices the graph.
+        # Each copy's 4-vertex atom stalls the fast path, and its other
+        # atom, one vertex, is packed at once; the fallback reads the
+        # slices the solve already made, so no copy reslices the graph.
         calls = []
         cover = exhaustive.orient_covering
         monkeypatch.setattr(
@@ -688,7 +691,9 @@ class TestAtomCountIndependence:
             )
             assert isinstance(result[0], MixedPacking)
             assert validate_mixed_packing(g, roots, result[0])
-            assert len(calls) == n == len(compute_atoms(g, roots).atoms)
+            atoms = compute_atoms(g, roots).atoms
+            assert [len(atoms[req.atom_index]) for req in calls] == [4] * n
+            assert len(atoms) == 2 * n
         assert counts[0] == counts[1]
 
     def test_pack_reachability(self):
@@ -705,8 +710,8 @@ class TestAtomCountIndependence:
 
 
 def stalled_instance():
-    """One atom the fast path gives up on and the exact fallback orients."""
-    return random_mixed_instance(random.Random(1 * 1000003 + 7619), max_v=7, max_e=11, max_a=7)
+    """A 4-vertex atom the fast path gives up on and the exact fallback orients, and a 1-vertex atom."""
+    return random_mixed_instance(random.Random(4975 * 1000003 + 7619), max_v=7, max_e=11, max_a=7)
 
 
 def two_stage(g, roots):
@@ -835,16 +840,19 @@ class TestPackOnTheOrientingOracle:
 
         monkeypatch.setattr(_StepFlow, "__init__", tracked)
         cases = list(bench_instances(20))
+        rng = random.Random(4243)
+        cases += [tree_union_instance(rng) for _ in range(500)]
         cases.append(stalled_instance())
         for g, roots in cases:
             solve(g, roots)
         assert max(others) <= 1 and others[0] > 100, others
 
-    def test_first_fit_reruns_only_on_a_flipped_oracle(self, monkeypatch):
-        # With no flip, an oracle's candidates are the ones first fit got
-        # stuck on during orientation, so solve goes straight to the
-        # checked greedy: the first fit it skips would get stuck again.
-        oracles, reruns, skipped = [], [], []
+    def test_first_fit_reruns_on_every_orienting_oracle(self, monkeypatch):
+        # First fit from the start was free to take each edge either way,
+        # and held to the oracle's ends, flipped or not, it can pack where
+        # it got stuck: solve reruns it on the oracle's candidates, and
+        # goes to the checked greedy only when that rerun gets stuck.
+        oracles, reruns, stuck = [], Counter(), []
         init, first_fit, grow = _StepFlow.__init__, orientation._first_fit, orientation._grow
 
         def built(self, *args, **kwargs):
@@ -853,25 +861,30 @@ class TestPackOnTheOrientingOracle:
 
         def rerun(cands, trees, start, gmask):
             # the first fit from the start runs on no oracle's candidates
+            owner = first_fit(cands, trees, start, gmask)
             flows = [f for f in oracles if f.cands is cands]
             if flows:
                 (flow,) = flows
-                assert flow.flips
-                reruns.append(flow)
-            return first_fit(cands, trees, start, gmask)
+                reruns[bool(flow.flips)] += 1
+                if owner is None:
+                    stuck.append(flow)
+            return owner
 
         def checked(cands, trees, covered, gmask, flow):
-            if not flow.flips:
-                assert first_fit(cands, trees, covered, gmask) is None
-                skipped.append(flow)
+            assert stuck[-1] is flow
             return grow(cands, trees, covered, gmask, flow)
 
         monkeypatch.setattr(_StepFlow, "__init__", built)
         monkeypatch.setattr(orientation, "_first_fit", rerun)
         monkeypatch.setattr(orientation, "_grow", checked)
-        for g, roots in bench_instances(110):
+        cases = list(bench_instances(110))
+        rng = random.Random(4244)
+        cases += [tree_union_instance(rng) for _ in range(1500)]
+        for g, roots in cases:
+            oracles.clear()
             solve(g, roots)
-        assert len(skipped) >= 10 and len(reruns) > 300, (len(skipped), len(reruns))
+        assert reruns[False] >= 10 and reruns[True] > 300, reruns
+        assert len(stuck) >= 10, len(stuck)
 
     def test_a_stuck_greedy_raises(self, monkeypatch):
         # First fit gets stuck on this edgeless atom, so the checked greedy
@@ -904,7 +917,7 @@ class TestPackOnTheOrientingOracle:
         # as it was, so the greedy offers the trees an edge the checks
         # count the other way, and a tree gets stuck on an atom that the
         # network says is covered.
-        g, roots = random_mixed_instance(random.Random(112), max_v=7, max_e=11, max_a=7)
+        g, roots = random_mixed_instance(random.Random(573), max_v=7, max_e=11, max_a=7)
         assert validate_mixed_packing(g, roots, solve(g, roots))
         flip = _StepFlow.flip
 
@@ -971,9 +984,11 @@ class TestFirstFit:
     """First fit packs an atom only where the checked path would give the same answer."""
 
     def test_first_fit_agrees_with_the_checked_path(self, monkeypatch):
-        # On every atom that first fit packs from the start orientation, a
-        # fresh oracle's fast path keeps that orientation, with no flip,
-        # and the checked greedy takes the same candidates.
+        # On every atom that first fit packs with its edges unturned, the
+        # ends it took them in give the same trees three ways: that first
+        # fit, first fit on the edges turned that way, and the checked
+        # greedy on a fresh oracle with those ends.  The oracle's fast
+        # path keeps the ends, with no flip.
         flips = []
         flip = _StepFlow.flip
         monkeypatch.setattr(_StepFlow, "flip", lambda self, k: flips.append(k) or flip(self, k))
@@ -985,13 +1000,16 @@ class TestFirstFit:
             dec = compute_atoms(g, roots)
             for j, sl in enumerate(_atom_slices(g, dec)):
                 _check_atom(sl)
-                trees, start, ends = _start_state(sl, dec, j, roots)
+                trees, start = _footholds(sl, dec, j, roots)
                 cands = sl.cands
                 gmask = (1 << len(sl.vertices)) - 1
-                owner = _first_fit(cands + _edge_cands(ends), trees, start, gmask)
-                seen[owner is not None, bool(ends)] += 1
+                fit = cands + _either_way(sl.pairs)
+                owner = _first_fit(fit, trees, start, gmask)
+                seen[owner is not None, bool(sl.pairs)] += 1
                 if owner is None:
                     continue
+                ends = _taken_ends(fit[len(cands) :], sl.pairs)
+                assert _first_fit(cands + _edge_cands(ends), trees, start, gmask) == owner
                 flips.clear()
                 flow = _StepFlow(len(sl.vertices), trees, cands, gmask, ends)
                 assert _orient_by_cuts(sl, j, flow, start) == ends
@@ -1030,9 +1048,10 @@ class TestFirstFit:
         assert len(kinds) == 4 and min(kinds.values()) > 50, kinds
 
     def test_large_atoms_pack_with_no_oracle(self, monkeypatch):
-        # First fit packs the 200-vertex cycle copies and the 400-vertex
-        # doubled cycle from their start, with no oracle and no flow.  The
-        # staggered segments need path reversals, so they take the oracle.
+        # First fit packs the 200-vertex cycle copies, the 400-vertex
+        # doubled cycle and the staggered segments, turning their edges as
+        # it goes, with no oracle and no flow.  The 4-vertex stall takes
+        # the oracle.
         built, flows = [], []
         init, min_cut = _StepFlow.__init__, packing._min_cut
 
@@ -1054,7 +1073,43 @@ class TestFirstFit:
             wl._render(rng, [wl.staggered_segments(rng, "", length=100, segments=3)])
         )
         assert validate_mixed_packing(g, roots, solve(g, roots))
+        assert not built and not flows
+
+        g, roots = stalled_instance()
+        assert validate_mixed_packing(g, roots, solve(g, roots))
         assert built and flows
+
+
+class TestNoOracleForAFeasibleAtom:
+    def test_bench_corpora_build_oracles_only_to_refute(self, monkeypatch):
+        # First fit turns each edge the way its tree reaches it, so it
+        # packs every feasible atom of the three bench corpora: an oracle
+        # is built only for an atom that ends refuted, one per such atom.
+        built, builds = [], Counter()
+        init, orient_and_pack = _StepFlow.__init__, pipeline._orient_and_pack
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def recorded(*args):
+            built.clear()
+            outcome, owner = orient_and_pack(*args)
+            if not isinstance(outcome, SubpartitionCertificate):
+                assert not built, "an oracle was built for an atom that packs"
+            builds[name] += len(built)
+            return outcome, owner
+
+        monkeypatch.setattr(_StepFlow, "__init__", counted)
+        monkeypatch.setattr(pipeline, "_orient_and_pack", recorded)
+        wl = bench_workloads()
+        certificates = Counter()
+        for name in ("pack_heavy", "certify_heavy", "many_atoms"):
+            for inst in wl.corpus(name, 1, 110):
+                g, roots = parse_mixed_graph(inst.text)
+                certificates[name] += isinstance(solve(g, roots), BiSetFamilyCertificate)
+        assert builds == certificates, (builds, certificates)
+        assert builds == Counter(pack_heavy=0, certify_heavy=110, many_atoms=44), builds
 
 
 class TestEdgelessAtoms:
@@ -1081,6 +1136,7 @@ class TestEdgelessAtoms:
         rng = random.Random(6023)
         cases += [random_mixed_instance(rng, max_v=8, max_e=11, max_a=8) for _ in range(600)]
         cases += [random_mixed_instance(rng, max_v=8, max_e=2, max_a=10) for _ in range(600)]
+        cases += [tree_union_instance(rng, arc_p=1) for _ in range(300)]
         for g, roots in cases:
             result = solve(g, roots)
             if isinstance(result, MixedPacking):
@@ -1146,8 +1202,8 @@ class TestStartState:
 
             def one_pass():
                 _check_atom(sl)
-                trees, start, ends = _start_state(sl, dec, j, roots)
-                return trees, start, sl.cands, ends
+                trees, start = _footholds(sl, dec, j, roots)
+                return trees, start, sl.cands, _start_ends(sl, start)
 
             got = self.outcome(one_pass)
             assert got == self.outcome(lambda: reference_start_state(g, dec, j, roots))
