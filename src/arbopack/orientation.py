@@ -9,8 +9,11 @@ and packs it as soon as it is oriented.  First fit
 way: a tree takes an edge from the end it has reached to the end it has
 not, so when first fit packs the atom, the ways its trees took the
 edges are the answer, and an edge no tree takes keeps its declared
-direction.  Otherwise the edges start pointing away from the atom's
-roots, and the fast path checks the condition on the atom's cut oracle
+direction.  Otherwise a vertex with fewer links into it than trees that
+must enter it refutes the atom by a count, before any oracle is built
+(``packing._short_vertex``).  Failing that, the edges start pointing
+away from the atom's roots, and the fast path checks the condition on
+the atom's cut oracle
 (``packing._StepFlow``), where each edge is a pair of network edges
 whose capacities swap when it flips, and which is the one record of
 which way each edge points.  A path of oriented edges is reversed out
@@ -26,9 +29,13 @@ terminals, asks for more than its edges and fixed arcs can deliver.
 The fast path refutes an atom when it finds a set X short even with
 every edge counted both ways.  X is then a one-part subpartition of
 positive deficit, and it is the atom's certificate, naming each entering
-arc it holds ``t:<arc-id>`` from the atom's slice.  Only an atom the
-fast path stalls on goes to the exact fallback, ``arbopack.exhaustive``,
-which this module imports only then: it reads the same slice, each
+arc it holds ``t:<arc-id>`` from the atom's slice.  The counts are such
+subpartitions too.  A vertex short of links is one part, and an atom
+the fast path stalls on whose trees need more steps than it has links
+is refuted by the singletons of the vertices they must enter
+(:func:`_short_of_links`).  Only a stall with links enough goes to the
+exact fallback, ``arbopack.exhaustive``, which this module imports only
+then: it reads the same slice, each
 entering arc's tail bit standing for its terminal, and returns the
 subpartition of maximum deficit or a covering orientation.  Only its
 table is bounded by ``Bounds.max_enum_vertices``.
@@ -42,7 +49,9 @@ from .bounds import DEFAULT_BOUNDS, Bounds
 from .decomposition import AtomDecomposition, _atom_slices, _check_atom, _check_atom_index
 from .errors import InvariantError
 from .graph_core import RESERVED_TERMINAL_PREFIX, MixedGraph, Orientation
-from .packing import _either_way, _first_fit, _grow, _pack, _StepFlow, _taken_ends
+from .packing import (
+    _either_way, _first_fit, _grow, _pack, _short_vertex, _steps, _StepFlow, _taken_ends
+)
 
 
 class SubpartitionCertificate(NamedTuple):
@@ -51,8 +60,11 @@ class SubpartitionCertificate(NamedTuple):
     ``parts`` are disjoint family members of the auxiliary vertex set
     (atom vertices and ``t:<arc-id>`` terminals); their summed
     requirement exceeds the crossing-edge supply by ``deficit``.  An atom
-    the fast path refutes gets one part, the set it found short; one it
-    stalls on gets the maximum-deficit subpartition.
+    with a vertex short of links gets one part, that vertex; one the fast
+    path refutes gets one part, the set it found short.  One it stalls on
+    gets the singletons of the vertices its trees must enter when they
+    need more steps than it has links, and the maximum-deficit
+    subpartition otherwise.
     """
 
     atom_index: int
@@ -70,11 +82,13 @@ def orient_atom(
     """Atom ``j``'s covering orientation or certificate.
 
     An atom that first fit packs keeps the directions its trees took
-    the edges in.  Otherwise the fast path (:func:`_orient_by_cuts`)
-    orients the atom from its slice of ``g``.  An atom it refutes gets the one-part
-    certificate it found; only an atom it stalls on goes to
-    ``exhaustive.orient_covering``, on the same slice.  An atom with no
-    edge to orient skips the fast path.  The atom is packed as ``solve``
+    the edges in.  Otherwise a vertex short of links refutes it, or the
+    fast path (:func:`_orient_by_cuts`) orients the atom from its slice
+    of ``g``.  An atom it refutes gets the one-part certificate it found;
+    an atom it stalls on is refuted by a count when its trees need more
+    steps than it has links (:func:`_short_of_links`), and only
+    otherwise goes to ``exhaustive.orient_covering``, on the same slice.
+    An atom with no edge to orient skips the fast path.  The atom is packed as ``solve``
     packs it, and the trees are dropped (:func:`_orient_and_pack`).  Raises
     ``ValueError`` for ``j`` outside ``0..len(dec.atoms) - 1``; the message
     counts atoms from 1, as the CLI does.
@@ -90,18 +104,23 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
 
     A refuted atom gives its certificate and None.  The candidates are
     the atom's non-loop arcs, then its non-loop edges, in slice order.
-    An atom with no edge is packed or refuted by ``packing._pack``: with
-    no edge, the check counted both ways is the same flow, so it refutes
-    the atom with the set :func:`_orient_by_cuts` would.  Any other atom
+    An atom with no edge is packed or refuted by ``packing._pack``: by a
+    vertex short of links, as below, or else, since with no edge the
+    check counted both ways is the same flow, by the set
+    :func:`_orient_by_cuts` would give.  Any other atom
     goes to first fit with its edges unturned, before any oracle is
     built: when it packs, each edge's ends are the way its tree took it,
-    or as declared when no tree took it.  Otherwise the atom
-    is oriented on its cut oracle, which starts from :func:`_start_ends`
-    and is turned to the fallback's directions when the fast path
-    stalled (the only time ``arbopack.exhaustive`` is imported; it reads
-    the atom's slice from ``slices``), and then packed on it: by first
-    fit again, now on the oracle's directions, and by the checked greedy
-    when that gets stuck.
+    or as declared when no tree took it.  Otherwise a vertex short of
+    links (``packing._short_vertex``) refutes the atom with no oracle.
+    Failing that, the atom is oriented on its cut oracle, which starts
+    from :func:`_start_ends`.  Where the fast path stalls, an atom whose
+    trees need more steps than it has links is refuted by a count
+    (:func:`_short_of_links`); any other stall turns the oracle to the
+    fallback's directions (the only time ``arbopack.exhaustive`` is
+    imported; it reads the atom's slice from ``slices``).  An oriented
+    atom is then packed on its oracle: by first fit again, now on the
+    oracle's directions, and by the checked greedy when that gets stuck.
+    No feasible atom reaches a count's certificate.
     """
     sl = slices[j]
     _check_atom(sl)
@@ -117,8 +136,13 @@ def _orient_and_pack(g, dec, j, roots, slices, bounds):
     owner = _first_fit(fit, trees, start, gmask)
     if owner is not None:
         return _taken_ends(fit[len(cands) :], sl.pairs), owner
+    short = _short_vertex(n, trees, start, cands, sl.pairs)
+    if short is not None:
+        return _refuted(sl, j, *short), None
     flow = _StepFlow(n, trees, cands, gmask, _start_ends(sl, start))
     outcome = _orient_by_cuts(sl, j, flow, start)
+    if outcome is None:
+        outcome = _short_of_links(sl, j, trees, start)
     if outcome is None:
         from .exhaustive import CoverRequirement, orient_covering
 
@@ -165,6 +189,28 @@ def _orient_by_cuts(sl, j: int, flow, start) -> list | SubpartitionCertificate |
                 return None
             x = flow.cut(1 << w, start)
     return flow.ends
+
+
+def _short_of_links(sl, j: int, trees, start) -> SubpartitionCertificate | None:
+    """The singletons of every vertex some tree must enter, when the trees need more steps than the atom has links.
+
+    Each step of a packing takes its own link into the atom: a non-loop
+    atom arc or edge, or an entering arc.  The singletons ask for every
+    step, and are fed only by the edges that touch them and the arcs
+    into them, so their deficit is at least the steps less the links.
+    None when the links suffice.
+    """
+    gmask = (1 << len(sl.vertices)) - 1
+    need = _steps(trees, start, gmask)
+    if need <= len(sl.cands) + len(sl.pairs):
+        return None
+    entered = 0
+    for i in trees:
+        entered |= gmask & ~start[i]
+    fed = sum(1 for u, v in sl.pairs if (entered >> u | entered >> v) & 1)
+    fed += sum(1 for _tb, hb, _hit in sl.cands if hb & entered)
+    parts = tuple(frozenset((v,)) for k, v in enumerate(sl.vertices) if entered >> k & 1)
+    return SubpartitionCertificate(j, parts, need - fed)
 
 
 def _orientation(sl, ends) -> Orientation:

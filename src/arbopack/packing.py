@@ -20,11 +20,15 @@ first fit an atom edge may be taken either way: a tree takes it from
 the end it covers to the end it does not, so first fit orients the
 atom as it packs it.  It is tried only on an atom with at least as
 many candidates as steps its trees need; any other atom cannot be
-packed.  Otherwise the greedy runs checked: on a new oracle for an atom
-with no edge (:func:`_pack`), and on the oracle that oriented the edges
-of any other (``orientation``).  Only an infeasible atom gets a checked
-tree stuck; its untouched atom is then checked from each vertex, and
-the first short cut is its deficient set.
+packed.  Where first fit fails, a vertex with fewer links into it than
+trees that must enter it is a deficient set by itself, found by a count
+before any oracle is built (:func:`_short_vertex`).  Otherwise the
+greedy runs checked: on a new oracle for an atom with no edge
+(:func:`_pack`), and on the oracle that oriented the edges of any other
+(``orientation``).  Only an infeasible atom gets a checked tree stuck;
+the greedy then gives back every unit it took, the atom is checked from
+each vertex on that same oracle, and the first short cut is its
+deficient set.
 ``pipeline`` drives the atoms for ``solve`` and for
 ``two_stage.pack_reachability`` alike, a digraph being a mixed graph
 with no edges; ``two_stage.pack_atom_branchings`` packs one atom of a
@@ -42,25 +46,67 @@ from .errors import InvariantError
 def _pack(n: int, trees, start: Mapping[int, int], cands) -> list[int | None] | tuple[int, int]:
     """The owner list of a packing of an ``n``-vertex atom, or a short set and its shortfall.
 
-    By first fit when it packs the atom (:func:`_first_fit`), otherwise by
-    the greedy checked on a new oracle.  A checked tree gets stuck only
-    on an infeasible atom, and an untouched oracle then gives the set
-    (:func:`_first_short`).
+    By first fit when it packs the atom (:func:`_first_fit`).  Otherwise
+    a vertex short of links is the set, with no oracle
+    (:func:`_short_vertex`), and failing that the greedy runs checked on
+    a new oracle.  A checked tree gets stuck only on an infeasible atom,
+    and the oracle the greedy gave back then gives the set
+    (:func:`_first_short`): a check returns the least minimum cut, so it
+    is the set an oracle built afresh would give.
     """
     gmask = (1 << n) - 1
     owner = _first_fit(cands, trees, start, gmask)
-    if owner is None:
-        owner = _grow(cands, trees, dict(start), gmask, _StepFlow(n, trees, cands, gmask))
+    if owner is not None:
+        return owner
+    short = _short_vertex(n, trees, start, cands)
+    if short is not None:
+        return short
+    flow = _StepFlow(n, trees, cands, gmask)
+    owner = _grow(cands, trees, dict(start), gmask, flow)
     if isinstance(owner, int):
-        return _first_short(_StepFlow(n, trees, cands, gmask), n, start, owner)
+        return _first_short(flow, n, start, owner)
     return owner
+
+
+def _short_vertex(n: int, trees, start: Mapping[int, int], cands, pairs=()) -> tuple[int, int] | None:
+    """The first of the ``n`` atom vertices with fewer links into it than trees to enter it, or None.
+
+    A link into v is a candidate with head v (an atom arc or an entering
+    arc) or a non-loop atom edge of ``pairs`` at v; a tree must enter v
+    when its foothold lacks v, and each does so by a link of its own.
+    Returns v's bit, a set short with no entering arc in it, and its
+    shortfall.
+    """
+    # a vertex's links, plus the trees that need not enter it
+    slack = [0] * n
+    for _tb, hb, _hit in cands:
+        slack[hb.bit_length() - 1] += 1
+    for u, v in pairs:
+        slack[u] += 1
+        slack[v] += 1
+    for i in trees:
+        foothold = start[i]
+        while foothold:
+            low = foothold & -foothold
+            slack[low.bit_length() - 1] += 1
+            foothold ^= low
+    for v, have in enumerate(slack):
+        if have < len(trees):
+            return 1 << v, len(trees) - have
+    return None
+
+
+def _steps(trees, start: Mapping[int, int], gmask: int) -> int:
+    """How many atom vertices the trees must cover beyond their footholds: one link each."""
+    return sum((gmask & ~start[i]).bit_count() for i in trees)
 
 
 def _first_short(flow: _StepFlow, n: int, start: Mapping[int, int], stuck: int) -> tuple[int, int]:
     """The set found short by the first of the ``n`` atom vertices whose check fails.
 
-    ``flow`` is an untouched oracle of an atom on which tree ``stuck``
-    got stuck, so some check fails.  Returns the set and its shortfall.
+    ``flow`` is an oracle with no unit taken, of an atom on which tree
+    ``stuck`` got stuck, so some check fails.  Returns the set and its
+    shortfall.
     """
     for k in range(n):
         xmask = flow.cut(1 << k, start)
@@ -97,7 +143,7 @@ def _first_fit(cands, trees, start: Mapping[int, int], gmask: int) -> list[int |
     given either way (:func:`_either_way`) is turned in ``cands`` as its
     tree takes it (:func:`_taken_ends` reads the ends back).
     """
-    if len(cands) < sum((gmask & ~start[i]).bit_count() for i in trees):
+    if len(cands) < _steps(trees, start, gmask):
         return None
     owner = _grow(cands, trees, dict(start), gmask)
     return None if isinstance(owner, int) else owner
@@ -118,11 +164,12 @@ def _grow(
     their hit mask holds (0 for an atom arc or edge), ties in list order.
     Each step takes the first admissible candidate (first fit), or, with
     ``flow`` and its candidates as ``cands``, the first after which the
-    check from its head passes.  A first fit that finishes needs no
-    check: each of its prefixes extends to the packing it found, so every
-    check would have passed and the checked greedy takes the same
-    candidates, in the same order, with each edge turned as first fit
-    took it.
+    check from its head passes; when a tree gets stuck, every unit taken
+    is given back to ``flow`` before the tree is returned.  A first fit
+    that finishes needs no check: each of its prefixes extends to the
+    packing it found, so every check would have passed and the checked
+    greedy takes the same candidates, in the same order, with each edge
+    turned as first fit took it.
     """
     owner: list[int | None] = [None] * len(cands)
     order = sorted(enumerate(cands), key=_shared)
@@ -147,6 +194,11 @@ def _grow(
                 flow.take(k, -1)
                 covered[i] &= ~hb
             else:
+                if flow is not None:
+                    # give the oracle back untouched
+                    for k, o in enumerate(owner):
+                        if o is not None:
+                            flow.take(k, -1)
                 return i
     return owner
 

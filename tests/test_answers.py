@@ -29,12 +29,12 @@ from instance_gen import (
     sparse_digraph_instance,
 )
 
-ANSWERS_SHA256 = "44626992c6ffed489c8cf3691d979ee1a9bf23880ca4fa5caebd8e746254659f"
-DIGRAPH_ANSWERS_SHA256 = "5a22af0100f1ab8d2a96378bed8b50ac71a289f79afc13a32677f30150de3a82"
+ANSWERS_SHA256 = "cb1e4475202278f71818245c2778e86c4548a3aaac3760c5788d4e3b81e43073"
+DIGRAPH_ANSWERS_SHA256 = "dd18cd722d0adcb0ad60d6fc622257e5a2d4586b2294ce3bba1a22268e28b102"
 DIGRAPH_PACKINGS_SHA256 = "8236b0bbfa407b731c1f5a5be1035a3de76dbea82023624edcdd37736e322da8"
-BENCH_ANSWERS_SHA256 = "977b4e8409c5dc5b7e58dfbc3b965c64802512f231a3767e35a36b49d7528f6e"
-CERTIFY_ANSWERS_SHA256 = "ed7bfe1eaced02a7af44b0952562515c5628d4075dfffc1553b0f6e4cb42d83c"
-VERDICTS_SHA256 = "e2b24f7c0879b55ca1d793f3e84194d36c57d560113b885795f982bc74b072a9"
+BENCH_ANSWERS_SHA256 = "c9271b8937b3b5cee02ccc0769f19cf04a6b187cc064c448fb3799e407748379"
+CERTIFY_ANSWERS_SHA256 = "07a537c4b82725e081f2110a652e2635baa08ea7c8c04b9473e02b09b16da85d"
+VERDICTS_SHA256 = "41c3e71703e8aa0b4cced47c46f31cacfaa40e89c4700792b40ce322b5036e27"
 MIXED_PACKINGS_SHA256 = "e703de4787c1d4425835d3d694bd2c9397e5f30bb1568dce03305bd1149a9f74"
 VERDICT_ATOMS_SHA256 = "7837c865aacd051046fadbda9d0595705179dcaa504157f02e60a82a2986dbc6"
 

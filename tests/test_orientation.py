@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from arbopack import (
+    BiSet,
     BiSetFamilyCertificate,
     Bounds,
     CapacityError,
@@ -32,10 +34,12 @@ from arbopack.orientation import (
     _orient_by_cuts,
     _orientation,
     _part,
+    _refuted,
+    _short_of_links,
     _start_ends,
     orient_atom,
 )
-from arbopack.packing import _StepFlow
+from arbopack.packing import _short_vertex, _StepFlow
 from instance_gen import bench_workloads, random_mixed_instance
 from naive import (
     _ref_cross_into,
@@ -445,13 +449,10 @@ class TestCapacity:
         with pytest.raises(CapacityError, match="max_enum_vertices"):
             check_cover(req, Orientation({}))
 
-    def test_error_names_the_bound_and_the_atom(self):
-        # The fast path stalls on the triangle, atom 1 after the lone
-        # root's, so its table is built, and 3 atom vertices exceed 2.
-        g, roots = parse_mixed_graph(
-            "vertex r0\nvertex r1\nvertex r2\nvertex x\nedge x r1\nedge x r2\n"
-            "root r0\nroot r1\nroot r2\n"
-        )
+    def test_error_names_the_bound_and_the_atom(self, data_dir):
+        # The fast path stalls on atom 1, n2 n3 n5, whose links cover its
+        # trees' steps, so its table is built, and 3 atom vertices exceed 2.
+        g, roots = parse_mixed_graph((data_dir / "census_stall.mg").read_text())
         with pytest.raises(CapacityError) as info:
             solve(g, roots, Bounds(max_enum_vertices=2))
         exc = info.value
@@ -645,21 +646,39 @@ class TestFastPath:
             assert isinstance(mp, MixedPacking), (seed, i)
             assert validate_mixed_packing(g, roots, mp)
 
-    def test_stalled_cycle_certified_by_the_exact_path(self, monkeypatch):
-        # One edge per link of a 7-cycle cannot carry two trees from v0; the
-        # fast path stalls on the cycle, so the fallback certifies it with
-        # its maximum-deficit subpartition, every vertex but v0 alone.
+    def test_stalled_cycle_certified_by_counting(self, monkeypatch):
+        # One edge per link of an n-cycle cannot carry two trees from v0:
+        # they need 2(n - 1) steps and have n links.  The fast path stalls
+        # on the cycle, and the count certifies it with the singletons of
+        # every vertex but v0, deficit n - 2, past the table's bound too,
+        # and without loading the exact fallback.
+        monkeypatch.delitem(sys.modules, "arbopack.exhaustive")
+        for n in (7, 21, 200):
+            lines = [f"vertex v{i}" for i in range(n)]
+            lines += [f"edge v{i} v{(i + 1) % n}" for i in range(n)]
+            g, roots = parse_mixed_graph("\n".join(lines + ["root v0"] * 2) + "\n")
+            result = solve(g, roots)
+            assert isinstance(result, BiSetFamilyCertificate)
+            assert [b.inner for b in result.bisets] == [frozenset({f"v{i}"}) for i in range(1, n)]
+            assert (result.lhs, result.rhs) == (n, 2 * (n - 1))
+            assert verify_certificate(g, roots, result)
+        assert "arbopack.exhaustive" not in sys.modules
+
+    def test_census_stall_certified_by_the_exact_path(self, monkeypatch, data_dir):
+        # Atom n2 n3 n5 of census_stall.mg has 5 links for its two trees'
+        # 4 steps, and no set short with its edges counted both ways, so
+        # the fast path stalls, the count passes, and the fallback
+        # certifies it with its maximum-deficit subpartition.
         calls = []
         orient = exhaustive.orient_covering
         monkeypatch.setattr(
             exhaustive, "orient_covering", lambda req: calls.append(req) or orient(req)
         )
-        lines = [f"vertex v{i}" for i in range(7)] + [f"edge v{i} v{(i + 1) % 7}" for i in range(7)]
-        g, roots = parse_mixed_graph("\n".join(lines + ["root v0"] * 2) + "\n")
+        g, roots = parse_mixed_graph((data_dir / "census_stall.mg").read_text())
         result = solve(g, roots)
         assert len(calls) == 1
-        assert isinstance(result, BiSetFamilyCertificate)
-        assert sorted(b.inner for b in result.bisets) == [frozenset({f"v{i}"}) for i in range(1, 7)]
+        bisets = tuple(BiSet({v}, {v}) for v in ("n2", "n5"))
+        assert result == BiSetFamilyCertificate(1, bisets, 3, 4)
         assert verify_certificate(g, roots, result)
 
     def test_refuted_atom_certificate_against_the_oracles(self):
@@ -716,3 +735,61 @@ class TestFastPath:
             result = solve(g, roots)
             assert isinstance(result, BiSetFamilyCertificate) and len(result.bisets) == 1
             assert verify_certificate(g, roots, result)
+class TestCounting:
+    """A vertex or an atom short of links is refuted by a count, with no oracle and no table."""
+
+    def test_counts_agree_with_the_exact_path(self):
+        # Each rule is tried on every atom, not only where solve runs it:
+        # a vertex with fewer links than trees to enter it, and trees
+        # needing more steps than the atom has links.  Every atom either
+        # refutes, the exact fallback refutes on the same slice, and each
+        # count's certificate has the deficit it claims, at most the
+        # fallback's, and lifts to a family that passes the checker.
+        rng = random.Random(3434)
+        refuted = Counter()
+        for _ in range(20000):
+            g, roots = random_mixed_instance(rng, max_v=10, max_e=14, max_a=10, max_k=4)
+            dec = compute_atoms(g, roots)
+            slices = _atom_slices(g, dec)
+            for j, sl in enumerate(slices):
+                trees, start = _footholds(sl, dec, j, roots)
+                short = _short_vertex(len(sl.vertices), trees, start, sl.cands, sl.pairs)
+                certs = {
+                    "vertex": None if short is None else _refuted(sl, j, *short),
+                    "links": _short_of_links(sl, j, trees, start),
+                }
+                certs = {rule: cert for rule, cert in certs.items() if cert is not None}
+                if not certs:
+                    continue
+                exact = orient_covering(CoverRequirement(g, dec, j, tuple(roots), slices=slices))
+                assert isinstance(exact, SubpartitionCertificate), (g, roots, j)
+                for rule, cert in certs.items():
+                    lifted = certificate_from_subpartition(cert, dec, g, roots)
+                    assert lifted.deficit == cert.deficit <= exact.deficit, (rule, g, roots)
+                    assert verify_certificate(g, roots, lifted)
+                    refuted[rule] += 1
+        assert min(refuted.values()) > 5000, refuted
+
+    def test_stall_census(self, monkeypatch):
+        # 3,000 graphs of up to 14 vertices: every answer validates, and
+        # the fast path's stalls that no count refutes are the only calls
+        # to the exact fallback (343 calls before the counts).
+        calls = []
+        orient = exhaustive.orient_covering
+        monkeypatch.setattr(
+            exhaustive, "orient_covering", lambda req: calls.append(req) or orient(req)
+        )
+        rng = random.Random(5)
+        kinds = Counter()
+        for _ in range(3000):
+            g, roots = random_mixed_instance(rng, max_v=14, max_e=20, max_a=12, max_k=4)
+            result = solve(g, roots)
+            if isinstance(result, MixedPacking):
+                assert validate_mixed_packing(g, roots, result)
+            else:
+                assert verify_certificate(g, roots, result)
+            kinds[type(result)] += 1
+        assert len(calls) == 35
+        assert min(kinds.values()) > 1000, kinds
+
+

@@ -195,6 +195,49 @@ class TestPackReachability:
                 outcomes["violated"] += 1
         assert outcomes["packed"] > 300 and outcomes["violated"] > 300, outcomes
 
+    def test_one_oracle_per_refuted_atom(self, monkeypatch):
+        # A tree of the checked greedy that gets stuck gives back every
+        # unit its greedy took, so the atom is refuted on that oracle: one
+        # build per refuted atom that reaches an oracle, and the set and
+        # shortfall of a fresh one, since a check returns the least
+        # minimum cut.  A vertex with too few arcs into it refutes its
+        # atom with no oracle at all.
+        built, scans, refuted = [], [], Counter()
+        init, pack, first_short = _StepFlow.__init__, orientation._pack, packing._first_short
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        def scanned(flow, *args):
+            scans.append((flow, first_short(flow, *args)))
+            return scans[-1][1]
+
+        def recorded(n, trees, start, cands):
+            built.clear()
+            scans.clear()
+            owner = pack(n, trees, start, cands)
+            if isinstance(owner, tuple) and scans:
+                ((flow, got),) = scans
+                assert built == [flow]
+                fresh = _StepFlow(n, trees, cands, (1 << n) - 1)
+                assert got == owner == first_short(fresh, n, start, 0)
+            elif isinstance(owner, tuple):
+                assert not built
+            refuted[bool(scans)] += isinstance(owner, tuple)
+            return owner
+
+        monkeypatch.setattr(_StepFlow, "__init__", counted)
+        monkeypatch.setattr(packing, "_first_short", scanned)
+        monkeypatch.setattr(orientation, "_pack", recorded)
+        rng = random.Random(8080)
+        for _ in range(1000):
+            g, roots = sparse_digraph_instance(rng)
+            result = pack_reachability(g, roots)
+            if not isinstance(result, MixedPacking):
+                assert cut_deficit(g, roots, result) > 0
+        assert refuted == Counter({True: 65, False: 292}), refuted
+
     def test_vertex_bound_counts_atom_and_hit_trees_only(self):
         # Instance 469 of the fuzz corpus: a 14-vertex atom with 7
         # terminals, none of which gives a tree a foothold.  Packing no

@@ -779,8 +779,8 @@ class TestPackOnTheOrientingOracle:
         assert result == two_stage(g, roots)
 
     def test_one_oracle_per_atom_and_no_second_stage(self, monkeypatch):
-        built, first_fits = [], []
-        init, first_fit = _StepFlow.__init__, packing._first_fit
+        built, first_fits, counted_out = [], [], []
+        init, first_fit, short_vertex = _StepFlow.__init__, packing._first_fit, packing._short_vertex
 
         def counted(self, *args, **kwargs):
             built.append(self)
@@ -793,6 +793,12 @@ class TestPackOnTheOrientingOracle:
                 first_fits.append(owner)
             return owner
 
+        def counted_short(*args):
+            # a vertex with fewer links than trees to enter it refutes its atom with no oracle
+            short = short_vertex(*args)
+            counted_out.append(short is not None)
+            return short
+
         def forbidden(*args, **kwargs):
             raise AssertionError("solve ran the two-stage path")
 
@@ -804,31 +810,37 @@ class TestPackOnTheOrientingOracle:
         monkeypatch.setattr(_StepFlow, "__init__", counted)
         for module in (orientation, packing):
             monkeypatch.setattr(module, "_first_fit", recorded)
+            monkeypatch.setattr(module, "_short_vertex", counted_short)
         cases = list(bench_instances(20))
         cases.append(stalled_instance())
         packed = 0
-        atoms_stuck = Counter()
+        atoms_stuck, counts = Counter(), Counter()
         for g, roots in cases:
             built.clear()
             first_fits.clear()
+            counted_out.clear()
             atoms = len(compute_atoms(g, roots).atoms)
             result = solve(g, roots)
             stuck = [owner is None for owner in first_fits]
-            # one oracle per atom that first fit could not pack, none for the others
-            assert len(built) == sum(stuck)
+            # the count runs once per atom that first fit could not pack;
+            # one oracle per such atom it does not refute, none for the others
+            assert len(counted_out) == sum(stuck)
+            assert len(built) == sum(stuck) - sum(counted_out)
             if isinstance(result, MixedPacking):
-                assert len(first_fits) == atoms
+                assert len(first_fits) == atoms and not any(counted_out)
                 packed += 1
             else:
                 assert len(first_fits) <= atoms
             atoms_stuck.update(stuck)
+            counts.update(counted_out)
         assert packed > 25 and min(atoms_stuck[True], atoms_stuck[False]) > 10, atoms_stuck
+        assert counts == Counter({True: 20, False: 9}), counts
 
     def test_no_oracle_outlives_its_atom(self, monkeypatch):
         # Each atom is packed on its oracle before the next atom is
-        # oriented, so a new oracle finds at most one other alive
-        # (``packing._pack`` builds a second, untouched one to refute an
-        # edgeless atom).
+        # oriented, and no atom builds two (``packing._pack`` refutes an
+        # edgeless atom on the oracle its checked greedy gave back), so a
+        # new oracle finds no other alive.
         live, others = weakref.WeakSet(), Counter()
         init = _StepFlow.__init__
 
@@ -845,7 +857,7 @@ class TestPackOnTheOrientingOracle:
         cases.append(stalled_instance())
         for g, roots in cases:
             solve(g, roots)
-        assert max(others) <= 1 and others[0] > 100, others
+        assert set(others) == {0} and others[0] > 100, others
 
     def test_first_fit_reruns_on_every_orienting_oracle(self, monkeypatch):
         # First fit from the start was free to take each edge either way,
@@ -937,13 +949,15 @@ class TestAuxiliaryGraph:
         # A refuted atom's certificate names its terminals by arc id and
         # is lifted on the input graph, and a stalled atom's fallback
         # reads the slice the fast path holds, so no auxiliary graph is
-        # built, and the fallback runs once per atom the fast path stalls
-        # on, and for no other atom.
-        built, stalled, covered, refuted = [], [], [], []
-        by_cuts, cover, refute = (
+        # built.  The fallback runs once per atom the fast path stalls on
+        # whose links cover the steps its trees need, and for no other
+        # atom.
+        built, stalled, covered, refuted, counted = [], [], [], [], []
+        by_cuts, cover, refute, short_of_links = (
             orientation._orient_by_cuts,
             exhaustive.orient_covering,
             orientation._refuted,
+            orientation._short_of_links,
         )
 
         def counted_by_cuts(*args):
@@ -960,23 +974,36 @@ class TestAuxiliaryGraph:
             refuted.append(args[1])
             return refute(*args)
 
+        def counted_links(*args):
+            outcome = short_of_links(*args)
+            if outcome is not None:
+                counted.append(args[1])
+            return outcome
+
         for module in (arbopack, exhaustive):
             monkeypatch.setattr(module, "build_auxiliary", lambda *args: built.append(args))
         monkeypatch.setattr(orientation, "_orient_by_cuts", counted_by_cuts)
         monkeypatch.setattr(exhaustive, "orient_covering", counted_cover)
         monkeypatch.setattr(orientation, "_refuted", counted_refute)
+        monkeypatch.setattr(orientation, "_short_of_links", counted_links)
         cases = list(bench_instances(110))
         rng = random.Random(5150)
         cases += [random_mixed_instance(rng, max_v=7, max_e=11, max_a=7) for _ in range(1200)]
         cases.append(stalled_instance())
-        kinds = Counter()
+        kinds, totals = Counter(), Counter()
         for g, roots in cases:
+            for calls in (stalled, covered, counted):
+                calls.clear()
             result = solve(g, roots)
             kinds[type(result)] += 1
             if isinstance(result, BiSetFamilyCertificate):
                 assert verify_certificate(g, roots, result)
-        assert built == [] and covered == stalled
-        assert len(stalled) > 50 and len(refuted) > 300, (len(stalled), len(refuted))
+            # a count that refutes a stalled atom ends the solve
+            assert stalled == covered + counted and len(counted) <= 1
+            totals.update(stalled=len(stalled), counted=len(counted))
+        assert built == []
+        assert totals["stalled"] > 50 and len(refuted) > 300, (totals, len(refuted))
+        assert totals["counted"] > 20, totals
         assert min(kinds.values()) > 300, kinds
 
 
@@ -1084,13 +1111,20 @@ class TestNoOracleForAFeasibleAtom:
     def test_bench_corpora_build_oracles_only_to_refute(self, monkeypatch):
         # First fit turns each edge the way its tree reaches it, so it
         # packs every feasible atom of the three bench corpora: an oracle
-        # is built only for an atom that ends refuted, one per such atom.
-        built, builds = [], Counter()
+        # is built only for an atom that ends refuted, one per such atom
+        # that no vertex short of links refutes first.
+        built, builds, by_count = [], Counter(), Counter()
         init, orient_and_pack = _StepFlow.__init__, pipeline._orient_and_pack
+        short_vertex = packing._short_vertex
 
         def counted(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
+
+        def counted_short(*args):
+            short = short_vertex(*args)
+            by_count[name] += short is not None
+            return short
 
         def recorded(*args):
             built.clear()
@@ -1102,14 +1136,17 @@ class TestNoOracleForAFeasibleAtom:
 
         monkeypatch.setattr(_StepFlow, "__init__", counted)
         monkeypatch.setattr(pipeline, "_orient_and_pack", recorded)
+        for module in (orientation, packing):
+            monkeypatch.setattr(module, "_short_vertex", counted_short)
         wl = bench_workloads()
         certificates = Counter()
         for name in ("pack_heavy", "certify_heavy", "many_atoms"):
             for inst in wl.corpus(name, 1, 110):
                 g, roots = parse_mixed_graph(inst.text)
                 certificates[name] += isinstance(solve(g, roots), BiSetFamilyCertificate)
-        assert builds == certificates, (builds, certificates)
-        assert builds == Counter(pack_heavy=0, certify_heavy=110, many_atoms=44), builds
+        assert builds + by_count == certificates, (builds, by_count, certificates)
+        assert certificates == Counter(pack_heavy=0, certify_heavy=110, many_atoms=44)
+        assert builds == Counter(pack_heavy=0, certify_heavy=22, many_atoms=22), builds
 
 
 class TestEdgelessAtoms:
@@ -1117,7 +1154,8 @@ class TestEdgelessAtoms:
 
     def test_no_edgeless_atom_reaches_the_fast_path(self, monkeypatch):
         orient_by_cuts, grow = orientation._orient_by_cuts, packing._grow
-        with_edges, grown = Counter(), Counter()
+        short_vertex = packing._short_vertex
+        with_edges, grown, counted = Counter(), Counter(), Counter()
 
         def recorded(sl, *args):
             with_edges[any(not e.is_loop() for e in sl.edges)] += 1
@@ -1130,8 +1168,15 @@ class TestEdgelessAtoms:
                 grown[isinstance(owner, int)] += 1
             return owner
 
+        def short(*args):
+            # packing's own count runs on edgeless atoms only
+            found = short_vertex(*args)
+            counted[found is not None] += 1
+            return found
+
         monkeypatch.setattr(orientation, "_orient_by_cuts", recorded)
         monkeypatch.setattr(packing, "_grow", checked)
+        monkeypatch.setattr(packing, "_short_vertex", short)
         cases = list(bench_instances(110))
         rng = random.Random(6023)
         cases += [random_mixed_instance(rng, max_v=8, max_e=11, max_a=8) for _ in range(600)]
@@ -1143,18 +1188,22 @@ class TestEdgelessAtoms:
                 assert validate_mixed_packing(g, roots, result)
             else:
                 assert verify_certificate(g, roots, result)
-        assert not with_edges[False] and with_edges[True] > 100, with_edges
-        # edgeless atoms that first fit got stuck on: packed, and refuted
-        assert min(grown[False], grown[True]) > 20, grown
+        assert not with_edges[False] and with_edges[True] == 93, with_edges
+        # edgeless atoms that first fit could not pack: refuted by a vertex
+        # short of links, or else packed or refuted by the checked greedy
+        assert counted == Counter({True: 58, False: 49}), counted
+        assert grown == Counter({False: 43, True: 6}), grown
 
     def test_edgeless_certificate_pinned(self, monkeypatch):
         # Atom {m, c} has two trees and three arcs: first fit is gated
-        # off, the checked greedy gets stuck, and the untouched check from
-        # m passes while the one from c fails.  The certificate is the
-        # one the fast path gave this atom when it still ran on it.
+        # off, and c has one arc into it for two trees, so the count
+        # refutes the atom with no oracle and no check.  The certificate
+        # is the one the fast path, then the oracle's scan, gave this atom.
         first_short = packing._first_short
-        scans = []
+        scans, built = [], []
+        init = _StepFlow.__init__
         monkeypatch.setattr(packing, "_first_short", lambda *a: scans.append(a) or first_short(*a))
+        monkeypatch.setattr(_StepFlow, "__init__", lambda *a: built.append(a) or init(*a))
         g, roots = parse_mixed_graph(
             "vertex r1\nvertex r2\nvertex m\nvertex c\n"
             "arc r1 m\narc r2 m\narc m c\nroot r1\nroot r2\n"
@@ -1163,7 +1212,7 @@ class TestEdgelessAtoms:
         assert dec.atoms[2] == {"m", "c"} and not _atom_slices(g, dec)[2].edges
         outcome = orientation.orient_atom(g, dec, 2, roots)
         assert outcome == SubpartitionCertificate(2, (frozenset({"c"}),), 1)
-        assert len(scans) == 1
+        assert not scans and not built
         assert solve(g, roots) == BiSetFamilyCertificate(
             2, (BiSet(frozenset({"c"}), frozenset({"c"})),), 1, 2
         )

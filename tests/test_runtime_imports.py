@@ -149,14 +149,18 @@ def test_cli_solve_loads_no_lazy_module():
 @pytest.mark.parametrize(
     "name, stalls",
     [
-        ("three_vertex_infeasible.mg", True),
+        ("census_stall.mg", True),
+        ("three_vertex_infeasible.mg", False),
         ("two_root_mixed.mg", False),
         ("arcs_only_infeasible.mg", False),
     ],
 )
 def test_only_a_stalled_atom_loads_the_fallback(name, stalls):
-    # The three-vertex atom has two edges and no set short with both
-    # counted both ways, so the fast path stalls and the fallback refutes it.
+    # The fast path stalls on both three-vertex atoms, which have no set
+    # short with their edges counted both ways.  The trees of
+    # three_vertex_infeasible.mg's atom need 4 links and it has 2, so a
+    # count refutes it; census_stall.mg's has links enough, and only the
+    # fallback refutes it.
     assert _probe(SOLVE_PROBE, str(DATA / name)) == [False, stalls]
 
 
